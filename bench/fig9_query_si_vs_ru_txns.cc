@@ -358,80 +358,55 @@ int main() {
                    {"overhead_pct", overhead_pct}});
   }
 
-  // Purge-pause sweep: the §III-C4 compaction pause, quiescent vs concurrent,
-  // with a scan thread live the whole time. Quiescent mode occupies every
-  // shard for the full round, so `aosi.purge.pause_us` records one pause the
-  // length of the round; the phased concurrent pipeline does its O(bytes)
-  // copy and plan off-shard and records only the short shard-occupancy
-  // slices scans actually wait behind. The headline is the p99 of that
-  // histogram per mode — the flattening scripts/check_bench_baseline.py
-  // gates on (skipped on single-core / sanitizer builds, like the morsel
-  // scaling floor).
+  // Purge-pause sweep: the §III-C4 compaction pause with a scan thread live
+  // the whole time. The phased purge pipeline does its O(bytes) copy and
+  // plan off-shard, so `aosi.purge.pause_us` records only the short
+  // shard-occupancy slices scans actually wait behind; the headline is that
+  // histogram's p50/p99 plus the live scans' p99.
   {
     const uint64_t kTxns = 512;
     const int kPurgeRounds = 8;
-    struct ModeResult {
-      double pause_p50_us = 0.0;
-      double pause_p99_us = 0.0;
-      double scan_p99_us = 0.0;
-    };
-    const auto run_mode = [&](PurgeMode mode) {
-      Database db;
-      CUBRICK_CHECK(CreateSingleColumnCube(&db, "t").ok());
-      Random rng(7);
-      for (uint64_t t = 0; t < kTxns; ++t) {
-        CUBRICK_CHECK(db.Load("t", SingleColumnBatch(&rng, kRows / kTxns)).ok());
+    Database db;
+    CUBRICK_CHECK(CreateSingleColumnCube(&db, "t").ok());
+    Random rng(7);
+    for (uint64_t t = 0; t < kTxns; ++t) {
+      CUBRICK_CHECK(db.Load("t", SingleColumnBatch(&rng, kRows / kTxns)).ok());
+    }
+    obs::Histogram* pause =
+        obs::MetricsRegistry::Global().GetHistogram("aosi.purge.pause_us");
+    pause->ResetForTest();
+    std::atomic<bool> stop{false};
+    obs::LatencyRecorder scan_rec;
+    std::thread scanner([&db, &stop, &scan_rec] {
+      const cubrick::Query q = AggregationQuery();
+      while (!stop.load(std::memory_order_acquire)) {
+        Stopwatch timer;
+        CUBRICK_CHECK(db.Query("t", q, ScanMode::kSnapshotIsolation).ok());
+        scan_rec.Record(timer.ElapsedMicros());
       }
-      obs::Histogram* pause =
-          obs::MetricsRegistry::Global().GetHistogram("aosi.purge.pause_us");
-      pause->ResetForTest();
-      std::atomic<bool> stop{false};
-      obs::LatencyRecorder scan_rec;
-      std::thread scanner([&db, &stop, &scan_rec] {
-        const cubrick::Query q = AggregationQuery();
-        while (!stop.load(std::memory_order_acquire)) {
-          Stopwatch timer;
-          CUBRICK_CHECK(db.Query("t", q, ScanMode::kSnapshotIsolation).ok());
-          scan_rec.Record(timer.ElapsedMicros());
-        }
-      });
-      // Each round reloads a slice of fresh history so every purge has real
-      // compaction to do (round 1 reclaims the deep initial history; later
-      // rounds the reload's worth).
-      for (int r = 0; r < kPurgeRounds; ++r) {
-        CUBRICK_CHECK(db.Load("t", SingleColumnBatch(&rng, kRows / kTxns)).ok());
-        db.txns().TryAdvanceLSE(db.txns().LCE());
-        db.PurgeAll(mode);
-      }
-      stop.store(true, std::memory_order_release);
-      scanner.join();
-      const obs::HistogramSnapshot snap = pause->Read();
-      ModeResult out;
-      out.pause_p50_us = static_cast<double>(snap.Percentile(50));
-      out.pause_p99_us = static_cast<double>(snap.Percentile(99));
-      out.scan_p99_us = static_cast<double>(scan_rec.Percentile(99));
-      return out;
-    };
-    const ModeResult quiescent = run_mode(PurgeMode::kQuiescent);
-    const ModeResult concurrent = run_mode(PurgeMode::kConcurrent);
+    });
+    // Each round reloads a slice of fresh history so every purge has real
+    // compaction to do (round 1 reclaims the deep initial history; later
+    // rounds the reload's worth).
+    for (int r = 0; r < kPurgeRounds; ++r) {
+      CUBRICK_CHECK(db.Load("t", SingleColumnBatch(&rng, kRows / kTxns)).ok());
+      db.txns().TryAdvanceLSE(db.txns().LCE());
+      db.PurgeAll();
+    }
+    stop.store(true, std::memory_order_release);
+    scanner.join();
+    const obs::HistogramSnapshot snap = pause->Read();
+    const double pause_p50 = static_cast<double>(snap.Percentile(50));
+    const double pause_p99 = static_cast<double>(snap.Percentile(99));
+    const double scan_p99 = static_cast<double>(scan_rec.Percentile(99));
     std::printf(
-        "\nPurge pause with scans live (%d rounds): quiescent pause p99 "
-        "%.0f us (scan p99 %.0f us), concurrent pause p99 %.0f us "
+        "\nPurge pause with scans live (%d rounds): pause p99 %.0f us "
         "(scan p99 %.0f us)\n",
-        kPurgeRounds, quiescent.pause_p99_us, quiescent.scan_p99_us,
-        concurrent.pause_p99_us, concurrent.scan_p99_us);
-    EmitBenchJson(
-        "fig9_purge_pause",
-        {{"quiescent_pause_p50_us", quiescent.pause_p50_us},
-         {"quiescent_pause_p99_us", quiescent.pause_p99_us},
-         {"quiescent_scan_p99_us", quiescent.scan_p99_us},
-         {"concurrent_pause_p50_us", concurrent.pause_p50_us},
-         {"concurrent_pause_p99_us", concurrent.pause_p99_us},
-         {"concurrent_scan_p99_us", concurrent.scan_p99_us},
-         {"pause_p99_ratio",
-          quiescent.pause_p99_us == 0
-              ? 0.0
-              : concurrent.pause_p99_us / quiescent.pause_p99_us}});
+        kPurgeRounds, pause_p99, scan_p99);
+    EmitBenchJson("fig9_purge_pause",
+                  {{"concurrent_pause_p50_us", pause_p50},
+                   {"concurrent_pause_p99_us", pause_p99},
+                   {"concurrent_scan_p99_us", scan_p99}});
   }
 
   // SIMD kernel sweep (DESIGN.md §4e): the same scans with the scalar

@@ -19,10 +19,9 @@ Checks (stdlib only, no third-party deps):
     reports ~1.0x by construction, and sanitizers distort the ratio);
   * for the online-checker sweep (bench == "fig9_online_check"), the
     checker-on overhead stays <= 5% and the checker actually sampled;
-  * for the purge-pause sweep (bench == "fig9_purge_pause"), the phased
-    concurrent purge's pause p99 is no worse than the quiescent baseline
-    measured with scans live — asserted under the same machine-capability
-    gate as the scaling floor (>= 2 cores, uninstrumented build);
+  * for the purge-pause sweep (bench == "fig9_purge_pause"), purge actually
+    ran and was timed, and the headline carries the concurrent pause
+    p50/p99 and the live scans' p99;
   * for the SIMD kernel sweep (bench == "fig9_simd"), the SIMD fold is
     >= 1.3x faster than the scalar backend — asserted only when the stamp
     shows >= 2 cores, no sanitizer, AND a non-scalar simd_backend (a runner
@@ -74,18 +73,12 @@ MIN_SPEEDUP_4T = 1.1
 MIN_SCALING_CORES = 4
 
 # The purge-pause sweep (bench == "fig9_purge_pause") must prove purge
-# actually ran and was timed in both modes.
+# actually ran and was timed.
 REQUIRED_PURGE_METRICS = [
     ("histograms", "aosi.purge.pause_us"),
     ("histograms", "aosi.purge.round_us"),
     ("counters", "aosi.purge.rounds_total"),
 ]
-
-# Pause-flattening gate: the concurrent pipeline's shard-occupancy slices
-# must not be longer than the quiescent full-round pause. Needs a second
-# core for the scan thread to actually contend, and sanitizer builds
-# distort the ratio, so the capability gate mirrors fig9_parallel's.
-MIN_PURGE_CORES = 2
 
 # Ceiling for the online checker's query-latency overhead (ISSUE: the
 # checker must ride the epoch metadata "near-free").
@@ -257,34 +250,13 @@ def check_file(path):
                 return fail(path, f'required metric "{name}" missing from {section}')
         if metrics["counters"].get("aosi.purge.rounds_total", 0) <= 0:
             return fail(path, "purge sweep recorded zero aosi.purge.rounds_total")
-        quiescent = doc["headline"].get("quiescent_pause_p99_us")
-        concurrent = doc["headline"].get("concurrent_pause_p99_us")
-        if quiescent is None or concurrent is None:
-            return fail(
-                path,
-                "fig9_purge_pause headline missing "
-                '"quiescent_pause_p99_us"/"concurrent_pause_p99_us"',
-            )
-        capable = (
-            machine is not None
-            and machine["cores"] >= MIN_PURGE_CORES
-            and machine["sanitizer"] == "none"
-        )
-        if capable:
-            if concurrent > quiescent:
-                return fail(
-                    path,
-                    f"concurrent purge pause p99 {concurrent:.0f}us exceeds "
-                    f"the quiescent baseline {quiescent:.0f}us — the phased "
-                    "pipeline is not flattening the pause",
-                )
-        else:
-            why = (
-                "no machine stamp"
-                if machine is None
-                else f'{machine["cores"]} cores, sanitizer "{machine["sanitizer"]}"'
-            )
-            print(f"{path}: pause-flattening assertion skipped ({why})")
+        for key in (
+            "concurrent_pause_p50_us",
+            "concurrent_pause_p99_us",
+            "concurrent_scan_p99_us",
+        ):
+            if key not in doc["headline"]:
+                return fail(path, f'fig9_purge_pause headline missing "{key}"')
 
     if doc["bench"] == "fig9_simd":
         for section, name in REQUIRED_SIMD_METRICS:

@@ -32,9 +32,8 @@
 // of waiting for a quiescent point: a pointer returned by Lookup stays
 // valid for as long as the caller's ebr::Guard is alive (every scan entry
 // point pins one), and the old kMaxRetired backlog — which made Publish
-// silently decline under pure-read snapshot churn — is gone. Publish now
-// always publishes (`query.vis_cache_publish_declined` asserts this stays
-// true), and Clear() no longer needs scan quiescence, which is what lets
+// silently decline under pure-read snapshot churn — is gone. Publish always
+// publishes, and Clear() no longer needs scan quiescence, which is what lets
 // purge compact bricks while scans are in flight.
 #pragma once
 

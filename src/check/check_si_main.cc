@@ -10,27 +10,29 @@
 // passes; on divergence, prints the replayable diagnostic (config line,
 // seed, per-thread operation trace) and exits 1.
 //
-// --parallel=P runs single-node seeds with the morsel-parallel query
-// executor at fan-out P (DatabaseOptions::query_parallelism); the oracle
-// comparison is unchanged because the workload's metric values are small
-// integers, so aggregation is exact regardless of merge order. Cluster
-// seeds ignore it (cluster tables scan serially).
+// --parallel=P runs seeds with the morsel-parallel query executor at
+// fan-out P (EngineOptions::query_parallelism; every cluster node's engine
+// in cluster mode); the oracle comparison is unchanged because the
+// workload's metric values are small integers, so aggregation is exact
+// regardless of merge order.
 //
-// --ingest-parallel=P runs single-node seeds with the morsel-parallel
-// ingest pipeline at fan-out P (DatabaseOptions::ingest_parallelism;
-// DESIGN.md §4f). The two-phase dictionary encode makes parallel parse
-// output bit-identical to serial — ids depend only on prior dictionary
-// state plus the set of new strings — so the oracle comparison is
-// unchanged; the flag exists to race snapshot publication, sorted batch
-// inserts and group shard appends against scans, purge and recovery.
-// Cluster seeds ignore it (the coordinator parses serially).
+// --ingest-parallel=P runs seeds with the morsel-parallel ingest pipeline
+// at fan-out P (EngineOptions::ingest_parallelism; DESIGN.md §4f; in
+// cluster mode the coordinator parses with it). The two-phase dictionary
+// encode makes parallel parse output bit-identical to serial — ids depend
+// only on prior dictionary state plus the set of new strings — so the
+// oracle comparison is unchanged; the flag exists to race snapshot
+// publication, sorted batch inserts and group shard appends against scans,
+// purge and recovery.
 //
 // --cache runs single-node seeds with the per-brick visibility-bitmap
-// cache enabled (DatabaseOptions::query_visibility_cache; DESIGN.md §4c).
+// cache enabled (EngineOptions::query_visibility_cache; DESIGN.md §4c).
 // The cache memoizes exactly the bitmap the uncached path would build, so
 // the oracle comparison is unchanged; the flag exists to drive the cache's
 // atomic publish/lookup/invalidate machinery under the stress mix —
 // combine with --parallel=P so concurrent morsel workers hit the slots.
+// Cluster seeds ignore it: cluster nodes keep the engine default (cache
+// on), so cluster seed replays do not depend on the flag.
 //
 // --purge-stress runs single-node seeds with a dedicated purge thread
 // looping the concurrent phased purge pipeline (engine/table.cc) for the

@@ -17,7 +17,6 @@
 #include "common/mutex.h"
 #include "common/random.h"
 #include "cubrick/database.h"
-#include "obs/metrics.h"
 #include "query/executor.h"
 
 namespace cubrick::check {
@@ -668,11 +667,11 @@ std::string ConfigLine(const StressOptions& opt, bool cluster) {
       << " threaded=" << opt.threaded_shards
       << " rollback_index=" << opt.rollback_index
       << " persist=" << opt.with_persistence
-      << " online=" << opt.online_check;
+      << " online=" << opt.online_check
+      << " parallel=" << opt.query_parallelism
+      << " ingest_parallel=" << opt.ingest_parallelism;
   if (!cluster) {
-    out << " parallel=" << opt.query_parallelism
-        << " ingest_parallel=" << opt.ingest_parallelism
-        << " cache=" << opt.visibility_cache
+    out << " cache=" << opt.visibility_cache
         << " purge_stress=" << opt.purge_stress;
   }
   if (cluster) {
@@ -682,10 +681,10 @@ std::string ConfigLine(const StressOptions& opt, bool cluster) {
   out << "\nreplay: check_si --mode=" << (cluster ? "cluster" : "single")
       << " --seed0=" << opt.seed << " --seeds=1 --ops="
       << opt.ops_per_thread;
-  if (!cluster && opt.query_parallelism > 1) {
+  if (opt.query_parallelism > 1) {
     out << " --parallel=" << opt.query_parallelism;
   }
-  if (!cluster && opt.ingest_parallelism > 1) {
+  if (opt.ingest_parallelism > 1) {
     out << " --ingest-parallel=" << opt.ingest_parallelism;
   }
   if (!cluster && opt.visibility_cache) {
@@ -882,19 +881,6 @@ StressReport RunSingleNodeStress(const StressOptions& opt) {
     report.purge_rounds += purge_rounds_run;
   }
 
-  // PR 8 acceptance: with EBR retirement the vis cache has no retired
-  // backlog, so Publish can never have declined, in this or any prior
-  // seed (the registry is process-global and the counter only ever moves
-  // if the decline path resurfaces).
-  const uint64_t declined = obs::MetricsRegistry::Global()
-                                .GetCounter("query.vis_cache_publish_declined")
-                                ->Value();
-  if (declined != 0) {
-    report.failures.push_back(
-        config + "\nvis-cache Publish declined " + std::to_string(declined) +
-        " time(s); EBR retirement must make Publish unconditional");
-  }
-
   // Epilogue 1: quiescent full-cube validation at the final LCE.
   const Query q = FullScanQuery();
   if (report.ok()) {
@@ -949,6 +935,8 @@ StressReport RunClusterStress(const StressOptions& opt) {
   cluster_options.num_nodes = opt.num_nodes;
   cluster_options.shards_per_cube = opt.shards_per_cube;
   cluster_options.threaded_shards = opt.threaded_shards;
+  cluster_options.query_parallelism = opt.query_parallelism;
+  cluster_options.ingest_parallelism = opt.ingest_parallelism;
   cluster_options.replication_factor = opt.replication_factor;
   cluster_options.message_latency_us = opt.message_latency_us;
   if (opt.with_persistence) {
@@ -963,9 +951,9 @@ StressReport RunClusterStress(const StressOptions& opt) {
   CUBRICK_CHECK(created.ok());
   SiOracle oracle(cluster.FindSchema(kCube));
 
-  // The cluster has no DatabaseOptions knob (nodes share one process-wide
-  // hook anyway), so the harness installs one checker over the whole run,
-  // epilogues included.
+  // ClusterOptions has no online_check knob (the checker hook is process-
+  // wide, shared by every node), so the harness installs one checker over
+  // the whole run, epilogues included.
   std::unique_ptr<OnlineChecker> checker;
   if (opt.online_check) {
     checker = std::make_unique<OnlineChecker>();

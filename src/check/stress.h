@@ -49,16 +49,16 @@ struct StressOptions {
   /// Enables checkpoint operations in the mix plus a crash/recovery epilogue
   /// validated against the oracle.
   bool with_persistence = false;
-  /// Morsel-parallel query executor fan-out per shard (single-node mode;
-  /// see DatabaseOptions::query_parallelism). 1 keeps the serial executor.
+  /// Morsel-parallel query executor fan-out per shard (both modes; see
+  /// EngineOptions::query_parallelism). 1 keeps the serial executor.
   /// MakeSeedConfig never raises this — replay determinism stays pinned to
   /// the serial path — so parallel runs are opted into via check_si
   /// --parallel=N. Safe to diff against the oracle either way: workload
   /// metric values are small integers, so double aggregation is exact and
   /// merge order cannot change any query result.
   size_t query_parallelism = 1;
-  /// Morsel-parallel ingest pipeline fan-out (single-node mode; see
-  /// DatabaseOptions::ingest_parallelism). 1 keeps the serial parse path.
+  /// Morsel-parallel ingest pipeline fan-out (both modes; see
+  /// EngineOptions::ingest_parallelism). 1 keeps the serial parse path.
   /// MakeSeedConfig never raises this — replay determinism stays pinned to
   /// the serial path — so parallel runs are opted into via check_si
   /// --ingest-parallel=N. Safe to diff against the oracle either way:
@@ -68,12 +68,14 @@ struct StressOptions {
   /// shard appends racing scans, purge and recovery.
   size_t ingest_parallelism = 1;
   /// Per-brick visibility-bitmap cache (single-node mode; see
-  /// DatabaseOptions::query_visibility_cache). Off by default so seed
+  /// EngineOptions::query_visibility_cache). Off by default so seed
   /// replays keep exercising the uncached build path; check_si --cache
-  /// opts in. The cache cannot change any query result — it memoizes the
-  /// exact bitmap the uncached path would build — so the oracle comparison
-  /// is unchanged; what the flag adds is coverage of the cache's
-  /// lookup/publish/invalidate machinery under a concurrent workload.
+  /// opts in. Cluster mode keeps the engine default (cache on), so its
+  /// seed replays are unaffected by the flag. The cache cannot change any
+  /// query result — it memoizes the exact bitmap the uncached path would
+  /// build — so the oracle comparison is unchanged; what the flag adds is
+  /// coverage of the cache's lookup/publish/invalidate machinery under a
+  /// concurrent workload.
   bool visibility_cache = false;
   /// Installs the online SI checker (online_checker.h) for the duration of
   /// the run — single-node via DatabaseOptions::online_check, cluster via a

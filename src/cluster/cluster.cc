@@ -51,15 +51,14 @@ void LoadStats::PublishTo(obs::MetricsRegistry& reg) const {
       ->Record(static_cast<uint64_t>(total_us < 0 ? 0 : total_us));
 }
 
-NodeOptions Cluster::NodeOptionsFor(uint32_t idx) const {
-  NodeOptions node_options;
-  node_options.shards_per_cube = options_.shards_per_cube;
-  node_options.threaded_shards = options_.threaded_shards;
-  if (!options_.data_dir.empty()) {
-    node_options.data_dir =
-        options_.data_dir + "/node" + std::to_string(idx);
+std::unique_ptr<ClusterNode> Cluster::MakeNode(uint32_t idx) const {
+  EngineOptions engine = options_;
+  if (!engine.data_dir.empty()) {
+    engine.data_dir += "/node" + std::to_string(idx);
+    std::filesystem::create_directories(engine.data_dir);
   }
-  return node_options;
+  return std::make_unique<ClusterNode>(idx, options_.num_nodes,
+                                       std::move(engine));
 }
 
 Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
@@ -67,12 +66,7 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
   CUBRICK_CHECK(options_.replication_factor >= 1);
   CUBRICK_CHECK(options_.replication_factor <= options_.num_nodes);
   for (uint32_t i = 1; i <= options_.num_nodes; ++i) {
-    const NodeOptions node_options = NodeOptionsFor(i);
-    if (!node_options.data_dir.empty()) {
-      std::filesystem::create_directories(node_options.data_dir);
-    }
-    nodes_.push_back(
-        std::make_unique<ClusterNode>(i, options_.num_nodes, node_options));
+    nodes_.push_back(MakeNode(i));
     ring_.AddNode(i, options_.vnodes_per_node);
   }
   missed_ops_.resize(options_.num_nodes);
@@ -314,14 +308,10 @@ Status Cluster::Append(DistTxn* dist, const std::string& cube,
     return Status::FailedPrecondition("append in a read-only transaction");
   }
   Stopwatch total;
-  auto schema = FindSchema(cube);
-  if (schema == nullptr) {
-    return Status::NotFound("cube '" + cube + "' does not exist");
-  }
 
   // Parse phase: CPU-only, on the node that received the buffer (§V-B).
   Stopwatch parse_timer;
-  auto parsed = ParseRecords(*schema, records, parse_options);
+  auto parsed = node(dist->coordinator).Parse(cube, records, parse_options);
   if (!parsed.ok()) return parsed.status();
   const int64_t parse_us = parse_timer.ElapsedMicros();
 
@@ -459,15 +449,9 @@ aosi::Epoch Cluster::AdvanceClusterLSE() {
   return cluster_lse;
 }
 
-PurgeStats Cluster::PurgeAll(PurgeMode mode) {
+PurgeStats Cluster::PurgeAll() {
   PurgeStats total;
-  for (auto& n : nodes_) {
-    const PurgeStats stats = n->HandlePurge(mode);
-    total.bricks_examined += stats.bricks_examined;
-    total.bricks_rewritten += stats.bricks_rewritten;
-    total.bricks_erased += stats.bricks_erased;
-    total.records_removed += stats.records_removed;
-  }
+  for (auto& n : nodes_) total += n->Purge();
   return total;
 }
 
@@ -535,8 +519,7 @@ Status Cluster::CrashNode(uint32_t idx) {
     missed_ops_[idx - 1].clear();  // the crashed process loses everything
   }
   // Replace the node wholesale: fresh TxnManager, empty tables.
-  auto fresh = std::make_unique<ClusterNode>(idx, options_.num_nodes,
-                                             NodeOptionsFor(idx));
+  auto fresh = MakeNode(idx);
   for (const auto& [name, schema] : catalog_) {
     CUBRICK_RETURN_IF_ERROR(fresh->CreateCube(schema));
   }

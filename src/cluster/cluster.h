@@ -40,18 +40,15 @@ class MetricsRegistry;
 
 namespace cubrick::cluster {
 
-struct ClusterOptions {
+/// Every node runs a NodeEngine with the EngineOptions fields, except that
+/// data_dir is the root of the per-node flush directories (<dir>/node<i>/).
+struct ClusterOptions : EngineOptions {
   uint32_t num_nodes = 3;
-  size_t shards_per_cube = 1;
-  bool threaded_shards = false;
   /// Copies of each brick (1 = no replication).
   size_t replication_factor = 1;
   uint32_t vnodes_per_node = 64;
   /// Simulated one-way message latency, microseconds (0 = none).
   uint32_t message_latency_us = 0;
-  /// Root directory for per-node flush segments (<dir>/node<i>/); empty
-  /// disables persistence.
-  std::string data_dir;
 };
 
 /// A distributed transaction handle: the coordinator node plus the AOSI
@@ -149,7 +146,7 @@ class Cluster {
   aosi::Epoch AdvanceClusterLSE();
 
   /// Runs purge on every node at its local LSE.
-  PurgeStats PurgeAll(PurgeMode mode = PurgeMode::kConcurrent);
+  PurgeStats PurgeAll();
 
   /// Takes a node offline / brings it back (redelivering missed traffic).
   Status SetNodeOnline(uint32_t idx, bool online);
@@ -192,8 +189,8 @@ class Cluster {
   /// responsible for answering scans over it.
   uint32_t PreferredOwner(Bid bid) const;
 
-  /// Node options for (re)construction of node `idx`.
-  NodeOptions NodeOptionsFor(uint32_t idx) const;
+  /// A fresh node `idx` (construction and crash replacement).
+  std::unique_ptr<ClusterNode> MakeNode(uint32_t idx) const;
 
   ClusterOptions options_;
   std::vector<std::unique_ptr<ClusterNode>> nodes_;

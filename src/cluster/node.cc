@@ -5,40 +5,9 @@
 namespace cubrick::cluster {
 
 ClusterNode::ClusterNode(uint32_t node_idx, uint32_t num_nodes,
-                         NodeOptions options)
-    : node_idx_(node_idx), options_(options), txns_(node_idx, num_nodes) {}
-
-Status ClusterNode::CreateCube(std::shared_ptr<const CubeSchema> schema) {
-  MutexLock lock(cubes_mutex_);
-  const std::string& name = schema->cube_name();
-  if (cubes_.count(name) > 0) {
-    return Status::AlreadyExists("cube '" + name + "' already exists");
-  }
-  CubeState state;
-  state.table = std::make_unique<Table>(std::move(schema),
-                                        options_.shards_per_cube,
-                                        options_.threaded_shards);
-  if (!options_.data_dir.empty()) {
-    state.flusher =
-        std::make_unique<persist::FlushManager>(options_.data_dir, name);
-  }
-  cubes_.emplace(name, std::move(state));
-  return Status::OK();
-}
-
-Status ClusterNode::DropCube(const std::string& name) {
-  MutexLock lock(cubes_mutex_);
-  if (cubes_.erase(name) == 0) {
-    return Status::NotFound("cube '" + name + "' does not exist");
-  }
-  return Status::OK();
-}
-
-Table* ClusterNode::FindTable(const std::string& name) {
-  MutexLock lock(cubes_mutex_);
-  auto it = cubes_.find(name);
-  return it == cubes_.end() ? nullptr : it->second.table.get();
-}
+                         EngineOptions options)
+    : NodeEngine(std::move(options), node_idx, num_nodes),
+      node_idx_(node_idx) {}
 
 ClusterNode::BeginBroadcastResult ClusterNode::HandleBeginBroadcast(
     aosi::Epoch epoch) {
@@ -46,69 +15,34 @@ ClusterNode::BeginBroadcastResult ClusterNode::HandleBeginBroadcast(
   // separate PendingTxs() + NoteRemoteBegin() pair leaves a window where
   // the local LCE walks past `epoch` between the two calls.
   BeginBroadcastResult result;
-  result.accepted = txns_.RegisterRemoteBegin(epoch, &result.pending);
+  result.accepted = txns().RegisterRemoteBegin(epoch, &result.pending);
   return result;
 }
 
 bool ClusterNode::HandleRegisterHorizon(aosi::Epoch epoch,
                                         aosi::Epoch horizon) {
-  return txns_.RegisterRemoteHorizon(epoch, horizon);
+  return txns().RegisterRemoteHorizon(epoch, horizon);
 }
 
 Status ClusterNode::HandleAppend(aosi::Epoch epoch, const std::string& cube,
                                  PerBrickBatches&& batches) {
-  Table* table = FindTable(cube);
-  if (table == nullptr) {
-    return Status::NotFound("cube '" + cube + "' does not exist");
-  }
-  return table->Append(epoch, std::move(batches));
-}
-
-Status ClusterNode::HandleDelete(aosi::Epoch epoch, const std::string& cube,
-                                 const std::vector<FilterClause>& filters) {
-  Table* table = FindTable(cube);
-  if (table == nullptr) {
-    return Status::NotFound("cube '" + cube + "' does not exist");
-  }
-  return table->DeleteWhere(epoch, filters);
+  return Append(epoch, cube, std::move(batches));
 }
 
 Status ClusterNode::HandleDeleteCheck(
     const std::string& cube, const std::vector<FilterClause>& filters) {
-  Table* table = FindTable(cube);
-  if (table == nullptr) {
-    return Status::NotFound("cube '" + cube + "' does not exist");
-  }
-  return table->CheckDeleteGranularity(filters);
+  auto table = GetTable(cube);
+  if (!table.ok()) return table.status();
+  return (*table)->CheckDeleteGranularity(filters);
 }
 
 Status ClusterNode::HandleDeleteMark(aosi::Epoch epoch,
                                      const std::string& cube,
                                      const std::vector<FilterClause>& filters) {
-  Table* table = FindTable(cube);
-  if (table == nullptr) {
-    return Status::NotFound("cube '" + cube + "' does not exist");
-  }
-  table->MarkDeleted(epoch, filters);
+  auto table = GetTable(cube);
+  if (!table.ok()) return table.status();
+  (*table)->MarkDeleted(epoch, filters);
   return Status::OK();
-}
-
-std::vector<ClusterNode::CubeRef> ClusterNode::SnapshotCubes() {
-  MutexLock lock(cubes_mutex_);
-  std::vector<CubeRef> cubes;
-  cubes.reserve(cubes_.size());
-  for (const auto& [name, state] : cubes_) {
-    cubes.push_back({state.table.get(), state.flusher.get()});
-  }
-  return cubes;
-}
-
-void ClusterNode::RollbackData(aosi::Epoch victim) {
-  // Snapshot-then-release (see SnapshotCubes): Table::Rollback blocks on
-  // shard-queue backpressure and must not run under cubes_mutex_.
-  for (const CubeRef& cube : SnapshotCubes()) {
-    cube.table->Rollback(victim);
-  }
 }
 
 Status ClusterNode::HandleFinish(aosi::Epoch epoch,
@@ -118,107 +52,17 @@ Status ClusterNode::HandleFinish(aosi::Epoch epoch,
   // (e.g. high simulated latency or redelivery catch-up after an outage).
   static obs::Gauge* finish_lag =
       obs::MetricsRegistry::Global().GetGauge("cluster.remote_finish_lag");
-  finish_lag->Set(static_cast<int64_t>(txns_.EC()) -
+  finish_lag->Set(static_cast<int64_t>(txns().EC()) -
                   static_cast<int64_t>(epoch));
-  txns_.NoteRemoteDeps(epoch, deps);
-  txns_.NoteRemoteFinish(epoch, committed);
+  txns().NoteRemoteDeps(epoch, deps);
+  txns().NoteRemoteFinish(epoch, committed);
   return Status::OK();
 }
 
 Result<QueryResult> ClusterNode::HandleScan(
     const std::string& cube, const aosi::Snapshot& snapshot, ScanMode mode,
     const Query& query, const std::function<bool(Bid)>& brick_filter) {
-  Table* table = FindTable(cube);
-  if (table == nullptr) {
-    return Status::NotFound("cube '" + cube + "' does not exist");
-  }
-  return table->Scan(snapshot, mode, query, brick_filter);
-}
-
-PurgeStats ClusterNode::HandlePurge(PurgeMode mode) {
-  const aosi::Epoch lse = txns_.LSE();
-  PurgeStats total;
-  // Purge outside cubes_mutex_ (see SnapshotCubes): brick rewrites run on
-  // the shard queues and can block on backpressure.
-  for (const CubeRef& cube : SnapshotCubes()) {
-    const PurgeStats stats = cube.table->Purge(lse, mode);
-    total.bricks_examined += stats.bricks_examined;
-    total.bricks_rewritten += stats.bricks_rewritten;
-    total.bricks_erased += stats.bricks_erased;
-    total.records_removed += stats.records_removed;
-  }
-  return total;
-}
-
-Status ClusterNode::Checkpoint(aosi::Epoch to) {
-  if (options_.data_dir.empty()) {
-    return Status::FailedPrecondition("node has no data_dir");
-  }
-  // Flush outside cubes_mutex_ (see SnapshotCubes): a flush round walks
-  // every brick through the shard queues and can block on backpressure.
-  for (const CubeRef& cube : SnapshotCubes()) {
-    const aosi::Epoch from = cube.flusher->ManifestLse();
-    if (aosi::AtOrBefore(to, from)) continue;
-    auto stats = cube.flusher->FlushRound(cube.table, from, to);
-    if (!stats.ok()) return stats.status();
-  }
-  return Status::OK();
-}
-
-Result<aosi::Epoch> ClusterNode::RecoverLocal() {
-  if (options_.data_dir.empty()) {
-    return Status::FailedPrecondition("node has no data_dir");
-  }
-  // Replay outside cubes_mutex_ (see SnapshotCubes): segment replay and
-  // truncation push work through the shard queues and can block on
-  // backpressure.
-  const std::vector<CubeRef> cubes = SnapshotCubes();
-  aosi::Epoch min_lse = aosi::kEpochMax;
-  bool any = false;
-  for (const CubeRef& cube : cubes) {
-    auto result = cube.flusher->Recover(cube.table);
-    if (!result.ok()) return result.status();
-    any = true;
-    min_lse = aosi::MinEpoch(min_lse, result->lse);
-  }
-  if (!any || aosi::SameEpoch(min_lse, aosi::kEpochMax)) return aosi::kNoEpoch;
-  for (const CubeRef& cube : cubes) {
-    cube.table->TruncateAfter(min_lse);
-  }
-  return min_lse;
-}
-
-aosi::Epoch ClusterNode::MinFlushedLse() {
-  if (options_.data_dir.empty()) return aosi::kEpochMax;
-  MutexLock lock(cubes_mutex_);
-  aosi::Epoch min_lse = aosi::kEpochMax;
-  for (auto& [name, state] : cubes_) {
-    min_lse = aosi::MinEpoch(min_lse, state.flusher->ManifestLse());
-  }
-  return min_lse;
-}
-
-uint64_t ClusterNode::TotalRecords() {
-  MutexLock lock(cubes_mutex_);
-  uint64_t n = 0;
-  for (auto& [name, state] : cubes_) n += state.table->TotalRecords();
-  return n;
-}
-
-size_t ClusterNode::HistoryMemoryUsage() {
-  MutexLock lock(cubes_mutex_);
-  size_t bytes = 0;
-  for (auto& [name, state] : cubes_) {
-    bytes += state.table->HistoryMemoryUsage();
-  }
-  return bytes;
-}
-
-size_t ClusterNode::DataMemoryUsage() {
-  MutexLock lock(cubes_mutex_);
-  size_t bytes = 0;
-  for (auto& [name, state] : cubes_) bytes += state.table->DataMemoryUsage();
-  return bytes;
+  return Scan(cube, snapshot, mode, query, brick_filter);
 }
 
 }  // namespace cubrick::cluster

@@ -1,52 +1,51 @@
 // One simulated cluster node (paper §IV).
 //
-// A node owns a TxnManager (EC/LCE/LSE, pendingTxs) and the local storage of
-// every cube — a sharded Table holding the bricks consistent hashing
-// assigned to it (plus replicas). The Handle* methods are the node's RPC
-// surface; the Cluster's message bus piggybacks epoch clocks on every
-// request and response (§IV-A), so handlers assume ObserveClock has already
-// been applied by the bus.
+// The RPC adapter over one NodeEngine (cubrick/node_engine.h): the engine
+// holds the node's TxnManager (EC/LCE/LSE, pendingTxs) and the local
+// storage of every cube — the bricks consistent hashing assigned to it,
+// plus replicas. ClusterNode adds only what the distributed protocol
+// needs: simulated availability, the begin/horizon/finish handlers of
+// §IV-C, and the Handle* surface the Cluster's message bus calls. The bus
+// piggybacks epoch clocks on every request and response (§IV-A), so
+// handlers assume ObserveClock has already been applied.
 
 #pragma once
 
 #include <atomic>
-#include <memory>
+#include <functional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
-#include "aosi/txn_manager.h"
-#include "common/mutex.h"
-#include "engine/table.h"
-#include "persist/flush_manager.h"
-#include "query/query.h"
+#include "cubrick/node_engine.h"
 
 namespace cubrick::cluster {
 
-struct NodeOptions {
-  size_t shards_per_cube = 1;
-  bool threaded_shards = false;
-  /// Per-node flush directory; empty disables persistence.
-  std::string data_dir;
-};
-
-class ClusterNode {
+class ClusterNode : private NodeEngine {
  public:
-  ClusterNode(uint32_t node_idx, uint32_t num_nodes, NodeOptions options);
+  ClusterNode(uint32_t node_idx, uint32_t num_nodes, EngineOptions options);
 
   uint32_t node_idx() const { return node_idx_; }
-  aosi::TxnManager& txns() { return txns_; }
 
   /// Simulated availability. RPCs to an offline node fail with Unavailable;
   /// the cluster layer uses this to exercise replication / LSE gating.
   bool online() const { return online_.load(std::memory_order_seq_cst); }
   void set_online(bool v) { online_.store(v, std::memory_order_seq_cst); }
 
-  // --- Cube lifecycle ----------------------------------------------------
+  // --- Local engine (see NodeEngine) --------------------------------------
 
-  Status CreateCube(std::shared_ptr<const CubeSchema> schema);
-  Status DropCube(const std::string& name);
-  /// Local table for `name`, or nullptr.
-  Table* FindTable(const std::string& name);
+  using NodeEngine::Checkpoint;
+  using NodeEngine::CreateCube;
+  using NodeEngine::DataMemoryUsage;
+  using NodeEngine::DropCube;
+  using NodeEngine::FindTable;
+  using NodeEngine::HistoryMemoryUsage;
+  using NodeEngine::MinFlushedLse;
+  using NodeEngine::Parse;
+  using NodeEngine::Purge;
+  using NodeEngine::RecoverLocal;
+  using NodeEngine::RollbackData;
+  using NodeEngine::TotalRecords;
+  using NodeEngine::txns;
 
   // --- RPC surface ---------------------------------------------------------
 
@@ -73,10 +72,6 @@ class ClusterNode {
   Status HandleAppend(aosi::Epoch epoch, const std::string& cube,
                       PerBrickBatches&& batches);
 
-  /// Partition-granular delete (validate + mark).
-  Status HandleDelete(aosi::Epoch epoch, const std::string& cube,
-                      const std::vector<FilterClause>& filters);
-
   /// Phase-1 validation of a distributed delete predicate.
   Status HandleDeleteCheck(const std::string& cube,
                            const std::vector<FilterClause>& filters);
@@ -84,9 +79,6 @@ class ClusterNode {
   /// Phase-2 marking; never fails on a healthy node.
   Status HandleDeleteMark(aosi::Epoch epoch, const std::string& cube,
                           const std::vector<FilterClause>& filters);
-
-  /// Physically removes every append/delete of `victim` from local cubes.
-  void RollbackData(aosi::Epoch victim);
 
   /// Commit/abort broadcast carrying the transaction's deps (§IV-C).
   Status HandleFinish(aosi::Epoch epoch, const aosi::EpochSet& deps,
@@ -99,59 +91,9 @@ class ClusterNode {
                                  ScanMode mode, const Query& query,
                                  const std::function<bool(Bid)>& brick_filter);
 
-  /// Runs the purge procedure on every local cube at this node's LSE.
-  PurgeStats HandlePurge(PurgeMode mode = PurgeMode::kConcurrent);
-
-  // --- Persistence (§III-D) -----------------------------------------------
-
-  /// Flushes every cube's data up to `to` (from each cube's last flushed
-  /// point) and returns OK when all segments are durable. Requires a
-  /// data_dir.
-  Status Checkpoint(aosi::Epoch to);
-
-  /// Replays local flush segments into the (freshly created) cubes and
-  /// returns the node's consistent recovered LSE (inconsistent tails are
-  /// truncated, as in Database::Recover).
-  Result<aosi::Epoch> RecoverLocal();
-
-  /// The highest epoch durably flushed for every local cube — LSE may not
-  /// pass it (§III-B condition (c)). Unbounded when persistence is
-  /// disabled (a diskless deployment relies on replication alone).
-  aosi::Epoch MinFlushedLse();
-
-  // --- Local helpers -------------------------------------------------------
-
-  /// Aggregate statistics across local cubes.
-  uint64_t TotalRecords();
-  size_t HistoryMemoryUsage();
-  size_t DataMemoryUsage();
-
  private:
   const uint32_t node_idx_;
-  const NodeOptions options_;
-  aosi::TxnManager txns_;
   std::atomic<bool> online_{true};
-
-  struct CubeState {
-    std::unique_ptr<Table> table;
-    std::unique_ptr<persist::FlushManager> flusher;
-  };
-
-  /// Per-cube engine pointers snapshotted under cubes_mutex_. Bulk
-  /// operations (rollback, purge, checkpoint, recovery) iterate the
-  /// snapshot with the lock released: table operations fan out to bounded
-  /// shard queues, and a backpressure wait under the registry lock would
-  /// stall every cube lookup (including the RPC handlers). Lifetime
-  /// follows the FindTable() convention — DDL is serialized against data
-  /// operations by the caller; cubes_mutex_ guards only the map.
-  struct CubeRef {
-    Table* table;
-    persist::FlushManager* flusher;
-  };
-  std::vector<CubeRef> SnapshotCubes();
-
-  Mutex cubes_mutex_;
-  std::unordered_map<std::string, CubeState> cubes_ GUARDED_BY(cubes_mutex_);
 };
 
 }  // namespace cubrick::cluster

@@ -1,6 +1,5 @@
 #include "cubrick/database.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
@@ -9,7 +8,8 @@
 
 namespace cubrick {
 
-Database::Database(DatabaseOptions options) : options_(std::move(options)) {
+Database::Database(DatabaseOptions options)
+    : options_(std::move(options)), engine_(options_) {
   if (!options_.simd.empty()) {
     simd::ConfigureFromString(options_.simd.c_str());
   }
@@ -74,28 +74,7 @@ Status Database::CreateCube(const std::string& name,
   auto schema =
       CubeSchema::Make(name, std::move(dimensions), std::move(metrics));
   if (!schema.ok()) return schema.status();
-  MutexLock lock(mutex_);
-  if (cubes_.count(name) > 0) {
-    return Status::AlreadyExists("cube '" + name + "' already exists");
-  }
-  CubeState state;
-  state.table = std::make_unique<Table>(
-      schema.value(), options_.shards_per_cube, options_.threaded_shards,
-      options_.rollback_index, options_.pin_shard_threads);
-  if (!options_.data_dir.empty()) {
-    state.flusher =
-        std::make_unique<persist::FlushManager>(options_.data_dir, name);
-  }
-  cubes_.emplace(name, std::move(state));
-  return Status::OK();
-}
-
-Status Database::DropCube(const std::string& name) {
-  MutexLock lock(mutex_);
-  if (cubes_.erase(name) == 0) {
-    return Status::NotFound("cube '" + name + "' does not exist");
-  }
-  return Status::OK();
+  return engine_.CreateCube(std::move(schema).value());
 }
 
 std::shared_ptr<const CubeSchema> Database::FindSchema(
@@ -104,33 +83,22 @@ std::shared_ptr<const CubeSchema> Database::FindSchema(
   return table == nullptr ? nullptr : table->schema_ptr();
 }
 
-Table* Database::FindTable(const std::string& name) const {
-  MutexLock lock(mutex_);
-  auto it = cubes_.find(name);
-  return it == cubes_.end() ? nullptr : it->second.table.get();
-}
-
 Status Database::Load(const std::string& cube,
                       const std::vector<Record>& records,
                       const ParseOptions& options, LoadTiming* timing) {
   aosi::Txn txn = Begin();
   Stopwatch total;
   Stopwatch parse_timer;
-  Table* table = FindTable(cube);
-  if (table == nullptr) {
-    (void)txns_.Rollback(txn);
-    return Status::NotFound("cube '" + cube + "' does not exist");
-  }
-  auto parsed =
-      ParseRecords(table->schema(), records, options, options_.ingest_parallelism);
+  auto parsed = engine_.Parse(cube, records, options);
   if (!parsed.ok()) {
-    (void)txns_.Rollback(txn);
+    (void)txns().Rollback(txn);
     return parsed.status();
   }
   const int64_t parse_us = parse_timer.ElapsedMicros();
 
   Stopwatch flush_timer;
-  const Status append = table->Append(txn.epoch, std::move(parsed->batches));
+  const Status append =
+      engine_.Append(txn.epoch, cube, std::move(parsed->batches));
   if (!append.ok()) {
     (void)Rollback(txn);
     return append;
@@ -140,15 +108,15 @@ Status Database::Load(const std::string& cube,
     timing->flush_us = flush_timer.ElapsedMicros();
     timing->total_us = total.ElapsedMicros();
   }
-  return txns_.Commit(txn);
+  return txns().Commit(txn);
 }
 
 Result<QueryResult> Database::Query(const std::string& cube,
                                     const cubrick::Query& query,
                                     ScanMode mode) {
-  aosi::Txn txn = txns_.BeginReadOnly();
+  aosi::Txn txn = txns().BeginReadOnly();
   auto result = QueryIn(txn, cube, query, mode);
-  txns_.EndReadOnly(txn);
+  txns().EndReadOnly(txn);
   return result;
 }
 
@@ -160,34 +128,17 @@ Status Database::DeletePartitions(const std::string& cube,
     (void)Rollback(txn);
     return status;
   }
-  return txns_.Commit(txn);
+  return txns().Commit(txn);
 }
 
-aosi::Txn Database::Begin() { return txns_.BeginReadWrite(); }
-aosi::Txn Database::BeginReadOnly() { return txns_.BeginReadOnly(); }
+aosi::Txn Database::Begin() { return txns().BeginReadWrite(); }
+aosi::Txn Database::BeginReadOnly() { return txns().BeginReadOnly(); }
 
-Status Database::Commit(const aosi::Txn& txn) { return txns_.Commit(txn); }
+Status Database::Commit(const aosi::Txn& txn) { return txns().Commit(txn); }
 
 Status Database::Rollback(const aosi::Txn& txn) {
-  if (!txn.read_only()) {
-    // Snapshot the cube set and release mutex_ before the per-table
-    // rollback: Table::Rollback enqueues onto bounded shard queues, and a
-    // backpressure wait under the registry lock would stall every lookup.
-    for (const CubeRef& cube : SnapshotCubes()) {
-      cube.table->Rollback(txn.epoch);
-    }
-  }
-  return txns_.Rollback(txn);
-}
-
-std::vector<Database::CubeRef> Database::SnapshotCubes() const {
-  MutexLock lock(mutex_);
-  std::vector<CubeRef> cubes;
-  cubes.reserve(cubes_.size());
-  for (const auto& [name, state] : cubes_) {
-    cubes.push_back({state.table.get(), state.flusher.get()});
-  }
-  return cubes;
+  if (!txn.read_only()) engine_.RollbackData(txn.epoch);
+  return txns().Rollback(txn);
 }
 
 Status Database::LoadIn(const aosi::Txn& txn, const std::string& cube,
@@ -196,27 +147,16 @@ Status Database::LoadIn(const aosi::Txn& txn, const std::string& cube,
   if (txn.read_only()) {
     return Status::FailedPrecondition("load in a read-only transaction");
   }
-  Table* table = FindTable(cube);
-  if (table == nullptr) {
-    return Status::NotFound("cube '" + cube + "' does not exist");
-  }
-  auto parsed =
-      ParseRecords(table->schema(), records, options, options_.ingest_parallelism);
+  auto parsed = engine_.Parse(cube, records, options);
   if (!parsed.ok()) return parsed.status();
-  return table->Append(txn.epoch, std::move(parsed->batches));
+  return engine_.Append(txn.epoch, cube, std::move(parsed->batches));
 }
 
 Result<QueryResult> Database::QueryIn(const aosi::Txn& txn,
                                       const std::string& cube,
                                       const cubrick::Query& query,
                                       ScanMode mode) {
-  Table* table = FindTable(cube);
-  if (table == nullptr) {
-    return Status::NotFound("cube '" + cube + "' does not exist");
-  }
-  return table->Scan(txn.snapshot(), mode, query, nullptr,
-                     options_.query_parallelism,
-                     options_.query_visibility_cache);
+  return engine_.Scan(cube, txn.snapshot(), mode, query);
 }
 
 Status Database::DeletePartitionsIn(const aosi::Txn& txn,
@@ -225,25 +165,19 @@ Status Database::DeletePartitionsIn(const aosi::Txn& txn,
   if (txn.read_only()) {
     return Status::FailedPrecondition("delete in a read-only transaction");
   }
-  Table* table = FindTable(cube);
-  if (table == nullptr) {
-    return Status::NotFound("cube '" + cube + "' does not exist");
-  }
-  return table->DeleteWhere(txn.epoch, filters);
+  return engine_.DeleteWhere(txn.epoch, cube, filters);
 }
 
 Result<std::vector<MaterializedRow>> Database::Select(
     const std::string& cube, const cubrick::Query& query,
     const MaterializeOptions& options) {
-  Table* table = FindTable(cube);
-  if (table == nullptr) {
-    return Status::NotFound("cube '" + cube + "' does not exist");
-  }
-  aosi::Txn txn = txns_.BeginReadOnly();
+  auto table = engine_.GetTable(cube);
+  if (!table.ok()) return table.status();
+  aosi::Txn txn = txns().BeginReadOnly();
   auto rows =
-      table->Materialize(txn.snapshot(), ScanMode::kSnapshotIsolation, query,
-                         options, options_.query_visibility_cache);
-  txns_.EndReadOnly(txn);
+      (*table)->Materialize(txn.snapshot(), ScanMode::kSnapshotIsolation,
+                            query, options, options_.query_visibility_cache);
+  txns().EndReadOnly(txn);
   return rows;
 }
 
@@ -340,97 +274,19 @@ Result<FilterClause> Database::InFilter(
 }
 
 Result<aosi::Epoch> Database::Checkpoint() {
-  if (options_.data_dir.empty()) {
-    return Status::FailedPrecondition("no data_dir configured");
-  }
-  const aosi::Epoch to = txns_.LCE();
-  // Flush outside mutex_ (see SnapshotCubes): a flush round walks every
-  // brick through the shard queues and can block on backpressure.
-  for (const CubeRef& cube : SnapshotCubes()) {
-    // Resume from what this cube has durably flushed, NOT from LSE: LSE
-    // can be clamped below the manifest by an active snapshot, and
-    // re-flushing that range would duplicate rows on recovery.
-    const aosi::Epoch from = cube.flusher->ManifestLse();
-    if (aosi::AtOrBefore(to, from)) continue;
-    auto stats = cube.flusher->FlushRound(cube.table, from, to);
-    if (!stats.ok()) return stats.status();
-  }
-  const aosi::Epoch lse = txns_.TryAdvanceLSE(to);
+  const aosi::Epoch to = txns().LCE();
+  CUBRICK_RETURN_IF_ERROR(engine_.Checkpoint(to));
+  const aosi::Epoch lse = txns().TryAdvanceLSE(to);
   PurgeAll();
   return lse;
 }
 
-PurgeStats Database::PurgeAll(PurgeMode mode) {
-  const aosi::Epoch lse = txns_.LSE();
-  PurgeStats total;
-  // Purge outside mutex_ (see SnapshotCubes): brick rewrites run on the
-  // shard queues and can block on backpressure.
-  for (const CubeRef& cube : SnapshotCubes()) {
-    const PurgeStats stats = cube.table->Purge(lse, mode);
-    total.bricks_examined += stats.bricks_examined;
-    total.bricks_rewritten += stats.bricks_rewritten;
-    total.bricks_erased += stats.bricks_erased;
-    total.records_removed += stats.records_removed;
-  }
-  return total;
-}
-
 Status Database::Recover() {
-  if (options_.data_dir.empty()) {
-    return Status::FailedPrecondition("no data_dir configured");
-  }
-  // Replay every cube, then truncate to the minimum recovered LSE so a
-  // checkpoint that crashed between cubes cannot surface a half-flushed
-  // transaction. Runs on the startup path, but still off mutex_ (see
-  // SnapshotCubes): replay and truncation push work through the shard
-  // queues and can block on backpressure.
-  const std::vector<CubeRef> cubes = SnapshotCubes();
-  aosi::Epoch min_lse = aosi::kEpochMax;
-  bool any = false;
-  for (const CubeRef& cube : cubes) {
-    auto result = cube.flusher->Recover(cube.table);
-    if (!result.ok()) return result.status();
-    any = true;
-    min_lse = aosi::MinEpoch(min_lse, result->lse);
-  }
-  if (!any) return Status::OK();
-  for (const CubeRef& cube : cubes) {
-    cube.table->TruncateAfter(min_lse);
-  }
-  txns_.RestoreAfterRecovery(
-      aosi::SameEpoch(min_lse, aosi::kEpochMax) ? aosi::kNoEpoch : min_lse);
+  auto lse = engine_.RecoverLocal();
+  if (!lse.ok()) return lse.status();
+  // Without cubes nothing was replayed, and the counters stay as they are.
+  if (!CubeNames().empty()) txns().RestoreAfterRecovery(*lse);
   return Status::OK();
-}
-
-uint64_t Database::TotalRecords() {
-  MutexLock lock(mutex_);
-  uint64_t n = 0;
-  for (auto& [name, state] : cubes_) n += state.table->TotalRecords();
-  return n;
-}
-
-size_t Database::DataMemoryUsage() {
-  MutexLock lock(mutex_);
-  size_t bytes = 0;
-  for (auto& [name, state] : cubes_) bytes += state.table->DataMemoryUsage();
-  return bytes;
-}
-
-size_t Database::HistoryMemoryUsage() {
-  MutexLock lock(mutex_);
-  size_t bytes = 0;
-  for (auto& [name, state] : cubes_) {
-    bytes += state.table->HistoryMemoryUsage();
-  }
-  return bytes;
-}
-
-std::vector<std::string> Database::CubeNames() const {
-  MutexLock lock(mutex_);
-  std::vector<std::string> names;
-  for (const auto& [name, state] : cubes_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
 }
 
 }  // namespace cubrick

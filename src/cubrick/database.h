@@ -1,60 +1,36 @@
 // Database: the single-node public API of the Cubrick/AOSI engine.
 //
-// Wraps one TxnManager plus one sharded Table per cube, and exposes the
-// operation set the paper defines (§III-A): read, append and delete —
-// either as implicit single-operation transactions or inside explicit
-// transactions the caller begins/commits/rolls back. Persistence is a
-// checkpoint (flush round + LSE advance) against a data directory, with
-// crash recovery on startup.
+// A thin facade over one NodeEngine (cubrick/node_engine.h), which holds
+// the transaction manager, the cubes and every per-node operation. On top
+// of it Database adds what only a standalone node needs: the operation set
+// of §III-A as implicit single-operation transactions or inside explicit
+// transactions the caller begins/commits/rolls back, CREATE CUBE text,
+// filter builders over user-facing values, row-wise Select, a background
+// checkpoint thread, and the process-global knobs (SIMD backend, online SI
+// checker). Persistence is a checkpoint (flush round + LSE advance) against
+// a data directory, with crash recovery on startup.
 //
-// For the distributed deployment use cluster::Cluster, which composes the
-// same building blocks across simulated nodes.
+// For the distributed deployment use cluster::Cluster, whose nodes are the
+// same NodeEngine behind a simulated message bus.
 
 #pragma once
 
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "aosi/txn_manager.h"
 #include "check/online_checker.h"
 #include "common/mutex.h"
 #include "cubrick/ddl.h"
-#include "engine/table.h"
-#include "ingest/parser.h"
-#include "persist/flush_manager.h"
+#include "cubrick/node_engine.h"
 #include "query/query.h"
 
 namespace cubrick {
 
-struct DatabaseOptions {
-  size_t shards_per_cube = 2;
-  /// Dedicated shard threads; inline execution when false.
-  bool threaded_shards = false;
-  /// Directory for flush segments; empty disables persistence.
-  std::string data_dir;
-  /// Enables the §III-C5 txn->partition rollback index (memory for speed).
-  bool rollback_index = false;
-  /// Pins shard threads to CPUs (§V-B NUMA locality; threaded mode only).
-  bool pin_shard_threads = false;
-  /// Morsel-parallel query execution: maximum concurrent scan workers per
-  /// shard (bricks fanned out on ThreadPool::Global(); see Table::Scan).
-  /// 1 (the default) keeps the serial executor — the deterministic path the
-  /// src/check/ harness replays by default.
-  size_t query_parallelism = 1;
-  /// Morsel-parallel ingestion (DESIGN.md §4f): maximum parse/encode
-  /// workers per load request (record morsels fanned out on
-  /// ThreadPool::Global(); see ParseRecords). Output is bit-identical to
-  /// the serial walk at any setting; 1 (the default) keeps the serial
-  /// path that src/check/ replays by default.
-  size_t ingest_parallelism = 1;
-  /// Per-brick visibility-bitmap cache (DESIGN.md §4c): memoizes §III-C3
-  /// bitmaps keyed on (epochs-vector version, effective horizon, deps).
-  /// Results are identical either way; the src/check/ harness keeps it off
-  /// by default for seed-replay stability and opts in via --cache.
-  bool query_visibility_cache = true;
+struct DatabaseOptions : EngineOptions {
+  DatabaseOptions() { shards_per_cube = 2; }
+
   /// Period of the background flush/purge thread; 0 disables it. Requires
   /// data_dir.
   int64_t auto_checkpoint_interval_ms = 0;
@@ -97,10 +73,12 @@ class Database {
   Status CreateCube(const std::string& name,
                     std::vector<DimensionDef> dimensions,
                     std::vector<MetricDef> metrics);
-  Status DropCube(const std::string& name);
+  Status DropCube(const std::string& name) { return engine_.DropCube(name); }
 
   std::shared_ptr<const CubeSchema> FindSchema(const std::string& name) const;
-  Table* FindTable(const std::string& name) const;
+  Table* FindTable(const std::string& name) const {
+    return engine_.FindTable(name);
+  }
 
   // --- Implicit transactions (one operation, auto commit) -----------------
 
@@ -168,9 +146,9 @@ class Database {
   /// Returns the new LSE. Requires a data_dir.
   Result<aosi::Epoch> Checkpoint();
 
-  /// Runs the purge procedure on every cube at the current LSE. See
-  /// PurgeMode: the default phased pipeline runs concurrently with scans.
-  PurgeStats PurgeAll(PurgeMode mode = PurgeMode::kConcurrent);
+  /// Runs the purge procedure on every cube at the current LSE, concurrently
+  /// with scans (Table::Purge).
+  PurgeStats PurgeAll() { return engine_.Purge(); }
 
   /// Replays flush segments from data_dir into the (freshly created) cubes
   /// and restores the epoch counters. Call after recreating schemas via
@@ -180,42 +158,22 @@ class Database {
 
   // --- Introspection -------------------------------------------------------
 
-  aosi::TxnManager& txns() { return txns_; }
+  aosi::TxnManager& txns() { return engine_.txns(); }
   /// The online checker, or nullptr when options.online_check is off.
   check::OnlineChecker* online_checker() { return online_checker_.get(); }
-  uint64_t TotalRecords();
-  size_t DataMemoryUsage();
-  size_t HistoryMemoryUsage();
-  std::vector<std::string> CubeNames() const;
+  uint64_t TotalRecords() { return engine_.TotalRecords(); }
+  size_t DataMemoryUsage() { return engine_.DataMemoryUsage(); }
+  size_t HistoryMemoryUsage() { return engine_.HistoryMemoryUsage(); }
+  std::vector<std::string> CubeNames() const { return engine_.CubeNames(); }
 
  private:
-  struct CubeState {
-    std::unique_ptr<Table> table;
-    std::unique_ptr<persist::FlushManager> flusher;
-  };
-
-  /// Per-cube engine pointers snapshotted under mutex_. Bulk operations
-  /// (rollback, purge, checkpoint, recovery) iterate this snapshot with the
-  /// lock released: table operations fan work out to shard queues that
-  /// apply backpressure, and holding mutex_ across that wait would stall
-  /// every registry lookup behind a full queue. Pointer lifetime follows
-  /// the FindTable() convention — DDL is serialized against data
-  /// operations by the caller, mutex_ guards only the map itself.
-  struct CubeRef {
-    Table* table;
-    persist::FlushManager* flusher;
-  };
-  std::vector<CubeRef> SnapshotCubes() const;
-
   /// Body of the background checkpoint thread (§III-D: "disk flushes are
   /// constantly being executed in the background").
   void CheckpointLoop();
 
-  DatabaseOptions options_;
+  const DatabaseOptions options_;
   std::unique_ptr<check::OnlineChecker> online_checker_;
-  aosi::TxnManager txns_;
-  mutable Mutex mutex_;
-  std::unordered_map<std::string, CubeState> cubes_ GUARDED_BY(mutex_);
+  NodeEngine engine_;
 
   Mutex flusher_mutex_;
   CondVar flusher_cv_;

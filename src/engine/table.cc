@@ -264,81 +264,20 @@ std::vector<MaterializedRow> Table::Materialize(
   return rows;
 }
 
-PurgeStats Table::Purge(aosi::Epoch lse, PurgeMode mode) {
-  // Either mode also records its wall time: pause_us measures shard
-  // occupancy (what scans wait behind), round_us the end-to-end round.
-  obs::ObsSpan round_span(
-      "aosi.purge.round",
-      obs::MetricsRegistry::Global().GetHistogram("aosi.purge.round_us"));
+PurgeStats Table::Purge(aosi::Epoch lse) {
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::ObsSpan round_span("aosi.purge.round",
+                          reg.GetHistogram("aosi.purge.round_us"));
   if (rollback_index_) {
     // Transactions at or before LSE are finished: their index entries can
     // never be used and would otherwise grow without bound.
     rollback_index_->DiscardUpTo(lse);
   }
-  return mode == PurgeMode::kQuiescent ? QuiescentPurge(lse)
-                                       : ConcurrentPurge(lse);
-}
-
-PurgeStats Table::QuiescentPurge(aosi::Epoch lse) {
-  // The purge "pause" is the wall time the shards spend compacting instead
-  // of serving operations — the §III-C4 cost Figure 9's convergence section
-  // exercises. In quiescent mode the whole round is one pause.
-  obs::ObsSpan span(
-      "aosi.purge",
-      obs::MetricsRegistry::Global().GetHistogram("aosi.purge.pause_us"));
-  std::vector<PurgeStats> partials(shards_.size());
-  std::vector<uint64_t> history_entries(shards_.size(), 0);
-  std::vector<std::future<void>> done;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    PurgeStats* stats = &partials[s];
-    uint64_t* entries = &history_entries[s];
-    done.push_back(shards_[s]->Enqueue([lse, stats, entries](BrickMap& bricks) {
-      std::vector<Bid> dead;
-      bricks.ForEach([&](Brick& brick) {
-        ++stats->bricks_examined;
-        auto plan = aosi::PlanPurge(brick.history(), lse);
-        if (!plan.needed) {
-          *entries += brick.history().num_entries();
-          return;
-        }
-        const uint64_t before = brick.num_records();
-        brick.ApplyCompaction(plan);
-        ++stats->bricks_rewritten;
-        stats->records_removed += before - brick.num_records();
-        *entries += brick.history().num_entries();
-        if (brick.num_records() == 0 && brick.history().num_entries() == 0) {
-          dead.push_back(brick.bid());
-        }
-      });
-      for (Bid bid : dead) {
-        bricks.Erase(bid);
-        ++stats->bricks_erased;
-      }
-    }));
-  }
-  for (auto& f : done) f.get();
-  PurgeStats total;
-  uint64_t total_entries = 0;
-  for (size_t s = 0; s < partials.size(); ++s) {
-    const PurgeStats& p = partials[s];
-    total.bricks_examined += p.bricks_examined;
-    total.bricks_rewritten += p.bricks_rewritten;
-    total.bricks_erased += p.bricks_erased;
-    total.records_removed += p.records_removed;
-    total_entries += history_entries[s];
-  }
-  FinishPurgeRound(total, total_entries);
-  return total;
-}
-
-PurgeStats Table::ConcurrentPurge(aosi::Epoch lse) {
-  auto& reg = obs::MetricsRegistry::Global();
   obs::Histogram* pause = reg.GetHistogram("aosi.purge.pause_us");
   obs::Counter* conflicts = reg.GetCounter("aosi.purge.conflicts");
 
-  // Each shard op of the pipeline is timed individually: pause_us now
-  // records the slices scans actually wait behind, not the whole round —
-  // the flattening BENCH_fig9_purge_pause.json gates on.
+  // Each shard op of the pipeline is timed individually, so pause_us
+  // records the slices scans actually wait behind, not the whole round.
   const auto timed = [pause](Shard& shard,
                              std::function<void(BrickMap&)> op) {
     shard
@@ -446,19 +385,13 @@ PurgeStats Table::ConcurrentPurge(aosi::Epoch lse) {
       }
     });
   }
-  FinishPurgeRound(total, total_entries);
-  return total;
-}
-
-void Table::FinishPurgeRound(const PurgeStats& total,
-                             uint64_t total_entries) {
-  auto& reg = obs::MetricsRegistry::Global();
   reg.GetCounter("aosi.purge.rounds_total")->Add();
   // Post-purge epochs-vector footprint: how much §III-C history the table
   // still carries (grows between purges, shrinks as LSE advances).
   reg.GetGauge("aosi.epochs_vector_entries")
       ->Set(static_cast<int64_t>(total_entries));
   total.PublishTo(reg);
+  return total;
 }
 
 void Table::Rollback(aosi::Epoch victim) {

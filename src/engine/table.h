@@ -32,25 +32,20 @@ namespace cubrick {
 /// Parser output: records grouped and encoded per target brick.
 using PerBrickBatches = std::map<Bid, EncodedBatch>;
 
-/// How Table::Purge occupies the shards (§III-C4 + PR 8).
-enum class PurgeMode {
-  /// Phased pipeline: planning and row filtering run off the shard threads
-  /// against EBR-pinned snapshots and version-validated column copies, so
-  /// scans interleave with the purge and `aosi.purge.pause_us` records only
-  /// the short copy/install shard ops. The default.
-  kConcurrent,
-  /// Legacy stop-the-shard round: each shard plans and rewrites all of its
-  /// bricks in one monolithic op. Kept as the bench baseline for
-  /// BENCH_fig9_purge_pause.json and as the semantics reference.
-  kQuiescent,
-};
-
 /// Statistics returned by Table::Purge.
 struct PurgeStats {
   uint64_t bricks_examined = 0;
   uint64_t bricks_rewritten = 0;
   uint64_t bricks_erased = 0;
   uint64_t records_removed = 0;
+
+  PurgeStats& operator+=(const PurgeStats& other) {
+    bricks_examined += other.bricks_examined;
+    bricks_rewritten += other.bricks_rewritten;
+    bricks_erased += other.bricks_erased;
+    records_removed += other.records_removed;
+    return *this;
+  }
 
   /// Adds this round's tallies to the registry's "aosi.purge.*" counters
   /// (docs/OBSERVABILITY.md). Called by Table::Purge on its merged total.
@@ -144,9 +139,12 @@ class Table {
       const aosi::Snapshot& snapshot, ScanMode mode, const Query& query,
       const MaterializeOptions& options = {}, bool visibility_cache = true);
 
-  /// Runs the purge procedure (§III-C4) over every brick at `lse`. See
-  /// PurgeMode for how the shards are occupied; results are identical.
-  PurgeStats Purge(aosi::Epoch lse, PurgeMode mode = PurgeMode::kConcurrent);
+  /// Runs the purge procedure (§III-C4) over every brick at `lse` as a
+  /// phased pipeline: planning and row filtering run off the shard threads
+  /// against EBR-pinned snapshots and version-validated column copies, so
+  /// scans interleave with the purge and `aosi.purge.pause_us` records only
+  /// the short copy/install shard ops (DESIGN.md §4d).
+  PurgeStats Purge(aosi::Epoch lse);
 
   /// Physically removes every append/delete made by `victim` (§III-C5).
   void Rollback(aosi::Epoch victim);
@@ -208,14 +206,6 @@ class Table {
   /// Body of the shard drain op: applies staged batches until the stage is
   /// empty, so appends staged mid-drain coalesce into the running op.
   static void DrainAppendStage(AppendStage* stage, BrickMap& bricks);
-
-  PurgeStats QuiescentPurge(aosi::Epoch lse);
-  PurgeStats ConcurrentPurge(aosi::Epoch lse);
-
-  /// Merged-total bookkeeping shared by both purge modes: round counter,
-  /// post-purge epochs-vector footprint gauge, aosi.purge.* counters.
-  static void FinishPurgeRound(const PurgeStats& total,
-                               uint64_t total_entries);
 
   std::shared_ptr<const CubeSchema> schema_;
   /// Declared before shards_ so the stages outlive the shard threads that

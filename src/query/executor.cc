@@ -34,8 +34,6 @@ struct ScanInstruments {
   obs::Counter* vis_cache_hits;
   obs::Counter* vis_cache_misses;
   obs::Counter* vis_cache_evictions;
-  obs::Counter* vis_cache_bypass;
-  obs::Counter* vis_cache_publish_declined;
   obs::Counter* kernel_words_scanned;
   obs::Counter* kernel_words_skipped;
   obs::Counter* kernel_words_dense;
@@ -61,8 +59,6 @@ const ScanInstruments& Instruments() {
         reg.GetCounter("query.vis_cache_hits"),
         reg.GetCounter("query.vis_cache_misses"),
         reg.GetCounter("query.vis_cache_evictions"),
-        reg.GetCounter("query.vis_cache_bypass"),
-        reg.GetCounter("query.vis_cache_publish_declined"),
         reg.GetCounter("query.kernel_words_scanned"),
         reg.GetCounter("query.kernel_words_skipped"),
         reg.GetCounter("query.kernel_words_dense"),
@@ -199,13 +195,7 @@ VisibilityRef VisibilityForScan(const Brick& brick,
                     : aosi::BuildVisibilityBitmap(brick.history(), snapshot);
   const auto outcome = cache.Publish(key, &built);
   if (outcome.evicted) ins.vis_cache_evictions->Add();
-  if (outcome.published != nullptr) return VisibilityRef(outcome.published);
-  // Decline path. With EBR retirement Publish never declines — this branch
-  // is kept (and counted) so check_si can assert the backlog cliff stayed
-  // gone rather than silently reappearing.
-  ins.vis_cache_publish_declined->Add();
-  ins.vis_cache_bypass->Add();
-  return VisibilityRef(std::move(built));
+  return VisibilityRef(outcome.published);
 }
 
 void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
