@@ -659,43 +659,28 @@ class Worker {
   std::vector<std::string> trace_;
 };
 
+/// Every setting of the run, then the command that reruns it: the seed
+/// derives all of them, so the replay needs only the seed and the op count.
 std::string ConfigLine(const StressOptions& opt, bool cluster) {
+  const char* mode = cluster ? "cluster" : "single";
   std::ostringstream out;
-  out << "config: mode=" << (cluster ? "cluster" : "single")
-      << " seed=" << opt.seed << " threads=" << opt.threads
-      << " ops=" << opt.ops_per_thread << " shards=" << opt.shards_per_cube
-      << " threaded=" << opt.threaded_shards
-      << " rollback_index=" << opt.rollback_index
+  out << "config: mode=" << mode << " seed=" << opt.seed
+      << " threads=" << opt.threads << " ops=" << opt.ops_per_thread
+      << " shards=" << opt.engine.shards_per_cube
+      << " threaded=" << opt.engine.threaded_shards
+      << " pinned=" << opt.engine.pin_shard_threads
+      << " rollback_index=" << opt.engine.rollback_index
+      << " parallel=" << opt.engine.query_parallelism
+      << " ingest_parallel=" << opt.engine.ingest_parallelism
       << " persist=" << opt.with_persistence
       << " online=" << opt.online_check
-      << " parallel=" << opt.query_parallelism
-      << " ingest_parallel=" << opt.ingest_parallelism;
-  if (!cluster) {
-    out << " cache=" << opt.visibility_cache
-        << " purge_stress=" << opt.purge_stress;
-  }
+      << " purge_stress=" << opt.purge_stress;
   if (cluster) {
     out << " nodes=" << opt.num_nodes << " rf=" << opt.replication_factor
         << " latency_us=" << opt.message_latency_us;
   }
-  out << "\nreplay: check_si --mode=" << (cluster ? "cluster" : "single")
-      << " --seed0=" << opt.seed << " --seeds=1 --ops="
-      << opt.ops_per_thread;
-  if (opt.query_parallelism > 1) {
-    out << " --parallel=" << opt.query_parallelism;
-  }
-  if (opt.ingest_parallelism > 1) {
-    out << " --ingest-parallel=" << opt.ingest_parallelism;
-  }
-  if (!cluster && opt.visibility_cache) {
-    out << " --cache";
-  }
-  if (!cluster && opt.purge_stress) {
-    out << " --purge-stress";
-  }
-  if (opt.online_check) {
-    out << " --online";
-  }
+  out << "\nreplay: check_si --mode=" << mode << " --seed0=" << opt.seed
+      << " --seeds=1 --ops=" << opt.ops_per_thread;
   return out.str();
 }
 
@@ -801,33 +786,54 @@ std::string StressReport::Summary() const {
 }
 
 StressOptions MakeSeedConfig(uint64_t seed, bool cluster) {
+  // Every draw is unconditional, so a seed's shared settings are the same
+  // in both modes and adding a mode-specific draw never shifts the others.
+  Random rng(seed);
+  constexpr size_t kQueryParallelism[] = {1, 2, 4};
   StressOptions opt;
   opt.seed = seed;
-  opt.threads = 3 + static_cast<int>(seed % 3);
-  opt.shards_per_cube = 1 + seed % 3;
-  opt.threaded_shards = seed % 2 == 0;
-  opt.rollback_index = seed % 4 < 2;
-  opt.with_persistence = seed % 5 == 0;
+  opt.threads = 3 + static_cast<int>(rng.Uniform(3));
+  opt.engine.shards_per_cube = 1 + rng.Uniform(3);
+  opt.engine.threaded_shards = rng.OneIn(2);
+  opt.engine.rollback_index = rng.OneIn(2);
+  opt.engine.query_parallelism = kQueryParallelism[rng.Uniform(3)];
+  opt.engine.ingest_parallelism = rng.OneIn(2) ? 4 : 1;
+  opt.with_persistence = rng.OneIn(5);
+  opt.online_check = rng.OneIn(2);
+  const bool purge_stress = rng.OneIn(2);
+  const size_t replication_factor = 1 + rng.Uniform(2);
+  const bool latency = rng.OneIn(7);
   if (cluster) {
     opt.num_nodes = 3;
-    opt.replication_factor = 1 + seed % 2;
-    opt.message_latency_us = seed % 7 == 0 ? 20 : 0;
+    opt.replication_factor = replication_factor;
+    opt.message_latency_us = latency ? 20 : 0;
+  } else {
+    opt.purge_stress = purge_stress;
   }
   return opt;
+}
+
+DatabaseOptions ToDatabaseOptions(const StressOptions& opt) {
+  DatabaseOptions options;
+  static_cast<EngineOptions&>(options) = opt.engine;
+  options.online_check = opt.online_check;
+  return options;
+}
+
+cluster::ClusterOptions ToClusterOptions(const StressOptions& opt) {
+  cluster::ClusterOptions options;
+  static_cast<EngineOptions&>(options) = opt.engine;
+  options.num_nodes = opt.num_nodes;
+  options.replication_factor = opt.replication_factor;
+  options.message_latency_us = opt.message_latency_us;
+  return options;
 }
 
 StressReport RunSingleNodeStress(const StressOptions& opt) {
   StressReport report;
   const std::string config = ConfigLine(opt, /*cluster=*/false);
   const fs::path dir = ScratchDir(opt, "single");
-  DatabaseOptions db_options;
-  db_options.shards_per_cube = opt.shards_per_cube;
-  db_options.threaded_shards = opt.threaded_shards;
-  db_options.rollback_index = opt.rollback_index;
-  db_options.query_parallelism = opt.query_parallelism;
-  db_options.ingest_parallelism = opt.ingest_parallelism;
-  db_options.query_visibility_cache = opt.visibility_cache;
-  db_options.online_check = opt.online_check;
+  DatabaseOptions db_options = ToDatabaseOptions(opt);
   if (opt.with_persistence) {
     fs::remove_all(dir);
     fs::create_directories(dir);
@@ -847,7 +853,7 @@ StressReport RunSingleNodeStress(const StressOptions& opt) {
   shared.failures = &report.failures;
   shared.config = config;
 
-  // Dedicated purge churn (--purge-stress): loop the concurrent phased
+  // Dedicated purge churn (purge_stress): loop the concurrent phased
   // purge while the workers scan, append and delete. Shared structure lock
   // only — same locking as MaintenanceOp, so deletes still serialize
   // against it — and LSE chases LCE only in the diskless case (with
@@ -931,14 +937,7 @@ StressReport RunClusterStress(const StressOptions& opt) {
   StressReport report;
   const std::string config = ConfigLine(opt, /*cluster=*/true);
   const fs::path dir = ScratchDir(opt, "cluster");
-  cluster::ClusterOptions cluster_options;
-  cluster_options.num_nodes = opt.num_nodes;
-  cluster_options.shards_per_cube = opt.shards_per_cube;
-  cluster_options.threaded_shards = opt.threaded_shards;
-  cluster_options.query_parallelism = opt.query_parallelism;
-  cluster_options.ingest_parallelism = opt.ingest_parallelism;
-  cluster_options.replication_factor = opt.replication_factor;
-  cluster_options.message_latency_us = opt.message_latency_us;
+  cluster::ClusterOptions cluster_options = ToClusterOptions(opt);
   if (opt.with_persistence) {
     fs::remove_all(dir);
     fs::create_directories(dir);

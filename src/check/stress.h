@@ -36,62 +36,39 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.h"
+#include "cubrick/database.h"
+
 namespace cubrick::check {
 
 struct StressOptions {
   uint64_t seed = 1;
   int threads = 4;
   int ops_per_thread = 100;
-  size_t shards_per_cube = 2;
-  bool threaded_shards = true;
-  /// §III-C5 rollback index (single-node only).
-  bool rollback_index = false;
+  /// The engine configuration of the Database, or of every cluster node;
+  /// leave data_dir empty (with_persistence gives the run its own scratch
+  /// directory). Scan and ingest fan-out cannot change an answer the
+  /// oracle diffs: workload metric values are small integers, so double
+  /// aggregation is exact in any merge order, and parallel parse output is
+  /// bit-identical to serial (DESIGN.md §4f).
+  EngineOptions engine;
   /// Enables checkpoint operations in the mix plus a crash/recovery epilogue
   /// validated against the oracle.
   bool with_persistence = false;
-  /// Morsel-parallel query executor fan-out per shard (both modes; see
-  /// EngineOptions::query_parallelism). 1 keeps the serial executor.
-  /// MakeSeedConfig never raises this — replay determinism stays pinned to
-  /// the serial path — so parallel runs are opted into via check_si
-  /// --parallel=N. Safe to diff against the oracle either way: workload
-  /// metric values are small integers, so double aggregation is exact and
-  /// merge order cannot change any query result.
-  size_t query_parallelism = 1;
-  /// Morsel-parallel ingest pipeline fan-out (both modes; see
-  /// EngineOptions::ingest_parallelism). 1 keeps the serial parse path.
-  /// MakeSeedConfig never raises this — replay determinism stays pinned to
-  /// the serial path — so parallel runs are opted into via check_si
-  /// --ingest-parallel=N. Safe to diff against the oracle either way:
-  /// the two-phase dictionary encode makes parallel parse output
-  /// bit-identical to serial (DESIGN.md §4f), so what the flag adds is
-  /// coverage of snapshot publication, sorted batch inserts and group
-  /// shard appends racing scans, purge and recovery.
-  size_t ingest_parallelism = 1;
-  /// Per-brick visibility-bitmap cache (single-node mode; see
-  /// EngineOptions::query_visibility_cache). Off by default so seed
-  /// replays keep exercising the uncached build path; check_si --cache
-  /// opts in. Cluster mode keeps the engine default (cache on), so its
-  /// seed replays are unaffected by the flag. The cache cannot change any
-  /// query result — it memoizes the exact bitmap the uncached path would
-  /// build — so the oracle comparison is unchanged; what the flag adds is
-  /// coverage of the cache's lookup/publish/invalidate machinery under a
-  /// concurrent workload.
-  bool visibility_cache = false;
   /// Installs the online SI checker (online_checker.h) for the duration of
   /// the run — single-node via DatabaseOptions::online_check, cluster via a
   /// harness-owned checker spanning workload and epilogues. Any violation
   /// the checker records becomes a report failure, so the online checker is
-  /// itself cross-checked against the offline oracle on every --online run.
+  /// itself cross-checked against the offline oracle.
   bool online_check = false;
   /// Runs a dedicated purge thread for the whole workload (single-node
   /// mode): it loops LSE advance + Database::PurgeAll() — the concurrent
   /// phased pipeline (engine/table.cc) — under the shared structure lock
-  /// while workers append, delete and scan. Off by default; check_si
-  /// --purge-stress opts in. Purge only compacts history at or below the
-  /// LSE, which every live snapshot is at or past, so the oracle
-  /// comparison is unchanged; what the flag adds is scans racing
+  /// while workers append, delete and scan. Purge only compacts history at
+  /// or below the LSE, which every live snapshot is at or past, so the
+  /// oracle comparison is unchanged; what it adds is scans racing
   /// compaction installs, vis-cache invalidation and EBR retirement of
-  /// displaced history vectors (ctest check_si_single_purge_concurrent).
+  /// displaced history vectors.
   bool purge_stress = false;
   /// Cluster mode only.
   uint32_t num_nodes = 3;
@@ -122,10 +99,19 @@ struct StressReport {
   std::string Summary() const;
 };
 
-/// Derives a varied configuration from `seed` — shard count, threaded vs
-/// inline shards, rollback index, persistence, replication factor, simulated
-/// latency — so a seed sweep covers the configuration matrix.
+/// Derives the whole configuration from `seed`: thread count, the engine
+/// options (shard count, threaded vs inline shards, rollback index, scan
+/// and ingest fan-out), persistence, the online checker, purge stress
+/// (single node) and replication factor and simulated latency (cluster).
+/// Each setting is an independent draw from Random(seed), so a seed sweep
+/// covers the configuration matrix and a seed alone replays its run.
 StressOptions MakeSeedConfig(uint64_t seed, bool cluster);
+
+/// What a run configures its system under test with: `options.engine`
+/// sliced in whole, plus the mode's own fields. The runner adds the
+/// scratch data_dir when options.with_persistence.
+DatabaseOptions ToDatabaseOptions(const StressOptions& options);
+cluster::ClusterOptions ToClusterOptions(const StressOptions& options);
 
 /// Runs the workload against cubrick::Database (with a crash+Recover()
 /// epilogue when options.with_persistence).

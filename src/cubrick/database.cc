@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/simd.h"
-#include "common/stopwatch.h"
 
 namespace cubrick {
 
@@ -85,28 +84,18 @@ std::shared_ptr<const CubeSchema> Database::FindSchema(
 
 Status Database::Load(const std::string& cube,
                       const std::vector<Record>& records,
-                      const ParseOptions& options, LoadTiming* timing) {
+                      const ParseOptions& options) {
   aosi::Txn txn = Begin();
-  Stopwatch total;
-  Stopwatch parse_timer;
   auto parsed = engine_.Parse(cube, records, options);
   if (!parsed.ok()) {
     (void)txns().Rollback(txn);
     return parsed.status();
   }
-  const int64_t parse_us = parse_timer.ElapsedMicros();
-
-  Stopwatch flush_timer;
   const Status append =
       engine_.Append(txn.epoch, cube, std::move(parsed->batches));
   if (!append.ok()) {
     (void)Rollback(txn);
     return append;
-  }
-  if (timing != nullptr) {
-    timing->parse_us = parse_us;
-    timing->flush_us = flush_timer.ElapsedMicros();
-    timing->total_us = total.ElapsedMicros();
   }
   return txns().Commit(txn);
 }
@@ -174,9 +163,8 @@ Result<std::vector<MaterializedRow>> Database::Select(
   auto table = engine_.GetTable(cube);
   if (!table.ok()) return table.status();
   aosi::Txn txn = txns().BeginReadOnly();
-  auto rows =
-      (*table)->Materialize(txn.snapshot(), ScanMode::kSnapshotIsolation,
-                            query, options, options_.query_visibility_cache);
+  auto rows = (*table)->Materialize(
+      txn.snapshot(), ScanMode::kSnapshotIsolation, query, options);
   txns().EndReadOnly(txn);
   return rows;
 }

@@ -51,13 +51,6 @@ struct DatabaseOptions : EngineOptions {
   std::string simd;
 };
 
-/// Per-load timing breakdown (single-node flavor of cluster::LoadStats).
-struct LoadTiming {
-  int64_t parse_us = 0;
-  int64_t flush_us = 0;
-  int64_t total_us = 0;
-};
-
 class Database {
  public:
   explicit Database(DatabaseOptions options = {});
@@ -82,9 +75,10 @@ class Database {
 
   // --- Implicit transactions (one operation, auto commit) -----------------
 
-  /// Loads a batch in one implicit RW transaction.
+  /// Loads a batch in one implicit RW transaction. The parse and flush
+  /// stages are timed into ingest.parse_us / ingest.flush_us.
   Status Load(const std::string& cube, const std::vector<Record>& records,
-              const ParseOptions& options = {}, LoadTiming* timing = nullptr);
+              const ParseOptions& options = {});
 
   /// Runs a query in one implicit RO transaction (at LCE).
   Result<QueryResult> Query(const std::string& cube,

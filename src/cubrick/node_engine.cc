@@ -95,8 +95,7 @@ Result<QueryResult> NodeEngine::Scan(
   auto table = GetTable(cube);
   if (!table.ok()) return table.status();
   return (*table)->Scan(snapshot, mode, query, brick_filter,
-                        options_.query_parallelism,
-                        options_.query_visibility_cache);
+                        options_.query_parallelism);
 }
 
 void NodeEngine::RollbackData(aosi::Epoch victim) {

@@ -42,20 +42,13 @@ struct EngineOptions {
   bool pin_shard_threads = false;
   /// Morsel-parallel query execution: maximum concurrent scan workers per
   /// shard (bricks fanned out on ThreadPool::Global(); see Table::Scan).
-  /// 1 (the default) keeps the serial executor — the deterministic path the
-  /// src/check/ harness replays by default.
+  /// 1 (the default) scans on the shard's own thread.
   size_t query_parallelism = 1;
   /// Morsel-parallel ingestion (DESIGN.md §4f): maximum parse/encode
   /// workers per load request (record morsels fanned out on
   /// ThreadPool::Global(); see ParseRecords). Output is bit-identical to
-  /// the serial walk at any setting; 1 (the default) keeps the serial
-  /// path that src/check/ replays by default.
+  /// the serial walk at any setting; 1 (the default) parses on the caller.
   size_t ingest_parallelism = 1;
-  /// Per-brick visibility-bitmap cache (DESIGN.md §4c): memoizes §III-C3
-  /// bitmaps keyed on (epochs-vector version, effective horizon, deps).
-  /// Results are identical either way; the src/check/ harness keeps it off
-  /// in single-node mode for seed-replay stability and opts in via --cache.
-  bool query_visibility_cache = true;
 };
 
 class NodeEngine {
@@ -93,9 +86,9 @@ class NodeEngine {
   /// Partition-granular delete (validate + mark).
   Status DeleteWhere(aosi::Epoch epoch, const std::string& cube,
                      const std::vector<FilterClause>& filters);
-  /// Snapshot scan with query_parallelism workers per shard and the
-  /// engine's visibility-cache setting. `brick_filter` (optional) selects
-  /// which local bricks to answer for.
+  /// Snapshot scan with query_parallelism workers per shard, served through
+  /// each brick's visibility-bitmap cache (DESIGN.md §4c). `brick_filter`
+  /// (optional) selects which local bricks to answer for.
   Result<QueryResult> Scan(const std::string& cube,
                            const aosi::Snapshot& snapshot, ScanMode mode,
                            const Query& query,

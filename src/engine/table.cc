@@ -191,27 +191,18 @@ QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
       obs::MetricsRegistry::Global().GetHistogram("query.latency_us");
   scans->Add();
   obs::ObsSpan span("query.scan", latency);
-  const size_t fan_out = parallelism == 0 ? 1 : parallelism;
   std::vector<QueryResult> partials(shards_.size(),
                                     QueryResult(query.aggs.size()));
   std::vector<std::future<void>> done;
   for (size_t s = 0; s < shards_.size(); ++s) {
     QueryResult* out = &partials[s];
     done.push_back(shards_[s]->Enqueue([&snapshot, mode, &query, out,
-                                        &brick_filter, fan_out,
+                                        &brick_filter, parallelism,
                                         visibility_cache](BrickMap& bricks) {
-      if (fan_out <= 1) {
-        // Serial path, unchanged: scan in BrickMap order on the shard's
-        // own thread.
-        bricks.ForEach([&](Brick& brick) {
-          if (brick_filter && !brick_filter(brick.bid())) return;
-          ScanBrick(brick, snapshot, mode, query, out, visibility_cache);
-        });
-        return;
-      }
-      // Morsel-parallel path: fanning out *inside* the shard op keeps the
-      // shard blocked here until every worker finished, so pool workers
-      // read its bricks while the single-writer invariant still holds.
+      // Fanning out *inside* the shard op keeps the shard blocked here
+      // until every worker finished, so pool workers read its bricks while
+      // the single-writer invariant still holds. One worker is the serial
+      // scan: the shard's own thread walks the morsels in BrickMap order.
       std::vector<const Brick*> candidates;
       bricks.ForEach([&](const Brick& brick) {
         if (brick_filter && !brick_filter(brick.bid())) return;
@@ -220,7 +211,7 @@ QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
       auto morsels = PlanMorsels(candidates, query);
       auto worker_partials =
           ScanMorsels(morsels, snapshot, mode, query, &ThreadPool::Global(),
-                      fan_out, visibility_cache);
+                      parallelism, visibility_cache);
       *out = MergePartials(std::move(worker_partials), query.aggs.size());
     }));
   }

@@ -110,19 +110,18 @@ class Table {
   /// uses it to scan only bricks this node primarily owns, so replicated
   /// bricks are not double-counted.
   ///
-  /// `parallelism` > 1 enables the morsel-parallel executor: inside each
-  /// shard operation the shard's bricks are fanned out as tasks on
-  /// ThreadPool::Global() (up to `parallelism` concurrent workers including
-  /// the shard's own thread), each worker scans into a thread-local partial
-  /// and the partials are merged before the shard op returns. The shard
-  /// stays blocked in its own op for the whole fan-out, so the
-  /// single-writer invariant holds: nothing can mutate its bricks while
-  /// pool workers read them. The default (1) is the serial path — bit-for-
-  /// bit the previous behavior — which `src/check/` keeps for deterministic
-  /// replay (see DESIGN.md, "Serial vs parallel determinism policy").
+  /// Inside each shard operation the shard's bricks become morsels for up
+  /// to `parallelism` concurrent workers — the shard's own thread plus
+  /// tasks on ThreadPool::Global() — each scanning into a thread-local
+  /// partial, merged before the shard op returns. The shard stays blocked
+  /// in its own op for the whole fan-out, so the single-writer invariant
+  /// holds: nothing can mutate its bricks while pool workers read them.
+  /// The default (1) is one worker: the shard's thread alone, in BrickMap
+  /// order.
   ///
   /// `visibility_cache` enables each brick's visibility-bitmap cache
-  /// (DESIGN.md §4c); results are identical with it on or off.
+  /// (DESIGN.md §4c); results are identical with it on or off. The engine
+  /// always scans with it on; benches and tests turn it off for baselines.
   QueryResult Scan(const aosi::Snapshot& snapshot, ScanMode mode,
                    const Query& query,
                    const std::function<bool(Bid)>& brick_filter = nullptr,

@@ -540,6 +540,7 @@ std::vector<QueryResult> ScanMorsels(const std::vector<const Brick*>& morsels,
 
 QueryResult MergePartials(std::vector<QueryResult> partials,
                           size_t num_aggs) {
+  if (partials.size() == 1) return std::move(partials[0]);
   const ScanInstruments& ins = Instruments();
   obs::ObsSpan span("query.parallel_merge", ins.parallel_merge_us);
   QueryResult result(num_aggs);

@@ -75,14 +75,14 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
 //
 // Bricks are the natural morsel unit (granular partitioning already sizes
 // them, cf. morsel-driven parallelism, Leis et al. SIGMOD 2014). The three
-// steps below are what Table::Scan composes when its parallelism knob is
-// > 1; each is independently testable. No shared mutable state exists
-// inside the row loops: every worker scans into its own partial
-// QueryResult, and only the final merge combines group-by maps.
+// steps below are what Table::Scan composes at every parallelism setting
+// (serial is one worker); each is independently testable. No shared
+// mutable state exists inside the row loops: every worker scans into its
+// own partial QueryResult, and only the final merge combines group-by maps.
 
 /// Plan step: the subset of `candidates` that needs row work, in input
 /// order. Bricks pruned here (empty, or ranges disjoint from the filters)
-/// are tallied into query.bricks_pruned exactly as the serial path does.
+/// are tallied into query.bricks_pruned exactly as ScanBrick's own prune.
 std::vector<const Brick*> PlanMorsels(
     const std::vector<const Brick*>& candidates, const Query& query);
 
@@ -100,7 +100,8 @@ std::vector<QueryResult> ScanMorsels(const std::vector<const Brick*>& morsels,
                                      bool use_cache = true);
 
 /// Merge step: folds the worker partials into one result, recording the
-/// fold's duration into query.parallel_merge_us.
+/// fold's duration into query.parallel_merge_us. A lone partial (a serial
+/// scan) is moved out as is, with nothing recorded.
 QueryResult MergePartials(std::vector<QueryResult> partials, size_t num_aggs);
 
 /// EXPLAIN-style account of how granular partitioning served a query.

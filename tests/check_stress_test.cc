@@ -46,10 +46,17 @@ TEST(CheckStressTest, ClusterFixedSeeds) {
 // Seed 2 with this configuration was the first seed to expose the
 // cluster-wide LSE/purge horizon bug (an open transaction's deps-excluded
 // delete was destructively applied by purge on a non-coordinator node) and
-// the begin-broadcast commit race; keep it pinned as a regression.
+// the begin-broadcast commit race; keep it pinned as a regression. The
+// configuration is spelled out because MakeSeedConfig(2) has since changed.
 TEST(CheckStressTest, ClusterRegressionSeed2) {
-  check::StressOptions opt = check::MakeSeedConfig(2, /*cluster=*/true);
+  check::StressOptions opt;
+  opt.seed = 2;
+  opt.threads = 5;
   opt.ops_per_thread = 25;
+  opt.engine.shards_per_cube = 3;
+  opt.engine.threaded_shards = true;
+  opt.num_nodes = 3;
+  opt.replication_factor = 1;
   const check::StressReport report = check::RunClusterStress(opt);
   EXPECT_TRUE(report.ok()) << Failures(report);
 }

@@ -210,15 +210,5 @@ TEST(DatabaseTest, PurgeAfterDeleteReclaimsMemory) {
   EXPECT_LE(db.HistoryMemoryUsage(), before);
 }
 
-TEST(DatabaseTest, LoadTimingPopulated) {
-  Database db;
-  ASSERT_TRUE(db.ExecuteDdl(kDdl).ok());
-  LoadTiming timing;
-  ASSERT_TRUE(
-      db.Load("test_cube", {{"CA", "male", 1, 0}}, {}, &timing).ok());
-  EXPECT_GE(timing.total_us, timing.parse_us);
-  EXPECT_GE(timing.total_us, 0);
-}
-
 }  // namespace
 }  // namespace cubrick
