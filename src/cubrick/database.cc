@@ -155,6 +155,7 @@ Result<std::vector<MaterializedRow>> Database::Select(
     const MaterializeOptions& options) {
   auto table = engine_.GetTable(cube);
   if (!table.ok()) return table.status();
+  CUBRICK_RETURN_IF_ERROR(ValidateQuery((*table)->schema(), query));
   aosi::Txn txn = txns().BeginReadOnly();
   auto rows = (*table)->Materialize(
       txn.snapshot(), ScanMode::kSnapshotIsolation, query, options);

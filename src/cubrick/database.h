@@ -103,7 +103,8 @@ class Database {
 
   /// Row-wise point reads (SELECT-style): materializes up to
   /// `options.limit` visible rows matching the query's filters, with string
-  /// columns decoded. Implicit RO transaction.
+  /// columns decoded. Implicit RO transaction. InvalidArgument for a query
+  /// that fails ValidateQuery.
   Result<std::vector<MaterializedRow>> Select(
       const std::string& cube, const cubrick::Query& query,
       const MaterializeOptions& options = {});

@@ -94,6 +94,7 @@ Result<QueryResult> NodeEngine::Scan(
     const Query& query, const std::function<bool(Bid)>& brick_filter) {
   auto table = GetTable(cube);
   if (!table.ok()) return table.status();
+  CUBRICK_RETURN_IF_ERROR(ValidateQuery((*table)->schema(), query));
   return (*table)->Scan(snapshot, mode, query, brick_filter,
                         options_.query_parallelism);
 }

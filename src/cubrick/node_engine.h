@@ -88,7 +88,8 @@ class NodeEngine {
                      const std::vector<FilterClause>& filters);
   /// Snapshot scan with query_parallelism workers per shard, served through
   /// each brick's visibility-bitmap cache (DESIGN.md §4c). `brick_filter`
-  /// (optional) selects which local bricks to answer for.
+  /// (optional) selects which local bricks to answer for. A query that
+  /// fails ValidateQuery returns InvalidArgument without scanning.
   Result<QueryResult> Scan(const std::string& cube,
                            const aosi::Snapshot& snapshot, ScanMode mode,
                            const Query& query,

@@ -130,6 +130,7 @@ Status Table::CheckDeleteGranularity(
     const std::vector<FilterClause>& filters) {
   Query probe;
   probe.filters = filters;
+  CUBRICK_RETURN_IF_ERROR(ValidateQuery(*schema_, probe));
   std::vector<std::future<void>> checks;
   std::vector<Status> shard_status(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {

@@ -87,8 +87,9 @@ class Table {
   Status DeleteWhere(aosi::Epoch epoch,
                      const std::vector<FilterClause>& filters);
 
-  /// Phase 1 of DeleteWhere: verifies no materialized brick is only
-  /// partially covered by `filters`.
+  /// Phase 1 of DeleteWhere: checks `filters` against the schema
+  /// (ValidateQuery), then verifies no materialized brick is only partially
+  /// covered by them. Both facades' deletes pass through here.
   Status CheckDeleteGranularity(const std::vector<FilterClause>& filters);
 
   /// Phase 2 of DeleteWhere: marks covered bricks deleted. Must follow a

@@ -1,5 +1,6 @@
 #include "query/executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 #include <vector>
@@ -75,21 +76,14 @@ const ScanInstruments& Instruments() {
 /// zero), so dense fast paths never read past num_records.
 constexpr uint64_t kDenseWord = ~0ULL;
 
-/// One aggregate's metric read path, resolved once per brick. The ungrouped
-/// fold pass branches on is_count/is_double once per WORD and then reads the
-/// typed pointer directly (the per-word typed kernels); Fetch's per-row
-/// dispatch only remains on the grouped path, where group-key derivation
-/// interleaves with every value read anyway.
+/// One aggregate's metric read path, resolved once per brick. Both fold
+/// passes branch on is_count/is_double once per WORD and then read the typed
+/// pointer directly, so no row loop carries a type dispatch.
 struct MetricAccessor {
   bool is_count = false;
   bool is_double = false;
   const int64_t* ints = nullptr;
   const double* doubles = nullptr;
-
-  double Fetch(size_t row) const {
-    if (is_count) return 1.0;
-    return is_double ? doubles[row] : static_cast<double>(ints[row]);
-  }
 };
 
 std::vector<MetricAccessor> ResolveAccessors(const Brick& brick,
@@ -121,6 +115,91 @@ void BrickDimBounds(const Brick& brick, size_t dim, uint64_t* lo,
   const uint64_t max_coord = def.cardinality - 1;
   *hi = end < max_coord ? end : max_coord;
 }
+
+/// Brick-local group table of the grouped fold: open addressing with linear
+/// probing over flat arrays, keyed by a row's group-by offsets within the
+/// brick's ranges (one uint64 per group-by dimension, so keys of any width
+/// fit). Reserve keeps the load factor at most 1/2 and grows the table by
+/// rehash only as rows arrive, never past room for `max_groups` keys (the
+/// most the brick's offset widths allow), so its size follows the groups
+/// the brick actually holds, whatever the key width. An offset is always
+/// below its dimension's range_size, hence never ~0: that value in a slot's
+/// first key word marks the slot empty.
+class GroupSlots {
+ public:
+  GroupSlots(size_t key_width, size_t num_aggs, uint64_t max_groups)
+      : width_(key_width), num_aggs_(num_aggs), max_groups_(max_groups) {}
+
+  /// Makes room for the keys of `rows` more rows; slots returned by Find
+  /// stay where they are until the next call.
+  void Reserve(uint64_t rows) {
+    const uint64_t need = std::min(used_ + rows, max_groups_);
+    if (2 * need > capacity()) Rehash(need);
+  }
+
+  size_t capacity() const { return keys_.size() / width_; }
+  bool occupied(size_t slot) const {
+    return keys_[slot * width_] != kEmptyKey;
+  }
+  const uint64_t* key(size_t slot) const { return &keys_[slot * width_]; }
+  /// Slot `s`'s aggregate states start at states()[s * num_aggs].
+  AggState* states() { return states_.data(); }
+
+  /// The slot holding `key` (key_width offsets), claimed on first sight.
+  size_t Find(const uint64_t* key) {
+    uint64_t h = 0;
+    for (size_t g = 0; g < width_; ++g) h = (h ^ key[g]) * kHashMul;
+    size_t slot = static_cast<size_t>(h >> shift_);
+    while (true) {
+      uint64_t* k = &keys_[slot * width_];
+      size_t g = 0;
+      while (g < width_ && k[g] == key[g]) ++g;
+      if (g == width_) return slot;
+      if (k[0] == kEmptyKey) {
+        std::copy_n(key, width_, k);
+        ++used_;
+        return slot;
+      }
+      slot = (slot + 1) & mask_;
+    }
+  }
+
+ private:
+  static constexpr uint64_t kEmptyKey = ~0ULL;
+  /// 2^64 / golden ratio: Fibonacci hashing, whose top bits spread the
+  /// consecutive offsets a brick's narrow ranges produce.
+  static constexpr uint64_t kHashMul = 0x9E3779B97F4A7C15ULL;
+
+  /// Reallocates at the smallest power of two >= 2 * need slots and
+  /// re-inserts every occupied slot with its states.
+  void Rehash(uint64_t need) {
+    int log2 = 1;
+    while ((uint64_t{1} << log2) < 2 * need) ++log2;
+    const size_t slots = size_t{1} << log2;
+    std::vector<uint64_t> old_keys =
+        std::exchange(keys_, std::vector<uint64_t>(slots * width_, kEmptyKey));
+    std::vector<AggState> old_states =
+        std::exchange(states_, std::vector<AggState>(slots * num_aggs_));
+    shift_ = 64 - log2;
+    mask_ = slots - 1;
+    used_ = 0;
+    for (size_t s = 0; s < old_keys.size() / width_; ++s) {
+      if (old_keys[s * width_] == kEmptyKey) continue;
+      const size_t slot = Find(&old_keys[s * width_]);
+      std::copy_n(&old_states[s * num_aggs_], num_aggs_,
+                  &states_[slot * num_aggs_]);
+    }
+  }
+
+  size_t width_;
+  size_t num_aggs_;
+  uint64_t max_groups_;
+  uint64_t used_ = 0;
+  int shift_ = 0;
+  size_t mask_ = 0;
+  std::vector<uint64_t> keys_;
+  std::vector<AggState> states_;
+};
 
 }  // namespace
 
@@ -322,14 +401,15 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
   }
   filter_span.Finish();
 
-  // Aggregation pass, word-wise over the final mask. Ungrouped folds run
-  // through the per-word typed SIMD kernels: the is_count/is_double dispatch
-  // happens once per word (not once per row), dense words fold a direct
-  // column slice, sparse words ctz-compress the visible rows' values into a
-  // gather buffer (pure data movement, identical on every backend) and fold
-  // that. The fold order is the pinned contract in common/simd.h, so result
-  // bits are identical whichever backend runs — proved by
-  // tests/simd_kernel_test.cc.
+  // Aggregation pass, word-wise over the final mask, with the
+  // is_count/is_double dispatch once per word (not once per row) on both
+  // folds. Ungrouped folds run through the per-word typed SIMD kernels:
+  // dense words fold a direct column slice, sparse words ctz-compress the
+  // visible rows' values into a gather buffer (pure data movement, identical
+  // on every backend) and fold that. The fold order is the pinned contract
+  // in common/simd.h, so result bits are identical whichever backend runs —
+  // proved by tests/simd_kernel_test.cc. Grouped folds are scalar and
+  // backend-independent by construction.
   obs::ObsSpan agg_span("query.aggregate", ins.agg_us);
   const std::vector<MetricAccessor> accessors = ResolveAccessors(brick, query);
   const size_t num_words = mask->num_words();
@@ -413,52 +493,81 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
       if (need_values) ++(simd_active ? words_simd : words_fallback);
     }
     if (rows_aggregated > 0) {
-      result->MergeGroup(QueryResult::GroupKey(), locals);
+      result->MergeGroup(QueryResult::GroupKey(), locals.data());
     }
   } else {
-    // Grouped path: per-row accumulation with current-group memoization —
-    // granular partitioning clusters group-by coordinates, so consecutive
-    // rows usually share a key and skip the map walk. Dense words take a
-    // straight 64-row loop (no ctz chain); sparse words enumerate set bits.
-    // Always a per-row scalar path (group keys interleave with values), so
-    // every word here counts as kernel_simd_fallback.
-    QueryResult::GroupKey key(query.group_by.size());
-    QueryResult::GroupKey prev_key;
-    std::vector<AggState>* states = nullptr;
-    const auto accumulate_row = [&](size_t row) {
-      for (size_t g = 0; g < query.group_by.size(); ++g) {
-        key[g] = brick.DimCoord(row, query.group_by[g]);
-      }
-      if (states == nullptr || key != prev_key) {
-        states = result->GroupStates(key);
-        prev_key = key;
-      }
-      for (size_t a = 0; a < accessors.size(); ++a) {
-        (*states)[a].Accumulate(accessors[a].Fetch(row));
-      }
-    };
+    // Grouped slot fold: each word's visible rows map to slots of one
+    // brick-local GroupSlots table keyed by their group-by offsets (decoded
+    // in bulk per word, as the filter pass does), then every aggregate folds
+    // the word column by column into its slots' states — typed once per
+    // word, each group's rows in row order — and each occupied slot merges
+    // into `result` once per brick. No vector kernel runs here, so every
+    // word counts as kernel_simd_fallback.
+    const size_t width = query.group_by.size();
+    const size_t num_aggs = accessors.size();
+    uint32_t key_bits = 0;
+    std::vector<uint64_t> group_lo(width);
+    for (size_t g = 0; g < width; ++g) {
+      key_bits += brick.schema().bess_bits(query.group_by[g]);
+      uint64_t hi = 0;
+      BrickDimBounds(brick, query.group_by[g], &group_lo[g], &hi);
+    }
+    GroupSlots table(width, num_aggs,
+                     key_bits < 64 ? uint64_t{1} << key_bits : ~uint64_t{0});
+    std::vector<uint64_t> offsets(width * 64);
+    std::vector<uint64_t> key(width);
+    size_t rows[64];
+    size_t slots[64];  // slot index * num_aggs
     for (size_t w = 0; w < num_words; ++w) {
-      uint64_t bits = mask->Word(w);
-      if (bits == 0) {
+      const uint64_t word = mask->Word(w);
+      if (word == 0) {
         ++words_skipped;
         continue;
       }
-      const size_t base = w * 64;
       ++words_fallback;
-      if (bits == kDenseWord) {
-        ++words_dense;
-        rows_aggregated += 64;
-        for (size_t b = 0; b < 64; ++b) {
-          accumulate_row(base + b);
+      if (word == kDenseWord) ++words_dense;
+      table.Reserve(static_cast<uint64_t>(__builtin_popcountll(word)));
+      const size_t base = w * 64;
+      // Decode only from the word's first to its last visible row, which
+      // never passes num_records (trailing bits are kept zero).
+      const auto first = static_cast<size_t>(__builtin_ctzll(word));
+      const size_t span =
+          64 - static_cast<size_t>(__builtin_clzll(word)) - first;
+      for (size_t g = 0; g < width; ++g) {
+        brick.bess().DecodeDim(base + first, span, query.group_by[g],
+                               &offsets[g * 64 + first]);
+      }
+      size_t n = 0;
+      for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
+        const auto b = static_cast<size_t>(__builtin_ctzll(bits));
+        for (size_t g = 0; g < width; ++g) key[g] = offsets[g * 64 + b];
+        rows[n] = base + b;
+        slots[n] = table.Find(key.data()) * num_aggs;
+        ++n;
+      }
+      rows_aggregated += n;
+      for (size_t a = 0; a < num_aggs; ++a) {
+        const MetricAccessor& acc = accessors[a];
+        AggState* col = table.states() + a;
+        if (acc.is_count) {
+          for (size_t i = 0; i < n; ++i) col[slots[i]].Accumulate(1.0);
+        } else if (acc.is_double) {
+          for (size_t i = 0; i < n; ++i) {
+            col[slots[i]].Accumulate(acc.doubles[rows[i]]);
+          }
+        } else {
+          for (size_t i = 0; i < n; ++i) {
+            col[slots[i]].Accumulate(static_cast<double>(acc.ints[rows[i]]));
+          }
         }
-        continue;
       }
-      while (bits != 0) {
-        const size_t b = static_cast<size_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        ++rows_aggregated;
-        accumulate_row(base + b);
-      }
+    }
+    QueryResult::GroupKey group(width);
+    for (size_t s = 0; s < table.capacity(); ++s) {
+      if (!table.occupied(s)) continue;
+      const uint64_t* k = table.key(s);
+      for (size_t g = 0; g < width; ++g) group[g] = group_lo[g] + k[g];
+      result->MergeGroup(group, table.states() + s * num_aggs);
     }
   }
   agg_span.Finish();

@@ -65,7 +65,12 @@ VisibilityRef VisibilityForScan(const Brick& brick,
                                 bool use_cache);
 
 /// Scans one brick and accumulates into `result` (which must have been
-/// constructed with query.aggs.size()). `use_cache` enables the brick's
+/// constructed with query.aggs.size()). `query` must pass ValidateQuery
+/// against the brick's schema. Both folds accumulate the brick into local
+/// states and merge each group into `result` once: ungrouped queries
+/// through the per-word SIMD fold kernels, grouped ones through a
+/// brick-local slot table keyed by the rows' group-by offsets, each group
+/// folding its rows in row order. `use_cache` enables the brick's
 /// visibility-bitmap cache (results are identical either way).
 void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
                ScanMode mode, const Query& query, QueryResult* result,
@@ -78,7 +83,8 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
 // steps below are what Table::Scan composes at every parallelism setting
 // (serial is one worker); each is independently testable. No shared
 // mutable state exists inside the row loops: every worker scans into its
-// own partial QueryResult, and only the final merge combines group-by maps.
+// own partial QueryResult (one merge per group per brick), and only the
+// final merge combines the workers' group-by maps.
 
 /// Plan step: the subset of `candidates` that needs row work, in input
 /// order. Bricks pruned here (empty, or ranges disjoint from the filters)

@@ -1,9 +1,37 @@
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "query/query.h"
 
 namespace cubrick {
+
+Status ValidateQuery(const CubeSchema& schema, const Query& query) {
+  for (const FilterClause& filter : query.filters) {
+    if (filter.dim >= schema.num_dimensions()) {
+      return Status::InvalidArgument("filter dimension " +
+                                     std::to_string(filter.dim) +
+                                     " out of range");
+    }
+    if (filter.op == FilterClause::Op::kEq && filter.values.empty()) {
+      return Status::InvalidArgument("equality filter without a value");
+    }
+  }
+  for (size_t dim : query.group_by) {
+    if (dim >= schema.num_dimensions()) {
+      return Status::InvalidArgument("group-by dimension " +
+                                     std::to_string(dim) + " out of range");
+    }
+  }
+  for (const AggSpec& agg : query.aggs) {
+    if (agg.fn != AggSpec::Fn::kCount && agg.metric >= schema.num_metrics()) {
+      return Status::InvalidArgument("aggregate metric " +
+                                     std::to_string(agg.metric) +
+                                     " out of range");
+    }
+  }
+  return Status::OK();
+}
 
 void QueryResult::Merge(const QueryResult& other) {
   CUBRICK_CHECK(num_aggs_ == other.num_aggs_);

@@ -100,6 +100,13 @@ struct Query {
   std::vector<AggSpec> aggs;
 };
 
+/// InvalidArgument unless every filter and group-by dimension and every
+/// non-COUNT metric of `query` exists in `schema`, and every kEq filter has
+/// a value. The scan kernels index columns with these unchecked, so every
+/// entry point that takes a query or a delete predicate (as `filters` of an
+/// otherwise empty query) calls this first.
+Status ValidateQuery(const CubeSchema& schema, const Query& query);
+
 /// Accumulator for one aggregate cell.
 struct AggState {
   double sum = 0;
@@ -110,8 +117,10 @@ struct AggState {
   void Accumulate(double v) {
     sum += v;
     ++count;
-    if (v < min) min = v;
-    if (v > max) max = v;
+    // Selects, not branches: a new extreme is rare and unpredictable. Same
+    // semantics as `if (v < min) min = v` (a NaN never replaces).
+    min = v < min ? v : min;
+    max = v > max ? v : max;
   }
 
   /// Accumulates `v` exactly `n` times with one multiply. Only used where
@@ -164,19 +173,9 @@ class QueryResult {
     states[agg_idx].Accumulate(value);
   }
 
-  /// Stable pointer to group `key`'s per-agg states, creating the group if
-  /// absent. The pointer survives later insertions (std::map nodes do not
-  /// move), which is what lets scan kernels memoize the current group
-  /// across consecutive rows instead of re-walking the map per row.
-  std::vector<AggState>* GroupStates(const GroupKey& key) {
-    auto& states = groups_[key];
-    if (states.empty()) states.resize(num_aggs_);
-    return &states;
-  }
-
-  /// Folds fully-accumulated `states` into group `key` — the ungrouped scan
-  /// fast path accumulates a whole brick into locals and merges once.
-  void MergeGroup(const GroupKey& key, const std::vector<AggState>& states) {
+  /// Folds fully-accumulated `states` (num_aggs of them) into group `key` —
+  /// both scan folds accumulate a brick into local states and merge once.
+  void MergeGroup(const GroupKey& key, const AggState* states) {
     auto& dst = groups_[key];
     if (dst.empty()) dst.resize(num_aggs_);
     for (size_t a = 0; a < num_aggs_; ++a) dst[a].Merge(states[a]);

@@ -1,7 +1,11 @@
 // Edge-case sweep: empty structures, marker-only histories, error paths of
-// the cluster API, and TxnManager::AugmentDeps.
+// the cluster API, TxnManager::AugmentDeps, and malformed queries at every
+// query and delete entry point.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "aosi/purge.h"
 #include "aosi/txn_manager.h"
@@ -149,6 +153,78 @@ TEST(EdgeCaseTest, ZeroRowBatchesIgnored) {
   ASSERT_TRUE(table.Append(1, std::move(batches)).ok());
   EXPECT_EQ(table.TotalRecords(), 0u);
   EXPECT_EQ(table.NumBricks(), 0u);  // never materialized
+}
+
+TEST(EdgeCaseTest, MalformedQueriesReturnInvalidArgument) {
+  // Two dimensions and one metric; each case breaks one field of a query.
+  const std::vector<DimensionDef> dims = {{"k", 4, 1, false},
+                                          {"j", 8, 2, false}};
+  const std::vector<MetricDef> metrics = {{"v", DataType::kInt64}};
+  const std::vector<Record> rows = {{0, 0, 1}, {1, 3, 2}, {3, 7, 4}};
+  Query good;
+  good.group_by = {0};
+  good.aggs = {{AggSpec::Fn::kSum, 0}, {AggSpec::Fn::kCount, 0}};
+
+  const FilterClause bad_dim{2, FilterClause::Op::kEq, {0}, 0, 0};
+  const FilterClause empty_eq{0, FilterClause::Op::kEq, {}, 0, 0};
+  std::vector<Query> bad_queries(4, good);
+  bad_queries[0].aggs = {{AggSpec::Fn::kSum, 1}};  // metric out of range
+  bad_queries[1].group_by = {2};                   // group-by out of range
+  bad_queries[2].filters = {bad_dim};
+  bad_queries[3].filters = {empty_eq};
+  // COUNT ignores its metric index, so an out-of-range one is allowed.
+  Query count_only;
+  count_only.aggs = {{AggSpec::Fn::kCount, 7}};
+
+  Database db;
+  ASSERT_TRUE(db.CreateCube("c", dims, metrics).ok());
+  ASSERT_TRUE(db.Load("c", rows).ok());
+  for (size_t i = 0; i < bad_queries.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    EXPECT_EQ(db.Query("c", bad_queries[i]).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(db.Select("c", bad_queries[i]).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const FilterClause& filter : {bad_dim, empty_eq}) {
+    EXPECT_EQ(db.DeletePartitions("c", {filter}).code(),
+              StatusCode::kInvalidArgument);
+  }
+  auto served = db.Query("c", good);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served->num_groups(), 3u);
+  EXPECT_DOUBLE_EQ(served->Value({3}, 0, AggSpec::Fn::kSum), 4.0);
+  EXPECT_DOUBLE_EQ(db.Query("c", count_only)->Single(0, AggSpec::Fn::kCount),
+                   3.0);
+  ASSERT_EQ(db.Select("c", good)->size(), 3u);
+  ASSERT_TRUE(db.DeletePartitions("c", {{0, FilterClause::Op::kEq, {3}, 0, 0}})
+                  .ok());
+  EXPECT_EQ(db.Query("c", good)->num_groups(), 2u);
+
+  cluster::ClusterOptions options;
+  options.num_nodes = 2;
+  cluster::Cluster cluster(options);
+  ASSERT_TRUE(cluster.CreateCube("c", dims, metrics).ok());
+  auto txn = cluster.BeginReadWrite(1);
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE(cluster.Append(&*txn, "c", rows).ok());
+  ASSERT_TRUE(cluster.Commit(&*txn).ok());
+  for (size_t i = 0; i < bad_queries.size(); ++i) {
+    SCOPED_TRACE("cluster query " + std::to_string(i));
+    EXPECT_EQ(cluster.QueryOnce(1, "c", bad_queries[i]).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  auto del = cluster.BeginReadWrite(2);
+  ASSERT_TRUE(del.ok());
+  for (const FilterClause& filter : {bad_dim, empty_eq}) {
+    EXPECT_EQ(cluster.DeleteWhere(&*del, "c", {filter}).code(),
+              StatusCode::kInvalidArgument);
+  }
+  ASSERT_TRUE(cluster.Commit(&*del).ok());
+  auto cluster_served = cluster.QueryOnce(2, "c", good);
+  ASSERT_TRUE(cluster_served.ok());
+  EXPECT_EQ(cluster_served->num_groups(), 3u);
+  EXPECT_DOUBLE_EQ(cluster_served->Value({1}, 0, AggSpec::Fn::kSum), 2.0);
 }
 
 TEST(EdgeCaseTest, EmptyRecordLoadIsANoOpTransaction) {

@@ -126,8 +126,8 @@ TEST_P(ParallelScanTest, GroupedMatchesSerial) {
 TEST_P(ParallelScanTest, GroupedFullyDenseBrickMatchesSerial) {
   // 100% dense bricks: no deletes and each brick's row count is an exact
   // multiple of 64, so every visibility word is ~0ULL and the grouped
-  // dense straight-loop (prev-key memoized) handles every row. Serial and
-  // parallel must agree exactly, and the totals are known in closed form.
+  // slot fold decodes whole words. Serial and parallel must agree exactly,
+  // and the totals are known in closed form.
   auto schema = MakeSchema();
   Table table(schema, 4, threaded());
   // Each brick covers 2 regions x 1 kind; repeating the full 16x4 grid 32
