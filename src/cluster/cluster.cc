@@ -315,27 +315,32 @@ Status Cluster::Append(DistTxn* dist, const std::string& cube,
   if (!parsed.ok()) return parsed.status();
   const int64_t parse_us = parse_timer.ElapsedMicros();
 
-  // Validation and forwarding: route each brick's batch to its owners.
+  // Validation and forwarding: every owner of a brick receives a view of
+  // the one parsed batch naming that brick's partition, so replicas share
+  // the rows instead of copying them.
   Stopwatch flush_timer;
-  std::vector<PerBrickBatches> per_node(options_.num_nodes);
-  for (auto& [bid, batch] : parsed->batches) {
+  const auto batch =
+      std::make_shared<const EncodedBatch>(std::move(parsed->batches));
+  std::vector<std::vector<size_t>> per_node(options_.num_nodes);
+  for (size_t p = 0; p < batch->num_partitions(); ++p) {
     for (uint32_t owner :
-         ring_.NodesFor(bid, options_.replication_factor)) {
-      per_node[owner - 1].emplace(bid, batch);
+         ring_.NodesFor(batch->bids[p], options_.replication_factor)) {
+      per_node[owner - 1].push_back(p);
     }
   }
   const aosi::Epoch epoch = dist->txn.epoch;
   for (uint32_t o = 1; o <= options_.num_nodes; ++o) {
     if (per_node[o - 1].empty()) continue;
-    auto batches =
-        std::make_shared<PerBrickBatches>(std::move(per_node[o - 1]));
     Rpc().append_forwards->Add();
-    // Delivery closures run at most once per node, so the payload can be
-    // moved out of the shared handle into the engine.
-    DeliverOrQueue(dist->coordinator, o, [epoch, cube, batches](
-                                             ClusterNode& n) {
-      return n.HandleAppend(epoch, cube, std::move(*batches));
-    });
+    // Delivery closures run at most once per node, so the view can be
+    // moved out of the closure into the engine. A delivery queued for an
+    // offline node keeps the shared batch alive until it is redelivered.
+    DeliverOrQueue(dist->coordinator, o,
+                   [epoch, cube,
+                    view = BatchView(batch, std::move(per_node[o - 1]))](
+                       ClusterNode& n) mutable {
+                     return n.HandleAppend(epoch, cube, std::move(view));
+                   });
   }
 
   LoadStats local;
@@ -576,7 +581,7 @@ Status Cluster::RecoverNode(uint32_t idx) {
           mine.push_back(std::move(brick));
         }
       }
-      CUBRICK_RETURN_IF_ERROR(ReplayExtracted(local_table, mine));
+      CUBRICK_RETURN_IF_ERROR(ReplayExtracted(local_table, std::move(mine)));
     }
   }
 

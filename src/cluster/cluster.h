@@ -113,9 +113,9 @@ class Cluster {
 
   // --- Operations ----------------------------------------------------------
 
-  /// Parses `records` on the coordinator and forwards encoded batches to
-  /// brick owners (+replicas). `stats`, when non-null, receives the Fig 5
-  /// breakdown.
+  /// Parses `records` on the coordinator into one batch and forwards each
+  /// brick owner (+replicas) a view of it naming the partitions it owns.
+  /// `stats`, when non-null, receives the Fig 5 breakdown.
   Status Append(DistTxn* txn, const std::string& cube,
                 const std::vector<Record>& records,
                 const ParseOptions& parse_options = {},

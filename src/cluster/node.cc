@@ -25,8 +25,8 @@ bool ClusterNode::HandleRegisterHorizon(aosi::Epoch epoch,
 }
 
 Status ClusterNode::HandleAppend(aosi::Epoch epoch, const std::string& cube,
-                                 PerBrickBatches&& batches) {
-  return Append(epoch, cube, std::move(batches));
+                                 BatchView view) {
+  return Append(epoch, cube, std::move(view));
 }
 
 Status ClusterNode::HandleDeleteCheck(

@@ -68,9 +68,10 @@ class ClusterNode : private NodeEngine {
   /// must abort the draft and redraw (TxnManager::RegisterRemoteHorizon).
   bool HandleRegisterHorizon(aosi::Epoch epoch, aosi::Epoch horizon);
 
-  /// Appends forwarded, already-parsed batches (consumed by move).
+  /// Appends the partitions this node owns of a forwarded, already-parsed
+  /// batch (a view of the coordinator's shared batch, not a copy).
   Status HandleAppend(aosi::Epoch epoch, const std::string& cube,
-                      PerBrickBatches&& batches);
+                      BatchView view);
 
   /// Phase-1 validation of a distributed delete predicate.
   Status HandleDeleteCheck(const std::string& cube,

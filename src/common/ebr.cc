@@ -72,16 +72,22 @@ Collector::Collector() {
 
 Collector::~Collector() {
   // Process teardown: every user thread is gone, so whatever is still in
-  // limbo is unreachable. Free it for leak-clean ASan exits.
-  std::vector<Retired> batch;
-  {
-    MutexLock lock(limbo_mu_);
-    for (auto& bucket : limbo_) {
-      for (const Retired& r : bucket) batch.push_back(r);
-      bucket.clear();
+  // limbo is unreachable. Free it for leak-clean ASan exits. A deleter may
+  // retire more (a freed brick can drop the last reference to its schema,
+  // whose dictionaries retire their snapshots), so drain until limbo stays
+  // empty.
+  while (true) {
+    std::vector<Retired> batch;
+    {
+      MutexLock lock(limbo_mu_);
+      for (auto& bucket : limbo_) {
+        for (const Retired& r : bucket) batch.push_back(r);
+        bucket.clear();
+      }
     }
+    if (batch.empty()) return;
+    Free(std::move(batch));
   }
-  Free(std::move(batch));
 }
 
 Collector::Slot* Collector::SlotForThisThread() {

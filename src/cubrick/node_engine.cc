@@ -76,10 +76,10 @@ Result<ParseOutput> NodeEngine::Parse(const std::string& cube,
 }
 
 Status NodeEngine::Append(aosi::Epoch epoch, const std::string& cube,
-                          PerBrickBatches&& batches) {
+                          BatchView view) {
   auto table = GetTable(cube);
   if (!table.ok()) return table.status();
-  return (*table)->Append(epoch, std::move(batches));
+  return (*table)->Append(epoch, std::move(view));
 }
 
 Status NodeEngine::DeleteWhere(aosi::Epoch epoch, const std::string& cube,

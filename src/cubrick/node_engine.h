@@ -3,7 +3,8 @@
 // Owns the node's TxnManager (EC/LCE/LSE, pendingTxs) and the local storage
 // of every cube — a sharded Table plus, when a data_dir is configured, the
 // cube's FlushManager — and implements each per-node operation once: cube
-// lifecycle; parse, append, delete and scan under the engine's parallelism
+// lifecycle; parse (a load becomes one batch partitioned by brick), append
+// (a view of such a batch), delete and scan under the engine's parallelism
 // and cache knobs; data rollback of an epoch (§III-C5); purge at LSE
 // (§III-C4); checkpoint flush rounds and local recovery (§III-D).
 //
@@ -46,8 +47,9 @@ struct EngineOptions {
   size_t query_parallelism = 1;
   /// Morsel-parallel ingestion (DESIGN.md §4f): maximum parse/encode
   /// workers per load request (record morsels fanned out on
-  /// ThreadPool::Global(); see ParseRecords). Output is bit-identical to
-  /// the serial walk at any setting; 1 (the default) parses on the caller.
+  /// ThreadPool::Global(), each encoding into its own rows of the load's
+  /// batch; see ParseRecords). Output is bit-identical to the serial walk
+  /// at any setting; 1 (the default) parses on the caller.
   size_t ingest_parallelism = 1;
 };
 
@@ -80,9 +82,10 @@ class NodeEngine {
   Result<ParseOutput> Parse(const std::string& cube,
                             const std::vector<Record>& records,
                             const ParseOptions& options = {});
-  /// Appends parsed batches (consumed by move) stamped with `epoch`.
-  Status Append(aosi::Epoch epoch, const std::string& cube,
-                PerBrickBatches&& batches);
+  /// Appends the view's partitions of a parsed batch stamped with `epoch`:
+  /// a whole parsed batch (moved in) on a Database load, or the partitions
+  /// this node owns of the coordinator's shared batch in a cluster.
+  Status Append(aosi::Epoch epoch, const std::string& cube, BatchView view);
   /// Partition-granular delete (validate + mark).
   Status DeleteWhere(aosi::Epoch epoch, const std::string& cube,
                      const std::vector<FilterClause>& filters);

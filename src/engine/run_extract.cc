@@ -20,10 +20,8 @@ ExtractedBrick ExtractBrickRuns(const Brick& brick,
       batch.num_rows = run.end - run.begin;
       for (size_t d = 0; d < schema.num_dimensions(); ++d) {
         auto& offsets = batch.dim_offsets[d];
-        offsets.reserve(batch.num_rows);
-        for (uint64_t row = run.begin; row < run.end; ++row) {
-          offsets.push_back(brick.bess().Get(row, d));
-        }
+        offsets.resize(batch.num_rows);
+        brick.bess().DecodeDim(run.begin, batch.num_rows, d, offsets.data());
       }
       for (size_t m = 0; m < schema.num_metrics(); ++m) {
         const MetricColumn& col = brick.metric(m);
@@ -35,6 +33,7 @@ ExtractedBrick ExtractBrickRuns(const Brick& brick,
                                       col.ints().begin() + run.end);
         }
       }
+      batch.ClosePartition(brick.bid());
     }
     out.runs.push_back(std::move(extracted));
   }
@@ -55,18 +54,16 @@ std::vector<ExtractedBrick> ExtractTableRuns(Table* table,
   return result;
 }
 
-Status ReplayExtracted(Table* table,
-                       const std::vector<ExtractedBrick>& bricks) {
-  for (const auto& brick : bricks) {
-    for (const auto& run : brick.runs) {
+Status ReplayExtracted(Table* table, std::vector<ExtractedBrick> bricks) {
+  for (auto& brick : bricks) {
+    for (auto& run : brick.runs) {
       if (run.is_delete) {
         const aosi::Epoch epoch = run.epoch;
         table->ApplyToBrick(brick.bid,
                             [epoch](Brick& b) { b.MarkDeleted(epoch); });
       } else {
-        PerBrickBatches one;
-        one.emplace(brick.bid, run.batch);
-        CUBRICK_RETURN_IF_ERROR(table->Append(run.epoch, std::move(one)));
+        CUBRICK_RETURN_IF_ERROR(
+            table->Append(run.epoch, std::move(run.batch)));
       }
     }
   }

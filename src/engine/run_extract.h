@@ -16,7 +16,8 @@ namespace cubrick {
 struct ExtractedRun {
   aosi::Epoch epoch = aosi::kNoEpoch;
   bool is_delete = false;
-  /// Row payload for append runs (unused for delete markers).
+  /// Row payload for append runs: one partition, the brick's (empty for
+  /// delete markers).
   EncodedBatch batch;
 
   explicit ExtractedRun(const CubeSchema& schema) : batch(schema) {}
@@ -40,7 +41,7 @@ std::vector<ExtractedBrick> ExtractTableRuns(Table* table,
                                              aosi::Epoch to_inclusive);
 
 /// Replays extracted bricks into `table`, preserving per-brick run order.
-Status ReplayExtracted(Table* table,
-                       const std::vector<ExtractedBrick>& bricks);
+/// Consumes the runs: each batch moves into its append.
+Status ReplayExtracted(Table* table, std::vector<ExtractedBrick> bricks);
 
 }  // namespace cubrick

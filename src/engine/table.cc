@@ -1,6 +1,7 @@
 #include "engine/table.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "aosi/purge.h"
 #include "common/ebr.h"
@@ -36,40 +37,46 @@ Table::Table(std::shared_ptr<const CubeSchema> schema, size_t num_shards,
   }
 }
 
-Status Table::Append(aosi::Epoch epoch, PerBrickBatches&& batches) {
+BatchView::BatchView(EncodedBatch&& whole)
+    : batch(std::make_shared<const EncodedBatch>(std::move(whole))),
+      partitions(batch->num_partitions()) {
+  std::iota(partitions.begin(), partitions.end(), size_t{0});
+}
+
+Status Table::Append(aosi::Epoch epoch, BatchView view) {
   // ingest.flush_us records the synchronous flush wait — what a load
   // request spends behind the shard queues (docs/OBSERVABILITY.md).
   static obs::Histogram* flush_us =
       obs::MetricsRegistry::Global().GetHistogram("ingest.flush_us");
   obs::ObsSpan span("ingest.flush", flush_us);
-  uint64_t items = 0;
-  for (const auto& entry : batches) {
-    if (entry.second.num_rows > 0) ++items;
-  }
-  if (items == 0) return Status::OK();
-  auto request = std::make_shared<PendingAppend>(items);
-  std::future<void> done = request->done.get_future();
-  // Group the moved payloads by shard off-lock, then stage each shard's
-  // run in one mutex hold. A shard whose drain op is already queued or
-  // running picks the new work up in the same op (group append).
-  std::vector<std::vector<StagedBatch>> per_shard(shards_.size());
-  for (auto& [bid, batch] : batches) {
-    if (batch.num_rows == 0) continue;
+  const EncodedBatch& batch = *view.batch;
+  // Route partition indexes to shards off-lock, then stage one view per
+  // shard in one mutex hold. A shard whose drain op is already queued or
+  // running picks the new view up in the same op (group append).
+  std::vector<std::vector<size_t>> per_shard(shards_.size());
+  for (size_t p : view.partitions) {
+    CUBRICK_CHECK(p < batch.num_partitions() &&
+                  batch.starts[p] < batch.starts[p + 1]);
+    const Bid bid = batch.bids[p];
     if (rollback_index_) {
       rollback_index_->Note(epoch, bid);
     }
-    per_shard[ShardOf(bid)].push_back(
-        StagedBatch{epoch, bid, std::move(batch), request});
+    per_shard[ShardOf(bid)].push_back(p);
   }
+  const uint64_t items = static_cast<uint64_t>(
+      std::count_if(per_shard.begin(), per_shard.end(),
+                    [](const auto& parts) { return !parts.empty(); }));
+  if (items == 0) return Status::OK();
+  auto request = std::make_shared<PendingAppend>(items);
+  std::future<void> done = request->done.get_future();
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (per_shard[s].empty()) continue;
     AppendStage* stage = append_stages_[s].get();
     bool schedule = false;
     {
       MutexLock lock(stage->mu);
-      for (StagedBatch& staged : per_shard[s]) {
-        stage->staged.push_back(std::move(staged));
-      }
+      stage->staged.push_back(
+          StagedView{epoch, view.batch, std::move(per_shard[s]), request});
       if (!stage->drain_scheduled) {
         stage->drain_scheduled = true;
         schedule = true;
@@ -87,7 +94,7 @@ Status Table::Append(aosi::Epoch epoch, PerBrickBatches&& batches) {
 void Table::DrainAppendStage(AppendStage* stage, BrickMap& bricks) {
   static obs::Counter* group_appends =
       obs::MetricsRegistry::Global().GetCounter("ingest.group_appends");
-  std::vector<StagedBatch> work;
+  std::vector<StagedView> work;
   while (true) {
     {
       MutexLock lock(stage->mu);
@@ -97,19 +104,14 @@ void Table::DrainAppendStage(AppendStage* stage, BrickMap& bricks) {
       }
       work.swap(stage->staged);
     }
-    // Requests stage their items contiguously, so a run-length count over
-    // the latch pointers is the number of loads this slice coalesced.
-    const PendingAppend* last = nullptr;
-    uint64_t requests = 0;
-    for (const StagedBatch& staged : work) {
-      if (staged.request.get() != last) {
-        last = staged.request.get();
-        ++requests;
+    // A request stages one view per shard, so every view past the first is
+    // one load this slice coalesced.
+    if (work.size() > 1) group_appends->Add(work.size() - 1);
+    for (StagedView& staged : work) {
+      const EncodedBatch& batch = *staged.batch;
+      for (size_t p : staged.partitions) {
+        bricks.GetOrCreate(batch.bids[p]).AppendBatch(staged.epoch, batch, p);
       }
-    }
-    if (requests > 1) group_appends->Add(requests - 1);
-    for (StagedBatch& staged : work) {
-      bricks.GetOrCreate(staged.bid).AppendBatch(staged.epoch, staged.batch);
       if (staged.request->remaining.fetch_sub(1, std::memory_order_acq_rel) ==
           1) {
         staged.request->done.set_value();

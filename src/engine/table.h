@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <future>
-#include <map>
 #include <optional>
 #include <memory>
 #include <vector>
@@ -29,8 +28,19 @@ class MetricsRegistry;
 
 namespace cubrick {
 
-/// Parser output: records grouped and encoded per target brick.
-using PerBrickBatches = std::map<Bid, EncodedBatch>;
+/// What one receiver applies of a load: the load's shared, immutable batch
+/// and the indexes of the partitions routed to it. A view made from a whole
+/// batch covers every partition; the cluster coordinator hands each brick
+/// owner a view of the one parsed batch instead of a copy of its rows.
+struct BatchView {
+  /*implicit*/ BatchView(EncodedBatch&& whole);
+  BatchView(std::shared_ptr<const EncodedBatch> batch,
+            std::vector<size_t> partitions)
+      : batch(std::move(batch)), partitions(std::move(partitions)) {}
+
+  std::shared_ptr<const EncodedBatch> batch;
+  std::vector<size_t> partitions;
+};
 
 /// Statistics returned by Table::Purge.
 struct PurgeStats {
@@ -69,16 +79,18 @@ class Table {
 
   size_t ShardOf(Bid bid) const { return bid % shards_.size(); }
 
-  /// Appends parsed batches stamped with `epoch`; returns once every shard
-  /// has applied its part (the "flush" step of the ingestion pipeline).
-  /// Takes the batches by move: payloads travel into the shard ops without
-  /// copying. Concurrent appends coalesce per shard — batches staged while
-  /// a shard's drain op is running are applied by that same op ("group
-  /// appends", one shard op per burst instead of one per load), each batch
-  /// keeping its own epoch stamp, so the single-writer invariant and the
-  /// per-epoch EpochVector::RecordAppend ordering are exactly as if the
-  /// loads had run back to back.
-  Status Append(aosi::Epoch epoch, PerBrickBatches&& batches);
+  /// Appends the view's partitions stamped with `epoch`; returns once every
+  /// shard has applied its part (the "flush" step of the ingestion
+  /// pipeline). Each shard with work is staged one view of the shared batch
+  /// — the batch plus that shard's partition indexes — so no row is copied
+  /// before its brick appends it. Concurrent appends coalesce per shard:
+  /// views staged while a shard's drain op is running are applied by that
+  /// same op ("group appends", one shard op per burst instead of one per
+  /// load), each keeping its own epoch stamp, so the single-writer
+  /// invariant and the per-epoch EpochVector::RecordAppend ordering are
+  /// exactly as if the loads had run back to back. An empty batch is a
+  /// no-op.
+  Status Append(aosi::Epoch epoch, BatchView view);
 
   /// Partition-granular delete: marks deleted every materialized brick
   /// fully covered by `filters` (empty filters = the whole cube). Fails
@@ -173,31 +185,32 @@ class Table {
   }
 
  private:
-  /// Completion latch shared by every staged batch of one append request.
+  /// Completion latch shared by the staged views of one append request.
   struct PendingAppend {
     explicit PendingAppend(uint64_t n) : remaining(n) {}
     std::atomic<uint64_t> remaining;
     std::promise<void> done;
   };
 
-  /// One staged (epoch, brick batch) plus its request's latch.
-  struct StagedBatch {
+  /// One request's work for one shard: its epoch, the shared batch, the
+  /// partitions this shard owns, and the request's latch.
+  struct StagedView {
     aosi::Epoch epoch;
-    Bid bid;
-    EncodedBatch batch;
+    std::shared_ptr<const EncodedBatch> batch;
+    std::vector<size_t> partitions;
     std::shared_ptr<PendingAppend> request;
   };
 
   /// Per-shard staging area for the group-append coalescer.
   struct AppendStage {
     Mutex mu;
-    std::vector<StagedBatch> staged GUARDED_BY(mu);
+    std::vector<StagedView> staged GUARDED_BY(mu);
     /// True while a drain op is queued or running on the shard; staging
     /// under an active op rides along instead of enqueuing another.
     bool drain_scheduled GUARDED_BY(mu) = false;
   };
 
-  /// Body of the shard drain op: applies staged batches until the stage is
+  /// Body of the shard drain op: applies staged views until the stage is
   /// empty, so appends staged mid-drain coalesce into the running op.
   static void DrainAppendStage(AppendStage* stage, BrickMap& bricks);
 

@@ -119,37 +119,58 @@ Result<uint64_t> EncodeDimension(const CubeSchema& schema,
   return coord;
 }
 
-/// One worker's share of the encode phase: validation, encoding and
-/// per-brick grouping for the records in [begin, end). Deterministic by
-/// construction — only reads the shared snapshots — so concatenating
-/// morsel outputs in morsel order reproduces the serial walk exactly.
+/// One morsel's validation tally. Its encoded rows go straight into the
+/// load's staging columns at their record indexes (see Staging), so these
+/// counts and diagnostics are all that is left to combine.
 struct MorselOutput {
-  PerBrickBatches batches;
   uint64_t accepted = 0;
   uint64_t rejected = 0;
   /// First `max_errors` rejection diagnostics of this morsel, in record
-  /// order (the merge concatenates in morsel order and re-truncates).
+  /// order (concatenated in morsel order and re-truncated afterwards).
   std::vector<std::string> errors;
 };
 
+/// The encode phase's output, indexed by record: row i of every column
+/// holds record i's encoding, and `bids[i]` its brick, when `accepted[i]`
+/// is set. Morsels own disjoint record ranges, so they write disjoint rows.
+struct Staging {
+  Staging(const CubeSchema& schema, size_t n)
+      : dim_offsets(schema.num_dimensions(), std::vector<uint64_t>(n)),
+        metric_ints(schema.num_metrics()),
+        metric_doubles(schema.num_metrics()),
+        bids(n),
+        accepted(n, 0) {
+    for (size_t m = 0; m < schema.num_metrics(); ++m) {
+      if (schema.metrics()[m].type == DataType::kDouble) {
+        metric_doubles[m].resize(n);
+      } else {
+        metric_ints[m].resize(n);
+      }
+    }
+  }
+
+  std::vector<std::vector<uint64_t>> dim_offsets;
+  std::vector<std::vector<int64_t>> metric_ints;
+  std::vector<std::vector<double>> metric_doubles;
+  std::vector<Bid> bids;
+  std::vector<uint8_t> accepted;
+};
+
+/// One worker's share of the encode phase: validates and encodes records
+/// [begin, end) into their staging rows. Deterministic by construction —
+/// it only reads the shared snapshots — so the staging rows, counts and
+/// diagnostics are the same at any fan-out.
 void EncodeMorsel(const CubeSchema& schema, const std::vector<Record>& records,
                   size_t begin, size_t end, const ParseOptions& options,
-                  const std::vector<size_t>& string_cols, MorselOutput* out) {
+                  const std::vector<size_t>& string_cols, Staging* staging,
+                  MorselOutput* out) {
   const ebr::Guard guard;
   const DictSnaps snaps = AcquireSnaps(schema, string_cols);
   const size_t num_dims = schema.num_dimensions();
   const size_t num_metrics = schema.num_metrics();
-  const size_t n = end - begin;
-
-  // First pass: validate every record, keeping its coordinates and bid, and
-  // build the bid histogram the batch reservation below is sized from.
-  std::vector<uint8_t> valid(n, 0);
-  std::vector<uint64_t> coords(n * num_dims);
-  std::vector<Bid> bids(n);
-  std::map<Bid, uint64_t> histogram;
-  for (size_t i = 0; i < n; ++i) {
-    const Record& record = records[begin + i];
-    uint64_t* record_coords = coords.data() + i * num_dims;
+  std::vector<uint64_t> coords(num_dims);
+  for (size_t i = begin; i < end; ++i) {
+    const Record& record = records[i];
     Status record_status;
     if (record.values.size() != num_dims + num_metrics) {
       record_status = Status::InvalidArgument("wrong number of columns");
@@ -160,7 +181,7 @@ void EncodeMorsel(const CubeSchema& schema, const std::vector<Record>& records,
         record_status = coord.status();
         break;
       }
-      record_coords[d] = *coord;
+      coords[d] = *coord;
     }
     for (size_t m = 0; record_status.ok() && m < num_metrics; ++m) {
       const Value& v = record.values[num_dims + m];
@@ -193,47 +214,21 @@ void EncodeMorsel(const CubeSchema& schema, const std::vector<Record>& records,
       }
       continue;
     }
-    valid[i] = 1;
-    bids[i] = schema
-                  .BidFor(std::vector<uint64_t>(record_coords,
-                                                record_coords + num_dims))
-                  .value();
-    ++histogram[bids[i]];
-  }
-
-  // Reserve every batch column to its exact row count before filling.
-  for (const auto& [bid, count] : histogram) {
-    auto it = out->batches.emplace(bid, EncodedBatch(schema)).first;
-    EncodedBatch& batch = it->second;
-    for (size_t d = 0; d < num_dims; ++d) batch.dim_offsets[d].reserve(count);
-    for (size_t m = 0; m < num_metrics; ++m) {
-      if (schema.metrics()[m].type == DataType::kDouble) {
-        batch.metric_doubles[m].reserve(count);
-      } else {
-        batch.metric_ints[m].reserve(count);
-      }
-    }
-  }
-
-  // Second pass: fill the batches from the stored coordinates.
-  for (size_t i = 0; i < n; ++i) {
-    if (valid[i] == 0) continue;
-    const Record& record = records[begin + i];
-    const uint64_t* record_coords = coords.data() + i * num_dims;
-    EncodedBatch& batch = out->batches.find(bids[i])->second;
+    staging->bids[i] = schema.BidFor(coords).value();
+    staging->accepted[i] = 1;
     for (size_t d = 0; d < num_dims; ++d) {
-      uint64_t range_idx = 0, offset = 0;
-      schema.SplitCoord(d, record_coords[d], &range_idx, &offset);
-      batch.dim_offsets[d].push_back(offset);
+      uint64_t range_idx = 0;
+      schema.SplitCoord(d, coords[d], &range_idx,
+                        &staging->dim_offsets[d][i]);
     }
     for (size_t m = 0; m < num_metrics; ++m) {
       const Value& v = record.values[num_dims + m];
       switch (schema.metrics()[m].type) {
         case DataType::kInt64:
-          batch.metric_ints[m].push_back(v.as_int64());
+          staging->metric_ints[m][i] = v.as_int64();
           break;
         case DataType::kDouble:
-          batch.metric_doubles[m].push_back(v.ToDouble().value());
+          staging->metric_doubles[m][i] = v.ToDouble().value();
           break;
         case DataType::kString: {
           const size_t c = num_dims + m;
@@ -241,40 +236,55 @@ void EncodeMorsel(const CubeSchema& schema, const std::vector<Record>& records,
           if (!snaps[c]->Find(v.as_string(), &id)) {
             id = schema.dictionary(c)->EncodeOrAdd(v.as_string());
           }
-          batch.metric_ints[m].push_back(static_cast<int64_t>(id));
+          staging->metric_ints[m][i] = static_cast<int64_t>(id);
           break;
         }
       }
     }
-    ++batch.num_rows;
     ++out->accepted;
   }
 }
 
-/// Moves `src`'s rows onto the end of `dst` (same bid). Row order within a
-/// bid is morsel-concatenation order == record order.
-void AppendBatch(EncodedBatch* dst, EncodedBatch&& src) {
-  for (size_t d = 0; d < dst->dim_offsets.size(); ++d) {
-    auto& dcol = dst->dim_offsets[d];
-    auto& scol = src.dim_offsets[d];
-    dcol.insert(dcol.end(), scol.begin(), scol.end());
+/// Partitions the accepted staging rows by brick in one pass: sorting the
+/// (bid, record index) pairs puts each brick's rows together in record
+/// order, and one gather per column lays them out contiguously.
+EncodedBatch PartitionByBrick(const CubeSchema& schema,
+                              const Staging& staging) {
+  std::vector<std::pair<Bid, size_t>> keys;
+  keys.reserve(staging.accepted.size());
+  for (size_t i = 0; i < staging.accepted.size(); ++i) {
+    if (staging.accepted[i] != 0) keys.emplace_back(staging.bids[i], i);
   }
-  for (size_t m = 0; m < dst->metric_ints.size(); ++m) {
-    auto& dcol = dst->metric_ints[m];
-    auto& scol = src.metric_ints[m];
-    dcol.insert(dcol.end(), scol.begin(), scol.end());
+  std::sort(keys.begin(), keys.end());
+
+  EncodedBatch out(schema);
+  out.num_rows = keys.size();
+  const auto gather = [&keys](const auto& from, auto* to) {
+    to->resize(keys.size());
+    for (size_t k = 0; k < keys.size(); ++k) (*to)[k] = from[keys[k].second];
+  };
+  for (size_t d = 0; d < schema.num_dimensions(); ++d) {
+    gather(staging.dim_offsets[d], &out.dim_offsets[d]);
   }
-  for (size_t m = 0; m < dst->metric_doubles.size(); ++m) {
-    auto& dcol = dst->metric_doubles[m];
-    auto& scol = src.metric_doubles[m];
-    dcol.insert(dcol.end(), scol.begin(), scol.end());
+  for (size_t m = 0; m < schema.num_metrics(); ++m) {
+    if (schema.metrics()[m].type == DataType::kDouble) {
+      gather(staging.metric_doubles[m], &out.metric_doubles[m]);
+    } else {
+      gather(staging.metric_ints[m], &out.metric_ints[m]);
+    }
   }
-  dst->num_rows += src.num_rows;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (k + 1 == keys.size() || keys[k + 1].first != keys[k].first) {
+      out.bids.push_back(keys[k].first);
+      out.starts.push_back(k + 1);
+    }
+  }
+  return out;
 }
 
 /// Splits [0, n) into at most `parallelism` contiguous morsels of at least
-/// kMinMorselRecords records. Chunking never affects the output — the
-/// merge is morsel-order deterministic — only load balance.
+/// kMinMorselRecords records. Chunking never affects the output — each
+/// record's encoding depends only on the record — only load balance.
 std::vector<std::pair<size_t, size_t>> PlanIngestMorsels(size_t n,
                                                          size_t parallelism) {
   const size_t max_morsels =
@@ -362,47 +372,40 @@ Result<ParseOutput> ParseRecords(const CubeSchema& schema,
   batch_misses->Add(total_batch_misses);
 
   // Phase 3: morsel-parallel validate + encode against the post-insert
-  // snapshots, merged in morsel order below.
+  // snapshots, each morsel into its own records' staging rows.
+  Staging staging(schema, records.size());
   std::vector<MorselOutput> outputs(num_morsels);
   ForEachMorsel(num_morsels, [&](size_t m) {
     EncodeMorsel(schema, records, morsels[m].first, morsels[m].second,
-                 options, string_cols, &outputs[m]);
+                 options, string_cols, &staging, &outputs[m]);
   });
 
-  ParseOutput out;
-  for (size_t m = 0; m < num_morsels; ++m) {
-    MorselOutput& part = outputs[m];
-    out.accepted += part.accepted;
-    out.rejected += part.rejected;
+  MorselOutput total;
+  for (MorselOutput& part : outputs) {
+    total.accepted += part.accepted;
+    total.rejected += part.rejected;
     for (std::string& err : part.errors) {
-      if (out.errors.size() < options.max_errors) {
-        out.errors.push_back(std::move(err));
-      }
-    }
-    for (auto& [bid, batch] : part.batches) {
-      auto it = out.batches.find(bid);
-      if (it == out.batches.end()) {
-        out.batches.emplace(bid, std::move(batch));
-      } else {
-        AppendBatch(&it->second, std::move(batch));
+      if (total.errors.size() < options.max_errors) {
+        total.errors.push_back(std::move(err));
       }
     }
   }
 
-  rejected->Add(out.rejected);
-  if (out.rejected > options.max_rejected) {
+  rejected->Add(total.rejected);
+  if (total.rejected > options.max_rejected) {
     // The whole batch is discarded, so its accepted rows never land.
-    std::string detail = out.errors.empty() ? "" : " (first: " +
-                                                       out.errors.front() +
-                                                       ")";
+    std::string detail = total.errors.empty() ? "" : " (first: " +
+                                                         total.errors.front() +
+                                                         ")";
     return Status::InvalidArgument(
-        "batch discarded: " + std::to_string(out.rejected) +
+        "batch discarded: " + std::to_string(total.rejected) +
         " records rejected, max_rejected=" +
         std::to_string(options.max_rejected) + detail);
   }
-  accepted->Add(out.accepted);
+  accepted->Add(total.accepted);
   batches->Add();
-  return out;
+  return ParseOutput{PartitionByBrick(schema, staging), total.accepted,
+                     total.rejected, std::move(total.errors)};
 }
 
 Result<Record> ParseCsvLine(const CubeSchema& schema,

@@ -4,8 +4,9 @@
 // Parsing is a CPU-only step executed by whichever node receives the load
 // buffer. Input records are validated (arity, metric types, dimensional
 // cardinality, string-to-id encoding); records that do not comply are
-// rejected and skipped. Valid records are encoded and grouped per target
-// brick (bid computed from coordinates). A load request carries a
+// rejected and skipped. Valid records are encoded into one flat columnar
+// batch partitioned by target brick (bid computed from coordinates), so
+// each brick's rows form one contiguous range. A load request carries a
 // max_rejected threshold: if more records are rejected, the entire batch is
 // discarded.
 
@@ -16,7 +17,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/table.h"
+#include "storage/brick.h"
 #include "storage/data_type.h"
 #include "storage/schema.h"
 
@@ -39,14 +40,17 @@ struct ParseOptions {
 };
 
 struct ParseOutput {
-  PerBrickBatches batches;
+  /// The accepted records, partitioned by brick with ascending bids; empty
+  /// when every record was rejected or there were none.
+  EncodedBatch batches;
   uint64_t accepted = 0;
   uint64_t rejected = 0;
   std::vector<std::string> errors;
 };
 
-/// Validates and encodes `records`, grouping them per brick. Returns
-/// InvalidArgument when rejected > options.max_rejected (batch discarded).
+/// Validates and encodes `records` into one batch partitioned per brick.
+/// Returns InvalidArgument when rejected > options.max_rejected (batch
+/// discarded).
 /// String dimension/metric values are encoded through the schema's
 /// dictionaries via the two-phase scheme (DESIGN.md §4f): a lock-free
 /// lookup pass against each dictionary's immutable snapshot, then one
@@ -55,9 +59,12 @@ struct ParseOutput {
 /// never on record order within the batch or on `parallelism`.
 ///
 /// `parallelism` > 1 chunks the record vector into morsels fanned out on
-/// ThreadPool::Global() (the caller participates while waiting). Output is
-/// bit-identical to the serial walk: batches, rejection counts and
-/// retained error strings are merged in morsel (= record) order.
+/// ThreadPool::Global() (the caller participates while waiting); serial is
+/// one morsel. Each morsel validates and encodes its records into their own
+/// rows of one record-indexed staging batch, so nothing is merged; one
+/// sort of (bid, record index) pairs then partitions the accepted rows.
+/// Output is bit-identical to the serial walk: the batch, rejection counts
+/// and retained error strings (concatenated in morsel = record order).
 Result<ParseOutput> ParseRecords(const CubeSchema& schema,
                                  const std::vector<Record>& records,
                                  const ParseOptions& options = {},

@@ -172,11 +172,8 @@ Result<FlushRoundStats> FlushManager::FlushRound(Table* table,
       writer.WriteU64(n);
       stats.rows_written += n;
       for (size_t d = 0; d < schema.num_dimensions(); ++d) {
-        std::vector<uint64_t> offsets;
-        offsets.reserve(n);
-        for (uint64_t row = run.begin; row < run.end; ++row) {
-          offsets.push_back(brick.bess().Get(row, d));
-        }
+        std::vector<uint64_t> offsets(n);
+        brick.bess().DecodeDim(run.begin, n, d, offsets.data());
         writer.WriteVector(offsets);
       }
       for (size_t m = 0; m < schema.num_metrics(); ++m) {
@@ -237,6 +234,12 @@ Result<RecoveryResult> FlushManager::Recover(Table* table) {
       auto bid = reader.ReadU64();
       auto num_runs = reader.ReadU64();
       if (!bid.ok() || !num_runs.ok()) return Status::IOError("bad brick");
+      const auto corrupt = [round, &bid](const std::string& what) {
+        return Status::IOError("corrupt flush segment " +
+                               std::to_string(round) + ", brick " +
+                               std::to_string(*bid) + ": " + what);
+      };
+      if (!schema.IsValidBid(*bid)) return corrupt("bid names no brick");
       for (uint64_t r = 0; r < *num_runs; ++r) {
         auto epoch = reader.ReadU64();
         auto is_delete = reader.ReadU8();
@@ -272,11 +275,14 @@ Result<RecoveryResult> FlushManager::Recover(Table* table) {
             batch.metric_ints[m] = std::move(*values);
           }
         }
-        PerBrickBatches one;
-        one.emplace(*bid, std::move(batch));
+        batch.ClosePartition(*bid);
+        // A run that would trip a brick's checks must fail here, as a
+        // Status: on a shard thread it would abort or strand the append.
+        const Status valid = batch.Validate(schema);
+        if (!valid.ok()) return corrupt(valid.message());
         CUBRICK_RETURN_IF_ERROR(
             table->Append(  // aosi-lint: allow(hold-across-blocking)
-                *epoch, std::move(one)));
+                *epoch, std::move(batch)));
         result.rows_recovered += *n;
       }
     }

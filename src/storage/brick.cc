@@ -2,6 +2,60 @@
 
 namespace cubrick {
 
+Status EncodedBatch::Validate(const CubeSchema& schema) const {
+  const auto bad = [](const std::string& what) {
+    return Status::InvalidArgument("malformed batch: " + what);
+  };
+  if (dim_offsets.size() != schema.num_dimensions() ||
+      metric_ints.size() != schema.num_metrics() ||
+      metric_doubles.size() != schema.num_metrics()) {
+    return bad("column count does not match the schema");
+  }
+  for (size_t d = 0; d < dim_offsets.size(); ++d) {
+    if (dim_offsets[d].size() != num_rows) {
+      return bad("dimension " + std::to_string(d) + " holds " +
+                 std::to_string(dim_offsets[d].size()) + " of " +
+                 std::to_string(num_rows) + " rows");
+    }
+  }
+  for (size_t m = 0; m < schema.num_metrics(); ++m) {
+    const size_t n = schema.metrics()[m].type == DataType::kDouble
+                         ? metric_doubles[m].size()
+                         : metric_ints[m].size();
+    if (n != num_rows) {
+      return bad("metric " + std::to_string(m) + " holds " +
+                 std::to_string(n) + " of " + std::to_string(num_rows) +
+                 " rows");
+    }
+  }
+  if (starts.size() != bids.size() + 1 || starts.front() != 0 ||
+      starts.back() != num_rows) {
+    return bad("partition bounds do not cover the rows");
+  }
+  for (size_t p = 0; p < bids.size(); ++p) {
+    const Bid bid = bids[p];
+    if (!schema.IsValidBid(bid)) {
+      return bad("bid " + std::to_string(bid) + " names no brick");
+    }
+    if (p > 0 && bids[p - 1] >= bid) return bad("bids do not ascend");
+    if (starts[p] >= starts[p + 1]) return bad("empty partition");
+    if (starts[p + 1] > num_rows) return bad("partition ends past the rows");
+    for (size_t d = 0; d < schema.num_dimensions(); ++d) {
+      const DimensionDef& def = schema.dimensions()[d];
+      const uint64_t base = schema.RangeIndexOf(bid, d) * def.range_size;
+      for (uint64_t row = starts[p]; row < starts[p + 1]; ++row) {
+        const uint64_t offset = dim_offsets[d][row];
+        if (offset >= def.range_size || base + offset >= def.cardinality) {
+          return bad("dimension " + std::to_string(d) + " offset " +
+                     std::to_string(offset) + " lies outside brick " +
+                     std::to_string(bid) + "'s range");
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
 namespace {
 std::vector<uint32_t> BessLayout(const CubeSchema& schema) {
   std::vector<uint32_t> bits;
@@ -24,10 +78,17 @@ Brick::Brick(std::shared_ptr<const CubeSchema> schema, Bid bid)
   }
 }
 
-void Brick::AppendBatch(aosi::Epoch epoch, const EncodedBatch& batch) {
-  CUBRICK_CHECK(batch.num_rows > 0);
+void Brick::AppendBatch(aosi::Epoch epoch, const EncodedBatch& batch,
+                        size_t p) {
+  CUBRICK_CHECK(p < batch.num_partitions() && batch.bids[p] == bid_);
+  const uint64_t begin = batch.starts[p];
+  const uint64_t end = batch.starts[p + 1];
+  CUBRICK_CHECK(begin < end && end <= batch.num_rows);
+  for (const auto& column : batch.dim_offsets) {
+    CUBRICK_CHECK(column.size() == batch.num_rows);
+  }
   std::vector<uint64_t> offsets(schema_->num_dimensions());
-  for (uint64_t row = 0; row < batch.num_rows; ++row) {
+  for (uint64_t row = begin; row < end; ++row) {
     for (size_t d = 0; d < offsets.size(); ++d) {
       offsets[d] = batch.dim_offsets[d][row];
     }
@@ -35,14 +96,20 @@ void Brick::AppendBatch(aosi::Epoch epoch, const EncodedBatch& batch) {
   }
   for (size_t m = 0; m < metrics_.size(); ++m) {
     if (metrics_[m].type() == DataType::kDouble) {
-      CUBRICK_CHECK(batch.metric_doubles[m].size() == batch.num_rows);
-      for (double v : batch.metric_doubles[m]) metrics_[m].AppendDouble(v);
+      const auto& values = batch.metric_doubles[m];
+      CUBRICK_CHECK(values.size() == batch.num_rows);
+      for (uint64_t row = begin; row < end; ++row) {
+        metrics_[m].AppendDouble(values[row]);
+      }
     } else {
-      CUBRICK_CHECK(batch.metric_ints[m].size() == batch.num_rows);
-      for (int64_t v : batch.metric_ints[m]) metrics_[m].AppendInt64(v);
+      const auto& values = batch.metric_ints[m];
+      CUBRICK_CHECK(values.size() == batch.num_rows);
+      for (uint64_t row = begin; row < end; ++row) {
+        metrics_[m].AppendInt64(values[row]);
+      }
     }
   }
-  history_.RecordAppend(epoch, batch.num_rows);
+  history_.RecordAppend(epoch, end - begin);
   vis_cache_.Clear();
 }
 

@@ -2,9 +2,11 @@
 //
 // A brick stores the records falling into one range per dimension. Data is
 // column-wise, unordered and append-only: dimension offsets live in a single
-// bit-packed bess vector, metrics in one vector per column. Attached to each
-// brick is its AOSI epochs vector, tracking which transaction appended which
-// record range and any partition-delete markers.
+// bit-packed bess vector, metrics in one vector per column. A load reaches
+// a brick as one partition of the load's EncodedBatch, a contiguous row
+// range. Attached to each brick is its AOSI epochs vector, tracking which
+// transaction appended which record range and any partition-delete
+// markers.
 //
 // Thread-compatibility: a brick is owned by exactly one shard thread
 // (paper §V-B); all mutations and scans are applied by that thread, so no
@@ -27,8 +29,13 @@
 
 namespace cubrick {
 
-/// Column-major staging buffer of records already encoded for one brick:
-/// dimension offsets-within-range plus metric values.
+/// One load's encoded records, column-major: dimension offsets-within-range
+/// plus metric values, one vector per column for the whole load. The rows
+/// are partitioned by brick: partition p holds brick `bids[p]`'s rows
+/// [starts[p], starts[p + 1]), in record order, so every brick's rows are
+/// one contiguous range. The parser emits bids in ascending order, each
+/// once; a batch is shared read-only by every shard and node that applies
+/// part of it.
 struct EncodedBatch {
   uint64_t num_rows = 0;
   /// [dimension][row] — offset within the brick's range.
@@ -37,11 +44,32 @@ struct EncodedBatch {
   std::vector<std::vector<int64_t>> metric_ints;
   /// [metric][row] — used for kDouble metrics.
   std::vector<std::vector<double>> metric_doubles;
+  /// [partition] — the brick the partition's rows belong to.
+  std::vector<Bid> bids;
+  /// [partition + 1] — row bounds; starts[0] == 0, back() == num_rows.
+  std::vector<uint64_t> starts{0};
 
   explicit EncodedBatch(const CubeSchema& schema)
       : dim_offsets(schema.num_dimensions()),
         metric_ints(schema.num_metrics()),
         metric_doubles(schema.num_metrics()) {}
+
+  size_t num_partitions() const { return bids.size(); }
+
+  /// Ends the current partition at num_rows as brick `bid`'s rows: fill the
+  /// columns with one brick's rows, then close it (recovery, catch-up).
+  void ClosePartition(Bid bid) {
+    bids.push_back(bid);
+    starts.push_back(num_rows);
+  }
+
+  /// InvalidArgument unless the batch is well formed for `schema`: every
+  /// column holds num_rows entries, partitions are non-empty with strictly
+  /// ascending valid bids, and every dimension offset lies inside its
+  /// brick's range (below range_size, coordinate below cardinality).
+  /// Recovery runs this on every run it reads before the run reaches a
+  /// shard.
+  Status Validate(const CubeSchema& schema) const;
 };
 
 class Brick {
@@ -51,8 +79,10 @@ class Brick {
   Bid bid() const { return bid_; }
   const CubeSchema& schema() const { return *schema_; }
 
-  /// Appends a batch stamped with `epoch`. Batch columns must be rectangular.
-  void AppendBatch(aosi::Epoch epoch, const EncodedBatch& batch);
+  /// Appends partition `p` of `batch` — this brick's rows — stamped with
+  /// `epoch`, one row at a time, so the footprint does not depend on how
+  /// rows were batched. Batch columns must be rectangular.
+  void AppendBatch(aosi::Epoch epoch, const EncodedBatch& batch, size_t p);
 
   /// Marks the whole brick deleted as of `epoch` (§III-C2). Data stays until
   /// purge physically removes it.

@@ -99,7 +99,7 @@ uint64_t CubeSchema::MaxBricks() const {
   return total;
 }
 
-Result<Bid> CubeSchema::BidFor(const std::vector<uint64_t>& coords) const {
+Result<Bid> CubeSchema::BidFor(std::span<const uint64_t> coords) const {
   if (coords.size() != dimensions_.size()) {
     return Status::InvalidArgument("coordinate arity mismatch");
   }
@@ -120,6 +120,14 @@ uint64_t CubeSchema::RangeIndexOf(Bid bid, size_t dim) const {
   const uint32_t bits = bid_dim_bits_[dim];
   if (bits == 0) return 0;
   return (bid >> bid_dim_shift_[dim]) & ((1ULL << bits) - 1);
+}
+
+bool CubeSchema::IsValidBid(Bid bid) const {
+  if (bid_bits_ < 64 && (bid >> bid_bits_) != 0) return false;
+  for (size_t d = 0; d < dimensions_.size(); ++d) {
+    if (RangeIndexOf(bid, d) >= dimensions_[d].num_ranges()) return false;
+  }
+  return true;
 }
 
 }  // namespace cubrick

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,10 +77,17 @@ class CubeSchema {
 
   /// Computes the bid for a record's encoded dimension coordinates.
   /// Coordinates must be < cardinality for each dimension.
-  Result<Bid> BidFor(const std::vector<uint64_t>& coords) const;
+  Result<Bid> BidFor(std::span<const uint64_t> coords) const;
+  Result<Bid> BidFor(std::initializer_list<uint64_t> coords) const {
+    return BidFor(std::span<const uint64_t>(coords.begin(), coords.size()));
+  }
 
   /// Extracts the range index of dimension `dim` from a bid.
   uint64_t RangeIndexOf(Bid bid, size_t dim) const;
+
+  /// True when `bid` names a brick of this cube: no bits above bid_bits()
+  /// and every dimension's range index below its num_ranges().
+  bool IsValidBid(Bid bid) const;
 
   /// Bits needed to store an offset-within-range for dimension `dim` in the
   /// bess vector.

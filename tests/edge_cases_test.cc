@@ -148,9 +148,20 @@ TEST(EdgeCaseTest, ZeroRowBatchesIgnored) {
                                  {{"v", DataType::kInt64}})
                     .value();
   Table table(schema, 1, false);
-  PerBrickBatches batches;
-  batches.emplace(0, EncodedBatch(*schema));  // zero rows
-  ASSERT_TRUE(table.Append(1, std::move(batches)).ok());
+  // An empty load and an all-rejected load both parse to an empty batch:
+  // no rows, no partitions. Appending one is a no-op.
+  ParseOptions opts;
+  opts.max_rejected = 2;
+  auto empty = ParseRecords(*schema, {});
+  auto rejected = ParseRecords(*schema, {{9, 1}, {0, "x"}}, opts);
+  ASSERT_TRUE(empty.ok());
+  ASSERT_TRUE(rejected.ok());
+  for (EncodedBatch* batch : {&empty->batches, &rejected->batches}) {
+    EXPECT_EQ(batch->num_rows, 0u);
+    EXPECT_EQ(batch->num_partitions(), 0u);
+    EXPECT_EQ(batch->starts, std::vector<uint64_t>{0});
+    ASSERT_TRUE(table.Append(1, std::move(*batch)).ok());
+  }
   EXPECT_EQ(table.TotalRecords(), 0u);
   EXPECT_EQ(table.NumBricks(), 0u);  // never materialized
 }

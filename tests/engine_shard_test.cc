@@ -77,7 +77,8 @@ TEST(ShardTest, OperationsSeeBrickStateOfPredecessors) {
       batch.num_rows = 1;
       batch.dim_offsets[0].push_back(0);
       batch.metric_ints[0].push_back(static_cast<int64_t>(i));
-      brick.AppendBatch(i, batch);
+      batch.ClosePartition(brick.bid());
+      brick.AppendBatch(i, batch, 0);
     }));
   }
   for (auto& f : futs) f.get();
@@ -118,13 +119,12 @@ TEST(ShardTest, TablePinningOptionWorksEndToEnd) {
   auto schema = MakeSchema();
   Table table(schema, 2, /*threaded=*/true, /*rollback_index=*/false,
               /*pin_shard_threads=*/true);
-  PerBrickBatches batches;
   EncodedBatch batch(*schema);
   batch.num_rows = 1;
   batch.dim_offsets[0].push_back(0);
   batch.metric_ints[0].push_back(5);
-  batches.emplace(0, batch);
-  ASSERT_TRUE(table.Append(1, std::move(batches)).ok());
+  batch.ClosePartition(0);
+  ASSERT_TRUE(table.Append(1, std::move(batch)).ok());
   EXPECT_EQ(table.TotalRecords(), 1u);
 }
 

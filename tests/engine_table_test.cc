@@ -19,8 +19,8 @@ std::shared_ptr<CubeSchema> MakeSchema() {
 }
 
 /// Builds parser batches for records (region, kind, n).
-PerBrickBatches Batches(const CubeSchema& schema,
-                        const std::vector<std::array<int64_t, 3>>& rows) {
+EncodedBatch Batches(const CubeSchema& schema,
+                     const std::vector<std::array<int64_t, 3>>& rows) {
   std::vector<Record> records;
   for (const auto& r : rows) {
     records.push_back({r[0], r[1], r[2]});

@@ -12,6 +12,7 @@
 #include "cubrick/database.h"
 #include "engine/table.h"
 #include "ingest/parser.h"
+#include "ingest_random_load.h"
 
 namespace cubrick {
 namespace {
@@ -83,7 +84,8 @@ TEST(IngestParallelTest, AllRejectedBatch) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(out->accepted, 0u);
   EXPECT_EQ(out->rejected, kManyRecords);
-  EXPECT_TRUE(out->batches.empty());
+  EXPECT_EQ(out->batches.num_rows, 0u);
+  EXPECT_EQ(out->batches.num_partitions(), 0u);
   EXPECT_EQ(out->errors.size(), opts.max_errors);
 }
 
@@ -93,7 +95,8 @@ TEST(IngestParallelTest, EmptyBatch) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->accepted, 0u);
   EXPECT_EQ(out->rejected, 0u);
-  EXPECT_TRUE(out->batches.empty());
+  EXPECT_EQ(out->batches.num_rows, 0u);
+  EXPECT_EQ(out->batches.num_partitions(), 0u);
   EXPECT_TRUE(out->errors.empty());
 }
 
@@ -161,16 +164,63 @@ TEST(IngestParallelTest, SerialAndParallelProduceIdenticalState) {
       }
     }
 
-    // Identical brick contents, column by column, row for row.
-    ASSERT_EQ(serial.batches.size(), parallel.batches.size());
-    auto it_a = serial.batches.begin();
-    auto it_b = parallel.batches.begin();
-    for (; it_a != serial.batches.end(); ++it_a, ++it_b) {
-      EXPECT_EQ(it_a->first, it_b->first);
-      EXPECT_EQ(it_a->second.num_rows, it_b->second.num_rows);
-      EXPECT_EQ(it_a->second.dim_offsets, it_b->second.dim_offsets);
-      EXPECT_EQ(it_a->second.metric_ints, it_b->second.metric_ints);
-      EXPECT_EQ(it_a->second.metric_doubles, it_b->second.metric_doubles);
+    // Identical batch, field by field: partition bids and bounds, then
+    // every column row for row.
+    const EncodedBatch& a = serial.batches;
+    const EncodedBatch& b = parallel.batches;
+    EXPECT_EQ(a.num_rows, b.num_rows);
+    EXPECT_EQ(a.bids, b.bids);
+    EXPECT_EQ(a.starts, b.starts);
+    EXPECT_EQ(a.dim_offsets, b.dim_offsets);
+    EXPECT_EQ(a.metric_ints, b.metric_ints);
+    EXPECT_EQ(a.metric_doubles, b.metric_doubles);
+  }
+}
+
+TEST(IngestParallelTest, RandomLoadsPartitionIdenticallyAtAnyFanOut) {
+  // 1000 records plan 13 morsels of at least 64 at fan-out 13; every
+  // fan-out must give the serial batch and dictionaries exactly, and each
+  // output must meet the partition contract on its own.
+  for (auto make_cube : {ingest_test::StringDimCube, ingest_test::WideBidCube}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto load =
+          ingest_test::MakeRandomLoad(*make_cube(), 1000, 100 + seed);
+      ParseOptions opts;
+      opts.max_rejected = load.records.size();
+      auto run = [&](size_t parallelism) {
+        auto schema = make_cube();
+        auto out = ParseRecords(*schema, load.records, opts, parallelism);
+        EXPECT_TRUE(out.ok()) << out.status().ToString();
+        return std::make_pair(schema, std::move(*out));
+      };
+      const auto [serial_schema, serial] = run(1);
+      for (size_t parallelism : {size_t{1}, size_t{2}, size_t{4}, size_t{13}}) {
+        SCOPED_TRACE(serial_schema->cube_name() + " seed " +
+                     std::to_string(seed) + " fan-out " +
+                     std::to_string(parallelism));
+        const auto [schema, parallel] = run(parallelism);
+        ingest_test::ExpectPartitionedLoad(*schema, load, parallel);
+        EXPECT_EQ(serial.accepted, parallel.accepted);
+        EXPECT_EQ(serial.rejected, parallel.rejected);
+        EXPECT_EQ(serial.errors, parallel.errors);
+        const EncodedBatch& a = serial.batches;
+        const EncodedBatch& b = parallel.batches;
+        EXPECT_EQ(a.num_rows, b.num_rows);
+        EXPECT_EQ(a.bids, b.bids);
+        EXPECT_EQ(a.starts, b.starts);
+        EXPECT_EQ(a.dim_offsets, b.dim_offsets);
+        EXPECT_EQ(a.metric_ints, b.metric_ints);
+        EXPECT_EQ(a.metric_doubles, b.metric_doubles);
+        for (size_t c = 0; c < schema->num_columns(); ++c) {
+          const StringDictionary* da = serial_schema->dictionary(c);
+          const StringDictionary* db = schema->dictionary(c);
+          if (da == nullptr) continue;
+          ASSERT_EQ(da->size(), db->size()) << "column " << c;
+          for (uint64_t id = 0; id < da->size(); ++id) {
+            EXPECT_EQ(da->Decode(id).value(), db->Decode(id).value());
+          }
+        }
+      }
     }
   }
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ingest_random_load.h"
+
 namespace cubrick {
 namespace {
 
@@ -29,7 +31,7 @@ TEST(ParserTest, EncodesStringsThroughDictionary) {
   EXPECT_EQ(schema->dictionary(1)->size(), 2u);  // male, female
   // CA=0 and NY=1 share region range [0,1] -> same region range index; the
   // two gender values produce distinct bricks.
-  EXPECT_EQ(out->batches.size(), 2u);
+  EXPECT_EQ(out->batches.num_partitions(), 2u);
 }
 
 TEST(ParserTest, GroupsRecordsPerBrick) {
@@ -39,12 +41,13 @@ TEST(ParserTest, GroupsRecordsPerBrick) {
                                     {"a", "y", 4, 0}});
   ASSERT_TRUE(out.ok());
   // a=0,b=1 same region range; x and y different gender ranges: 2 bricks.
-  ASSERT_EQ(out->batches.size(), 2u);
+  const EncodedBatch& batch = out->batches;
+  ASSERT_EQ(batch.num_partitions(), 2u);
   uint64_t total = 0;
-  for (const auto& [bid, batch] : out->batches) {
-    total += batch.num_rows;
-    EXPECT_EQ(batch.metric_ints[0].size(), batch.num_rows);
+  for (size_t p = 0; p < batch.num_partitions(); ++p) {
+    total += batch.starts[p + 1] - batch.starts[p];
   }
+  EXPECT_EQ(batch.metric_ints[0].size(), batch.num_rows);
   EXPECT_EQ(total, 3u);
 }
 
@@ -116,8 +119,8 @@ TEST(ParserTest, DoubleMetricCoercesInt) {
                     .value();
   auto out = ParseRecords(*schema, {{0, 3}, {1, 2.5}});
   ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->batches.size(), 1u);
-  const auto& batch = out->batches.begin()->second;
+  ASSERT_EQ(out->batches.num_partitions(), 1u);
+  const auto& batch = out->batches;
   EXPECT_DOUBLE_EQ(batch.metric_doubles[0][0], 3.0);
   EXPECT_DOUBLE_EQ(batch.metric_doubles[0][1], 2.5);
 }
@@ -128,7 +131,7 @@ TEST(ParserTest, StringMetricEncoded) {
                     .value();
   auto out = ParseRecords(*schema, {{0, "alpha"}, {1, "beta"}, {2, "alpha"}});
   ASSERT_TRUE(out.ok());
-  const auto& batch = out->batches.begin()->second;
+  const auto& batch = out->batches;
   EXPECT_EQ(batch.metric_ints[0][0], 0);
   EXPECT_EQ(batch.metric_ints[0][1], 1);
   EXPECT_EQ(batch.metric_ints[0][2], 0);
@@ -140,9 +143,33 @@ TEST(ParserTest, DimOffsetsAreWithinRange) {
                     .value();
   auto out = ParseRecords(*schema, {{5, 1}});  // coord 5 = range 1, offset 1
   ASSERT_TRUE(out.ok());
-  const auto& [bid, batch] = *out->batches.begin();
-  EXPECT_EQ(bid, 1u);
-  EXPECT_EQ(batch.dim_offsets[0][0], 1u);
+  EXPECT_EQ(out->batches.bids[0], 1u);
+  EXPECT_EQ(out->batches.dim_offsets[0][0], 1u);
+}
+
+TEST(ParserTest, RandomLoadsPartitionByBrickInRecordOrder) {
+  using ingest_test::MakeRandomLoad;
+  for (auto make_cube : {ingest_test::StringDimCube, ingest_test::WideBidCube}) {
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      auto schema = make_cube();
+      const auto load = MakeRandomLoad(*schema, 500, seed);
+      ParseOptions opts;
+      opts.max_rejected = load.records.size();
+      auto out = ParseRecords(*schema, load.records, opts);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      SCOPED_TRACE(schema->cube_name() + " seed " + std::to_string(seed));
+      ingest_test::ExpectPartitionedLoad(*schema, load, *out);
+      EXPECT_GT(out->rejected, 0u);
+    }
+  }
+  // The wide cube's bids really do reach the top bit.
+  auto wide = ingest_test::WideBidCube();
+  ASSERT_EQ(wide->bid_bits(), 64u);
+  ParseOptions opts;
+  opts.max_rejected = 64;
+  auto out = ParseRecords(*wide, MakeRandomLoad(*wide, 64, 9).records, opts);
+  ASSERT_TRUE(out.ok());
+  EXPECT_GE(out->batches.bids.back(), uint64_t{1} << 63);
 }
 
 TEST(CsvTest, ParsesTypedLine) {

@@ -126,8 +126,9 @@ TEST(MaterializeTest, BrickLevelApiHonorsSnapshots) {
   batch.num_rows = 2;
   batch.dim_offsets[0] = {0, 1};
   batch.metric_ints[0] = {10, 20};
-  brick.AppendBatch(1, batch);
-  brick.AppendBatch(5, batch);
+  batch.ClosePartition(0);
+  brick.AppendBatch(1, batch, 0);
+  brick.AppendBatch(5, batch, 0);
 
   std::vector<MaterializedRow> rows;
   aosi::Snapshot snap{3, {}};

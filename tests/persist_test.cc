@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <string>
 
 #include "cubrick/database.h"
 
@@ -256,6 +259,80 @@ TEST_F(PersistTest, EmptyDirRecoversToEmpty) {
   ASSERT_TRUE(db.Recover().ok());
   EXPECT_EQ(db.TotalRecords(), 0u);
   EXPECT_EQ(db.txns().LCE(), 0u);
+}
+
+// A corrupt run must come back from Recover as IOError before any shard
+// sees it: applied on an inline shard its offsets would trip a brick check
+// and abort; on a threaded shard the check would fire on the shard thread
+// and leave the recovering append waiting forever.
+class CorruptSegmentTest : public PersistTest {
+ protected:
+  // Byte layout of c.seg.1 up to the first run's first dimension column:
+  // four u64 header fields, has-more (u8), bid, run count and epoch (u64
+  // each), is-delete (u8) and the run's row count (u64); then the column's
+  // u64 length prefix and its values.
+  static constexpr size_t kDimLengthAt = 4 * 8 + 1 + 3 * 8 + 1 + 8;
+  static constexpr size_t kDimValuesAt = kDimLengthAt + 8;
+
+  /// Checkpoints one brick of cube `c` (four rows, dimension range size 4),
+  /// then lets `corrupt` rewrite the bytes of its only segment.
+  void CheckpointThenCorrupt(const std::function<void(std::string*)>& corrupt) {
+    {
+      Database db(Options());
+      ASSERT_TRUE(db.ExecuteDdl("CREATE CUBE c (k int CARDINALITY 16 RANGE 4, "
+                                "v int)")
+                      .ok());
+      ASSERT_TRUE(db.Load("c", {{0, 1}, {1, 2}, {2, 3}, {3, 4}}).ok());
+      ASSERT_TRUE(db.Checkpoint().ok());
+    }
+    const fs::path segment = dir_ / "c.seg.1";
+    std::ifstream in(segment, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    in.close();
+    ASSERT_GT(bytes.size(), kDimValuesAt + 4 * 8);
+    uint64_t rows = 0;
+    std::memcpy(&rows, bytes.data() + kDimLengthAt, sizeof(rows));
+    ASSERT_EQ(rows, 4u);  // the layout above still holds
+    corrupt(&bytes);
+    std::ofstream out(segment, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  static void PutU64(std::string* bytes, size_t at, uint64_t v) {
+    std::memcpy(bytes->data() + at, &v, sizeof(v));
+  }
+
+  /// Recovers the corrupt segment with inline and with threaded shards.
+  void ExpectIOErrorInBothShardModes() {
+    for (bool threaded : {false, true}) {
+      DatabaseOptions opts = Options();
+      opts.threaded_shards = threaded;
+      Database db(opts);
+      ASSERT_TRUE(
+          db.ExecuteDdl("CREATE CUBE c (k int CARDINALITY 16 RANGE 4, v int)")
+              .ok());
+      const Status status = db.Recover();
+      EXPECT_EQ(status.code(), StatusCode::kIOError)
+          << "threaded=" << threaded << ": " << status.ToString();
+      EXPECT_NE(status.message().find("segment 1, brick 0"), std::string::npos)
+          << status.ToString();
+    }
+  }
+};
+
+TEST_F(CorruptSegmentTest, DimensionOffsetOutsideRangeIsIOError) {
+  CheckpointThenCorrupt(
+      [](std::string* bytes) { PutU64(bytes, kDimValuesAt, 1000); });
+  ExpectIOErrorInBothShardModes();
+}
+
+TEST_F(CorruptSegmentTest, DroppedDimensionEntryIsIOError) {
+  CheckpointThenCorrupt([](std::string* bytes) {
+    PutU64(bytes, kDimLengthAt, 3);
+    bytes->erase(kDimValuesAt, 8);
+  });
+  ExpectIOErrorInBothShardModes();
 }
 
 TEST_F(PersistTest, CheckpointSkipsWhenNothingNew) {

@@ -40,7 +40,8 @@ void AppendOne(Brick& brick, aosi::Epoch epoch, uint64_t region_off,
   batch.dim_offsets[1].push_back(day_off);
   batch.metric_ints[0].push_back(units);
   batch.metric_doubles[1].push_back(revenue);
-  brick.AppendBatch(epoch, batch);
+  batch.ClosePartition(brick.bid());
+  brick.AppendBatch(epoch, batch, 0);
 }
 
 TEST(FilterClauseTest, MatchSemantics) {

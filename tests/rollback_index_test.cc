@@ -50,8 +50,8 @@ std::shared_ptr<CubeSchema> WideKeySchema() {
       .value();
 }
 
-PerBrickBatches RowsFor(const CubeSchema& schema,
-                        std::initializer_list<int64_t> keys) {
+EncodedBatch RowsFor(const CubeSchema& schema,
+                     std::initializer_list<int64_t> keys) {
   std::vector<Record> records;
   for (int64_t k : keys) records.push_back({k, k});
   return ParseRecords(schema, records).value().batches;

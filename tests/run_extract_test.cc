@@ -18,8 +18,8 @@ std::shared_ptr<const CubeSchema> MakeSchema() {
       .value();
 }
 
-PerBrickBatches Rows(const CubeSchema& schema,
-                     std::initializer_list<std::pair<int64_t, int64_t>> kv) {
+EncodedBatch Rows(const CubeSchema& schema,
+                  std::initializer_list<std::pair<int64_t, int64_t>> kv) {
   std::vector<Record> records;
   for (const auto& [k, v] : kv) {
     records.push_back({k, v, static_cast<double>(v) / 2});

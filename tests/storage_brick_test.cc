@@ -111,7 +111,8 @@ std::shared_ptr<CubeSchema> TestSchema() {
       .value();
 }
 
-EncodedBatch MakeBatch(const CubeSchema& schema, uint64_t rows,
+/// `rows` random rows as one partition of brick `bid`.
+EncodedBatch MakeBatch(const CubeSchema& schema, Bid bid, uint64_t rows,
                        uint64_t seed = 1) {
   EncodedBatch batch(schema);
   Random rng(seed);
@@ -122,6 +123,7 @@ EncodedBatch MakeBatch(const CubeSchema& schema, uint64_t rows,
     batch.metric_ints[0].push_back(static_cast<int64_t>(r));
     batch.metric_doubles[1].push_back(static_cast<double>(r) * 0.5);
   }
+  batch.ClosePartition(bid);
   return batch;
 }
 
@@ -129,8 +131,8 @@ TEST(BrickTest, AppendsRecordsWithHistory) {
   auto schema = TestSchema();
   const Bid bid = schema->BidFor({5, 3}).value();
   Brick brick(schema, bid);
-  brick.AppendBatch(1, MakeBatch(*schema, 10));
-  brick.AppendBatch(2, MakeBatch(*schema, 5));
+  brick.AppendBatch(1, MakeBatch(*schema, brick.bid(), 10), 0);
+  brick.AppendBatch(2, MakeBatch(*schema, brick.bid(), 5), 0);
   EXPECT_EQ(brick.num_records(), 15u);
   EXPECT_EQ(brick.history().ToString(), "[1:0-9][2:10-14]");
   EXPECT_EQ(brick.metric(0).GetInt64(12), 2);
@@ -149,7 +151,8 @@ TEST(BrickTest, DimCoordAddsRangeBase) {
   batch.dim_offsets[1].push_back(0);  // offset 0 within tag range
   batch.metric_ints[0].push_back(7);
   batch.metric_doubles[1].push_back(1.0);
-  brick.AppendBatch(3, batch);
+  batch.ClosePartition(bid);
+  brick.AppendBatch(3, batch, 0);
   EXPECT_EQ(brick.DimCoord(0, 0), 5u);
   EXPECT_EQ(brick.DimCoord(0, 1), 2u);
 }
@@ -157,9 +160,9 @@ TEST(BrickTest, DimCoordAddsRangeBase) {
 TEST(BrickTest, MarkDeletedThenCompact) {
   auto schema = TestSchema();
   Brick brick(schema, 0);
-  brick.AppendBatch(1, MakeBatch(*schema, 4));
+  brick.AppendBatch(1, MakeBatch(*schema, brick.bid(), 4), 0);
   brick.MarkDeleted(2);
-  brick.AppendBatch(3, MakeBatch(*schema, 2, /*seed=*/9));
+  brick.AppendBatch(3, MakeBatch(*schema, brick.bid(), 2, /*seed=*/9), 0);
   const int64_t kept0 = brick.metric(0).GetInt64(4);
 
   auto plan = aosi::PlanPurge(brick.history(), /*lse=*/4);
@@ -173,8 +176,8 @@ TEST(BrickTest, MarkDeletedThenCompact) {
 TEST(BrickTest, CompactionPreservesColumnAlignment) {
   auto schema = TestSchema();
   Brick brick(schema, 0);
-  brick.AppendBatch(2, MakeBatch(*schema, 50, 11));
-  brick.AppendBatch(5, MakeBatch(*schema, 30, 22));
+  brick.AppendBatch(2, MakeBatch(*schema, brick.bid(), 50, 11), 0);
+  brick.AppendBatch(5, MakeBatch(*schema, brick.bid(), 30, 22), 0);
   // Roll back epoch 5.
   auto plan = aosi::PlanRollback(brick.history(), 5);
   ASSERT_TRUE(plan.needed);
@@ -199,9 +202,108 @@ TEST(BrickTest, CompactionPreservesColumnAlignment) {
 TEST(BrickTest, HistoryMemoryIsPerTransactionNotPerRecord) {
   auto schema = TestSchema();
   Brick brick(schema, 0);
-  brick.AppendBatch(1, MakeBatch(*schema, 10000));
+  brick.AppendBatch(1, MakeBatch(*schema, brick.bid(), 10000), 0);
   EXPECT_EQ(brick.HistoryMemoryUsage(), sizeof(aosi::EpochEntry));
   EXPECT_GT(brick.DataMemoryUsage(), 10000u * 8u);
+}
+
+TEST(BrickTest, BulkAppendFootprintMatchesRowAtATime) {
+  // bytes_per_row is an end-to-end metric, so a brick's footprint must not
+  // depend on how its rows were batched: appending partitions of 1..1000
+  // rows must grow every column exactly as appending the same rows one at
+  // a time.
+  // The second cube packs 90 bess bits per record, two words per row.
+  const auto wide = CubeSchema::Make(
+                        "w",
+                        {{"a", 1ULL << 30, 1ULL << 30, false},
+                         {"b", 1ULL << 30, 1ULL << 30, false},
+                         {"c", 1ULL << 30, 1ULL << 30, false}},
+                        {{"n", DataType::kInt64}, {"x", DataType::kDouble}})
+                        .value();
+  for (const auto& schema : {TestSchema(), wide}) {
+    Random rng(7);
+    Brick bulk(schema, 0);
+    Brick single(schema, 0);
+    BessColumn reference_bess(bulk.bess());  // empty, same layout
+    std::vector<int64_t> reference_metric;
+    for (uint64_t n : {1, 2, 3, 63, 64, 65, 1000}) {
+      EncodedBatch batch(*schema);
+      batch.num_rows = n;
+      for (uint64_t r = 0; r < n; ++r) {
+        std::vector<uint64_t> offsets;
+        for (size_t d = 0; d < schema->num_dimensions(); ++d) {
+          offsets.push_back(rng.Uniform(schema->dimensions()[d].range_size));
+          batch.dim_offsets[d].push_back(offsets.back());
+        }
+        batch.metric_ints[0].push_back(static_cast<int64_t>(rng.Next()));
+        batch.metric_doubles[1].push_back(rng.NextDouble());
+        reference_bess.Append(offsets);
+        reference_metric.push_back(0);
+
+        EncodedBatch one(*schema);
+        one.num_rows = 1;
+        for (size_t d = 0; d < schema->num_dimensions(); ++d) {
+          one.dim_offsets[d] = {offsets[d]};
+        }
+        one.metric_ints[0] = {batch.metric_ints[0].back()};
+        one.metric_doubles[1] = {batch.metric_doubles[1].back()};
+        one.ClosePartition(0);
+        single.AppendBatch(1, one, 0);
+      }
+      batch.ClosePartition(0);
+      bulk.AppendBatch(1, batch, 0);
+
+      const uint64_t total = bulk.num_records();
+      ASSERT_EQ(single.num_records(), total);
+      EXPECT_EQ(bulk.DataMemoryUsage(), single.DataMemoryUsage())
+          << schema->cube_name() << " after " << total << " rows";
+      EXPECT_EQ(bulk.bess().MemoryUsage(), reference_bess.MemoryUsage());
+      EXPECT_EQ(bulk.metric(0).ints().capacity(), reference_metric.capacity());
+      EXPECT_EQ(bulk.metric(1).doubles().capacity(),
+                reference_metric.capacity());
+      for (uint64_t r = 0; r < total; ++r) {
+        for (size_t d = 0; d < schema->num_dimensions(); ++d) {
+          ASSERT_EQ(bulk.bess().Get(r, d), single.bess().Get(r, d));
+        }
+        ASSERT_EQ(bulk.metric(0).GetInt64(r), single.metric(0).GetInt64(r));
+      }
+    }
+  }
+}
+
+TEST(BrickTest, ValidateRejectsMalformedBatches) {
+  // Recovery validates every run it reads before a shard appends it, so
+  // Validate must reject each malformed shape without reading past the end
+  // of a column (ASan checks the latter).
+  const auto schema = TestSchema();  // 2 x 8 ranges: bids use 4 bits
+  const auto two_bricks = [&] {
+    EncodedBatch batch = MakeBatch(*schema, 0, 4);
+    batch.bids = {0, 1};
+    batch.starts = {0, 2, 4};
+    return batch;
+  };
+  ASSERT_TRUE(two_bricks().Validate(*schema).ok());
+  std::vector<EncodedBatch> bad;
+  bad.push_back(two_bricks());
+  bad.back().starts = {0, 10, 4};  // non-monotone: ends past the rows
+  bad.push_back(two_bricks());
+  bad.back().starts = {0, 0, 4};  // empty partition
+  bad.push_back(two_bricks());
+  bad.back().starts.back() = 3;  // bounds stop short of the rows
+  bad.push_back(two_bricks());
+  bad.back().bids = {1, 0};  // bids descend
+  bad.push_back(two_bricks());
+  bad.back().bids = {0, 16};  // a bit above bid_bits
+  bad.push_back(two_bricks());
+  bad.back().dim_offsets[0][3] = 4;  // offset == range_size
+  bad.push_back(two_bricks());
+  bad.back().metric_doubles[1].pop_back();  // short metric column
+  bad.push_back(two_bricks());
+  bad.back().dim_offsets[1].push_back(0);  // long dimension column
+  for (size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_EQ(bad[i].Validate(*schema).code(), StatusCode::kInvalidArgument)
+        << "case " << i;
+  }
 }
 
 TEST(BrickMapTest, MaterializesOnDemand) {
@@ -220,8 +322,8 @@ TEST(BrickMapTest, MaterializesOnDemand) {
 TEST(BrickMapTest, AggregatesAcrossBricks) {
   auto schema = TestSchema();
   BrickMap map(schema);
-  map.GetOrCreate(0).AppendBatch(1, MakeBatch(*schema, 10));
-  map.GetOrCreate(1).AppendBatch(1, MakeBatch(*schema, 20));
+  map.GetOrCreate(0).AppendBatch(1, MakeBatch(*schema, 0, 10), 0);
+  map.GetOrCreate(1).AppendBatch(1, MakeBatch(*schema, 1, 20), 0);
   EXPECT_EQ(map.TotalRecords(), 30u);
   EXPECT_GT(map.DataMemoryUsage(), 0u);
   EXPECT_EQ(map.HistoryMemoryUsage(), 2 * sizeof(aosi::EpochEntry));
@@ -237,7 +339,7 @@ TEST(BrickTest, MutationsInvalidateVisibilityCache) {
   // compaction paths used by purge and rollback.
   auto schema = TestSchema();
   Brick brick(schema, 0);
-  brick.AppendBatch(1, MakeBatch(*schema, 10));
+  brick.AppendBatch(1, MakeBatch(*schema, brick.bid(), 10), 0);
 
   auto prime = [&brick]() -> aosi::VisKey {
     const aosi::Snapshot snap{9, {}};
@@ -254,7 +356,7 @@ TEST(BrickTest, MutationsInvalidateVisibilityCache) {
   // Append.
   aosi::VisKey key = prime();
   uint64_t version = brick.history().version();
-  brick.AppendBatch(2, MakeBatch(*schema, 5));
+  brick.AppendBatch(2, MakeBatch(*schema, brick.bid(), 5), 0);
   EXPECT_GT(brick.history().version(), version);
   EXPECT_EQ(brick.vis_cache().Lookup(key), nullptr);
 
@@ -266,7 +368,7 @@ TEST(BrickTest, MutationsInvalidateVisibilityCache) {
   EXPECT_EQ(brick.vis_cache().Lookup(key), nullptr);
 
   // Purge compaction.
-  brick.AppendBatch(4, MakeBatch(*schema, 4));
+  brick.AppendBatch(4, MakeBatch(*schema, brick.bid(), 4), 0);
   key = prime();
   version = brick.history().version();
   auto purge = aosi::PlanPurge(brick.history(), /*lse=*/5);
@@ -276,7 +378,7 @@ TEST(BrickTest, MutationsInvalidateVisibilityCache) {
   EXPECT_EQ(brick.vis_cache().Lookup(key), nullptr);
 
   // Rollback compaction.
-  brick.AppendBatch(6, MakeBatch(*schema, 3));
+  brick.AppendBatch(6, MakeBatch(*schema, brick.bid(), 3), 0);
   key = prime();
   version = brick.history().version();
   auto rollback = aosi::PlanRollback(brick.history(), 6);
