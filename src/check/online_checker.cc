@@ -3,8 +3,6 @@
 #include <chrono>
 #include <sstream>
 
-#include "obs/span.h"
-
 namespace cubrick::check {
 
 namespace {
@@ -303,7 +301,6 @@ void OnlineChecker::ValidatorLoop() {
 }
 
 size_t OnlineChecker::DrainOnce() {
-  obs::ObsSpan span("check.validate");
   size_t validated = 0;
   ScanSample sample;
   while (ring_.TryPop(&sample)) {

@@ -668,7 +668,6 @@ std::string ConfigLine(const StressOptions& opt, bool cluster) {
       << " threads=" << opt.threads << " ops=" << opt.ops_per_thread
       << " shards=" << opt.engine.shards_per_cube
       << " threaded=" << opt.engine.threaded_shards
-      << " pinned=" << opt.engine.pin_shard_threads
       << " rollback_index=" << opt.engine.rollback_index
       << " parallel=" << opt.engine.query_parallelism
       << " ingest_parallel=" << opt.engine.ingest_parallelism

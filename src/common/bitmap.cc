@@ -59,10 +59,6 @@ void Bitmap::SetAll() {
   ClearTrailingBits();
 }
 
-void Bitmap::ClearAll() {
-  for (auto& w : words_) w = 0;
-}
-
 size_t Bitmap::CountSet() const {
   return simd::ActiveKernels().count_bits(words_.data(), words_.size());
 }

@@ -52,9 +52,8 @@ class Bitmap {
   /// Clears all bits in [begin, end).
   void ClearRange(size_t begin, size_t end);
 
-  /// Sets / clears every bit.
+  /// Sets every bit.
   void SetAll();
-  void ClearAll();
 
   /// Number of set bits.
   size_t CountSet() const;

@@ -17,7 +17,7 @@ Status NodeEngine::CreateCube(std::shared_ptr<const CubeSchema> schema) {
   CubeState state;
   state.table = std::make_unique<Table>(
       std::move(schema), options_.shards_per_cube, options_.threaded_shards,
-      options_.rollback_index, options_.pin_shard_threads);
+      options_.rollback_index);
   if (!options_.data_dir.empty()) {
     state.flusher =
         std::make_unique<persist::FlushManager>(options_.data_dir, name);

@@ -39,8 +39,6 @@ struct EngineOptions {
   std::string data_dir;
   /// Enables the §III-C5 txn->partition rollback index (memory for speed).
   bool rollback_index = false;
-  /// Pins shard threads to CPUs (§V-B NUMA locality; threaded mode only).
-  bool pin_shard_threads = false;
   /// Morsel-parallel query execution: maximum concurrent scan workers per
   /// shard (bricks fanned out on ThreadPool::Global(); see Table::Scan).
   /// 1 (the default) scans on the shard's own thread.

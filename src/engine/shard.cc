@@ -1,10 +1,5 @@
 #include "engine/shard.h"
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "obs/metrics.h"
 
 namespace cubrick {
@@ -18,30 +13,12 @@ obs::Gauge* QueueDepthGauge() {
       obs::MetricsRegistry::Global().GetGauge("engine.shard_queue_depth");
   return g;
 }
-/// Best-effort CPU pinning of the current thread (§V-B NUMA locality).
-void PinToCpu(int cpu) {
-#ifdef __linux__
-  if (cpu < 0 || cpu >= CPU_SETSIZE) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  // Failure (e.g. cpu >= core count in this cgroup) is non-fatal: the
-  // shard simply runs unpinned.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-#endif
-}
 }  // namespace
 
-Shard::Shard(std::shared_ptr<const CubeSchema> schema, bool threaded,
-             int cpu_affinity)
+Shard::Shard(std::shared_ptr<const CubeSchema> schema, bool threaded)
     : bricks_(std::move(schema)), threaded_(threaded) {
   if (threaded_) {
-    consumer_ = std::thread([this, cpu_affinity] {
-      PinToCpu(cpu_affinity);
-      RunLoop();
-    });
+    consumer_ = std::thread([this] { RunLoop(); });
   }
 }
 

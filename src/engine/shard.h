@@ -25,12 +25,8 @@ namespace cubrick {
 class Shard {
  public:
   /// `threaded` selects the dedicated consumer thread; inline mode
-  /// otherwise. `cpu_affinity` (>= 0, threaded mode only) pins the consumer
-  /// to one CPU — the paper's §V-B optimization of binding shard threads to
-  /// cores so their bricks stay NUMA-local. Best-effort: unsupported
-  /// platforms and invalid CPUs are ignored.
-  Shard(std::shared_ptr<const CubeSchema> schema, bool threaded,
-        int cpu_affinity = -1);
+  /// otherwise.
+  Shard(std::shared_ptr<const CubeSchema> schema, bool threaded);
   ~Shard();
 
   Shard(const Shard&) = delete;

@@ -20,17 +20,14 @@ void PurgeStats::PublishTo(obs::MetricsRegistry& reg) const {
 }
 
 Table::Table(std::shared_ptr<const CubeSchema> schema, size_t num_shards,
-             bool threaded, bool rollback_index, bool pin_shard_threads)
+             bool threaded, bool rollback_index)
     : schema_(std::move(schema)) {
   CUBRICK_CHECK(num_shards >= 1);
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   append_stages_.reserve(num_shards);
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    const int cpu =
-        pin_shard_threads ? static_cast<int>(i % hw) : -1;
     append_stages_.push_back(std::make_unique<AppendStage>());
-    shards_.push_back(std::make_unique<Shard>(schema_, threaded, cpu));
+    shards_.push_back(std::make_unique<Shard>(schema_, threaded));
   }
   if (rollback_index) {
     rollback_index_.emplace();
@@ -48,7 +45,7 @@ Status Table::Append(aosi::Epoch epoch, BatchView view) {
   // request spends behind the shard queues (docs/OBSERVABILITY.md).
   static obs::Histogram* flush_us =
       obs::MetricsRegistry::Global().GetHistogram("ingest.flush_us");
-  obs::ObsSpan span("ingest.flush", flush_us);
+  obs::ObsSpan span(flush_us);
   const EncodedBatch& batch = *view.batch;
   // Route partition indexes to shards off-lock, then stage one view per
   // shard in one mutex hold. A shard whose drain op is already queued or
@@ -185,7 +182,7 @@ QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
   static obs::Histogram* latency =
       obs::MetricsRegistry::Global().GetHistogram("query.latency_us");
   scans->Add();
-  obs::ObsSpan span("query.scan", latency);
+  obs::ObsSpan span(latency);
   std::vector<QueryResult> partials(shards_.size(),
                                     QueryResult(query.aggs.size()));
   std::vector<std::future<void>> done;
@@ -252,8 +249,7 @@ std::vector<MaterializedRow> Table::Materialize(
 
 PurgeStats Table::Purge(aosi::Epoch lse) {
   auto& reg = obs::MetricsRegistry::Global();
-  obs::ObsSpan round_span("aosi.purge.round",
-                          reg.GetHistogram("aosi.purge.round_us"));
+  obs::ObsSpan round_span(reg.GetHistogram("aosi.purge.round_us"));
   if (rollback_index_) {
     // Transactions at or before LSE are finished: their index entries can
     // never be used and would otherwise grow without bound.
@@ -268,7 +264,7 @@ PurgeStats Table::Purge(aosi::Epoch lse) {
                              std::function<void(BrickMap&)> op) {
     shard
         .Enqueue([pause, op = std::move(op)](BrickMap& bricks) {
-          obs::ObsSpan span("aosi.purge.op", pause);
+          obs::ObsSpan span(pause);
           op(bricks);
         })
         .get();

@@ -68,11 +68,8 @@ class Table {
   /// execution (deterministic tests / single-thread benches).
   /// `rollback_index` enables the §III-C5 txn->partition map, making
   /// Rollback touch only the victim's bricks at a memory cost.
-  /// `pin_shard_threads` binds shard thread i to CPU i % hardware
-  /// concurrency (§V-B NUMA-locality optimization; best-effort).
   Table(std::shared_ptr<const CubeSchema> schema, size_t num_shards,
-        bool threaded, bool rollback_index = false,
-        bool pin_shard_threads = false);
+        bool threaded, bool rollback_index = false);
 
   const CubeSchema& schema() const { return *schema_; }
   size_t num_shards() const { return shards_.size(); }

@@ -331,7 +331,7 @@ Result<ParseOutput> ParseRecords(const CubeSchema& schema,
   static obs::Counter* batch_misses =
       reg.GetCounter("ingest.dict_batch_misses");
   static obs::Histogram* parse_us = reg.GetHistogram("ingest.parse_us");
-  obs::ObsSpan span("ingest.parse", parse_us);
+  obs::ObsSpan span(parse_us);
 
   const std::vector<size_t> string_cols = StringColumns(schema);
   const auto morsels = PlanIngestMorsels(records.size(), parallelism);

@@ -10,51 +10,11 @@ int64_t NowMicros() {
   return clock->ElapsedMicros();
 }
 
-std::vector<SpanRecord> SpanRing::Collect() const {
-  const uint64_t end = next_.load(std::memory_order_acquire);
-  const uint64_t begin = end > kCapacity ? end - kCapacity : 0;
-  std::vector<SpanRecord> out;
-  out.reserve(static_cast<size_t>(end - begin));
-  for (uint64_t ticket = begin; ticket < end; ++ticket) {
-    const Slot& slot = slots_[ticket % kCapacity];
-    if (slot.seq.load(std::memory_order_acquire) != 2 * ticket + 2) {
-      continue;  // unwritten, mid-write, or already overwritten
-    }
-    SpanRecord rec;
-    rec.name = slot.span_name.load(std::memory_order_relaxed);
-    rec.start_us = slot.span_start.load(std::memory_order_relaxed);
-    rec.dur_us = slot.span_dur.load(std::memory_order_relaxed);
-    // Validate the slot was not reused while we copied it out.
-    if (slot.seq.load(std::memory_order_acquire) != 2 * ticket + 2) continue;
-    out.push_back(rec);
-  }
-  return out;
-}
-
-void SpanRing::ResetForTest() {
-  for (auto& slot : slots_) {
-    slot.seq.store(0, std::memory_order_release);
-    slot.span_name.store(nullptr, std::memory_order_release);
-    slot.span_start.store(0, std::memory_order_release);
-    slot.span_dur.store(0, std::memory_order_release);
-  }
-  next_.store(0, std::memory_order_release);
-}
-
-SpanRing& GlobalSpanRing() {
-  static SpanRing* ring = new SpanRing();
-  return *ring;
-}
-
-int64_t ObsSpan::Finish() {
-  if (done_) return 0;
+void ObsSpan::Finish() {
+  if (done_) return;
   done_ = true;
   const int64_t dur = NowMicros() - start_us_;
-  GlobalSpanRing().Record(name_, start_us_, dur);
-  if (latency_us_ != nullptr) {
-    latency_us_->Record(static_cast<uint64_t>(dur < 0 ? 0 : dur));
-  }
-  return dur;
+  latency_us_->Record(static_cast<uint64_t>(dur < 0 ? 0 : dur));
 }
 
 }  // namespace cubrick::obs

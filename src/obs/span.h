@@ -1,22 +1,13 @@
-// Lightweight trace spans: phase timings recorded into a bounded,
-// TSan-clean ring buffer.
+// Phase timers: RAII scopes that record their duration, in microseconds,
+// into one latency histogram (docs/OBSERVABILITY.md, "Phase timers").
 //
-// A span is (name, start, duration). The ring holds the most recent
-// kCapacity spans; writers claim a slot with one fetch_add ticket and
-// publish fields through per-slot sequence numbers (a seqlock built purely
-// from atomics, so ThreadSanitizer sees every access). Readers validate the
-// sequence before and after reading a slot and drop slots that were
-// overwritten mid-read — collection is lossy by design, never blocking.
+//   obs::ObsSpan span(metrics.latency_us);
 //
-// Span names must be string literals (or otherwise static-lifetime): the
-// ring stores the pointer, not a copy.
+// When metrics are disabled the constructor skips the clock read entirely.
 
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -25,66 +16,10 @@ namespace cubrick::obs {
 /// Microseconds since the process's observability clock started (first use).
 int64_t NowMicros();
 
-struct SpanRecord {
-  const char* name = nullptr;
-  int64_t start_us = 0;
-  int64_t dur_us = 0;
-};
-
-/// Bounded MPMC span store. Writers never block or spin; readers are
-/// best-effort (a slot overwritten during the read is skipped).
-class SpanRing {
- public:
-  static constexpr size_t kCapacity = 4096;
-
-  void Record(const char* name, int64_t start_us, int64_t dur_us) {
-    if (!internal::EnabledRelaxed(internal::EnabledFlag())) return;
-    const uint64_t ticket = next_.fetch_add(1, std::memory_order_acq_rel);
-    Slot& slot = slots_[ticket % kCapacity];
-    // Odd sequence = slot is being written; readers back off.
-    slot.seq.store(2 * ticket + 1, std::memory_order_release);
-    slot.span_name.store(name, std::memory_order_relaxed);
-    slot.span_start.store(start_us, std::memory_order_relaxed);
-    slot.span_dur.store(dur_us, std::memory_order_relaxed);
-    slot.seq.store(2 * ticket + 2, std::memory_order_release);
-  }
-
-  /// Copies out every consistent slot, oldest first. Lossy under heavy
-  /// concurrent writes (by design).
-  std::vector<SpanRecord> Collect() const;
-
-  /// Total spans ever recorded (monotonic; may exceed kCapacity).
-  uint64_t TotalRecorded() const {
-    return next_.load(std::memory_order_acquire);
-  }
-
-  void ResetForTest();
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> seq{0};  // 0 = never written
-    std::atomic<const char*> span_name{nullptr};
-    std::atomic<int64_t> span_start{0};
-    std::atomic<int64_t> span_dur{0};
-  };
-
-  std::atomic<uint64_t> next_{0};
-  std::array<Slot, kCapacity> slots_{};
-};
-
-/// The process-wide span ring (parallel to MetricsRegistry::Global()).
-SpanRing& GlobalSpanRing();
-
-/// RAII phase timer: records a span into the global ring on destruction and
-/// optionally publishes the duration into a latency histogram.
-///
-///   obs::ObsSpan span("query.scan", metrics.latency_us);
-///
-/// When metrics are disabled the constructor skips the clock read entirely.
 class ObsSpan {
  public:
-  explicit ObsSpan(const char* name, Histogram* latency_us = nullptr)
-      : name_(name), latency_us_(latency_us) {
+  /// `latency_us` must be non-null.
+  explicit ObsSpan(Histogram* latency_us) : latency_us_(latency_us) {
     if (internal::EnabledRelaxed(internal::EnabledFlag())) {
       start_us_ = NowMicros();
     } else {
@@ -95,14 +30,12 @@ class ObsSpan {
   ObsSpan(const ObsSpan&) = delete;
   ObsSpan& operator=(const ObsSpan&) = delete;
 
-  /// Ends the span early and returns its duration in microseconds (0 when
-  /// metrics are disabled or the span already finished).
-  int64_t Finish();
+  /// Ends the span early; later calls and the destructor record nothing.
+  void Finish();
 
   ~ObsSpan() { Finish(); }
 
  private:
-  const char* name_;
   Histogram* latency_us_;
   int64_t start_us_ = 0;
   bool done_ = false;

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 
+#include "common/stopwatch.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "persist/serializer.h"
@@ -12,6 +13,40 @@ namespace {
 constexpr uint64_t kSegmentMagic = 0x3147455343425243ULL;   // "CBRCSEG1"
 constexpr uint64_t kManifestMagic = 0x314e414d43425243ULL;  // "CBRCMAN1"
 constexpr uint64_t kDictMagic = 0x3154434443425243ULL;      // "CBRCDCT1"
+
+/// OK unless a string-dimension coordinate or string-metric id of the
+/// one-brick run `batch` (brick `bid`) lies past its recovered dictionary.
+Status CheckStringIds(const CubeSchema& schema, const EncodedBatch& batch,
+                      Bid bid) {
+  const size_t dims = schema.num_dimensions();
+  for (size_t d = 0; d < dims; ++d) {
+    const StringDictionary* dict = schema.dictionary(d);
+    if (dict == nullptr) continue;
+    const uint64_t known = dict->size();
+    const uint64_t base =
+        schema.RangeIndexOf(bid, d) * schema.dimensions()[d].range_size;
+    for (uint64_t offset : batch.dim_offsets[d]) {
+      if (base + offset >= known) {
+        return Status::IOError("dimension " + std::to_string(d) + " id " +
+                               std::to_string(base + offset) +
+                               " is missing from its dictionary");
+      }
+    }
+  }
+  for (size_t m = 0; m < schema.num_metrics(); ++m) {
+    const StringDictionary* dict = schema.dictionary(dims + m);
+    if (dict == nullptr) continue;
+    const uint64_t known = dict->size();
+    for (int64_t id : batch.metric_ints[m]) {
+      if (id < 0 || static_cast<uint64_t>(id) >= known) {
+        return Status::IOError("metric " + std::to_string(m) + " id " +
+                               std::to_string(id) +
+                               " is missing from its dictionary");
+      }
+    }
+  }
+  return Status::OK();
+}
 }  // namespace
 
 FlushManager::FlushManager(std::string dir, std::string cube_name)
@@ -42,24 +77,26 @@ Status FlushManager::WriteManifest(uint64_t rounds, aosi::Epoch lse) const {
   return Status::OK();
 }
 
-aosi::Epoch FlushManager::ManifestLse() const {
+Result<FlushManager::Manifest> FlushManager::ReadManifest() const {
+  std::error_code ec;
+  if (!std::filesystem::exists(ManifestPath(), ec) && !ec) return Manifest{};
   BinaryReader reader(ManifestPath());
-  if (!reader.ok()) return aosi::kNoEpoch;
   auto magic = reader.ReadU64();
-  if (!magic.ok() || *magic != kManifestMagic) return aosi::kNoEpoch;
   auto rounds = reader.ReadU64();
   auto lse = reader.ReadU64();
-  if (!rounds.ok() || !lse.ok()) return aosi::kNoEpoch;
-  return *lse;
+  if (!magic.ok() || *magic != kManifestMagic || !rounds.ok() ||
+      !lse.ok() || *rounds == 0) {
+    return Status::IOError("corrupt manifest " + ManifestPath());
+  }
+  return Manifest{*rounds, *lse};
+}
+
+aosi::Epoch FlushManager::ManifestLse() const {
+  return ReadManifest().value_or(Manifest{}).lse;
 }
 
 uint64_t FlushManager::ManifestRounds() const {
-  BinaryReader reader(ManifestPath());
-  if (!reader.ok()) return 0;
-  auto magic = reader.ReadU64();
-  if (!magic.ok() || *magic != kManifestMagic) return 0;
-  auto rounds = reader.ReadU64();
-  return rounds.ok() ? *rounds : 0;
+  return ReadManifest().value_or(Manifest{}).rounds;
 }
 
 Status FlushManager::WriteDictionaries(const CubeSchema& schema) const {
@@ -84,28 +121,27 @@ Status FlushManager::WriteDictionaries(const CubeSchema& schema) const {
 Status FlushManager::ReadDictionaries(const CubeSchema& schema) const {
   BinaryReader reader(DictPath());
   if (!reader.ok()) return Status::OK();  // no string columns ever flushed
+  const auto corrupt = [](const std::string& what) {
+    return Status::IOError("corrupt dictionary file: " + what);
+  };
   auto magic = reader.ReadU64();
-  if (!magic.ok() || *magic != kDictMagic) {
-    return Status::IOError("corrupt dictionary file");
-  }
+  if (!magic.ok() || *magic != kDictMagic) return corrupt("bad magic");
   auto cols = reader.ReadU64();
   if (!cols.ok() || *cols != schema.num_columns()) {
-    return Status::IOError("dictionary file column mismatch");
+    return corrupt("column count mismatch");
   }
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     auto n = reader.ReadU64();
-    if (!n.ok()) return n.status();
+    if (!n.ok()) return corrupt(n.status().message());
     StringDictionary* dict = schema.dictionary(c);
     if (*n > 0 && dict == nullptr) {
-      return Status::IOError("dictionary for non-string column");
+      return corrupt("dictionary for non-string column");
     }
     for (uint64_t id = 0; id < *n; ++id) {
       auto s = reader.ReadString();
-      if (!s.ok()) return s.status();
+      if (!s.ok()) return corrupt(s.status().message());
       const uint64_t assigned = dict->EncodeOrAdd(*s);
-      if (assigned != id) {
-        return Status::IOError("dictionary id mismatch during recovery");
-      }
+      if (assigned != id) return corrupt("id mismatch");
     }
   }
   return Status::OK();
@@ -126,15 +162,16 @@ Result<FlushRoundStats> FlushManager::FlushRound(Table* table,
   MutexLock lock(io_mu_);
   // Re-resolve the resume point under the lock: a concurrent round may have
   // advanced the manifest past the caller's snapshot of ManifestLse(), and
-  // re-flushing that range would duplicate rows on recovery.
-  const aosi::Epoch manifest_lse = ManifestLse();
-  if (aosi::AtOrBefore(from_lse, manifest_lse)) from_lse = manifest_lse;
+  // re-flushing that range would duplicate rows on recovery. An unreadable
+  // manifest fails the round rather than overwrite round 1.
+  auto manifest = ReadManifest();
+  if (!manifest.ok()) return manifest.status();
+  if (aosi::AtOrBefore(from_lse, manifest->lse)) from_lse = manifest->lse;
   if (aosi::AtOrBefore(to_lse, from_lse)) return FlushRoundStats{};
   obs::ObsSpan span(
-      "persist.flush",
       obs::MetricsRegistry::Global().GetHistogram("persist.flush_us"));
   const CubeSchema& schema = table->schema();
-  const uint64_t round = ManifestRounds() + 1;
+  const uint64_t round = manifest->rounds + 1;
   FlushRoundStats stats;
 
   BinaryWriter writer(SegmentPath(round));
@@ -205,35 +242,50 @@ Result<FlushRoundStats> FlushManager::FlushRound(Table* table,
 
 Result<RecoveryResult> FlushManager::Recover(Table* table) {
   MutexLock lock(io_mu_);
-  obs::ObsSpan span("persist.recover");
+  const Stopwatch clock;
+  auto manifest = ReadManifest();
+  if (!manifest.ok()) return manifest.status();
   RecoveryResult result;
-  const uint64_t rounds = ManifestRounds();
-  result.lse = ManifestLse();
-  if (rounds == 0) return result;
+  result.lse = manifest->lse;
+  if (manifest->rounds == 0) return result;
 
   const CubeSchema& schema = table->schema();
   CUBRICK_RETURN_IF_ERROR(ReadDictionaries(schema));
 
-  for (uint64_t round = 1; round <= rounds; ++round) {
+  for (uint64_t round = 1; round <= manifest->rounds; ++round) {
     BinaryReader reader(SegmentPath(round));
     if (!reader.ok()) {
       return Status::IOError("missing flush segment " + std::to_string(round));
     }
+    const auto corrupt_segment = [round](const std::string& what) {
+      return Status::IOError("corrupt flush segment " + std::to_string(round) +
+                             ": " + what);
+    };
     auto magic = reader.ReadU64();
-    if (!magic.ok() || *magic != kSegmentMagic) {
-      return Status::IOError("corrupt flush segment " + std::to_string(round));
+    auto header_round = reader.ReadU64();
+    auto from_lse = reader.ReadU64();
+    auto to_lse = reader.ReadU64();
+    if (!magic.ok() || *magic != kSegmentMagic || !header_round.ok() ||
+        *header_round != round || !from_lse.ok() || !to_lse.ok()) {
+      return corrupt_segment("bad header");
     }
-    (void)reader.ReadU64();  // round
-    (void)reader.ReadU64();  // from_lse
-    (void)reader.ReadU64();  // to_lse
+    // The manifest commits the last round's LSE, so the two must agree.
+    if (round == manifest->rounds &&
+        !aosi::SameEpoch(*to_lse, manifest->lse)) {
+      return corrupt_segment("its LSE " + std::to_string(*to_lse) +
+                             " is not the manifest's " +
+                             std::to_string(manifest->lse));
+    }
 
     while (true) {
       auto has_more = reader.ReadU8();
-      if (!has_more.ok()) return has_more.status();
+      if (!has_more.ok()) return corrupt_segment(has_more.status().message());
       if (*has_more == 0) break;
       auto bid = reader.ReadU64();
       auto num_runs = reader.ReadU64();
-      if (!bid.ok() || !num_runs.ok()) return Status::IOError("bad brick");
+      if (!bid.ok() || !num_runs.ok()) {
+        return corrupt_segment("truncated brick header");
+      }
       const auto corrupt = [round, &bid](const std::string& what) {
         return Status::IOError("corrupt flush segment " +
                                std::to_string(round) + ", brick " +
@@ -244,7 +296,14 @@ Result<RecoveryResult> FlushManager::Recover(Table* table) {
         auto epoch = reader.ReadU64();
         auto is_delete = reader.ReadU8();
         if (!epoch.ok() || !is_delete.ok()) {
-          return Status::IOError("bad run header");
+          return corrupt("truncated run header");
+        }
+        // FlushRound writes only runs of its own (from_lse, to_lse].
+        if (!aosi::InEpochRange(*epoch, *from_lse, *to_lse)) {
+          return corrupt("run epoch " + std::to_string(*epoch) +
+                         " lies outside the round's (" +
+                         std::to_string(*from_lse) + ", " +
+                         std::to_string(*to_lse) + "]");
         }
         if (*is_delete != 0) {
           const aosi::Epoch e = *epoch;
@@ -256,29 +315,31 @@ Result<RecoveryResult> FlushManager::Recover(Table* table) {
           continue;
         }
         auto n = reader.ReadU64();
-        if (!n.ok()) return n.status();
+        if (!n.ok()) return corrupt(n.status().message());
         EncodedBatch batch(schema);
         batch.num_rows = *n;
         for (size_t d = 0; d < schema.num_dimensions(); ++d) {
           auto offsets = reader.ReadVector<uint64_t>();
-          if (!offsets.ok()) return offsets.status();
+          if (!offsets.ok()) return corrupt(offsets.status().message());
           batch.dim_offsets[d] = std::move(*offsets);
         }
         for (size_t m = 0; m < schema.num_metrics(); ++m) {
           if (schema.metrics()[m].type == DataType::kDouble) {
             auto values = reader.ReadVector<double>();
-            if (!values.ok()) return values.status();
+            if (!values.ok()) return corrupt(values.status().message());
             batch.metric_doubles[m] = std::move(*values);
           } else {
             auto values = reader.ReadVector<int64_t>();
-            if (!values.ok()) return values.status();
+            if (!values.ok()) return corrupt(values.status().message());
             batch.metric_ints[m] = std::move(*values);
           }
         }
         batch.ClosePartition(*bid);
-        // A run that would trip a brick's checks must fail here, as a
-        // Status: on a shard thread it would abort or strand the append.
-        const Status valid = batch.Validate(schema);
+        // A run that would trip a brick's checks, or decode an id its
+        // dictionary lacks, must fail here as a Status: on a shard thread
+        // it would abort or strand the append, and a query would abort.
+        Status valid = batch.Validate(schema);
+        if (valid.ok()) valid = CheckStringIds(schema, batch, *bid);
         if (!valid.ok()) return corrupt(valid.message());
         CUBRICK_RETURN_IF_ERROR(
             table->Append(  // aosi-lint: allow(hold-across-blocking)
@@ -291,7 +352,7 @@ Result<RecoveryResult> FlushManager::Recover(Table* table) {
   auto& reg = obs::MetricsRegistry::Global();
   reg.GetCounter("persist.rows_recovered")->Add(result.rows_recovered);
   reg.GetCounter("persist.rounds_replayed")->Add(result.rounds_replayed);
-  reg.GetGauge("persist.last_recovery_us")->Set(span.Finish());
+  reg.GetGauge("persist.last_recovery_us")->Set(clock.ElapsedMicros());
   return result;
 }
 

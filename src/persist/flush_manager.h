@@ -65,12 +65,17 @@ class FlushManager {
 
   /// Replays all complete flush rounds into `table` (which must be empty)
   /// and returns the recovered LSE. Also restores the schema's string
-  /// dictionaries.
+  /// dictionaries. An unreadable manifest, dictionary file or segment is
+  /// an IOError, and so is a run that no flush round could have written:
+  /// one whose epoch lies outside its round's (from_lse, to_lse], or whose
+  /// string ids are missing from the recovered dictionaries.
   Result<RecoveryResult> Recover(Table* table);
 
-  /// LSE recorded in the manifest, or kNoEpoch when none exists.
+  /// LSE recorded in the manifest; kNoEpoch when there is no manifest or
+  /// it is unreadable.
   aosi::Epoch ManifestLse() const;
-  /// Number of complete rounds in the manifest.
+  /// Number of complete rounds in the manifest; 0 when there is no
+  /// manifest or it is unreadable.
   uint64_t ManifestRounds() const;
 
   const std::string& dir() const { return dir_; }
@@ -79,6 +84,15 @@ class FlushManager {
   std::string SegmentPath(uint64_t round) const;
   std::string DictPath() const;
   std::string ManifestPath() const;
+
+  struct Manifest {
+    uint64_t rounds = 0;
+    aosi::Epoch lse = aosi::kNoEpoch;
+  };
+  /// No rounds when the manifest is absent; IOError when it is present but
+  /// has a bad magic, a short body or zero rounds (WriteManifest never
+  /// writes zero rounds).
+  Result<Manifest> ReadManifest() const;
 
   /// Atomically replaces the manifest (tmp file + rename).
   Status WriteManifest(uint64_t rounds, aosi::Epoch lse) const;

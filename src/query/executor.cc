@@ -294,7 +294,7 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
 
   // Concurrency-control pass: one bitmap per brick, memoized in the
   // brick's VisibilityCache when enabled.
-  obs::ObsSpan cc_span("query.visibility", ins.visibility_us);
+  obs::ObsSpan cc_span(ins.visibility_us);
   VisibilityRef visible = VisibilityForScan(brick, snapshot, mode, use_cache);
   cc_span.Finish();
   const Bitmap* mask = &visible.bitmap();
@@ -347,7 +347,7 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
   // dense words bulk-decode 64 coordinates and run the backend's
   // compare-to-bitmask kernel (common/simd.h), sparse words enumerate set
   // bits with ctz (integer-exact, so no cross-backend concern).
-  obs::ObsSpan filter_span("query.filter", ins.filter_us);
+  obs::ObsSpan filter_span(ins.filter_us);
   const simd::Kernels& kern = simd::ActiveKernels();
   const bool simd_active = kern.backend != simd::Backend::kScalar;
   uint64_t words_simd = 0;
@@ -410,7 +410,7 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
   // in common/simd.h, so result bits are identical whichever backend runs —
   // proved by tests/simd_kernel_test.cc. Grouped folds are scalar and
   // backend-independent by construction.
-  obs::ObsSpan agg_span("query.aggregate", ins.agg_us);
+  obs::ObsSpan agg_span(ins.agg_us);
   const std::vector<MetricAccessor> accessors = ResolveAccessors(brick, query);
   const size_t num_words = mask->num_words();
   uint64_t rows_aggregated = 0;
@@ -626,7 +626,7 @@ std::vector<QueryResult> ScanMorsels(const std::vector<const Brick*>& morsels,
 
   std::atomic<size_t> next{0};
   auto scan_worker = [&](size_t w) {
-    obs::ObsSpan span("query.worker_scan", ins.worker_scan_us);
+    obs::ObsSpan span(ins.worker_scan_us);
     QueryResult* out = &partials[w];
     while (true) {
       // The brick data itself was published to the pool threads by the
@@ -651,7 +651,7 @@ QueryResult MergePartials(std::vector<QueryResult> partials,
                           size_t num_aggs) {
   if (partials.size() == 1) return std::move(partials[0]);
   const ScanInstruments& ins = Instruments();
-  obs::ObsSpan span("query.parallel_merge", ins.parallel_merge_us);
+  obs::ObsSpan span(ins.parallel_merge_us);
   QueryResult result(num_aggs);
   for (const QueryResult& partial : partials) {
     result.Merge(partial);

@@ -29,18 +29,8 @@ class MetricColumn {
     doubles_.push_back(v);
   }
 
-  /// Appends a Value of matching type; string metrics must arrive already
-  /// dictionary-encoded as int64.
-  Status AppendValue(const Value& v);
-
   int64_t GetInt64(uint64_t row) const { return ints_[row]; }
   double GetDouble(uint64_t row) const { return doubles_[row]; }
-
-  /// Numeric read for aggregation regardless of underlying type.
-  double GetAsDouble(uint64_t row) const {
-    return type_ == DataType::kDouble ? doubles_[row]
-                                      : static_cast<double>(ints_[row]);
-  }
 
   uint64_t num_records() const {
     return type_ == DataType::kDouble ? doubles_.size() : ints_.size();

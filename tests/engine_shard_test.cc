@@ -8,7 +8,6 @@
 #include <atomic>
 
 #include "aosi/epoch_vector.h"
-#include "engine/table.h"
 
 namespace cubrick {
 namespace {
@@ -96,36 +95,6 @@ TEST(ShardTest, DrainWaitsForBacklog) {
   }
   shard.Drain();
   EXPECT_EQ(done.load(std::memory_order_relaxed), 20);
-}
-
-TEST(ShardTest, CpuPinnedShardStillServes) {
-  // §V-B: shard threads may be pinned to cores. Pinning is best-effort;
-  // either way the shard must function normally.
-  Shard pinned(MakeSchema(), /*threaded=*/true, /*cpu_affinity=*/0);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 10; ++i) {
-    pinned.Enqueue([&done](BrickMap&) { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pinned.Drain();
-  EXPECT_EQ(done.load(std::memory_order_relaxed), 10);
-  // An out-of-range CPU is ignored, not fatal.
-  Shard unpinnable(MakeSchema(), /*threaded=*/true,
-                   /*cpu_affinity=*/1 << 20);
-  unpinnable.Enqueue([&done](BrickMap&) { done.fetch_add(1, std::memory_order_relaxed); }).get();
-  EXPECT_EQ(done.load(std::memory_order_relaxed), 11);
-}
-
-TEST(ShardTest, TablePinningOptionWorksEndToEnd) {
-  auto schema = MakeSchema();
-  Table table(schema, 2, /*threaded=*/true, /*rollback_index=*/false,
-              /*pin_shard_threads=*/true);
-  EncodedBatch batch(*schema);
-  batch.num_rows = 1;
-  batch.dim_offsets[0].push_back(0);
-  batch.metric_ints[0].push_back(5);
-  batch.ClosePartition(0);
-  ASSERT_TRUE(table.Append(1, std::move(batch)).ok());
-  EXPECT_EQ(table.TotalRecords(), 1u);
 }
 
 TEST(ShardTest, DestructorDrainsPendingWork) {

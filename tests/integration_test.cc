@@ -6,6 +6,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 
 #include "common/random.h"
@@ -181,6 +183,13 @@ TEST(IntegrationTest, CorruptManifestFailsRecoveryCleanly) {
     ASSERT_TRUE(db.Load("c", {{0, 1}}).ok());
     ASSERT_TRUE(db.Checkpoint().ok());
   }
+  const auto seg = dir / "c.seg.1";
+  const auto read_segment = [&seg] {
+    std::ifstream in(seg, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string flushed = read_segment();
   {
     std::ofstream f(dir / "c.manifest",
                     std::ios::binary | std::ios::trunc);
@@ -189,9 +198,12 @@ TEST(IntegrationTest, CorruptManifestFailsRecoveryCleanly) {
   Database db(options);
   ASSERT_TRUE(
       db.ExecuteDdl("CREATE CUBE c (k int CARDINALITY 4, v int)").ok());
-  // Corrupt manifest reads as "no complete rounds": clean empty recovery.
-  ASSERT_TRUE(db.Recover().ok());
-  EXPECT_EQ(db.TotalRecords(), 0u);
+  // An unreadable manifest is not "nothing flushed": recovery fails, and so
+  // does the next checkpoint, instead of writing round 1 over c.seg.1.
+  EXPECT_EQ(db.Recover().code(), StatusCode::kIOError);
+  ASSERT_TRUE(db.Load("c", {{1, 2}}).ok());
+  EXPECT_EQ(db.Checkpoint().status().code(), StatusCode::kIOError);
+  EXPECT_EQ(read_segment(), flushed);
   fs::remove_all(dir);
 }
 

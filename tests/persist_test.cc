@@ -270,55 +270,62 @@ class CorruptSegmentTest : public PersistTest {
   // Byte layout of c.seg.1 up to the first run's first dimension column:
   // four u64 header fields, has-more (u8), bid, run count and epoch (u64
   // each), is-delete (u8) and the run's row count (u64); then the column's
-  // u64 length prefix and its values.
-  static constexpr size_t kDimLengthAt = 4 * 8 + 1 + 3 * 8 + 1 + 8;
+  // u64 length prefix and its values. The metric column follows the same
+  // way.
+  static constexpr size_t kEpochAt = 4 * 8 + 1 + 2 * 8;
+  static constexpr size_t kDimLengthAt = kEpochAt + 8 + 1 + 8;
   static constexpr size_t kDimValuesAt = kDimLengthAt + 8;
+  static constexpr size_t kMetricValuesAt = kDimValuesAt + 4 * 8 + 8;
 
   /// Checkpoints one brick of cube `c` (four rows, dimension range size 4),
-  /// then lets `corrupt` rewrite the bytes of its only segment.
-  void CheckpointThenCorrupt(const std::function<void(std::string*)>& corrupt) {
+  /// then lets `corrupt` rewrite the bytes of `file`.
+  void CheckpointThenCorrupt(const std::function<void(std::string*)>& corrupt,
+                             const std::string& file = "c.seg.1") {
     {
       Database db(Options());
-      ASSERT_TRUE(db.ExecuteDdl("CREATE CUBE c (k int CARDINALITY 16 RANGE 4, "
-                                "v int)")
-                      .ok());
-      ASSERT_TRUE(db.Load("c", {{0, 1}, {1, 2}, {2, 3}, {3, 4}}).ok());
+      ASSERT_TRUE(db.ExecuteDdl(ddl_).ok());
+      ASSERT_TRUE(db.Load("c", rows_).ok());
       ASSERT_TRUE(db.Checkpoint().ok());
     }
-    const fs::path segment = dir_ / "c.seg.1";
-    std::ifstream in(segment, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
-    ASSERT_GT(bytes.size(), kDimValuesAt + 4 * 8);
+    const std::string segment = ReadFile("c.seg.1");
+    ASSERT_GT(segment.size(), kMetricValuesAt + 4 * 8);
     uint64_t rows = 0;
-    std::memcpy(&rows, bytes.data() + kDimLengthAt, sizeof(rows));
+    std::memcpy(&rows, segment.data() + kDimLengthAt, sizeof(rows));
     ASSERT_EQ(rows, 4u);  // the layout above still holds
+    std::string bytes = ReadFile(file);
     corrupt(&bytes);
-    std::ofstream out(segment, std::ios::binary | std::ios::trunc);
+    std::ofstream out(dir_ / file, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  std::string ReadFile(const std::string& file) const {
+    std::ifstream in(dir_ / file, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
   }
 
   static void PutU64(std::string* bytes, size_t at, uint64_t v) {
     std::memcpy(bytes->data() + at, &v, sizeof(v));
   }
 
-  /// Recovers the corrupt segment with inline and with threaded shards.
-  void ExpectIOErrorInBothShardModes() {
+  /// Recovers the corrupt files with inline and with threaded shards.
+  void ExpectIOErrorInBothShardModes(
+      const std::string& where = "segment 1, brick 0") {
     for (bool threaded : {false, true}) {
       DatabaseOptions opts = Options();
       opts.threaded_shards = threaded;
       Database db(opts);
-      ASSERT_TRUE(
-          db.ExecuteDdl("CREATE CUBE c (k int CARDINALITY 16 RANGE 4, v int)")
-              .ok());
+      ASSERT_TRUE(db.ExecuteDdl(ddl_).ok());
       const Status status = db.Recover();
       EXPECT_EQ(status.code(), StatusCode::kIOError)
           << "threaded=" << threaded << ": " << status.ToString();
-      EXPECT_NE(status.message().find("segment 1, brick 0"), std::string::npos)
+      EXPECT_NE(status.message().find(where), std::string::npos)
           << status.ToString();
     }
   }
+
+  std::string ddl_ = "CREATE CUBE c (k int CARDINALITY 16 RANGE 4, v int)";
+  std::vector<Record> rows_ = {{0, 1}, {1, 2}, {2, 3}, {3, 4}};
 };
 
 TEST_F(CorruptSegmentTest, DimensionOffsetOutsideRangeIsIOError) {
@@ -333,6 +340,40 @@ TEST_F(CorruptSegmentTest, DroppedDimensionEntryIsIOError) {
     bytes->erase(kDimValuesAt, 8);
   });
   ExpectIOErrorInBothShardModes();
+}
+
+TEST_F(CorruptSegmentTest, EpochOutsideRoundIsIOError) {
+  CheckpointThenCorrupt([](std::string* bytes) { PutU64(bytes, kEpochAt, 0); });
+  ExpectIOErrorInBothShardModes();
+}
+
+TEST_F(CorruptSegmentTest, StringIdMissingFromDictionaryIsIOError) {
+  ddl_ = "CREATE CUBE c (k string CARDINALITY 16 RANGE 4, tag string)";
+  rows_ = {{"a", "x"}, {"b", "x"}, {"a", "x"}, {"b", "x"}};
+  // Id 3 lies inside brick 0 and inside the column's cardinality, but
+  // past k's two dictionary entries and tag's one.
+  for (size_t at : {kDimValuesAt, kMetricValuesAt}) {
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    CheckpointThenCorrupt([at](std::string* bytes) { PutU64(bytes, at, 3); });
+    ExpectIOErrorInBothShardModes();
+  }
+}
+
+TEST_F(CorruptSegmentTest, ColumnLengthPastEndOfFileIsIOError) {
+  CheckpointThenCorrupt(
+      [](std::string* bytes) { (*bytes)[kDimLengthAt + 7] ^= 0x40; });
+  ExpectIOErrorInBothShardModes();
+}
+
+TEST_F(CorruptSegmentTest, DictionaryStringLengthPastEndOfFileIsIOError) {
+  ddl_ = "CREATE CUBE c (k string CARDINALITY 16 RANGE 4, v int)";
+  rows_ = {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}};
+  // c.dict: magic, column count, k's entry count, then k's first string's
+  // u64 length.
+  CheckpointThenCorrupt(
+      [](std::string* bytes) { (*bytes)[3 * 8 + 7] ^= 0x40; }, "c.dict");
+  ExpectIOErrorInBothShardModes("dictionary");
 }
 
 TEST_F(PersistTest, CheckpointSkipsWhenNothingNew) {
