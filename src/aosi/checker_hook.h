@@ -104,13 +104,6 @@ class CheckerHook {
   /// live snapshot's horizon means purge may destroy history that snapshot
   /// still distinguishes ("lost remote-horizon advancement").
   virtual void OnLseAdvance(Epoch lse) = 0;
-
-  /// A remote begin arrived for an epoch the local LCE had already passed.
-  /// `rejected` tells the two paths apart: RegisterRemoteBegin refused the
-  /// registration (the cluster layer aborts and redraws — detected and
-  /// averted), while the legacy NoteRemoteBegin silently dropped it (a
-  /// genuine lost-horizon hazard the checker flags as a violation).
-  virtual void OnStaleRemoteBegin(Epoch epoch, Epoch lce, bool rejected) = 0;
 };
 
 namespace internal {

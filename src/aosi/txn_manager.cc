@@ -175,60 +175,26 @@ bool TxnManager::RegisterRemoteHorizon(Epoch epoch, Epoch horizon) {
   return true;
 }
 
-void TxnManager::NoteRemoteBegin(Epoch epoch) {
-  Epoch lce_at_drop = kNoEpoch;
-  bool dropped = false;
-  {
-    MutexLock lock(mutex_);
-    if (AtOrBefore(epoch, lce_)) {
-      // Already passed; stale message. Dropping it silently is the
-      // lost-horizon hazard the online checker flags — the cluster layer
-      // uses RegisterRemoteBegin (reject + coordinator redraw) instead.
-      dropped = true;
-      lce_at_drop = lce_;
-    } else {
-      const auto [it, inserted] = tracked_.emplace(epoch, TrackedTxn{});
-      if (inserted) {
-        ++num_pending_;
-        PublishGaugesLocked();
-      }
-    }
-  }
-  if (dropped) {
-    if (CheckerHook* hook = GetCheckerHook()) {
-      hook->OnStaleRemoteBegin(epoch, lce_at_drop, /*rejected=*/false);
-    }
-  }
-}
-
 bool TxnManager::RegisterRemoteBegin(Epoch epoch, EpochSet* pending) {
-  Epoch lce_at_reject = kNoEpoch;
-  {
-    MutexLock lock(mutex_);
-    if (AtOrBefore(epoch, lce_)) {
-      // The LCE walk skips unallocated epoch gaps, so it may already have
-      // passed an epoch whose begin broadcast was still in flight.
-      // Accepting (or silently dropping) the registration now would let
-      // snapshots pinned at this LCE see the transaction's later writes;
-      // refuse instead and make the coordinator redraw.
-      lce_at_reject = lce_;
-      metrics_.begin_rejects->Add();
-    } else {
-      const auto [it, inserted] = tracked_.emplace(epoch, TrackedTxn{});
-      if (inserted) ++num_pending_;
-      for (const auto& [e, info] : tracked_) {
-        if (info.state == TxnState::kPending && !SameEpoch(e, epoch)) {
-          pending->Insert(e);
-        }
-      }
-      PublishGaugesLocked();
-      return true;
+  MutexLock lock(mutex_);
+  if (AtOrBefore(epoch, lce_)) {
+    // The LCE walk skips unallocated epoch gaps, so it may already have
+    // passed an epoch whose begin broadcast was still in flight.
+    // Accepting (or silently dropping) the registration now would let
+    // snapshots pinned at this LCE see the transaction's later writes;
+    // refuse instead and make the coordinator redraw.
+    metrics_.begin_rejects->Add();
+    return false;
+  }
+  const auto [it, inserted] = tracked_.emplace(epoch, TrackedTxn{});
+  if (inserted) ++num_pending_;
+  for (const auto& [e, info] : tracked_) {
+    if (info.state == TxnState::kPending && !SameEpoch(e, epoch)) {
+      pending->Insert(e);
     }
   }
-  if (CheckerHook* hook = GetCheckerHook()) {
-    hook->OnStaleRemoteBegin(epoch, lce_at_reject, /*rejected=*/true);
-  }
-  return false;
+  PublishGaugesLocked();
+  return true;
 }
 
 void TxnManager::NoteRemoteFinish(Epoch epoch, bool committed) {

@@ -79,9 +79,6 @@ class TxnManager {
   /// Lamport clock observation from an incoming message.
   void ObserveClock(Epoch remote_ec) { clock_.Observe(remote_ec); }
 
-  /// Registers a RW transaction started on a remote node.
-  void NoteRemoteBegin(Epoch epoch) EXCLUDES(mutex_);
-
   /// Atomic begin-broadcast handler: registers the remote RW transaction
   /// AND snapshots this node's pendingTxs into `pending` under one lock
   /// acquisition. Returns false — registering nothing, leaving `pending`
@@ -91,8 +88,7 @@ class TxnManager {
   /// LCE (the non-repeatable-snapshot race behind the PR-5 check_si
   /// cluster flake). The coordinator must abort the draft epoch and
   /// redraw (cluster::Cluster::BeginReadWrite). Increments
-  /// aosi.txn.begin_rejects and fires the stale-begin checker hook on
-  /// rejection.
+  /// aosi.txn.begin_rejects on rejection.
   bool RegisterRemoteBegin(Epoch epoch, EpochSet* pending) EXCLUDES(mutex_);
 
   /// Registers a remote RW transaction's purge horizon so this node's

@@ -53,48 +53,4 @@ Bitmap BuildReadUncommittedBitmap(const EpochVector& history) {
   return Bitmap(history.num_records(), true);
 }
 
-bool AnyVisible(const EpochVector& history, const Snapshot& snapshot) {
-  // Run-granular early exit: no bitmap is ever allocated. A run contributes
-  // a visible record iff its transaction is in-snapshot and the delete-
-  // cleanup rule (ApplyDeleteCleanup) leaves part of it standing, which is
-  // decidable per run against the set of visible delete markers.
-  if (history.num_records() == 0) return false;
-  if (!history.HasDelete()) {
-    for (const auto& entry : history.entries()) {
-      if (!entry.is_delete() && snapshot.Sees(entry.epoch)) return true;
-    }
-    return false;
-  }
-  const auto runs = history.Decode();
-  struct VisibleDelete {
-    Epoch k;
-    uint64_t point;
-  };
-  std::vector<VisibleDelete> deletes;
-  for (const auto& run : runs) {
-    if (run.is_delete && snapshot.Sees(run.epoch)) {
-      deletes.push_back({run.epoch, run.begin});
-    }
-  }
-  for (const auto& run : runs) {
-    if (run.is_delete || !snapshot.Sees(run.epoch)) continue;
-    // Mirror of ApplyDeleteCleanup: a delete by k wipes earlier
-    // transactions' runs entirely and k's own records before its point.
-    bool wiped = false;
-    uint64_t cleared_to = run.begin;
-    for (const auto& del : deletes) {
-      if (HappensBefore(run.epoch, del.k)) {
-        wiped = true;
-        break;
-      }
-      if (SameEpoch(run.epoch, del.k)) {
-        const uint64_t upto = del.point < run.end ? del.point : run.end;
-        if (upto > cleared_to) cleared_to = upto;
-      }
-    }
-    if (!wiped && cleared_to < run.end) return true;
-  }
-  return false;
-}
-
 }  // namespace cubrick::aosi

@@ -39,8 +39,4 @@ void ApplyDeleteCleanup(const std::vector<EpochRun>& runs, Epoch k,
 /// (§VI-B).
 Bitmap BuildReadUncommittedBitmap(const EpochVector& history);
 
-/// Returns true when the partition has at least one record visible to
-/// `snapshot` — lets scans skip bitmap construction for dead partitions.
-bool AnyVisible(const EpochVector& history, const Snapshot& snapshot);
-
 }  // namespace cubrick::aosi

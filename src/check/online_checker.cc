@@ -128,7 +128,6 @@ OnlineChecker::OnlineChecker(OnlineCheckerOptions options)
       reg.GetCounter("check.online.missing_visible"),
       reg.GetCounter("check.online.non_repeatable"),
       reg.GetCounter("check.online.lost_horizon"),
-      reg.GetCounter("check.online.stale_begins"),
       reg.GetCounter("check.online.truncated"),
       reg.GetGauge("check.online.validation_lag"),
   };
@@ -139,7 +138,7 @@ OnlineChecker::~OnlineChecker() { Uninstall(); }
 void OnlineChecker::Install() {
   aosi::SetCheckerHook(this);
   installed_ = true;
-  if (options_.background_validation && !validator_thread_.joinable()) {
+  if (!validator_thread_.joinable()) {
     {
       MutexLock lock(validator_mutex_);
       stop_validator_ = false;
@@ -181,8 +180,8 @@ void OnlineChecker::OnBegin(const aosi::Txn& txn) {
   // genuinely pending epoch keeps every node's LCE — and therefore LSE —
   // below itself; the one way a dep ends up under an established LSE is a
   // stale draft epoch from a desynced coordinator clock, which peers
-  // reject and which aborts having written nothing (checker_hook.h,
-  // OnStaleRemoteBegin). Pinning on such a dep would make every later
+  // reject (TxnManager::RegisterRemoteBegin) and which aborts having
+  // written nothing. Pinning on such a dep would make every later
   // republication of the pre-existing LSE look like a violation.
   aosi::Epoch min_live_dep = aosi::kNoEpoch;
   for (aosi::Epoch d : txn.deps) {
@@ -278,17 +277,6 @@ void OnlineChecker::OnLseAdvance(aosi::Epoch lse) {
       }
     }
   }
-}
-
-void OnlineChecker::OnStaleRemoteBegin(aosi::Epoch epoch, aosi::Epoch lce,
-                                       bool rejected) {
-  metrics_.stale_begins->Add();
-  if (rejected) return;  // refused and redrawn by the cluster layer: averted
-  std::ostringstream oss;
-  oss << "remote begin epoch=" << epoch
-      << " silently dropped after LCE=" << lce
-      << " passed it; snapshots pinned at that LCE can see its later writes";
-  RecordViolation(ViolationRecord::Kind::kLostHorizon, oss.str());
 }
 
 void OnlineChecker::ValidatorLoop() {

@@ -18,9 +18,8 @@
 //   non_repeatable   — the same (snapshot, brick, history version) was
 //                      observed twice with different visible totals.
 //   lost_horizon     — LSE advanced past a live sampled snapshot's
-//                      horizon, or a remote begin was silently dropped
-//                      (NoteRemoteBegin) after LCE passed it — either way
-//                      purge may destroy history a snapshot still needs.
+//                      horizon, so purge may destroy history the snapshot
+//                      still needs.
 //
 // Everything publishes into the obs metrics registry under check.online.*
 // and the "check.validate" trace span; see docs/OBSERVABILITY.md.
@@ -55,9 +54,6 @@ struct OnlineCheckerOptions {
   /// Violation descriptions retained for inspection (counters are exact
   /// regardless).
   size_t max_violations = 64;
-  /// Spawn the background validator thread on Install(). Tests that want
-  /// deterministic validation points disable this and call DrainForTest().
-  bool background_validation = true;
 };
 
 struct ViolationRecord {
@@ -135,8 +131,8 @@ class OnlineChecker : public aosi::CheckerHook {
   OnlineChecker(const OnlineChecker&) = delete;
   OnlineChecker& operator=(const OnlineChecker&) = delete;
 
-  /// Registers this checker as the process-wide hook and (by default)
-  /// starts the background validator.
+  /// Registers this checker as the process-wide hook and starts the
+  /// background validator.
   void Install();
 
   /// Removes the hook, stops the validator and drains the ring so every
@@ -150,8 +146,6 @@ class OnlineChecker : public aosi::CheckerHook {
   void OnFinish(const aosi::Txn& txn, bool committed) override;
   void OnScanObservation(const aosi::ScanObservation& obs) override;
   void OnLseAdvance(aosi::Epoch lse) override;
-  void OnStaleRemoteBegin(aosi::Epoch epoch, aosi::Epoch lce,
-                          bool rejected) override;
 
   // --- Results -------------------------------------------------------------
 
@@ -181,7 +175,6 @@ class OnlineChecker : public aosi::CheckerHook {
     obs::Counter* missing_visible;
     obs::Counter* non_repeatable;
     obs::Counter* lost_horizon;
-    obs::Counter* stale_begins;
     obs::Counter* truncated;
     obs::Gauge* validation_lag;
   };

@@ -387,11 +387,23 @@ uint32_t Cluster::PreferredOwner(Bid bid) const {
   for (uint32_t owner : owners) {
     if (nodes_[owner - 1]->online()) return owner;
   }
-  return owners.front();  // everything offline: scan will fail anyway
+  // Every owner offline. Query refuses outages of replication_factor
+  // nodes up front, so only a node that fails mid-query gets here.
+  return owners.front();
 }
 
 Result<QueryResult> Cluster::Query(DistTxn* dist, const std::string& cube,
                                    const cubrick::Query& query, ScanMode mode) {
+  // Fewer offline nodes than replicas leave every brick an online owner;
+  // with as many offline, some brick may have none, and skipping it would
+  // return a silently partial answer.
+  size_t offline = 0;
+  for (const auto& n : nodes_) offline += n->online() ? 0 : 1;
+  if (offline >= options_.replication_factor) {
+    return Status::Unavailable(std::to_string(offline) +
+                               " node(s) offline with replication factor " +
+                               std::to_string(options_.replication_factor));
+  }
   QueryResult merged(query.aggs.size());
   for (uint32_t o = 1; o <= options_.num_nodes; ++o) {
     if (!node(o).online()) continue;  // replicas answer for its bricks

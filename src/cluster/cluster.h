@@ -125,7 +125,9 @@ class Cluster {
   Status DeleteWhere(DistTxn* txn, const std::string& cube,
                      const std::vector<FilterClause>& filters);
 
-  /// Scatter-gather scan in the context of an open transaction.
+  /// Scatter-gather scan in the context of an open transaction. Fails with
+  /// Unavailable when replication_factor or more nodes are offline: some
+  /// brick may then have no online owner to answer for it.
   Result<QueryResult> Query(DistTxn* txn, const std::string& cube,
                             const cubrick::Query& query,
                             ScanMode mode = ScanMode::kSnapshotIsolation);

@@ -11,9 +11,8 @@ ClusterNode::ClusterNode(uint32_t node_idx, uint32_t num_nodes,
 
 ClusterNode::BeginBroadcastResult ClusterNode::HandleBeginBroadcast(
     aosi::Epoch epoch) {
-  // Registration and the pendingTxs snapshot must be one atomic step: a
-  // separate PendingTxs() + NoteRemoteBegin() pair leaves a window where
-  // the local LCE walks past `epoch` between the two calls.
+  // Registration and the pendingTxs snapshot must be one atomic step: done
+  // as two calls, the local LCE could walk past `epoch` between them.
   BeginBroadcastResult result;
   result.accepted = txns().RegisterRemoteBegin(epoch, &result.pending);
   return result;

@@ -54,11 +54,6 @@ void Bitmap::ClearRange(size_t begin, size_t end) {
   words_[last_word] &= ~last_mask;
 }
 
-void Bitmap::SetAll() {
-  for (auto& w : words_) w = kAllOnes;
-  ClearTrailingBits();
-}
-
 size_t Bitmap::CountSet() const {
   return simd::ActiveKernels().count_bits(words_.data(), words_.size());
 }
@@ -94,24 +89,6 @@ bool Bitmap::None() const {
 
 bool Bitmap::All() const { return CountSet() == size_; }
 
-void Bitmap::And(const Bitmap& other) {
-  CUBRICK_CHECK(size_ == other.size_);
-  simd::ActiveKernels().and_words(words_.data(), other.words_.data(),
-                                  words_.size());
-}
-
-void Bitmap::Or(const Bitmap& other) {
-  CUBRICK_CHECK(size_ == other.size_);
-  simd::ActiveKernels().or_words(words_.data(), other.words_.data(),
-                                 words_.size());
-}
-
-void Bitmap::AndNot(const Bitmap& other) {
-  CUBRICK_CHECK(size_ == other.size_);
-  simd::ActiveKernels().andnot_words(words_.data(), other.words_.data(),
-                                     words_.size());
-}
-
 size_t Bitmap::FindNextSet(size_t from) const {
   if (from >= size_) return size_;
   size_t word_idx = from >> 6;
@@ -126,18 +103,6 @@ size_t Bitmap::FindNextSet(size_t from) const {
     if (word_idx >= words_.size()) return size_;
     word = words_[word_idx];
   }
-}
-
-void Bitmap::Resize(size_t new_size) {
-  // Shrinking must drop stale bits so a later grow sees zeros.
-  if (new_size < size_) {
-    size_ = new_size;
-    words_.resize(WordsFor(new_size));
-    ClearTrailingBits();
-    return;
-  }
-  size_ = new_size;
-  words_.resize(WordsFor(new_size), 0ULL);
 }
 
 std::string Bitmap::ToString() const {

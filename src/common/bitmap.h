@@ -37,23 +37,11 @@ class Bitmap {
   /// Clears bit `i`. Precondition: i < size().
   void Clear(size_t i) { words_[i >> 6] &= ~(1ULL << (i & 63)); }
 
-  /// Assigns bit `i`. Precondition: i < size().
-  void Assign(size_t i, bool value) {
-    if (value) {
-      Set(i);
-    } else {
-      Clear(i);
-    }
-  }
-
   /// Sets all bits in [begin, end) to 1. Preconditions: begin <= end <= size.
   void SetRange(size_t begin, size_t end);
 
   /// Clears all bits in [begin, end).
   void ClearRange(size_t begin, size_t end);
-
-  /// Sets every bit.
-  void SetAll();
 
   /// Number of set bits.
   size_t CountSet() const;
@@ -65,12 +53,6 @@ class Bitmap {
   bool None() const;
   /// True when every bit is set.
   bool All() const;
-
-  /// In-place intersection / union. Both bitmaps must have equal size.
-  void And(const Bitmap& other);
-  void Or(const Bitmap& other);
-  /// In-place `this &= ~other`.
-  void AndNot(const Bitmap& other);
 
   /// Index of the first set bit at or after `from`, or size() if none.
   size_t FindNextSet(size_t from) const;
@@ -106,9 +88,6 @@ class Bitmap {
       }
     }
   }
-
-  /// Grows the bitmap to `new_size` bits; new bits are zero.
-  void Resize(size_t new_size);
 
   /// Renders as a left-to-right '0'/'1' string (bit 0 first), as used in the
   /// paper's Table III.

@@ -110,18 +110,6 @@ void FoldDoubleScalar(const double* v, size_t n, double* sum, double* min,
   *max = hi;
 }
 
-void AndWordsScalar(uint64_t* dst, const uint64_t* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] &= src[i];
-}
-
-void OrWordsScalar(uint64_t* dst, const uint64_t* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] |= src[i];
-}
-
-void AndNotWordsScalar(uint64_t* dst, const uint64_t* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] &= ~src[i];
-}
-
 size_t CountBitsScalar(const uint64_t* words, size_t n) {
   size_t count = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -132,8 +120,7 @@ size_t CountBitsScalar(const uint64_t* words, size_t n) {
 
 constexpr Kernels kScalarKernels = {
     Backend::kScalar, FilterEqScalar,   FilterRangeScalar, FilterInScalar,
-    FoldInt64Scalar,  FoldDoubleScalar, AndWordsScalar,    OrWordsScalar,
-    AndNotWordsScalar, CountBitsScalar,
+    FoldInt64Scalar,  FoldDoubleScalar, CountBitsScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -270,52 +257,6 @@ __attribute__((target("avx2"))) void FoldDoubleAvx2(const double* v, size_t n,
   *max = hi_out;
 }
 
-__attribute__((target("avx2"))) void AndWordsAvx2(uint64_t* dst,
-                                                  const uint64_t* src,
-                                                  size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_and_si256(a, b));
-  }
-  for (; i < n; ++i) dst[i] &= src[i];
-}
-
-__attribute__((target("avx2"))) void OrWordsAvx2(uint64_t* dst,
-                                                 const uint64_t* src,
-                                                 size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_or_si256(a, b));
-  }
-  for (; i < n; ++i) dst[i] |= src[i];
-}
-
-__attribute__((target("avx2"))) void AndNotWordsAvx2(uint64_t* dst,
-                                                     const uint64_t* src,
-                                                     size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    // andnot(b, a) = ~b & a = a & ~b.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_andnot_si256(b, a));
-  }
-  for (; i < n; ++i) dst[i] &= ~src[i];
-}
-
 // Positional popcount via the pshufb nibble LUT (Mula); the per-iteration
 // SAD collapse keeps byte counters from ever saturating.
 __attribute__((target("avx2"))) size_t CountBitsAvx2(const uint64_t* words,
@@ -347,9 +288,8 @@ __attribute__((target("avx2"))) size_t CountBitsAvx2(const uint64_t* words,
 }
 
 constexpr Kernels kAvx2Kernels = {
-    Backend::kAvx2,  FilterEqAvx2,   FilterRangeAvx2, FilterInAvx2,
-    FoldInt64Avx2,   FoldDoubleAvx2, AndWordsAvx2,    OrWordsAvx2,
-    AndNotWordsAvx2, CountBitsAvx2,
+    Backend::kAvx2, FilterEqAvx2,   FilterRangeAvx2, FilterInAvx2,
+    FoldInt64Avx2,  FoldDoubleAvx2, CountBitsAvx2,
 };
 
 #endif  // CUBRICK_SIMD_HAVE_AVX2
@@ -479,31 +419,6 @@ void FoldDoubleNeon(const double* v, size_t n, double* sum, double* min,
   *max = hi_out;
 }
 
-void AndWordsNeon(uint64_t* dst, const uint64_t* src, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(dst + i, vandq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-  }
-  for (; i < n; ++i) dst[i] &= src[i];
-}
-
-void OrWordsNeon(uint64_t* dst, const uint64_t* src, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(dst + i, vorrq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-  }
-  for (; i < n; ++i) dst[i] |= src[i];
-}
-
-void AndNotWordsNeon(uint64_t* dst, const uint64_t* src, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    // vbicq(a, b) = a & ~b.
-    vst1q_u64(dst + i, vbicq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-  }
-  for (; i < n; ++i) dst[i] &= ~src[i];
-}
-
 size_t CountBitsNeon(const uint64_t* words, size_t n) {
   size_t count = 0;
   size_t i = 0;
@@ -519,9 +434,8 @@ size_t CountBitsNeon(const uint64_t* words, size_t n) {
 }
 
 constexpr Kernels kNeonKernels = {
-    Backend::kNeon,  FilterEqNeon,   FilterRangeNeon, FilterInNeon,
-    FoldInt64Neon,   FoldDoubleNeon, AndWordsNeon,    OrWordsNeon,
-    AndNotWordsNeon, CountBitsNeon,
+    Backend::kNeon, FilterEqNeon,   FilterRangeNeon, FilterInNeon,
+    FoldInt64Neon,  FoldDoubleNeon, CountBitsNeon,
 };
 
 #endif  // CUBRICK_SIMD_HAVE_NEON

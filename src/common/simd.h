@@ -1,8 +1,9 @@
 // Portable SIMD layer for the scan kernels (DESIGN.md §4e).
 //
-// The word-wise scan kernels (executor filter/fold passes, Bitmap word ops)
-// call through the function table returned by ActiveKernels() instead of
-// open-coding loops. Three backends implement the table:
+// The word-wise scan kernels (executor filter/fold passes) and
+// Bitmap::CountSet call through the function table returned by
+// ActiveKernels() instead of open-coding loops. Three backends implement the
+// table:
 //
 //   * kScalar — plain C++, always compiled, always correct. The reference
 //     the differential tests compare every other backend against.
@@ -40,8 +41,8 @@
 //     `if (v < min) min = v` row loop) and -0.0/+0.0 ties resolve
 //     identically on every backend.
 //
-// Filter masks and bitmap word ops are integer-exact, so they carry no
-// order contract beyond "same bits".
+// Filter masks and popcounts are integer-exact, so they carry no order
+// contract beyond "same bits".
 //
 // Blind spots (documented, DESIGN.md §4e): no AVX-512 or SVE backends; the
 // dispatch is process-global (per-query backend mixing is not supported —
@@ -83,10 +84,6 @@ struct Kernels {
   void (*fold_double)(const double* v, size_t n, double* sum, double* min,
                       double* max);
 
-  /// dst[i] &= src[i] / |= / &= ~ for i in [0, n).
-  void (*and_words)(uint64_t* dst, const uint64_t* src, size_t n);
-  void (*or_words)(uint64_t* dst, const uint64_t* src, size_t n);
-  void (*andnot_words)(uint64_t* dst, const uint64_t* src, size_t n);
   /// Total population count of words[0..n).
   size_t (*count_bits)(const uint64_t* words, size_t n);
 };

@@ -1,7 +1,11 @@
 // Extraction of append runs / delete markers in an epoch range, in the
-// brick's physical order — the building block for incremental flush rounds
-// and for replica catch-up after a node recovers (§III-D: "data from LSE
-// onwards can be retrieved from the replica nodes").
+// brick's physical order, and their replay — the one code path that turns
+// a brick's runs into batches and back (§III-D). Flush rounds stream each
+// brick's runs through SelectBrickRuns and DecodeRun, and recovery replays
+// what it reads back through ReplayExtracted (persist/flush_manager.cc);
+// replica catch-up after a node recovers uses ExtractTableRuns and
+// ReplayExtracted directly ("data from LSE onwards can be retrieved from
+// the replica nodes").
 
 #pragma once
 
@@ -28,9 +32,23 @@ struct ExtractedBrick {
   std::vector<ExtractedRun> runs;
 };
 
+/// One brick's runs with epoch in (from_exclusive, to_inclusive], in
+/// physical order.
+std::vector<aosi::EpochRun> SelectBrickRuns(const Brick& brick,
+                                            aosi::Epoch from_exclusive,
+                                            aosi::Epoch to_inclusive);
+
+/// Overwrites `batch` with append run `run`'s rows as one partition, the
+/// brick's. A batch reused across runs keeps its column buffers, so a
+/// caller that streams a brick's runs one at a time (a flush round)
+/// allocates per brick, not per run and column.
+void DecodeRun(const Brick& brick, const aosi::EpochRun& run,
+               EncodedBatch* batch);
+
 /// Copies one brick's runs with epoch in (from_exclusive, to_inclusive]
-/// into row batches, preserving physical order. Returns an empty runs list
-/// when the brick holds nothing in range.
+/// into row batches, preserving physical order: SelectBrickRuns, then
+/// DecodeRun into a batch per run. Returns an empty runs list when the
+/// brick holds nothing in range.
 ExtractedBrick ExtractBrickRuns(const Brick& brick,
                                 aosi::Epoch from_exclusive,
                                 aosi::Epoch to_inclusive);

@@ -3,6 +3,7 @@
 #include <filesystem>
 
 #include "common/stopwatch.h"
+#include "engine/run_extract.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "persist/serializer.h"
@@ -181,48 +182,37 @@ Result<FlushRoundStats> FlushManager::FlushRound(Table* table,
   writer.WriteU64(to_lse);
 
   // Bricks are written as they are visited; the count is unknown upfront,
-  // so each brick block is prefixed with a has-more flag. io_mu_ is held
-  // across the shard-queue round on purpose: it serializes whole flush
-  // rounds against each other and is never taken on a lookup or query path,
-  // so a blocked holder stalls only other maintenance.
+  // so each brick block is prefixed with a has-more flag. Runs are decoded
+  // one at a time into one reused batch. io_mu_ is held across the
+  // shard-queue round on purpose: it serializes whole flush rounds against
+  // each other and is never taken on a lookup or query path, so a blocked
+  // holder stalls only other maintenance.
+  EncodedBatch batch(schema);
   table->VisitBricks([&](const Brick& brick) {  // aosi-lint: allow(hold-across-blocking)
-    // Select runs in (from_lse, to_lse], preserving physical order.
-    std::vector<aosi::EpochRun> selected;
-    for (const auto& run : brick.history().Decode()) {
-      if (aosi::InEpochRange(run.epoch, from_lse, to_lse)) {
-        selected.push_back(run);
-      }
-    }
-    if (selected.empty()) return;
+    const auto runs = SelectBrickRuns(brick, from_lse, to_lse);
+    if (runs.empty()) return;
     ++stats.bricks_touched;
     writer.WriteU8(1);  // has-more
     writer.WriteU64(brick.bid());
-    writer.WriteU64(selected.size());
-    for (const auto& run : selected) {
+    writer.WriteU64(runs.size());
+    for (const auto& run : runs) {
       writer.WriteU64(run.epoch);
       writer.WriteU8(run.is_delete ? 1 : 0);
       if (run.is_delete) {
         ++stats.delete_markers_written;
         continue;
       }
-      const uint64_t n = run.end - run.begin;
-      writer.WriteU64(n);
-      stats.rows_written += n;
-      for (size_t d = 0; d < schema.num_dimensions(); ++d) {
-        std::vector<uint64_t> offsets(n);
-        brick.bess().DecodeDim(run.begin, n, d, offsets.data());
+      DecodeRun(brick, run, &batch);
+      writer.WriteU64(batch.num_rows);
+      stats.rows_written += batch.num_rows;
+      for (const auto& offsets : batch.dim_offsets) {
         writer.WriteVector(offsets);
       }
       for (size_t m = 0; m < schema.num_metrics(); ++m) {
-        const MetricColumn& col = brick.metric(m);
-        if (col.type() == DataType::kDouble) {
-          std::vector<double> values(col.doubles().begin() + run.begin,
-                                     col.doubles().begin() + run.end);
-          writer.WriteVector(values);
+        if (schema.metrics()[m].type == DataType::kDouble) {
+          writer.WriteVector(batch.metric_doubles[m]);
         } else {
-          std::vector<int64_t> values(col.ints().begin() + run.begin,
-                                      col.ints().begin() + run.end);
-          writer.WriteVector(values);
+          writer.WriteVector(batch.metric_ints[m]);
         }
       }
     }
@@ -277,6 +267,8 @@ Result<RecoveryResult> FlushManager::Recover(Table* table) {
                              std::to_string(manifest->lse));
     }
 
+    // The whole round is read and checked before any of it is applied.
+    std::vector<ExtractedBrick> bricks;
     while (true) {
       auto has_more = reader.ReadU8();
       if (!has_more.ok()) return corrupt_segment(has_more.status().message());
@@ -292,6 +284,8 @@ Result<RecoveryResult> FlushManager::Recover(Table* table) {
                                std::to_string(*bid) + ": " + what);
       };
       if (!schema.IsValidBid(*bid)) return corrupt("bid names no brick");
+      ExtractedBrick& brick = bricks.emplace_back();
+      brick.bid = *bid;
       for (uint64_t r = 0; r < *num_runs; ++r) {
         auto epoch = reader.ReadU64();
         auto is_delete = reader.ReadU8();
@@ -305,18 +299,13 @@ Result<RecoveryResult> FlushManager::Recover(Table* table) {
                          std::to_string(*from_lse) + ", " +
                          std::to_string(*to_lse) + "]");
         }
-        if (*is_delete != 0) {
-          const aosi::Epoch e = *epoch;
-          // io_mu_ across the shard queues is by design here too: Recover
-          // runs on the startup path before any other maintenance, and the
-          // lock guards only flush/recover, never lookups.
-          table->ApplyToBrick(  // aosi-lint: allow(hold-across-blocking)
-              *bid, [e](Brick& brick) { brick.MarkDeleted(e); });
-          continue;
-        }
+        ExtractedRun& run = brick.runs.emplace_back(schema);
+        run.epoch = *epoch;
+        run.is_delete = *is_delete != 0;
+        if (run.is_delete) continue;
         auto n = reader.ReadU64();
         if (!n.ok()) return corrupt(n.status().message());
-        EncodedBatch batch(schema);
+        EncodedBatch& batch = run.batch;
         batch.num_rows = *n;
         for (size_t d = 0; d < schema.num_dimensions(); ++d) {
           auto offsets = reader.ReadVector<uint64_t>();
@@ -341,12 +330,15 @@ Result<RecoveryResult> FlushManager::Recover(Table* table) {
         Status valid = batch.Validate(schema);
         if (valid.ok()) valid = CheckStringIds(schema, batch, *bid);
         if (!valid.ok()) return corrupt(valid.message());
-        CUBRICK_RETURN_IF_ERROR(
-            table->Append(  // aosi-lint: allow(hold-across-blocking)
-                *epoch, std::move(batch)));
         result.rows_recovered += *n;
       }
     }
+    // io_mu_ across the shard queues is by design here too: Recover runs
+    // on the startup path before any other maintenance, and the lock
+    // guards only flush/recover, never lookups.
+    CUBRICK_RETURN_IF_ERROR(
+        ReplayExtracted(  // aosi-lint: allow(hold-across-blocking)
+            table, std::move(bricks)));
     ++result.rounds_replayed;
   }
   auto& reg = obs::MetricsRegistry::Global();

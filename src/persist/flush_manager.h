@@ -9,6 +9,10 @@
 // before LSE is by definition finished, so recovery only needs the data and
 // a single LSE timestamp.
 //
+// Both directions go through engine/run_extract: a round serializes the
+// runs SelectBrickRuns picks, decoded by DecodeRun, and recovery reads a
+// round back into ExtractedBricks and replays it with ReplayExtracted.
+//
 // Crash recovery replays the segments the manifest covers, ignoring any
 // trailing partially-written segment, and restores the epoch counters to the
 // flushed LSE. Data after LSE is recovered from replicas (the cluster layer
@@ -68,7 +72,9 @@ class FlushManager {
   /// dictionaries. An unreadable manifest, dictionary file or segment is
   /// an IOError, and so is a run that no flush round could have written:
   /// one whose epoch lies outside its round's (from_lse, to_lse], or whose
-  /// string ids are missing from the recovered dictionaries.
+  /// string ids are missing from the recovered dictionaries. Each round is
+  /// read and checked whole before any of it is applied, so a failure
+  /// leaves `table` holding exactly the rounds before the bad one.
   Result<RecoveryResult> Recover(Table* table);
 
   /// LSE recorded in the manifest; kNoEpoch when there is no manifest or

@@ -243,7 +243,8 @@ TEST(TxnManagerTest, RemoteBeginBlocksLce) {
   Txn t1 = tm.BeginReadWrite();
   EXPECT_EQ(t1.epoch, 1u);
   tm.ObserveClock(2);  // learn remote node's clock
-  tm.NoteRemoteBegin(2);
+  EpochSet pending;
+  EXPECT_TRUE(tm.RegisterRemoteBegin(2, &pending));
   Txn t3 = tm.BeginReadWrite();
   EXPECT_EQ(t3.epoch, 3u);
   EXPECT_EQ(t3.deps, EpochSet({1, 2}));
@@ -260,7 +261,8 @@ TEST(TxnManagerTest, RemoteAbortDoesNotBecomeLce) {
   TxnManager tm(1, 2);
   Txn t1 = tm.BeginReadWrite();
   ASSERT_TRUE(tm.Commit(t1).ok());
-  tm.NoteRemoteBegin(4);
+  EpochSet pending;
+  EXPECT_TRUE(tm.RegisterRemoteBegin(4, &pending));
   tm.NoteRemoteFinish(4, /*committed=*/false);
   EXPECT_EQ(tm.LCE(), 1u);
 }
@@ -269,7 +271,9 @@ TEST(TxnManagerTest, RemoteFinishBeforeBeginIsHandled) {
   // Message reordering: the finish arrives before the begin broadcast.
   TxnManager tm(1, 2);
   tm.NoteRemoteFinish(2, /*committed=*/true);
-  tm.NoteRemoteBegin(2);  // late begin must not resurrect the txn
+  EpochSet pending;
+  // The late begin is refused: it must not resurrect the txn.
+  EXPECT_FALSE(tm.RegisterRemoteBegin(2, &pending));
   EXPECT_EQ(tm.LCE(), 2u);
   EXPECT_TRUE(tm.PendingTxs().empty());
 }
@@ -278,8 +282,9 @@ TEST(TxnManagerTest, RemoteDepsDelayLce) {
   // Commit broadcast carries T.deps: a node that never saw T's dependency
   // pending still must not advance LCE past T until the dep finishes.
   TxnManager tm(2, 2);  // node 2: local epochs 2, 4, ...
-  tm.NoteRemoteBegin(1);
-  tm.NoteRemoteBegin(3);
+  EpochSet pending;
+  EXPECT_TRUE(tm.RegisterRemoteBegin(1, &pending));
+  EXPECT_TRUE(tm.RegisterRemoteBegin(3, &pending));
   tm.NoteRemoteDeps(3, EpochSet({1}));
   tm.NoteRemoteFinish(3, /*committed=*/true);
   EXPECT_EQ(tm.LCE(), 0u);

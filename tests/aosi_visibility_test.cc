@@ -205,63 +205,5 @@ TEST(VisibilityTest, ReadUncommittedSeesEverything) {
   EXPECT_TRUE(bm.All());
 }
 
-TEST(VisibilityTest, AnyVisibleFastPaths) {
-  EpochVector ev;
-  EXPECT_FALSE(AnyVisible(ev, Reader(5)));
-  ev.RecordAppend(4, 2);
-  EXPECT_TRUE(AnyVisible(ev, Reader(5)));
-  EXPECT_FALSE(AnyVisible(ev, Reader(3)));
-  ev.RecordDelete(5);
-  EXPECT_TRUE(AnyVisible(ev, Reader(4)));   // delete not visible yet
-  EXPECT_FALSE(AnyVisible(ev, Reader(6)));  // delete wipes T4
-}
-
-TEST(VisibilityTest, AnyVisibleMatchesBitmapAcrossSnapshots) {
-  // The run-granular early exit must agree with !bitmap.None() for every
-  // snapshot, including ones that see delete markers. Sweep several
-  // histories against every (epoch, deps) combination.
-  std::vector<EpochVector> histories;
-  histories.push_back(Fig2a());
-  {
-    // Deleter's own records straddling the delete point.
-    EpochVector ev;
-    ev.RecordAppend(4, 2);
-    ev.RecordDelete(4);
-    ev.RecordAppend(4, 3);
-    histories.push_back(ev);
-  }
-  {
-    // Two cumulative deletes.
-    EpochVector ev;
-    ev.RecordAppend(1, 2);
-    ev.RecordDelete(2);
-    ev.RecordAppend(3, 2);
-    ev.RecordDelete(4);
-    ev.RecordAppend(5, 1);
-    histories.push_back(ev);
-  }
-  {
-    // Everything wiped: a delete newer than every append.
-    EpochVector ev;
-    ev.RecordAppend(2, 4);
-    ev.RecordAppend(3, 1);
-    ev.RecordDelete(6);
-    histories.push_back(ev);
-  }
-  const std::vector<std::vector<Epoch>> deps_variants = {
-      {}, {3}, {5}, {3, 5}, {7}, {1, 3, 5, 7}};
-  for (size_t h = 0; h < histories.size(); ++h) {
-    for (Epoch epoch = 0; epoch <= 9; ++epoch) {
-      for (const auto& deps : deps_variants) {
-        const Snapshot snap = Reader(epoch, deps);
-        EXPECT_EQ(AnyVisible(histories[h], snap),
-                  !BuildVisibilityBitmap(histories[h], snap).None())
-            << "history " << h << " (" << histories[h].ToString()
-            << ") epoch " << epoch << " deps " << snap.deps.ToString();
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace cubrick::aosi

@@ -39,14 +39,6 @@ TEST(BitmapTest, SetGetClearSingleBits) {
   EXPECT_EQ(bm.CountSet(), 3u);
 }
 
-TEST(BitmapTest, AssignDispatches) {
-  Bitmap bm(10);
-  bm.Assign(3, true);
-  EXPECT_TRUE(bm.Get(3));
-  bm.Assign(3, false);
-  EXPECT_FALSE(bm.Get(3));
-}
-
 TEST(BitmapTest, SetRangeWithinOneWord) {
   Bitmap bm(64);
   bm.SetRange(3, 10);
@@ -104,20 +96,6 @@ TEST(BitmapTest, CountSetInRangeMatchesBruteForce) {
   }
 }
 
-TEST(BitmapTest, AndOrAndNot) {
-  Bitmap a = Bitmap::FromString("110011");
-  Bitmap b = Bitmap::FromString("101010");
-  Bitmap and_result = a;
-  and_result.And(b);
-  EXPECT_EQ(and_result.ToString(), "100010");
-  Bitmap or_result = a;
-  or_result.Or(b);
-  EXPECT_EQ(or_result.ToString(), "111011");
-  Bitmap andnot_result = a;
-  andnot_result.AndNot(b);
-  EXPECT_EQ(andnot_result.ToString(), "010001");
-}
-
 TEST(BitmapTest, FindNextSet) {
   Bitmap bm(200);
   bm.Set(5);
@@ -145,22 +123,6 @@ TEST(BitmapTest, ForEachSetVisitsInOrder) {
   std::vector<size_t> seen;
   bm.ForEachSet([&](size_t i) { seen.push_back(i); });
   EXPECT_EQ(seen, (std::vector<size_t>{0, 70, 149}));
-}
-
-TEST(BitmapTest, ResizeGrowZeroFills) {
-  Bitmap bm(10, true);
-  bm.Resize(80);
-  EXPECT_EQ(bm.CountSet(), 10u);
-  EXPECT_FALSE(bm.Get(79));
-}
-
-TEST(BitmapTest, ResizeShrinkDropsBits) {
-  Bitmap bm(80, true);
-  bm.Resize(10);
-  EXPECT_EQ(bm.CountSet(), 10u);
-  bm.Resize(80);
-  // Bits beyond 10 must have been dropped by the shrink.
-  EXPECT_EQ(bm.CountSet(), 10u);
 }
 
 TEST(BitmapTest, RoundTripsThroughString) {
@@ -269,15 +231,13 @@ TEST(BitmapTest, SetWordMasksRaggedTail) {
 
 TEST(BitmapTest, TailWordNeverDenseUnlessSizeIsWordMultiple) {
   for (size_t size : {1u, 63u, 65u, 100u, 127u, 129u, 255u}) {
-    Bitmap bm(size);
-    bm.SetAll();
+    Bitmap bm(size, true);
     if (size % 64 != 0) {
       EXPECT_NE(bm.Word(bm.num_words() - 1), ~0ULL) << "size " << size;
     }
     EXPECT_EQ(bm.CountSet(), size);
   }
-  Bitmap exact(128);
-  exact.SetAll();
+  Bitmap exact(128, true);
   EXPECT_EQ(exact.Word(1), ~0ULL);
 }
 

@@ -70,7 +70,9 @@ TEST(TxnRemoteFinishTest, DepBlockedLceAdvance) {
   ASSERT_EQ(local.epoch, 1u);
 
   // Remote epoch 2 begins (sees 1 pending), then commits first.
-  mgr.NoteRemoteBegin(2);
+  aosi::EpochSet pending;
+  EXPECT_TRUE(mgr.RegisterRemoteBegin(2, &pending));
+  EXPECT_EQ(pending, aosi::EpochSet({1}));
   mgr.NoteRemoteDeps(2, aosi::EpochSet({1}));
   mgr.NoteRemoteFinish(2, /*committed=*/true);
 
@@ -82,7 +84,7 @@ TEST(TxnRemoteFinishTest, DepBlockedLceAdvance) {
   EXPECT_EQ(mgr.LCE(), 2u);
 }
 
-// Hammer Commit against concurrent NoteRemoteFinish/NoteRemoteDeps from
+// Hammer Commit against concurrent remote begins, finishes and deps from
 // another thread and check the terminal state. Interesting under
 // CUBRICK_SANITIZE=thread, where the manager's locking is race-checked.
 TEST(TxnRemoteFinishTest, ConcurrentRemoteFinishes) {
@@ -96,7 +98,10 @@ TEST(TxnRemoteFinishTest, ConcurrentRemoteFinishes) {
       // begun before them; finish them out of order (newest first).
       for (int i = 7; i >= 0; --i) {
         const aosi::Epoch e = 2 * static_cast<aosi::Epoch>(i) + 2;
-        mgr.NoteRemoteBegin(e);
+        // A begin the LCE walk already skipped past is refused and
+        // registers nothing; its finish below is then a stale no-op.
+        aosi::EpochSet pending;
+        mgr.RegisterRemoteBegin(e, &pending);
         mgr.NoteRemoteDeps(e, aosi::EpochSet({locals[i].epoch}));
         mgr.NoteRemoteFinish(e, /*committed=*/true);
       }

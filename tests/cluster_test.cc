@@ -335,6 +335,26 @@ TEST(ClusterTest, FailoverReadsFromReplica) {
   ASSERT_TRUE(cluster.SetNodeOnline(2, true).ok());
 }
 
+TEST(ClusterTest, QueryWithoutAnOnlineOwnerIsUnavailable) {
+  Cluster cluster(SmallCluster(3));
+  ASSERT_TRUE(MakeCube(cluster).ok());
+  auto txn = cluster.BeginReadWrite(1);
+  std::vector<Record> rows;
+  for (int64_t r = 0; r < 64; ++r) rows.push_back({r, 0, 1});
+  ASSERT_TRUE(cluster.Append(&*txn, "metrics", rows).ok());
+  ASSERT_TRUE(cluster.Commit(&*txn).ok());
+
+  // Without replication node 2's bricks have no other owner: a partial
+  // answer would be silently wrong.
+  ASSERT_TRUE(cluster.SetNodeOnline(2, false).ok());
+  EXPECT_EQ(cluster.QueryOnce(1, "metrics", SumQuery()).status().code(),
+            StatusCode::kUnavailable);
+  ASSERT_TRUE(cluster.SetNodeOnline(2, true).ok());
+  auto result = cluster.QueryOnce(1, "metrics", SumQuery());
+  ASSERT_TRUE(result.ok());
+  EXPECT_DOUBLE_EQ(result->Single(1, AggSpec::Fn::kCount), 64.0);
+}
+
 TEST(ClusterTest, OfflineNodeBlocksRwBegin) {
   Cluster cluster(SmallCluster(3));
   ASSERT_TRUE(MakeCube(cluster).ok());

@@ -123,13 +123,10 @@ TEST(SampleRingTest, ConcurrentPushPopLosesNothing) {
 TEST(OnlineCheckerTest, ShouldSampleIsAPureFunctionOfTheEpoch) {
   OnlineCheckerOptions always;
   always.sample_permille = 1000;
-  always.background_validation = false;
   OnlineCheckerOptions never;
   never.sample_permille = 0;
-  never.background_validation = false;
   OnlineCheckerOptions half;
   half.sample_permille = 500;
-  half.background_validation = false;
   OnlineChecker a(half);
   OnlineChecker b(half);
   OnlineChecker on(always);
@@ -151,9 +148,7 @@ TEST(OnlineCheckerTest, ShouldSampleIsAPureFunctionOfTheEpoch) {
 class CraftedObservationTest : public ::testing::Test {
  protected:
   CraftedObservationTest() {
-    OnlineCheckerOptions opt;
-    opt.background_validation = false;
-    checker_ = std::make_unique<OnlineChecker>(opt);
+    checker_ = std::make_unique<OnlineChecker>();
   }
 
   /// One observation of `runs` under snapshot {epoch, deps}; visible_total
@@ -278,9 +273,7 @@ TEST_F(CraftedObservationTest, NewHistoryVersionIsNotNonRepeatable) {
 }
 
 TEST(OnlineCheckerLifecycleTest, LseAdvancePastLiveHorizonIsLostHorizon) {
-  OnlineCheckerOptions opt;
-  opt.background_validation = false;
-  OnlineChecker checker(opt);
+  OnlineChecker checker;
   aosi::Txn txn;
   txn.epoch = 10;
   txn.type = aosi::TxnType::kReadWrite;
@@ -298,9 +291,7 @@ TEST(OnlineCheckerLifecycleTest, LseAdvancePastLiveHorizonIsLostHorizon) {
 }
 
 TEST(OnlineCheckerLifecycleTest, RepublishedLseIsJudgedOnlyOnce) {
-  OnlineCheckerOptions opt;
-  opt.background_validation = false;
-  OnlineChecker checker(opt);
+  OnlineChecker checker;
   // LSE stands at 20 before the snapshot exists.
   checker.OnLseAdvance(20);
   aosi::Txn txn;
@@ -319,9 +310,7 @@ TEST(OnlineCheckerLifecycleTest, RepublishedLseIsJudgedOnlyOnce) {
 }
 
 TEST(OnlineCheckerLifecycleTest, StaleDraftDepDoesNotPinTheHorizon) {
-  OnlineCheckerOptions opt;
-  opt.background_validation = false;
-  OnlineChecker checker(opt);
+  OnlineChecker checker;
   checker.OnLseAdvance(20);
   // A dep at epoch 5 — below the standing LSE — can only be a stale draft
   // from a desynced coordinator clock: it aborts having written nothing,
@@ -335,18 +324,6 @@ TEST(OnlineCheckerLifecycleTest, StaleDraftDepDoesNotPinTheHorizon) {
   EXPECT_EQ(checker.ViolationCount(), 0u);
   checker.OnLseAdvance(27);  // past the live dep's pin: violation
   EXPECT_EQ(checker.ViolationCount(), 1u);
-}
-
-TEST(OnlineCheckerLifecycleTest, RejectedStaleRemoteBeginIsAverted) {
-  OnlineCheckerOptions opt;
-  opt.background_validation = false;
-  OnlineChecker checker(opt);
-  checker.OnStaleRemoteBegin(5, 8, /*rejected=*/true);
-  EXPECT_EQ(checker.ViolationCount(), 0u);
-  checker.OnStaleRemoteBegin(5, 8, /*rejected=*/false);
-  ASSERT_EQ(checker.ViolationCount(), 1u);
-  EXPECT_EQ(checker.Violations()[0].kind,
-            ViolationRecord::Kind::kLostHorizon);
 }
 
 // --- End-to-end through a Database ----------------------------------------

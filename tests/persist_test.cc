@@ -388,5 +388,59 @@ TEST_F(PersistTest, CheckpointSkipsWhenNothingNew) {
   EXPECT_EQ(probe.ManifestRounds(), rounds);
 }
 
+// Pins the on-disk checkpoint format byte for byte: size and FNV-1a of every
+// file a fixed workload leaves behind. A refactor of the flush or recovery
+// code must keep these constants; a deliberate format change (say, adding
+// segment checksums) updates them in the same change.
+TEST_F(PersistTest, CheckpointFilesAreByteStable) {
+  DatabaseOptions opts = Options();
+  opts.shards_per_cube = 1;
+  opts.threaded_shards = false;
+  Database db(opts);
+  ASSERT_TRUE(db.ExecuteDdl(
+                    "CREATE CUBE c (region string CARDINALITY 8 RANGE 2, "
+                    "day int CARDINALITY 16 RANGE 4, units int, "
+                    "revenue double)")
+                  .ok());
+  ASSERT_TRUE(db.Load("c", {{"US", 1, 10, 1.5},
+                            {"BR", 2, 20, 2.5},
+                            {"MX", 5, 30, 3.5},
+                            {"US", 9, 40, 4.5}})
+                  .ok());
+  ASSERT_TRUE(
+      db.Load("c", {{"JP", 6, 50, 5.5}, {"BR", 13, 60, 6.5}}).ok());
+  auto late_days = db.RangeFilter("c", "day", 4, 7);
+  ASSERT_TRUE(late_days.ok());
+  ASSERT_TRUE(db.DeletePartitions("c", {*late_days}).ok());
+  ASSERT_TRUE(db.Checkpoint().ok());
+  ASSERT_TRUE(db.Load("c", {{"MX", 2, 70, 7.5}, {"US", 14, 80, 8.5}}).ok());
+  ASSERT_TRUE(db.Checkpoint().ok());
+
+  const auto fnv1a = [](const std::string& bytes) {
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char byte : bytes) {
+      h = (h ^ byte) * 0x100000001b3ULL;
+    }
+    return h;
+  };
+  struct Pinned {
+    const char* file;
+    size_t size;
+    uint64_t fnv1a;
+  };
+  for (const Pinned& pinned : {Pinned{"c.seg.1", 639, 0x77e9a43cd9fc3703ULL},
+                               Pinned{"c.seg.2", 229, 0xbbc97e7807d3ed27ULL},
+                               Pinned{"c.dict", 88, 0x78e6b51f8fff532aULL},
+                               Pinned{"c.manifest", 24,
+                                      0x1c89634031119536ULL}}) {
+    std::ifstream in(dir_ / pinned.file, std::ios::binary);
+    ASSERT_TRUE(in) << pinned.file;
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes.size(), pinned.size) << pinned.file;
+    EXPECT_EQ(fnv1a(bytes), pinned.fnv1a) << pinned.file;
+  }
+}
+
 }  // namespace
 }  // namespace cubrick

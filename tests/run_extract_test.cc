@@ -109,5 +109,34 @@ TEST(RunExtractTest, PerBrickPhysicalOrderPreserved) {
   EXPECT_EQ(brick->history().ToString(), "[5:0-0][2:1-1]");
 }
 
+TEST(RunExtractTest, DecodeRunIntoReusedBatchMatchesFreshBatches) {
+  auto schema = MakeSchema();
+  Table table(schema, 1, false);
+  // Runs of 3, 1 and 2 rows: the reused batch must shrink and regrow.
+  ASSERT_TRUE(table.Append(1, Rows(*schema, {{0, 1}, {1, 2}, {2, 3}})).ok());
+  ASSERT_TRUE(table.Append(2, Rows(*schema, {{3, 4}})).ok());
+  ASSERT_TRUE(table.Append(3, Rows(*schema, {{1, 5}, {0, 6}})).ok());
+  table.Drain();
+  const Brick* brick = table.shard(0).bricks().Find(0);
+  ASSERT_NE(brick, nullptr);
+
+  const auto runs = SelectBrickRuns(*brick, 0, 99);
+  const ExtractedBrick fresh = ExtractBrickRuns(*brick, 0, 99);
+  ASSERT_EQ(runs.size(), 3u);
+  ASSERT_EQ(fresh.runs.size(), 3u);
+  EncodedBatch reused(*schema);
+  for (size_t r = 0; r < runs.size(); ++r) {
+    DecodeRun(*brick, runs[r], &reused);
+    const EncodedBatch& expected = fresh.runs[r].batch;
+    EXPECT_EQ(reused.num_rows, expected.num_rows) << "run " << r;
+    EXPECT_EQ(reused.dim_offsets, expected.dim_offsets) << "run " << r;
+    EXPECT_EQ(reused.metric_ints, expected.metric_ints) << "run " << r;
+    EXPECT_EQ(reused.metric_doubles, expected.metric_doubles) << "run " << r;
+    EXPECT_EQ(reused.bids, expected.bids) << "run " << r;
+    EXPECT_EQ(reused.starts, expected.starts) << "run " << r;
+    EXPECT_TRUE(reused.Validate(*schema).ok()) << "run " << r;
+  }
+}
+
 }  // namespace
 }  // namespace cubrick

@@ -1,7 +1,7 @@
 // Differential tests for the SIMD kernel layer (DESIGN.md §4e): every
 // backend this CPU supports must produce BIT-identical results to the
 // scalar reference — filter masks, wrapping int64 folds, pinned-order
-// double folds, bitmap word ops — across ragged sizes, sign-bit values,
+// double folds, bitmap popcounts — across ragged sizes, sign-bit values,
 // ±0.0 ties and NaN. On top of the kernel fuzz, an end-to-end pass runs
 // the same queries (grouped, filtered, deleted-row, ragged-tail bricks)
 // under each backend and compares QueryResults bitwise.
@@ -78,9 +78,6 @@ TEST(SimdDispatchTest, DetectIsSupportedAndTablesAreComplete) {
     EXPECT_NE(k.filter_in, nullptr);
     EXPECT_NE(k.fold_int64, nullptr);
     EXPECT_NE(k.fold_double, nullptr);
-    EXPECT_NE(k.and_words, nullptr);
-    EXPECT_NE(k.or_words, nullptr);
-    EXPECT_NE(k.andnot_words, nullptr);
     EXPECT_NE(k.count_bits, nullptr);
   }
 }
@@ -281,7 +278,7 @@ TEST(SimdKernelTest, FoldDoubleNanAndSignedZeroContract) {
 }
 
 // ---------------------------------------------------------------------------
-// Bitmap word ops: And/Or/AndNot/CountSet across ragged sizes
+// Bitmap popcount: count_bits/CountSet across ragged sizes
 // ---------------------------------------------------------------------------
 
 TEST(SimdBitmapTest, WordOpsMatchScalarAcrossRaggedSizes) {
@@ -293,32 +290,13 @@ TEST(SimdBitmapTest, WordOpsMatchScalarAcrossRaggedSizes) {
   for (size_t size = 1; size <= 257; ++size) {
     for (int rep = 0; rep < 4; ++rep) {
       const size_t nwords = (size + 63) / 64;
-      std::vector<uint64_t> a(nwords), bwords(nwords);
-      for (size_t w = 0; w < nwords; ++w) {
-        a[w] = rng.Next();
-        bwords[w] = rng.Next();
-      }
+      std::vector<uint64_t> a(nwords);
+      for (size_t w = 0; w < nwords; ++w) a[w] = rng.Next();
       // Mask the ragged tail the way Bitmap::SetWord would.
-      if (size % 64 != 0) {
-        const uint64_t tail_mask = (1ULL << (size % 64)) - 1;
-        a.back() &= tail_mask;
-        bwords.back() &= tail_mask;
-      }
-      std::vector<uint64_t> ref_and = a, ref_or = a, ref_andnot = a;
-      ref.and_words(ref_and.data(), bwords.data(), nwords);
-      ref.or_words(ref_or.data(), bwords.data(), nwords);
-      ref.andnot_words(ref_andnot.data(), bwords.data(), nwords);
+      if (size % 64 != 0) a.back() &= (1ULL << (size % 64)) - 1;
       const size_t ref_count = ref.count_bits(a.data(), nwords);
       for (simd::Backend bk : backends) {
         const simd::Kernels& k = simd::KernelsFor(bk);
-        std::vector<uint64_t> t_and = a, t_or = a, t_andnot = a;
-        k.and_words(t_and.data(), bwords.data(), nwords);
-        k.or_words(t_or.data(), bwords.data(), nwords);
-        k.andnot_words(t_andnot.data(), bwords.data(), nwords);
-        ASSERT_EQ(t_and, ref_and) << simd::BackendName(bk) << " size " << size;
-        ASSERT_EQ(t_or, ref_or) << simd::BackendName(bk) << " size " << size;
-        ASSERT_EQ(t_andnot, ref_andnot)
-            << simd::BackendName(bk) << " size " << size;
         ASSERT_EQ(k.count_bits(a.data(), nwords), ref_count)
             << simd::BackendName(bk) << " size " << size;
       }
@@ -329,29 +307,17 @@ TEST(SimdBitmapTest, WordOpsMatchScalarAcrossRaggedSizes) {
 TEST(SimdBitmapTest, BitmapClassOpsIdenticalUnderEveryBackend) {
   Random rng(0xb17b17);
   for (size_t size : {1u, 63u, 64u, 65u, 127u, 128u, 200u, 257u}) {
-    Bitmap a(size), b(size);
+    Bitmap a(size);
     for (size_t i = 0; i < size; ++i) {
       if (rng.Uniform(2) != 0) a.Set(i);
-      if (rng.Uniform(3) != 0) b.Set(i);
     }
-    Bitmap and_ref = a, or_ref = a, andnot_ref = a;
     size_t count_ref = 0;
     {
       ScopedBackend scoped(simd::Backend::kScalar);
-      and_ref.And(b);
-      or_ref.Or(b);
-      andnot_ref.AndNot(b);
       count_ref = a.CountSet();
     }
     for (simd::Backend bk : SupportedBackends()) {
       ScopedBackend scoped(bk);
-      Bitmap and_t = a, or_t = a, andnot_t = a;
-      and_t.And(b);
-      or_t.Or(b);
-      andnot_t.AndNot(b);
-      EXPECT_TRUE(and_t == and_ref) << simd::BackendName(bk);
-      EXPECT_TRUE(or_t == or_ref) << simd::BackendName(bk);
-      EXPECT_TRUE(andnot_t == andnot_ref) << simd::BackendName(bk);
       EXPECT_EQ(a.CountSet(), count_ref) << simd::BackendName(bk);
     }
   }

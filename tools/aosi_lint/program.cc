@@ -587,8 +587,8 @@ std::vector<Finding> CheckVisCacheProtocol(const ProgramModel& pm) {
 
 std::vector<Finding> CheckCheckerHookGate(const ProgramModel& pm) {
   static const std::set<std::string> kHookMethods = {
-      "OnBegin",      "OnFinish",          "OnScanObservation",
-      "OnLseAdvance", "OnStaleRemoteBegin", "ShouldSample"};
+      "OnBegin", "OnFinish", "OnScanObservation", "OnLseAdvance",
+      "ShouldSample"};
   std::vector<Finding> findings;
   for (const FileModel& fm : pm.files()) {
     const std::string& rel = fm.cls.rel;
