@@ -263,13 +263,6 @@ bool EpochVector::PinnedSnapshot(HistoryView* out) const {
   return false;
 }
 
-bool EpochVector::HasDelete() const {
-  for (const auto& e : entries()) {
-    if (e.is_delete()) return true;
-  }
-  return false;
-}
-
 std::vector<EpochRun> EpochVector::Decode() const {
   const EntriesView view = entries();
   return DecodeEntries(view.begin(), view.size(), view.size(), nullptr,

@@ -181,9 +181,6 @@ class EpochVector {
   /// retry the partition.
   bool PinnedSnapshot(HistoryView* out) const;
 
-  /// True if any delete marker is present.
-  bool HasDelete() const;
-
   /// Expands entries into explicit record ranges, in physical order.
   std::vector<EpochRun> Decode() const;
 

@@ -1,5 +1,7 @@
 #include "cluster/hash_ring.h"
 
+#include <algorithm>
+
 #include "common/random.h"
 
 namespace cubrick::cluster {
@@ -43,13 +45,15 @@ uint32_t HashRing::NodeFor(uint64_t key) const {
 
 std::vector<uint32_t> HashRing::NodesFor(uint64_t key, size_t count) const {
   CUBRICK_CHECK(!points_.empty());
-  std::vector<uint32_t> result;
-  std::set<uint32_t> seen;
-  auto it = points_.lower_bound(HashKey(key));
   const size_t limit = count < nodes_.size() ? count : nodes_.size();
+  std::vector<uint32_t> result;
+  result.reserve(limit);
+  auto it = points_.lower_bound(HashKey(key));
   while (result.size() < limit) {
     if (it == points_.end()) it = points_.begin();
-    if (seen.insert(it->second).second) {
+    // The result holds at most `count` owners (a replication factor), so a
+    // linear dedupe beats building a set on every call.
+    if (std::find(result.begin(), result.end(), it->second) == result.end()) {
       result.push_back(it->second);
     }
     ++it;

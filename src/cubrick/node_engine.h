@@ -39,9 +39,12 @@ struct EngineOptions {
   std::string data_dir;
   /// Enables the §III-C5 txn->partition rollback index (memory for speed).
   bool rollback_index = false;
-  /// Morsel-parallel query execution: maximum concurrent scan workers per
-  /// shard (bricks fanned out on ThreadPool::Global(); see Table::Scan).
-  /// 1 (the default) scans on the shard's own thread.
+  /// Morsel-parallel query execution: scan workers per request, split over
+  /// the cube's shard ops (op s of S gets P / S, plus one when s < P % S,
+  /// and at least its own thread; bricks fanned out on
+  /// ThreadPool::Global(); see Table::Scan). Any value up to
+  /// shards_per_cube, the default 1 included, scans each shard on its own
+  /// thread alone.
   size_t query_parallelism = 1;
   /// Morsel-parallel ingestion (DESIGN.md §4f): maximum parse/encode
   /// workers per load request (record morsels fanned out on
@@ -87,10 +90,12 @@ class NodeEngine {
   /// Partition-granular delete (validate + mark).
   Status DeleteWhere(aosi::Epoch epoch, const std::string& cube,
                      const std::vector<FilterClause>& filters);
-  /// Snapshot scan with query_parallelism workers per shard, served through
-  /// each brick's visibility-bitmap cache (DESIGN.md §4c). `brick_filter`
-  /// (optional) selects which local bricks to answer for. A query that
-  /// fails ValidateQuery returns InvalidArgument without scanning.
+  /// Snapshot scan with query_parallelism workers per request, split over
+  /// the shards as Table::Scan says (P / S each, plus one for the first
+  /// P % S, at least one), served through each brick's visibility-bitmap
+  /// cache (DESIGN.md §4c). `brick_filter` (optional) selects which local
+  /// bricks to answer for. A query that fails ValidateQuery returns
+  /// InvalidArgument without scanning.
   Result<QueryResult> Scan(const std::string& cube,
                            const aosi::Snapshot& snapshot, ScanMode mode,
                            const Query& query,

@@ -183,13 +183,17 @@ QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
       obs::MetricsRegistry::Global().GetHistogram("query.latency_us");
   scans->Add();
   obs::ObsSpan span(latency);
-  std::vector<QueryResult> partials(shards_.size(),
+  const size_t num_shards = shards_.size();
+  std::vector<QueryResult> partials(num_shards,
                                     QueryResult(query.aggs.size()));
   std::vector<std::future<void>> done;
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  for (size_t s = 0; s < num_shards; ++s) {
     QueryResult* out = &partials[s];
+    // This op's share of the request's worker budget (see table.h).
+    const size_t workers = std::max<size_t>(
+        1, parallelism / num_shards + (s < parallelism % num_shards ? 1 : 0));
     done.push_back(shards_[s]->Enqueue([&snapshot, mode, &query, out,
-                                        &brick_filter, parallelism,
+                                        &brick_filter, workers,
                                         visibility_cache](BrickMap& bricks) {
       // Fanning out *inside* the shard op keeps the shard blocked here
       // until every worker finished, so pool workers read its bricks while
@@ -203,7 +207,7 @@ QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
       auto morsels = PlanMorsels(candidates, query);
       auto worker_partials =
           ScanMorsels(morsels, snapshot, mode, query, &ThreadPool::Global(),
-                      parallelism, visibility_cache);
+                      workers, visibility_cache);
       *out = MergePartials(std::move(worker_partials), query.aggs.size());
     }));
   }

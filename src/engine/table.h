@@ -114,14 +114,17 @@ class Table {
   /// uses it to scan only bricks this node primarily owns, so replicated
   /// bricks are not double-counted.
   ///
-  /// Inside each shard operation the shard's bricks become morsels for up
-  /// to `parallelism` concurrent workers — the shard's own thread plus
-  /// tasks on ThreadPool::Global() — each scanning into a thread-local
+  /// `parallelism` is the whole request's worker budget, split over its
+  /// shard ops: op s of S gets P / S workers, plus one when s < P % S, and
+  /// never fewer than one (its own thread). Inside each shard op the
+  /// shard's bricks become morsels for its workers — the shard's thread
+  /// plus tasks on ThreadPool::Global() — each scanning into a thread-local
   /// partial, merged before the shard op returns. The shard stays blocked
   /// in its own op for the whole fan-out, so the single-writer invariant
   /// holds: nothing can mutate its bricks while pool workers read them.
-  /// The default (1) is one worker: the shard's thread alone, in BrickMap
-  /// order.
+  /// Any P <= S (the default 1 included) is one worker per shard op, the
+  /// shard's thread alone in BrickMap order, so a scan submits pool tasks
+  /// only when P > S.
   ///
   /// `visibility_cache` enables each brick's visibility-bitmap cache
   /// (DESIGN.md §4c); results are identical with it on or off. The engine

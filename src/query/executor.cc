@@ -116,7 +116,14 @@ void BrickDimBounds(const Brick& brick, size_t dim, uint64_t* lo,
   *hi = end < max_coord ? end : max_coord;
 }
 
-/// Brick-local group table of the grouped fold: open addressing with linear
+/// Widest packed group-by key the grouped fold indexes directly: 2^6 = 64
+/// slots, whose occupancy fits one uint64_t. It covers every measured
+/// group-by (the ledger's region and product keys take 3 and 5 bits); raise
+/// it only together with a workload that groups by wider keys.
+constexpr uint32_t kDirectKeyBits = 6;
+
+/// Brick-local group table of the grouped fold for keys wider than
+/// kDirectKeyBits (see ScanBrick): open addressing with linear
 /// probing over flat arrays, keyed by a row's group-by offsets within the
 /// brick's ranges (one uint64 per group-by dimension, so keys of any width
 /// fit). Reserve keeps the load factor at most 1/2 and grows the table by
@@ -496,26 +503,37 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
       result->MergeGroup(QueryResult::GroupKey(), locals.data());
     }
   } else {
-    // Grouped slot fold: each word's visible rows map to slots of one
-    // brick-local GroupSlots table keyed by their group-by offsets (decoded
-    // in bulk per word, as the filter pass does), then every aggregate folds
-    // the word column by column into its slots' states — typed once per
-    // word, each group's rows in row order — and each occupied slot merges
-    // into `result` once per brick. No vector kernel runs here, so every
-    // word counts as kernel_simd_fallback.
+    // Grouped slot fold: each word's visible rows map to brick-local slots
+    // keyed by their group-by offsets (decoded in bulk per word, as the
+    // filter pass does), then every aggregate folds the word column by
+    // column into its slots' states — typed once per word, each group's
+    // rows in row order — and each occupied slot merges into `result` once
+    // per brick. A key of at most kDirectKeyBits bits indexes a flat
+    // 2^key_bits slot array directly by its offsets packed into key_bits
+    // bits (first group-by dimension highest), with no hash and no probe,
+    // and marks its slot in one occupancy word; a wider key goes through
+    // GroupSlots. No vector kernel runs here, so every word counts as
+    // kernel_simd_fallback.
     const size_t width = query.group_by.size();
     const size_t num_aggs = accessors.size();
     uint32_t key_bits = 0;
+    std::vector<uint32_t> field_bits(width);
     std::vector<uint64_t> group_lo(width);
     for (size_t g = 0; g < width; ++g) {
-      key_bits += brick.schema().bess_bits(query.group_by[g]);
+      field_bits[g] = brick.schema().bess_bits(query.group_by[g]);
+      key_bits += field_bits[g];
       uint64_t hi = 0;
       BrickDimBounds(brick, query.group_by[g], &group_lo[g], &hi);
     }
+    const bool direct = key_bits <= kDirectKeyBits;
+    uint64_t direct_used = 0;  // bit s: direct slot s holds a group
+    std::vector<AggState> direct_states(
+        direct ? (size_t{1} << key_bits) * num_aggs : 0);
     GroupSlots table(width, num_aggs,
                      key_bits < 64 ? uint64_t{1} << key_bits : ~uint64_t{0});
     std::vector<uint64_t> offsets(width * 64);
     std::vector<uint64_t> key(width);
+    uint64_t packed[64];
     size_t rows[64];
     size_t slots[64];  // slot index * num_aggs
     for (size_t w = 0; w < num_words; ++w) {
@@ -526,29 +544,49 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
       }
       ++words_fallback;
       if (word == kDenseWord) ++words_dense;
-      table.Reserve(static_cast<uint64_t>(__builtin_popcountll(word)));
       const size_t base = w * 64;
       // Decode only from the word's first to its last visible row, which
       // never passes num_records (trailing bits are kept zero).
       const auto first = static_cast<size_t>(__builtin_ctzll(word));
       const size_t span =
           64 - static_cast<size_t>(__builtin_clzll(word)) - first;
-      for (size_t g = 0; g < width; ++g) {
-        brick.bess().DecodeDim(base + first, span, query.group_by[g],
-                               &offsets[g * 64 + first]);
-      }
       size_t n = 0;
-      for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
-        const auto b = static_cast<size_t>(__builtin_ctzll(bits));
-        for (size_t g = 0; g < width; ++g) key[g] = offsets[g * 64 + b];
-        rows[n] = base + b;
-        slots[n] = table.Find(key.data()) * num_aggs;
-        ++n;
+      if (direct) {
+        brick.bess().DecodeDim(base + first, span, query.group_by[0],
+                               &packed[first]);
+        for (size_t g = 1; g < width; ++g) {
+          brick.bess().DecodeDim(base + first, span, query.group_by[g],
+                                 &offsets[first]);
+          for (size_t i = first; i < first + span; ++i) {
+            packed[i] = (packed[i] << field_bits[g]) | offsets[i];
+          }
+        }
+        for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
+          const auto b = static_cast<size_t>(__builtin_ctzll(bits));
+          direct_used |= uint64_t{1} << packed[b];
+          rows[n] = base + b;
+          slots[n] = packed[b] * num_aggs;
+          ++n;
+        }
+      } else {
+        table.Reserve(static_cast<uint64_t>(__builtin_popcountll(word)));
+        for (size_t g = 0; g < width; ++g) {
+          brick.bess().DecodeDim(base + first, span, query.group_by[g],
+                                 &offsets[g * 64 + first]);
+        }
+        for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
+          const auto b = static_cast<size_t>(__builtin_ctzll(bits));
+          for (size_t g = 0; g < width; ++g) key[g] = offsets[g * 64 + b];
+          rows[n] = base + b;
+          slots[n] = table.Find(key.data()) * num_aggs;
+          ++n;
+        }
       }
       rows_aggregated += n;
+      AggState* states = direct ? direct_states.data() : table.states();
       for (size_t a = 0; a < num_aggs; ++a) {
         const MetricAccessor& acc = accessors[a];
-        AggState* col = table.states() + a;
+        AggState* col = states + a;
         if (acc.is_count) {
           for (size_t i = 0; i < n; ++i) col[slots[i]].Accumulate(1.0);
         } else if (acc.is_double) {
@@ -563,11 +601,24 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
       }
     }
     QueryResult::GroupKey group(width);
-    for (size_t s = 0; s < table.capacity(); ++s) {
-      if (!table.occupied(s)) continue;
-      const uint64_t* k = table.key(s);
-      for (size_t g = 0; g < width; ++g) group[g] = group_lo[g] + k[g];
-      result->MergeGroup(group, table.states() + s * num_aggs);
+    if (direct) {
+      for (uint64_t used = direct_used; used != 0; used &= used - 1) {
+        const auto s = static_cast<size_t>(__builtin_ctzll(used));
+        uint64_t rest = s;
+        for (size_t g = width; g-- > 0;) {
+          const uint64_t field_mask = (uint64_t{1} << field_bits[g]) - 1;
+          group[g] = group_lo[g] + (rest & field_mask);
+          rest >>= field_bits[g];
+        }
+        result->MergeGroup(group, &direct_states[s * num_aggs]);
+      }
+    } else {
+      for (size_t s = 0; s < table.capacity(); ++s) {
+        if (!table.occupied(s)) continue;
+        const uint64_t* k = table.key(s);
+        for (size_t g = 0; g < width; ++g) group[g] = group_lo[g] + k[g];
+        result->MergeGroup(group, table.states() + s * num_aggs);
+      }
     }
   }
   agg_span.Finish();

@@ -68,10 +68,11 @@ VisibilityRef VisibilityForScan(const Brick& brick,
 /// constructed with query.aggs.size()). `query` must pass ValidateQuery
 /// against the brick's schema. Both folds accumulate the brick into local
 /// states and merge each group into `result` once: ungrouped queries
-/// through the per-word SIMD fold kernels, grouped ones through a
-/// brick-local slot table keyed by the rows' group-by offsets, each group
-/// folding its rows in row order. `use_cache` enables the brick's
-/// visibility-bitmap cache (results are identical either way).
+/// through the per-word SIMD fold kernels, grouped ones through brick-local
+/// slots keyed by the rows' group-by offsets (a flat array indexed by the
+/// packed offsets when they fit in 6 bits, a hash table for wider keys),
+/// each group folding its rows in row order. `use_cache` enables the
+/// brick's visibility-bitmap cache (results are identical either way).
 void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
                ScanMode mode, const Query& query, QueryResult* result,
                bool use_cache = true);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace cubrick::cluster {
 namespace {
 
@@ -72,6 +74,16 @@ TEST(HashRingTest, ReplicaSetsAreDistinct) {
     EXPECT_NE(owners[1], owners[2]);
     EXPECT_NE(owners[0], owners[2]);
     EXPECT_EQ(owners[0], ring.NodeFor(key));
+    // Owners come in ring-walk order: asking for one more owner only
+    // appends to the shorter answer.
+    for (size_t k = 1; k <= 5; ++k) {
+      const auto shorter = ring.NodesFor(key, k);
+      const auto longer = ring.NodesFor(key, k + 1);
+      ASSERT_EQ(shorter.size(), k);
+      ASSERT_EQ(longer.size(), std::min<size_t>(k + 1, 5));
+      EXPECT_TRUE(std::equal(shorter.begin(), shorter.end(), longer.begin()))
+          << "key " << key << " k " << k;
+    }
   }
 }
 

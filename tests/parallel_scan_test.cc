@@ -1,15 +1,20 @@
 // Morsel-parallel scan equivalence tests: for every query shape, the
-// parallel executor (fan-out 2/4/8 over the shared thread pool) must
-// produce exactly the result of the serial path. Metric values are small
-// integers, so double aggregation is exact and any divergence is a real
-// bug in morsel planning, worker-local accumulation or the final merge —
-// not floating-point reassociation.
+// parallel executor (request budgets that give the 4-shard tables' ops 1,
+// 2, 4 and 8 workers on the shared thread pool) must produce exactly the
+// result of the serial path. Metric values are small integers, so double
+// aggregation is exact and any divergence is a real bug in morsel
+// planning, worker-local accumulation or the final merge — not
+// floating-point reassociation.
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "cubrick/database.h"
 #include "engine/table.h"
 #include "ingest/parser.h"
+#include "obs/metrics.h"
 
 namespace cubrick {
 namespace {
@@ -34,6 +39,11 @@ EncodedBatch Batches(const CubeSchema& schema,
 }
 
 aosi::Snapshot Snap(aosi::Epoch e) { return aosi::Snapshot{e, {}}; }
+
+/// `parallelism` values for the 4-shard tables: a request's budget is split
+/// over the shard ops, so 2 is one worker per op, 6 gives two ops a second
+/// worker, and 8, 16 and 32 give every op 2, 4 and 8 workers.
+constexpr size_t kBudgets[] = {2, 6, 8, 16, 32};
 
 /// Exact structural equality: same groups, same finalized value for every
 /// aggregate under every finalizer its AggState carries.
@@ -99,7 +109,7 @@ TEST_P(ParallelScanTest, UngroupedMatchesSerial) {
             {AggSpec::Fn::kMax, 0}};
   for (aosi::Epoch e : {1u, 3u, 4u, 6u}) {
     auto serial = table.Scan(Snap(e), ScanMode::kSnapshotIsolation, q);
-    for (size_t par : {2u, 4u, 8u}) {
+    for (size_t par : kBudgets) {
       auto parallel = table.Scan(Snap(e), ScanMode::kSnapshotIsolation, q,
                                  nullptr, par);
       ExpectSameResult(serial, parallel);
@@ -116,7 +126,7 @@ TEST_P(ParallelScanTest, GroupedMatchesSerial) {
   q.aggs = {{AggSpec::Fn::kSum, 0}, {AggSpec::Fn::kCount, 0}};
   auto serial = table.Scan(Snap(5), ScanMode::kSnapshotIsolation, q);
   EXPECT_GT(serial.num_groups(), 1u);
-  for (size_t par : {2u, 4u, 8u}) {
+  for (size_t par : kBudgets) {
     auto parallel =
         table.Scan(Snap(5), ScanMode::kSnapshotIsolation, q, nullptr, par);
     ExpectSameResult(serial, parallel);
@@ -153,7 +163,7 @@ TEST_P(ParallelScanTest, GroupedFullyDenseBrickMatchesSerial) {
     EXPECT_EQ(states[0].sum, states[2].min * 32.0);
     EXPECT_EQ(states[2].min, states[3].max);
   }
-  for (size_t par : {2u, 4u, 8u}) {
+  for (size_t par : kBudgets) {
     auto parallel =
         table.Scan(Snap(1), ScanMode::kSnapshotIsolation, q, nullptr, par);
     ExpectSameResult(serial, parallel);
@@ -174,7 +184,7 @@ TEST_P(ParallelScanTest, FilteredMatchesSerial) {
   q.group_by = {0};
   q.aggs = {{AggSpec::Fn::kSum, 0}, {AggSpec::Fn::kCount, 0}};
   auto serial = table.Scan(Snap(6), ScanMode::kSnapshotIsolation, q);
-  for (size_t par : {2u, 4u, 8u}) {
+  for (size_t par : kBudgets) {
     auto parallel =
         table.Scan(Snap(6), ScanMode::kSnapshotIsolation, q, nullptr, par);
     ExpectSameResult(serial, parallel);
@@ -189,7 +199,7 @@ TEST_P(ParallelScanTest, ReadUncommittedMatchesSerial) {
   q.group_by = {1};
   q.aggs = {{AggSpec::Fn::kSum, 0}, {AggSpec::Fn::kCount, 0}};
   auto serial = table.Scan(Snap(2), ScanMode::kReadUncommitted, q);
-  for (size_t par : {2u, 4u, 8u}) {
+  for (size_t par : kBudgets) {
     auto parallel =
         table.Scan(Snap(2), ScanMode::kReadUncommitted, q, nullptr, par);
     ExpectSameResult(serial, parallel);
@@ -230,7 +240,7 @@ TEST_P(ParallelScanTest, VisibilityCacheMatchesUncachedAndParallel) {
         table.Scan(Snap(e + 100), ScanMode::kSnapshotIsolation, q, nullptr, 1,
                    /*visibility_cache=*/true);
     if (e == 6u) ExpectSameResult(uncached, clamped);
-    for (size_t par : {2u, 4u, 8u}) {
+    for (size_t par : kBudgets) {
       const auto parallel =
           table.Scan(Snap(e), ScanMode::kSnapshotIsolation, q, nullptr, par,
                      /*visibility_cache=*/true);
@@ -241,8 +251,47 @@ TEST_P(ParallelScanTest, VisibilityCacheMatchesUncachedAndParallel) {
   const auto ru_uncached = table.Scan(Snap(2), ScanMode::kReadUncommitted, q,
                                       nullptr, 1, /*visibility_cache=*/false);
   const auto ru_cached = table.Scan(Snap(9), ScanMode::kReadUncommitted, q,
-                                    nullptr, 4, /*visibility_cache=*/true);
+                                    nullptr, 16, /*visibility_cache=*/true);
   ExpectSameResult(ru_uncached, ru_cached);
+}
+
+TEST_P(ParallelScanTest, ParallelismIsTheRequestsWorkerBudget) {
+  // `parallelism` P is split over the S = 4 shard ops: P / S workers each,
+  // one more for the first P % S ops, never fewer than the op's own
+  // thread. Every worker past an op's first is one pool task, so P = 1 and
+  // P = 4 submit none, P = 6 two and P = 8 four.
+  auto schema = MakeSchema();
+  Table table(schema, 4, threaded());
+  FillTable(table, *schema);
+  // Each op needs at least two scannable bricks, or ScanMorsels would cap
+  // its workers at its morsel count.
+  std::vector<size_t> bricks_per_shard(table.num_shards());
+  table.VisitBricks([&](const Brick& brick) {
+    if (brick.num_records() > 0) {
+      ++bricks_per_shard[table.ShardOf(brick.bid())];
+    }
+  });
+  for (size_t n : bricks_per_shard) ASSERT_GE(n, 2u);
+  Query q;
+  q.group_by = {0, 1};
+  q.aggs = {{AggSpec::Fn::kSum, 0},
+            {AggSpec::Fn::kCount, 0},
+            {AggSpec::Fn::kMin, 0},
+            {AggSpec::Fn::kMax, 0}};
+  obs::Counter* tasks =
+      obs::MetricsRegistry::Global().GetCounter("pool.tasks_total");
+  const auto serial = table.Scan(Snap(6), ScanMode::kSnapshotIsolation, q);
+  ASSERT_GT(serial.num_groups(), 1u);
+  const std::vector<std::pair<size_t, uint64_t>> budgets = {
+      {1, 0}, {4, 0}, {6, 2}, {8, 4}};
+  for (const auto& [parallelism, want_tasks] : budgets) {
+    const uint64_t before = tasks->Value();
+    const auto got = table.Scan(Snap(6), ScanMode::kSnapshotIsolation, q,
+                                nullptr, parallelism);
+    EXPECT_EQ(tasks->Value() - before, want_tasks)
+        << "parallelism " << parallelism;
+    ExpectSameResult(serial, got);
+  }
 }
 
 TEST_P(ParallelScanTest, EmptyTableAndOverParallelism) {

@@ -225,6 +225,46 @@ TEST(ScanBrickTest, EmptyBrickNoGroups) {
   EXPECT_TRUE(result.empty());
 }
 
+TEST(ScanBrickTest, GroupedCountLeavesTheUngroupedCountState) {
+  // The grouped fold accumulates a COUNT row by row, the ungrouped one by
+  // a popcount per word. Over rows of one group both must leave every
+  // AggState field the same, which DiffResults (finalized values only)
+  // would not catch. The narrow schema's 2-bit region key takes the direct
+  // slot array, the wide schema's 20-bit key the GroupSlots table.
+  constexpr uint64_t kWide = uint64_t{1} << 20;
+  auto wide = CubeSchema::Make("wide",
+                               {{"x", kWide, kWide, false},
+                                {"day", 32, 8, false}},
+                               {{"units", DataType::kInt64},
+                                {"revenue", DataType::kDouble}})
+                  .value();
+  for (const auto& schema : {MakeSchema(), wide}) {
+    Brick brick(schema, schema->BidFor({0, 8}).value());
+    for (int i = 0; i < 100; ++i) {
+      // Every third row is from a future epoch, so the mask's words are
+      // sparse.
+      AppendOne(brick, i % 3 == 0 ? 9 : 1, 1, i % 8, i, 0.5 * i);
+    }
+    Query ungrouped;
+    ungrouped.aggs = {{AggSpec::Fn::kCount, 0}};
+    Query grouped = ungrouped;
+    grouped.group_by = {0};
+    QueryResult want(1);
+    QueryResult got(1);
+    ScanBrick(brick, Snap(5), ScanMode::kSnapshotIsolation, ungrouped, &want);
+    ScanBrick(brick, Snap(5), ScanMode::kSnapshotIsolation, grouped, &got);
+    ASSERT_EQ(want.num_groups(), 1u);
+    ASSERT_EQ(got.num_groups(), 1u);
+    const AggState& w = want.groups().begin()->second[0];
+    const AggState& g = got.groups().begin()->second[0];
+    EXPECT_EQ(g.count, 66u);
+    EXPECT_EQ(g.count, w.count);
+    EXPECT_EQ(g.sum, w.sum);
+    EXPECT_EQ(g.min, w.min);
+    EXPECT_EQ(g.max, w.max);
+  }
+}
+
 TEST(ScanBrickTest, MultiFilterConjunction) {
   auto schema = MakeSchema();
   Brick brick(schema, schema->BidFor({4, 8}).value());
@@ -414,6 +454,46 @@ TEST(GroupedFoldOracleTest, NarrowCubeSingleAndMultiDimGroups) {
   filtered.filters = {{1, FilterClause::Op::kRange, {}, 2, 5}};
   queries.push_back(filtered);
   fx.ExpectMatches(queries, snapshots);
+}
+
+TEST(GroupedFoldOracleTest, KeyAtTheDirectSlotLimitAndOneBitPast) {
+  // Group-by {a, b} packs into 3 + 3 = 6 bits, the widest key the grouped
+  // fold indexes directly (64 slots). Adding c's bit makes 7 bits, one past
+  // the limit, so {a, b, c} and {c, a, b} take GroupSlots.
+  auto schema = CubeSchema::Make("edge",
+                                 {{"a", 8, 8, false},
+                                  {"b", 8, 8, false},
+                                  {"c", 2, 2, false}},
+                                 {{"i", DataType::kInt64},
+                                  {"d", DataType::kDouble}})
+                    .value();
+  GroupedOracleFixture fx(schema);
+  const uint64_t cards[] = {8, 8, 2};
+  auto pick = [&](size_t d, std::mt19937_64& rng) {
+    return rng() % cards[d];
+  };
+  // One brick; runs of 250, 262, 300 and 212 rows end mid-word, so a
+  // pending epoch leaves sparse words.
+  fx.Append(1, 250, pick);
+  fx.Append(2, 262, pick);
+  fx.DeleteFirstBrick(3);
+  fx.Append(4, 300, pick);
+  fx.Append(5, 212, pick);
+  std::vector<Query> queries;
+  for (std::vector<size_t> group_by :
+       {std::vector<size_t>{0, 1}, {0, 1, 2}, {2, 0, 1}}) {
+    Query q;
+    q.group_by = group_by;
+    q.aggs = AllAggs();
+    queries.push_back(q);
+  }
+  for (size_t q = 0; q < 2; ++q) {
+    Query filtered = queries[q];
+    filtered.filters = {{0, FilterClause::Op::kRange, {}, 2, 5}};
+    queries.push_back(filtered);
+  }
+  fx.ExpectMatches(queries,
+                   {Snap(5), Snap(5, {2}), Snap(5, {4}), Snap(2)});
 }
 
 }  // namespace
