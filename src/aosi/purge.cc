@@ -79,11 +79,7 @@ CompactionPlan PlanPurgeRuns(const std::vector<EpochRun>& runs,
       break;
     }
   }
-  if (!has_applicable_delete && !has_mergeable) {
-    CompactionPlan plan;
-    plan.needed = false;
-    return plan;
-  }
+  if (!has_applicable_delete && !has_mergeable) return CompactionPlan{};
 
   // Compute surviving records: start from all-kept, then apply every delete
   // marker with epoch < lse using exactly the visibility cleanup rule —
@@ -100,6 +96,27 @@ CompactionPlan PlanPurgeRuns(const std::vector<EpochRun>& runs,
   return BuildPlan(working, keep, /*merge_below=*/lse);
 }
 
+/// Plans the removal of every run whose epoch `drop` selects: its records
+/// and its delete markers go, every other run stays unmerged. Rollback and
+/// crash-recovery truncation differ only in the selector.
+template <typename DropFn>
+CompactionPlan PlanDropRuns(const EpochVector& history, DropFn drop) {
+  std::vector<EpochRun> runs = history.Decode();
+  bool touched = false;
+  Bitmap keep(history.num_records(), true);
+  for (auto& run : runs) {
+    if (!drop(run.epoch)) continue;
+    touched = true;
+    if (run.is_delete) {
+      run.epoch = kNoEpoch;  // drop the marker
+    } else {
+      keep.ClearRange(run.begin, run.end);
+    }
+  }
+  if (!touched) return CompactionPlan{};
+  return BuildPlan(runs, keep, /*merge_below=*/kNoEpoch);
+}
+
 }  // namespace
 
 CompactionPlan PlanPurge(const EpochVector& history, Epoch lse) {
@@ -111,47 +128,12 @@ CompactionPlan PlanPurge(const HistoryView& view, Epoch lse) {
 }
 
 CompactionPlan PlanRollback(const EpochVector& history, Epoch victim) {
-  const auto runs = history.Decode();
-  bool touched = false;
-  Bitmap keep(history.num_records(), true);
-  std::vector<EpochRun> working = runs;
-  for (auto& run : working) {
-    if (!SameEpoch(run.epoch, victim)) continue;
-    touched = true;
-    if (run.is_delete) {
-      run.epoch = kNoEpoch;  // drop the victim's delete marker
-    } else {
-      keep.ClearRange(run.begin, run.end);
-    }
-  }
-  if (!touched) {
-    CompactionPlan plan;
-    plan.needed = false;
-    return plan;
-  }
-  return BuildPlan(working, keep, /*merge_below=*/kNoEpoch);
+  return PlanDropRuns(history,
+                      [victim](Epoch e) { return SameEpoch(e, victim); });
 }
 
 CompactionPlan PlanRetainUpTo(const EpochVector& history, Epoch lse) {
-  const auto runs = history.Decode();
-  bool touched = false;
-  Bitmap keep(history.num_records(), true);
-  std::vector<EpochRun> working = runs;
-  for (auto& run : working) {
-    if (AtOrBefore(run.epoch, lse)) continue;
-    touched = true;
-    if (run.is_delete) {
-      run.epoch = kNoEpoch;  // drop the too-new marker
-    } else {
-      keep.ClearRange(run.begin, run.end);
-    }
-  }
-  if (!touched) {
-    CompactionPlan plan;
-    plan.needed = false;
-    return plan;
-  }
-  return BuildPlan(working, keep, /*merge_below=*/kNoEpoch);
+  return PlanDropRuns(history, [lse](Epoch e) { return !AtOrBefore(e, lse); });
 }
 
 }  // namespace cubrick::aosi

@@ -137,8 +137,6 @@ class TxnManager {
   /// effect afterwards.
   Epoch TryAdvanceLSE(Epoch candidate) EXCLUDES(mutex_);
 
-  EpochClock& clock() { return clock_; }
-
   /// Resets the counters after crash recovery: LCE = LSE = `lse`, clock
   /// fast-forwarded strictly past it. Must only be called on a manager with
   /// no transactions (fresh process).

@@ -1,6 +1,5 @@
 #include "common/bitmap.h"
 
-#include "common/simd.h"
 #include "common/status.h"
 
 namespace cubrick {
@@ -55,7 +54,11 @@ void Bitmap::ClearRange(size_t begin, size_t end) {
 }
 
 size_t Bitmap::CountSet() const {
-  return simd::ActiveKernels().count_bits(words_.data(), words_.size());
+  size_t count = 0;
+  for (uint64_t w : words_) {
+    count += static_cast<size_t>(__builtin_popcountll(w));
+  }
+  return count;
 }
 
 size_t Bitmap::CountSetInRange(size_t begin, size_t end) const {

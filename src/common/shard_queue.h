@@ -67,11 +67,6 @@ class ShardQueue {
     not_full_.NotifyAll();
   }
 
-  bool closed() const {
-    MutexLock lock(mutex_);
-    return closed_;
-  }
-
   size_t size() const {
     MutexLock lock(mutex_);
     return items_.size();

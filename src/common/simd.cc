@@ -110,17 +110,9 @@ void FoldDoubleScalar(const double* v, size_t n, double* sum, double* min,
   *max = hi;
 }
 
-size_t CountBitsScalar(const uint64_t* words, size_t n) {
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    count += static_cast<size_t>(__builtin_popcountll(words[i]));
-  }
-  return count;
-}
-
 constexpr Kernels kScalarKernels = {
     Backend::kScalar, FilterEqScalar,   FilterRangeScalar, FilterInScalar,
-    FoldInt64Scalar,  FoldDoubleScalar, CountBitsScalar,
+    FoldInt64Scalar,  FoldDoubleScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -257,39 +249,9 @@ __attribute__((target("avx2"))) void FoldDoubleAvx2(const double* v, size_t n,
   *max = hi_out;
 }
 
-// Positional popcount via the pshufb nibble LUT (Mula); the per-iteration
-// SAD collapse keeps byte counters from ever saturating.
-__attribute__((target("avx2"))) size_t CountBitsAvx2(const uint64_t* words,
-                                                     size_t n) {
-  const __m256i lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
-    const __m256i lo_n = _mm256_and_si256(v, low_mask);
-    const __m256i hi_n =
-        _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-    const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo_n),
-                                        _mm256_shuffle_epi8(lut, hi_n));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(cnt, _mm256_setzero_si256()));
-  }
-  uint64_t lanes[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  size_t count =
-      static_cast<size_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    count += static_cast<size_t>(__builtin_popcountll(words[i]));
-  }
-  return count;
-}
-
 constexpr Kernels kAvx2Kernels = {
     Backend::kAvx2, FilterEqAvx2,   FilterRangeAvx2, FilterInAvx2,
-    FoldInt64Avx2,  FoldDoubleAvx2, CountBitsAvx2,
+    FoldInt64Avx2,  FoldDoubleAvx2,
 };
 
 #endif  // CUBRICK_SIMD_HAVE_AVX2
@@ -419,23 +381,9 @@ void FoldDoubleNeon(const double* v, size_t n, double* sum, double* min,
   *max = hi_out;
 }
 
-size_t CountBitsNeon(const uint64_t* words, size_t n) {
-  size_t count = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint8x16_t bytes =
-        vreinterpretq_u8_u64(vld1q_u64(words + i));
-    count += vaddlvq_u8(vcntq_u8(bytes));
-  }
-  for (; i < n; ++i) {
-    count += static_cast<size_t>(__builtin_popcountll(words[i]));
-  }
-  return count;
-}
-
 constexpr Kernels kNeonKernels = {
     Backend::kNeon, FilterEqNeon,   FilterRangeNeon, FilterInNeon,
-    FoldInt64Neon,  FoldDoubleNeon, CountBitsNeon,
+    FoldInt64Neon,  FoldDoubleNeon,
 };
 
 #endif  // CUBRICK_SIMD_HAVE_NEON

@@ -1,9 +1,8 @@
 // Portable SIMD layer for the scan kernels (DESIGN.md §4e).
 //
-// The word-wise scan kernels (executor filter/fold passes) and
-// Bitmap::CountSet call through the function table returned by
-// ActiveKernels() instead of open-coding loops. Three backends implement the
-// table:
+// The word-wise scan kernels (executor filter/fold passes) call through the
+// function table returned by ActiveKernels() instead of open-coding loops.
+// Three backends implement the table:
 //
 //   * kScalar — plain C++, always compiled, always correct. The reference
 //     the differential tests compare every other backend against.
@@ -41,8 +40,8 @@
 //     `if (v < min) min = v` row loop) and -0.0/+0.0 ties resolve
 //     identically on every backend.
 //
-// Filter masks and popcounts are integer-exact, so they carry no order
-// contract beyond "same bits".
+// Filter masks are integer-exact, so they carry no order contract beyond
+// "same bits".
 //
 // Blind spots (documented, DESIGN.md §4e): no AVX-512 or SVE backends; the
 // dispatch is process-global (per-query backend mixing is not supported —
@@ -83,9 +82,6 @@ struct Kernels {
   /// MINPD/MAXPD-semantics min/max of v[0..n). n >= 1.
   void (*fold_double)(const double* v, size_t n, double* sum, double* min,
                       double* max);
-
-  /// Total population count of words[0..n).
-  size_t (*count_bits)(const uint64_t* words, size_t n);
 };
 
 /// Best backend this CPU supports (never consults the environment).

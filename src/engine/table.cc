@@ -5,7 +5,6 @@
 
 #include "aosi/purge.h"
 #include "common/ebr.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -130,24 +129,20 @@ Status Table::CheckDeleteGranularity(
   Query probe;
   probe.filters = filters;
   CUBRICK_RETURN_IF_ERROR(ValidateQuery(*schema_, probe));
-  std::vector<std::future<void>> checks;
   std::vector<Status> shard_status(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Status* out = &shard_status[s];
-    checks.push_back(shards_[s]->Enqueue([&probe, out](BrickMap& bricks) {
-      bricks.ForEach([&](Brick& brick) {
-        if (!out->ok()) return;
-        if (BrickIntersectsFilters(brick, probe) &&
-            !BrickCoveredByFilters(brick, probe)) {
-          *out = Status::InvalidArgument(
-              "delete predicate only partially covers brick " +
-              std::to_string(brick.bid()) +
-              "; AOSI deletes are partition-granular");
-        }
-      });
-    }));
-  }
-  for (auto& f : checks) f.get();
+  OnEveryShard([&probe, &shard_status](size_t s, BrickMap& bricks) {
+    Status& out = shard_status[s];
+    bricks.ForEach([&](Brick& brick) {
+      if (!out.ok()) return;
+      if (BrickIntersectsFilters(brick, probe) &&
+          !BrickCoveredByFilters(brick, probe)) {
+        out = Status::InvalidArgument(
+            "delete predicate only partially covers brick " +
+            std::to_string(brick.bid()) +
+            "; AOSI deletes are partition-granular");
+      }
+    });
+  });
   for (const auto& st : shard_status) {
     CUBRICK_RETURN_IF_ERROR(st);
   }
@@ -159,18 +154,14 @@ void Table::MarkDeleted(aosi::Epoch epoch,
   Query probe;
   probe.filters = filters;
   RollbackIndex* index = rollback_index_ ? &*rollback_index_ : nullptr;
-  std::vector<std::future<void>> marks;
-  for (auto& shard : shards_) {
-    marks.push_back(shard->Enqueue([&probe, epoch, index](BrickMap& bricks) {
-      bricks.ForEach([&](Brick& brick) {
-        if (brick.num_records() > 0 && BrickCoveredByFilters(brick, probe)) {
-          brick.MarkDeleted(epoch);
-          if (index != nullptr) index->Note(epoch, brick.bid());
-        }
-      });
-    }));
-  }
-  for (auto& f : marks) f.get();
+  OnEveryShard([&probe, epoch, index](size_t, BrickMap& bricks) {
+    bricks.ForEach([&](Brick& brick) {
+      if (brick.num_records() > 0 && BrickCoveredByFilters(brick, probe)) {
+        brick.MarkDeleted(epoch);
+        if (index != nullptr) index->Note(epoch, brick.bid());
+      }
+    });
+  });
 }
 
 QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
@@ -186,32 +177,19 @@ QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
   const size_t num_shards = shards_.size();
   std::vector<QueryResult> partials(num_shards,
                                     QueryResult(query.aggs.size()));
-  std::vector<std::future<void>> done;
-  for (size_t s = 0; s < num_shards; ++s) {
-    QueryResult* out = &partials[s];
+  OnEveryShard([&](size_t s, BrickMap& bricks) {
     // This op's share of the request's worker budget (see table.h).
     const size_t workers = std::max<size_t>(
         1, parallelism / num_shards + (s < parallelism % num_shards ? 1 : 0));
-    done.push_back(shards_[s]->Enqueue([&snapshot, mode, &query, out,
-                                        &brick_filter, workers,
-                                        visibility_cache](BrickMap& bricks) {
-      // Fanning out *inside* the shard op keeps the shard blocked here
-      // until every worker finished, so pool workers read its bricks while
-      // the single-writer invariant still holds. One worker is the serial
-      // scan: the shard's own thread walks the morsels in BrickMap order.
-      std::vector<const Brick*> candidates;
-      bricks.ForEach([&](const Brick& brick) {
-        if (brick_filter && !brick_filter(brick.bid())) return;
+    std::vector<const Brick*> candidates;
+    bricks.ForEach([&](const Brick& brick) {
+      if (!brick_filter || brick_filter(brick.bid())) {
         candidates.push_back(&brick);
-      });
-      auto morsels = PlanMorsels(candidates, query);
-      auto worker_partials =
-          ScanMorsels(morsels, snapshot, mode, query, &ThreadPool::Global(),
-                      workers, visibility_cache);
-      *out = MergePartials(std::move(worker_partials), query.aggs.size());
-    }));
-  }
-  for (auto& f : done) f.get();
+      }
+    });
+    partials[s] = ScanBricks(candidates, snapshot, mode, query, workers,
+                             visibility_cache);
+  });
   QueryResult result(query.aggs.size());
   for (const auto& partial : partials) {
     result.Merge(partial);
@@ -221,14 +199,8 @@ QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
 
 ScanPlanStats Table::ExplainScan(const Query& query) {
   ScanPlanStats stats;
-  for (auto& shard : shards_) {
-    shard
-        ->Enqueue([&](BrickMap& bricks) {
-          bricks.ForEach(
-              [&](const Brick& brick) { ExplainBrick(brick, query, &stats); });
-        })
-        .get();
-  }
+  VisitBricks(
+      [&](const Brick& brick) { ExplainBrick(brick, query, &stats); });
   stats.PublishTo(obs::MetricsRegistry::Global());
   return stats;
 }
@@ -237,17 +209,11 @@ std::vector<MaterializedRow> Table::Materialize(
     const aosi::Snapshot& snapshot, ScanMode mode, const Query& query,
     const MaterializeOptions& options, bool visibility_cache) {
   std::vector<MaterializedRow> rows;
-  for (auto& shard : shards_) {
-    if (rows.size() >= options.limit) break;
-    shard
-        ->Enqueue([&](BrickMap& bricks) {
-          bricks.ForEach([&](const Brick& brick) {
-            MaterializeBrick(brick, snapshot, mode, query, options, &rows,
-                             visibility_cache);
-          });
-        })
-        .get();
-  }
+  // MaterializeBrick returns at once when `rows` is full.
+  VisitBricks([&](const Brick& brick) {
+    MaterializeBrick(brick, snapshot, mode, query, options, &rows,
+                     visibility_cache);
+  });
   return rows;
 }
 
@@ -381,68 +347,50 @@ PurgeStats Table::Purge(aosi::Epoch lse) {
 }
 
 void Table::Rollback(aosi::Epoch victim) {
+  // Indexed path (§III-C5's alternative): each shard visits only the
+  // victim's bricks, skipping every untouched partition's epochs vector.
+  std::optional<std::vector<std::vector<Bid>>> indexed;
   if (rollback_index_) {
-    // Indexed path (§III-C5's alternative): only the victim's bricks are
-    // visited, skipping every untouched partition's epochs vector.
-    std::vector<std::vector<Bid>> per_shard(shards_.size());
+    indexed.emplace(shards_.size());
     for (Bid bid : rollback_index_->Take(victim)) {
-      per_shard[ShardOf(bid)].push_back(bid);
+      (*indexed)[ShardOf(bid)].push_back(bid);
     }
-    std::vector<std::future<void>> done;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (per_shard[s].empty()) continue;
-      auto bids = std::move(per_shard[s]);
-      done.push_back(shards_[s]->Enqueue([victim, bids](BrickMap& bricks) {
-        for (Bid bid : bids) {
-          Brick* brick = bricks.Find(bid);
-          if (brick == nullptr) continue;
-          auto plan = aosi::PlanRollback(brick->history(), victim);
-          if (plan.needed) {
-            brick->ApplyCompaction(plan);
-          }
-        }
-      }));
+  }
+  OnEveryShard([victim, &indexed](size_t s, BrickMap& bricks) {
+    const auto roll_back = [victim](Brick& brick) {
+      auto plan = aosi::PlanRollback(brick.history(), victim);
+      if (plan.needed) {
+        brick.ApplyCompaction(plan);
+      }
+    };
+    if (!indexed) {
+      bricks.ForEach(roll_back);
+      return;
     }
-    for (auto& f : done) f.get();
-    return;
-  }
-
-  std::vector<std::future<void>> done;
-  for (auto& shard : shards_) {
-    done.push_back(shard->Enqueue([victim](BrickMap& bricks) {
-      bricks.ForEach([&](Brick& brick) {
-        auto plan = aosi::PlanRollback(brick.history(), victim);
-        if (plan.needed) {
-          brick.ApplyCompaction(plan);
-        }
-      });
-    }));
-  }
-  for (auto& f : done) f.get();
+    for (Bid bid : (*indexed)[s]) {
+      if (Brick* brick = bricks.Find(bid)) roll_back(*brick);
+    }
+  });
 }
 
 void Table::TruncateAfter(aosi::Epoch lse) {
-  std::vector<std::future<void>> done;
-  for (auto& shard : shards_) {
-    done.push_back(shard->Enqueue([lse](BrickMap& bricks) {
-      std::vector<Bid> dead;
-      bricks.ForEach([&](Brick& brick) {
-        auto plan = aosi::PlanRetainUpTo(brick.history(), lse);
-        if (plan.needed) {
-          brick.ApplyCompaction(plan);
-        }
-        if (brick.num_records() == 0 && brick.history().num_entries() == 0) {
-          dead.push_back(brick.bid());
-        }
-      });
-      for (Bid bid : dead) bricks.Erase(bid);
-    }));
-  }
-  for (auto& f : done) f.get();
+  OnEveryShard([lse](size_t, BrickMap& bricks) {
+    std::vector<Bid> dead;
+    bricks.ForEach([&](Brick& brick) {
+      auto plan = aosi::PlanRetainUpTo(brick.history(), lse);
+      if (plan.needed) {
+        brick.ApplyCompaction(plan);
+      }
+      if (brick.num_records() == 0 && brick.history().num_entries() == 0) {
+        dead.push_back(brick.bid());
+      }
+    });
+    for (Bid bid : dead) bricks.Erase(bid);
+  });
 }
 
 void Table::Drain() {
-  for (auto& shard : shards_) shard->Drain();
+  OnEveryShard([](size_t, BrickMap&) {});
 }
 
 void Table::VisitBricks(const std::function<void(const Brick&)>& fn) {
@@ -462,31 +410,43 @@ void Table::ApplyToBrick(Bid bid, const std::function<void(Brick&)>& fn) {
 }
 
 uint64_t Table::TotalRecords() {
-  Drain();
-  uint64_t n = 0;
-  for (auto& shard : shards_) n += shard->bricks().TotalRecords();
-  return n;
+  return SumOverShards(
+      [](const BrickMap& bricks) { return bricks.TotalRecords(); });
 }
 
 uint64_t Table::NumBricks() {
-  Drain();
-  uint64_t n = 0;
-  for (auto& shard : shards_) n += shard->bricks().size();
-  return n;
+  return SumOverShards([](const BrickMap& bricks) { return bricks.size(); });
 }
 
 size_t Table::DataMemoryUsage() {
-  Drain();
-  size_t bytes = 0;
-  for (auto& shard : shards_) bytes += shard->bricks().DataMemoryUsage();
-  return bytes;
+  return SumOverShards(
+      [](const BrickMap& bricks) { return bricks.DataMemoryUsage(); });
 }
 
 size_t Table::HistoryMemoryUsage() {
-  Drain();
-  size_t bytes = 0;
-  for (auto& shard : shards_) bytes += shard->bricks().HistoryMemoryUsage();
-  return bytes;
+  return SumOverShards(
+      [](const BrickMap& bricks) { return bricks.HistoryMemoryUsage(); });
+}
+
+void Table::OnEveryShard(const std::function<void(size_t, BrickMap&)>& op) {
+  std::vector<std::future<void>> done;
+  done.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    done.push_back(
+        shards_[s]->Enqueue([&op, s](BrickMap& bricks) { op(s, bricks); }));
+  }
+  // Every op borrows `op` and the caller's state: wait for all of them
+  // before get() can rethrow one's failure.
+  for (auto& f : done) f.wait();
+  for (auto& f : done) f.get();
+}
+
+uint64_t Table::SumOverShards(
+    const std::function<uint64_t(const BrickMap&)>& count) {
+  std::vector<uint64_t> per_shard(shards_.size());
+  OnEveryShard(
+      [&](size_t s, BrickMap& bricks) { per_shard[s] = count(bricks); });
+  return std::accumulate(per_shard.begin(), per_shard.end(), uint64_t{0});
 }
 
 }  // namespace cubrick

@@ -2,8 +2,9 @@
 //
 // Owns the cube's shards (bricks hashed by bid across shards, paper §V-B)
 // and exposes the low-level AOSI operations — append, partition delete,
-// snapshot scan, purge, rollback — each dispatched onto shard queues and
-// applied by single-writer shard threads.
+// snapshot scan, purge, rollback — and the table statistics, each
+// dispatched onto shard queues and applied by single-writer shard threads.
+// No Table method reads a shard's BrickMap from its own thread.
 
 #pragma once
 
@@ -116,15 +117,14 @@ class Table {
   ///
   /// `parallelism` is the whole request's worker budget, split over its
   /// shard ops: op s of S gets P / S workers, plus one when s < P % S, and
-  /// never fewer than one (its own thread). Inside each shard op the
-  /// shard's bricks become morsels for its workers — the shard's thread
-  /// plus tasks on ThreadPool::Global() — each scanning into a thread-local
-  /// partial, merged before the shard op returns. The shard stays blocked
-  /// in its own op for the whole fan-out, so the single-writer invariant
-  /// holds: nothing can mutate its bricks while pool workers read them.
-  /// Any P <= S (the default 1 included) is one worker per shard op, the
-  /// shard's thread alone in BrickMap order, so a scan submits pool tasks
-  /// only when P > S.
+  /// never fewer than one (its own thread). Each shard op hands its bricks
+  /// to ScanBricks with its share, which scans them on the shard's thread
+  /// plus, past the first worker, tasks on ThreadPool::Global(), and
+  /// returns the op's merged result. The shard stays blocked in its own op
+  /// for the whole fan-out, so the single-writer invariant holds: nothing
+  /// can mutate its bricks while pool workers read them. Any P <= S (the
+  /// default 1 included) is one worker per shard op, the shard's thread
+  /// alone in BrickMap order, so a scan submits pool tasks only when P > S.
   ///
   /// `visibility_cache` enables each brick's visibility-bitmap cache
   /// (DESIGN.md §4c); results are identical with it on or off. The engine
@@ -158,18 +158,19 @@ class Table {
   /// Drops everything newer than `lse` (crash-recovery truncation).
   void TruncateAfter(aosi::Epoch lse);
 
-  /// Waits for all shard queues to empty.
+  /// Waits until every op queued on any shard before the call has run.
   void Drain();
 
-  /// Visits every brick, one shard at a time (fn is never called
-  /// concurrently). Used by the persistence layer to collect flush data.
+  /// Visits every brick on its shard's thread, one shard at a time in
+  /// shard order (fn is never called concurrently). The flush, EXPLAIN and
+  /// Materialize walks go through here.
   void VisitBricks(const std::function<void(const Brick&)>& fn);
 
   /// Applies `fn` to the brick `bid` on its owning shard, materializing it
   /// if absent. Used by recovery to replay delete markers.
   void ApplyToBrick(Bid bid, const std::function<void(Brick&)>& fn);
 
-  // --- Statistics (each drains pending work first) ----------------------
+  // --- Statistics (shard ops: each shard counts after its queued work) ---
   uint64_t TotalRecords();
   uint64_t NumBricks();
   size_t DataMemoryUsage();
@@ -213,6 +214,16 @@ class Table {
   /// Body of the shard drain op: applies staged views until the stage is
   /// empty, so appends staged mid-drain coalesce into the running op.
   static void DrainAppendStage(AppendStage* stage, BrickMap& bricks);
+
+  /// Runs `op(s, bricks)` as one op on every shard s at once and returns
+  /// when all have run. Every table-wide operation but Append's coalescer,
+  /// Purge's timed phases and the one-shard-at-a-time VisitBricks goes
+  /// through here.
+  void OnEveryShard(const std::function<void(size_t, BrickMap&)>& op);
+
+  /// Sum over the shards of `count(bricks)`, each taken on its shard.
+  uint64_t SumOverShards(
+      const std::function<uint64_t(const BrickMap&)>& count);
 
   std::shared_ptr<const CubeSchema> schema_;
   /// Declared before shards_ so the stages outlive the shard threads that

@@ -1,6 +1,7 @@
 #include "persist/flush_manager.h"
 
 #include <filesystem>
+#include <functional>
 
 #include "common/stopwatch.h"
 #include "engine/run_extract.h"
@@ -48,6 +49,24 @@ Status CheckStringIds(const CubeSchema& schema, const EncodedBatch& batch,
   }
   return Status::OK();
 }
+
+/// Writes `path` through `write` into `path`.tmp, then renames it over
+/// `path`: a crash or failed write part-way leaves the old file whole.
+Status ReplaceFile(const std::string& path,
+                   const std::function<void(BinaryWriter&)>& write) {
+  const std::string tmp = path + ".tmp";
+  {
+    BinaryWriter writer(tmp);
+    write(writer);
+    CUBRICK_RETURN_IF_ERROR(writer.Finish());
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    return Status::IOError("rename of " + tmp + " failed: " + ec.message());
+  }
+  return Status::OK();
+}
 }  // namespace
 
 FlushManager::FlushManager(std::string dir, std::string cube_name)
@@ -64,18 +83,11 @@ std::string FlushManager::ManifestPath() const {
 }
 
 Status FlushManager::WriteManifest(uint64_t rounds, aosi::Epoch lse) const {
-  const std::string tmp = ManifestPath() + ".tmp";
-  {
-    BinaryWriter writer(tmp);
+  return ReplaceFile(ManifestPath(), [&](BinaryWriter& writer) {
     writer.WriteU64(kManifestMagic);
     writer.WriteU64(rounds);
     writer.WriteU64(lse);
-    CUBRICK_RETURN_IF_ERROR(writer.Finish());
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, ManifestPath(), ec);
-  if (ec) return Status::IOError("manifest rename failed: " + ec.message());
-  return Status::OK();
+  });
 }
 
 Result<FlushManager::Manifest> FlushManager::ReadManifest() const {
@@ -101,22 +113,22 @@ uint64_t FlushManager::ManifestRounds() const {
 }
 
 Status FlushManager::WriteDictionaries(const CubeSchema& schema) const {
-  BinaryWriter writer(DictPath());
-  writer.WriteU64(kDictMagic);
-  writer.WriteU64(schema.num_columns());
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    StringDictionary* dict = schema.dictionary(c);
-    if (dict == nullptr) {
-      writer.WriteU64(0);
-      continue;
+  return ReplaceFile(DictPath(), [&schema](BinaryWriter& writer) {
+    writer.WriteU64(kDictMagic);
+    writer.WriteU64(schema.num_columns());
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      StringDictionary* dict = schema.dictionary(c);
+      if (dict == nullptr) {
+        writer.WriteU64(0);
+        continue;
+      }
+      const uint64_t n = dict->size();
+      writer.WriteU64(n);
+      for (uint64_t id = 0; id < n; ++id) {
+        writer.WriteString(dict->Decode(id).value());
+      }
     }
-    const uint64_t n = dict->size();
-    writer.WriteU64(n);
-    for (uint64_t id = 0; id < n; ++id) {
-      writer.WriteString(dict->Decode(id).value());
-    }
-  }
-  return writer.Finish();
+  });
 }
 
 Status FlushManager::ReadDictionaries(const CubeSchema& schema) const {

@@ -84,8 +84,6 @@ class FlushManager {
   /// manifest or it is unreadable.
   uint64_t ManifestRounds() const;
 
-  const std::string& dir() const { return dir_; }
-
  private:
   std::string SegmentPath(uint64_t round) const;
   std::string DictPath() const;
@@ -103,6 +101,8 @@ class FlushManager {
   /// Atomically replaces the manifest (tmp file + rename).
   Status WriteManifest(uint64_t rounds, aosi::Epoch lse) const;
 
+  /// Atomically replaces the dictionary file (tmp file + rename), so a
+  /// failed write leaves the last complete round's dictionaries in place.
   Status WriteDictionaries(const CubeSchema& schema) const;
   Status ReadDictionaries(const CubeSchema& schema) const;
 

@@ -639,42 +639,31 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
                                       brick.num_records());
 }
 
-std::vector<const Brick*> PlanMorsels(
-    const std::vector<const Brick*>& candidates, const Query& query) {
+QueryResult ScanBricks(const std::vector<const Brick*>& candidates,
+                       const aosi::Snapshot& snapshot, ScanMode mode,
+                       const Query& query, size_t workers, bool use_cache) {
   const ScanInstruments& ins = Instruments();
-  std::vector<const Brick*> morsels;
-  morsels.reserve(candidates.size());
+  // Prune first, with ScanBrick's own test and counter, so no worker is
+  // spent on a brick without row work.
+  std::vector<const Brick*> bricks;
+  bricks.reserve(candidates.size());
   for (const Brick* brick : candidates) {
     if (brick->num_records() == 0 || !BrickIntersectsFilters(*brick, query)) {
-      // Same prune accounting as the serial ScanBrick fast path; pruned
-      // bricks never become tasks, so the pool only sees real work.
       ins.bricks_pruned->Add();
-      continue;
+    } else {
+      bricks.push_back(brick);
     }
-    morsels.push_back(brick);
   }
-  return morsels;
-}
+  workers = std::clamp<size_t>(workers, 1, std::max<size_t>(bricks.size(), 1));
+  if (workers == 1) {
+    QueryResult result(query.aggs.size());
+    for (const Brick* brick : bricks) {
+      ScanBrick(*brick, snapshot, mode, query, &result, use_cache);
+    }
+    return result;
+  }
 
-std::vector<QueryResult> ScanMorsels(const std::vector<const Brick*>& morsels,
-                                     const aosi::Snapshot& snapshot,
-                                     ScanMode mode, const Query& query,
-                                     ThreadPool* pool, size_t parallelism,
-                                     bool use_cache) {
-  const ScanInstruments& ins = Instruments();
-  size_t workers = parallelism == 0 ? 1 : parallelism;
-  if (workers > morsels.size()) {
-    workers = morsels.empty() ? 1 : morsels.size();
-  }
   std::vector<QueryResult> partials(workers, QueryResult(query.aggs.size()));
-  if (morsels.empty()) return partials;
-  if (workers == 1 || pool == nullptr) {
-    for (const Brick* brick : morsels) {
-      ScanBrick(*brick, snapshot, mode, query, &partials[0], use_cache);
-    }
-    return partials;
-  }
-
   std::atomic<size_t> next{0};
   auto scan_worker = [&](size_t w) {
     obs::ObsSpan span(ins.worker_scan_us);
@@ -682,28 +671,21 @@ std::vector<QueryResult> ScanMorsels(const std::vector<const Brick*>& morsels,
     while (true) {
       // The brick data itself was published to the pool threads by the
       // task-handoff mutexes in ThreadPool::Submit/PopTask.
-      // relaxed: the ticket only partitions disjoint morsels; no data rides on it
+      // relaxed: the ticket only partitions disjoint bricks; no data rides on it
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= morsels.size()) break;
-      ScanBrick(*morsels[i], snapshot, mode, query, out, use_cache);
+      if (i >= bricks.size()) break;
+      ScanBrick(*bricks[i], snapshot, mode, query, out, use_cache);
     }
   };
-
-  TaskGroup group(pool);
+  TaskGroup group(&ThreadPool::Global());
   for (size_t w = 1; w < workers; ++w) {
     group.Run([&scan_worker, w] { scan_worker(w); });
   }
   scan_worker(0);  // the calling thread is always worker 0
   group.Wait();
-  return partials;
-}
 
-QueryResult MergePartials(std::vector<QueryResult> partials,
-                          size_t num_aggs) {
-  if (partials.size() == 1) return std::move(partials[0]);
-  const ScanInstruments& ins = Instruments();
-  obs::ObsSpan span(ins.parallel_merge_us);
-  QueryResult result(num_aggs);
+  obs::ObsSpan merge_span(ins.parallel_merge_us);
+  QueryResult result(query.aggs.size());
   for (const QueryResult& partial : partials) {
     result.Merge(partial);
   }

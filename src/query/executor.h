@@ -22,8 +22,6 @@ class MetricsRegistry;
 
 namespace cubrick {
 
-class ThreadPool;
-
 /// True when the brick's dimension ranges can contain a matching record —
 /// the granular-partitioning prune that skips bricks without touching rows.
 bool BrickIntersectsFilters(const Brick& brick, const Query& query);
@@ -77,39 +75,19 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
                ScanMode mode, const Query& query, QueryResult* result,
                bool use_cache = true);
 
-// --- Morsel-parallel scan pipeline (plan -> scan -> merge) -----------------
-//
-// Bricks are the natural morsel unit (granular partitioning already sizes
-// them, cf. morsel-driven parallelism, Leis et al. SIGMOD 2014). The three
-// steps below are what Table::Scan composes at every parallelism setting
-// (serial is one worker); each is independently testable. No shared
-// mutable state exists inside the row loops: every worker scans into its
-// own partial QueryResult (one merge per group per brick), and only the
-// final merge combines the workers' group-by maps.
-
-/// Plan step: the subset of `candidates` that needs row work, in input
-/// order. Bricks pruned here (empty, or ranges disjoint from the filters)
-/// are tallied into query.bricks_pruned exactly as ScanBrick's own prune.
-std::vector<const Brick*> PlanMorsels(
-    const std::vector<const Brick*>& candidates, const Query& query);
-
-/// Scan step: fans `morsels` out over `pool` with up to `parallelism`
-/// concurrent workers — the calling thread always participates, so
-/// `parallelism - 1` pool tasks are spawned — and returns one partial
-/// result per worker. Workers claim morsels from a shared atomic ticket,
-/// so skew (one dense brick) cannot idle the rest of the crew. With
-/// `parallelism <= 1` or a null pool this degenerates to a serial loop on
-/// the calling thread.
-std::vector<QueryResult> ScanMorsels(const std::vector<const Brick*>& morsels,
-                                     const aosi::Snapshot& snapshot,
-                                     ScanMode mode, const Query& query,
-                                     ThreadPool* pool, size_t parallelism,
-                                     bool use_cache = true);
-
-/// Merge step: folds the worker partials into one result, recording the
-/// fold's duration into query.parallel_merge_us. A lone partial (a serial
-/// scan) is moved out as is, with nothing recorded.
-QueryResult MergePartials(std::vector<QueryResult> partials, size_t num_aggs);
+/// The scan of one shard op of Table::Scan: scans `candidates` with up to
+/// `workers` workers into one result. Bricks without rows or with ranges
+/// disjoint from the filters are pruned first, each counted once in
+/// query.bricks_pruned. One worker (also whenever at most one brick is
+/// left) scans the rest in order on the calling thread. More workers are
+/// the calling thread plus `workers` - 1 tasks on ThreadPool::Global(),
+/// claiming bricks from a shared ticket (bricks are the morsels of
+/// morsel-driven parallelism, Leis et al., SIGMOD 2014), each into its own
+/// partial; query.worker_scan_us times each worker and
+/// query.parallel_merge_us the merge of the partials.
+QueryResult ScanBricks(const std::vector<const Brick*>& candidates,
+                       const aosi::Snapshot& snapshot, ScanMode mode,
+                       const Query& query, size_t workers, bool use_cache);
 
 /// EXPLAIN-style account of how granular partitioning served a query.
 struct ScanPlanStats {

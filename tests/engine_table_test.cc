@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "ingest/parser.h"
 
 namespace cubrick {
@@ -231,6 +234,58 @@ TEST(TableConcurrencyTest, ParallelAppendsFromManyClients) {
                            SumQuery());
   EXPECT_DOUBLE_EQ(result.Single(1, AggSpec::Fn::kCount),
                    kClients * kBatches * 2.0);
+}
+
+TEST(TableConcurrencyTest, StatisticsWhileAppending) {
+  // Every batch materializes new bricks (a BrickMap insert, at times a
+  // rehash) and grows an existing brick's columns on the shard threads,
+  // while another thread polls the four statistics. Each statistic is a
+  // shard op, so it never reads a brick map or column mid-mutation, and
+  // each shard's count in one poll is taken after its count in the last.
+  auto schema = CubeSchema::Make("wide", {{"region", 4096, 1, false}},
+                                 {{"n", DataType::kInt64}})
+                    .value();
+  Table table(schema, 4, /*threaded=*/true);
+  constexpr int64_t kBatches = 200;
+  constexpr int64_t kNewBricksPerBatch = 8;
+  std::atomic<bool> appending{true};
+  std::thread appender([&] {
+    for (int64_t b = 0; b < kBatches; ++b) {
+      std::vector<Record> records = {{int64_t{0}, b}};
+      for (int64_t i = 1; i <= kNewBricksPerBatch; ++i) {
+        records.push_back({b * kNewBricksPerBatch + i, b});
+      }
+      auto parsed = ParseRecords(*schema, records);
+      if (!parsed.ok() || !table
+                               .Append(static_cast<aosi::Epoch>(b + 1),
+                                       std::move(parsed->batches))
+                               .ok()) {
+        ADD_FAILURE() << "batch " << b << " failed";
+        break;
+      }
+    }
+    appending.store(false, std::memory_order_release);
+  });
+  uint64_t last_records = 0;
+  int polls = 0;
+  while (appending.load(std::memory_order_acquire)) {
+    const uint64_t records = table.TotalRecords();
+    EXPECT_GE(records, last_records);
+    last_records = records;
+    EXPECT_LE(table.NumBricks(),
+              static_cast<uint64_t>(1 + kBatches * kNewBricksPerBatch));
+    if (records > 0) {
+      EXPECT_GT(table.DataMemoryUsage(), 0u);
+      EXPECT_GT(table.HistoryMemoryUsage(), 0u);
+    }
+    ++polls;
+  }
+  appender.join();
+  EXPECT_GT(polls, 0);
+  EXPECT_EQ(table.TotalRecords(),
+            static_cast<uint64_t>(kBatches * (kNewBricksPerBatch + 1)));
+  EXPECT_EQ(table.NumBricks(),
+            static_cast<uint64_t>(1 + kBatches * kNewBricksPerBatch));
 }
 
 }  // namespace

@@ -263,8 +263,8 @@ TEST_P(ParallelScanTest, ParallelismIsTheRequestsWorkerBudget) {
   auto schema = MakeSchema();
   Table table(schema, 4, threaded());
   FillTable(table, *schema);
-  // Each op needs at least two scannable bricks, or ScanMorsels would cap
-  // its workers at its morsel count.
+  // Each op needs at least two scannable bricks, or ScanBricks would cap
+  // its workers at its brick count.
   std::vector<size_t> bricks_per_shard(table.num_shards());
   table.VisitBricks([&](const Brick& brick) {
     if (brick.num_records() > 0) {

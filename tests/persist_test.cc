@@ -5,7 +5,11 @@
 #include "persist/flush_manager.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -374,6 +378,53 @@ TEST_F(CorruptSegmentTest, DictionaryStringLengthPastEndOfFileIsIOError) {
   CheckpointThenCorrupt(
       [](std::string* bytes) { (*bytes)[3 * 8 + 7] ^= 0x40; }, "c.dict");
   ExpectIOErrorInBothShardModes("dictionary");
+}
+
+// A crash or full disk part-way through a round's dictionary write must not
+// cost the rounds already durable: the file is replaced, never truncated.
+TEST_F(PersistTest, FailedDictionaryWriteKeepsTheLastRound) {
+  Database db(Options());  // inline shards: the child below needs no thread
+  ASSERT_TRUE(db.ExecuteDdl(kDdl).ok());
+  ASSERT_TRUE(db.Load("sales", {{"US", 1, 10, 1.5}, {"BR", 2, 20, 2.5}}).ok());
+  ASSERT_TRUE(db.Checkpoint().ok());
+
+  // Round 2 runs in a child under a 4 KiB file size limit, with SIGXFSZ
+  // ignored so a write past the limit fails with EFBIG instead of killing
+  // the child. Its segment holds two short rows and fits; its dictionary
+  // holds two new 4 KiB strings and does not.
+  constexpr rlim_t kLimit = 4096;
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    alarm(60);  // a wedged child fails the test instead of hanging it
+    signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{kLimit, kLimit};
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(3);
+    if (!db.Load("sales", {{std::string(kLimit, 'a'), 3, 30, 3.5},
+                           {std::string(kLimit, 'b'), 4, 40, 4.5}})
+             .ok()) {
+      _exit(2);
+    }
+    _exit(db.Checkpoint().ok() ? 1 : 0);
+  }
+  int wait_status = 0;
+  ASSERT_EQ(waitpid(child, &wait_status, 0), child);
+  ASSERT_TRUE(WIFEXITED(wait_status)) << "wait status " << wait_status;
+  ASSERT_EQ(WEXITSTATUS(wait_status), 0)
+      << "round 2 should fail on its dictionary";
+  EXPECT_TRUE(fs::exists(dir_ / "sales.seg.2"));
+
+  Database recovered(Options());
+  ASSERT_TRUE(recovered.ExecuteDdl(kDdl).ok());
+  const Status recover = recovered.Recover();
+  ASSERT_TRUE(recover.ok()) << recover.ToString();
+  EXPECT_EQ(recovered.TotalRecords(), 2u);
+  auto filter = recovered.EqFilter("sales", "region", "BR");
+  ASSERT_TRUE(filter.ok());
+  cubrick::Query q = CountQuery();
+  q.filters = {*filter};
+  EXPECT_DOUBLE_EQ(
+      recovered.Query("sales", q)->Single(0, AggSpec::Fn::kCount), 1.0);
 }
 
 TEST_F(PersistTest, CheckpointSkipsWhenNothingNew) {

@@ -81,6 +81,23 @@ TEST(RollbackIndexTest, IndexedRollbackMatchesFullScan) {
           .Single(0, AggSpec::Fn::kSum));
 }
 
+TEST(RollbackIndexTest, IndexedRollbackVisitsOnlyTheVictimsBricks) {
+  // The victim's rows in a brick the index never noted survive: the indexed
+  // rollback visits only the bricks the index names, where the full scan
+  // visits every brick.
+  auto schema = WideKeySchema();
+  for (bool threaded : {false, true}) {
+    Table table(schema, 4, threaded, /*rollback_index=*/true);
+    ASSERT_TRUE(table.Append(2, RowsFor(*schema, {1, 2})).ok());
+    const EncodedBatch unnoted = RowsFor(*schema, {3});
+    table.ApplyToBrick(unnoted.bids[0], [&](Brick& brick) {
+      brick.AppendBatch(2, unnoted, 0);
+    });
+    table.Rollback(2);
+    EXPECT_EQ(table.TotalRecords(), 1u) << "threaded " << threaded;
+  }
+}
+
 TEST(RollbackIndexTest, IndexedRollbackOfDeleteMarker) {
   auto schema = WideKeySchema();
   Table table(schema, 2, false, /*rollback_index=*/true);
