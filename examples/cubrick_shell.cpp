@@ -12,9 +12,13 @@
 //   HELP / QUIT
 //
 // Piped demo:
-//   printf 'CREATE CUBE s (region string CARDINALITY 4 RANGE 1, v int)\n
-//           LOAD s US,10\nLOAD s BR,20\nQUERY s SUM v BY region\nQUIT\n' \
-//     | ./build/examples/example_cubrick_shell
+//   ./build/examples/example_cubrick_shell <<'EOF'
+//   CREATE CUBE s (region string CARDINALITY 4 RANGE 1, v int)
+//   LOAD s US,10
+//   LOAD s BR,20
+//   QUERY s SUM v BY region
+//   QUIT
+//   EOF
 
 #include <cstdio>
 #include <iostream>

@@ -80,9 +80,10 @@ Collector::~Collector() {
     std::vector<Retired> batch;
     {
       MutexLock lock(limbo_mu_);
-      for (auto& bucket : limbo_) {
-        for (const Retired& r : bucket) batch.push_back(r);
-        bucket.clear();
+      for (uint64_t b = 0; b < kBuckets; ++b) {
+        for (const Retired& r : limbo_[b]) batch.push_back(r);
+        limbo_[b].clear();
+        bucket_bytes_[b] = 0;
       }
     }
     if (batch.empty()) return;
@@ -158,11 +159,10 @@ void Collector::Retire(void* ptr, void (*deleter)(void*), size_t bytes) {
     MutexLock lock(limbo_mu_);
     const uint64_t e = global_epoch_.load(std::memory_order_relaxed);
     limbo_[e % kBuckets].push_back(Retired{ptr, deleter, bytes});
+    bucket_bytes_[e % kBuckets] += bytes;
     ++retires_since_advance_;
-    size_t bucket_bytes = 0;
-    for (const Retired& r : limbo_[e % kBuckets]) bucket_bytes += r.bytes;
     attempt_advance = retires_since_advance_ >= kAdvanceEvery ||
-                      bucket_bytes >= kAdvanceBytesPressure;
+                      bucket_bytes_[e % kBuckets] >= kAdvanceBytesPressure;
   }
   retired_total_->Add();
   limbo_objects_->Add(1);
@@ -205,6 +205,7 @@ bool Collector::TryAdvance() {
       // the drained bucket state.
       global_epoch_.store(e + 1, std::memory_order_release);
       batch.swap(limbo_[(e + 1) % kBuckets]);
+      bucket_bytes_[(e + 1) % kBuckets] = 0;
       retires_since_advance_ = 0;
       advanced = true;
     }

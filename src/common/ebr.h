@@ -166,6 +166,10 @@ class Collector {
   /// limbo_[e % kBuckets] holds objects retired while the global epoch was
   /// e (for the currently reachable window of epochs).
   std::vector<Retired> limbo_[kBuckets] GUARDED_BY(limbo_mu_);
+  /// bucket_bytes_[b] is the sum of limbo_[b]'s byte hints: added to on
+  /// every push and reset when the bucket is swapped out, so a retire
+  /// reads its bucket's bytes in O(1).
+  size_t bucket_bytes_[kBuckets] GUARDED_BY(limbo_mu_) = {};
   /// Retires since the last advance attempt (the amortization counter).
   size_t retires_since_advance_ GUARDED_BY(limbo_mu_) = 0;
 

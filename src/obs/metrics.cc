@@ -36,6 +36,18 @@ Histogram::Snapshot Histogram::Read() const {
   return snap;
 }
 
+void HistogramTally::FlushInto(Histogram* into) {
+  if (internal::EnabledRelaxed(internal::EnabledFlag())) {
+    for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
+      if (counts_[i] != 0) {
+        into->buckets_[i].fetch_add(counts_[i], std::memory_order_relaxed);
+      }
+    }
+    if (total_ != 0) into->sum_.fetch_add(total_, std::memory_order_relaxed);
+  }
+  *this = HistogramTally();
+}
+
 uint64_t Histogram::Snapshot::Percentile(double p) const {
   if (count == 0) return 0;
   const size_t rank = PercentileRank(count, p);

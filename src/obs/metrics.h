@@ -17,6 +17,9 @@
 //    and never touch the map again. Instruments are never deallocated.
 //  * When metrics are disabled (obs::SetEnabled(false)) every write is a
 //    relaxed flag load plus an untaken branch — near-zero cost.
+//  * A loop that records many samples on one thread can collect them in a
+//    HistogramTally (plain integers) and add them to the shared histogram
+//    once, so it writes no shared cache line per sample.
 //
 // Histogram snapshots are internally consistent by construction: the count
 // is derived as the sum of the bucket reads in the same snapshot, so
@@ -124,8 +127,34 @@ class Histogram {
   Snapshot Read() const;
 
  private:
+  friend class HistogramTally;
+
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
   std::atomic<uint64_t> sum_{0};
+};
+
+/// One thread's private run of samples bound for a Histogram: the same
+/// buckets as plain integers, so a hot loop that records many samples
+/// writes no shared cache line until it flushes. Record keeps Histogram's
+/// semantics (a sample recorded while metrics are disabled is dropped).
+class HistogramTally {
+ public:
+  void Record(uint64_t v) {
+    if (!internal::EnabledRelaxed(internal::EnabledFlag())) return;
+    ++counts_[Histogram::BucketIndex(v)];
+    total_ += v;
+  }
+
+  /// Adds every recorded sample into `into` with one relaxed fetch_add per
+  /// non-empty bucket (plus one on the sum) and empties the tally. Nothing
+  /// moves while metrics are disabled.
+  void FlushInto(Histogram* into);
+
+ private:
+  // Not named buckets_/sum_: aosi_lint matches atomics by member name and
+  // would read these plain integers as Histogram's atomics.
+  std::array<uint64_t, Histogram::kNumBuckets> counts_{};
+  uint64_t total_ = 0;
 };
 
 /// Point-in-time copy of a Histogram. `count` is derived from the bucket

@@ -18,9 +18,9 @@ namespace cubrick {
 
 namespace {
 
-/// Per-brick scan instrumentation (docs/OBSERVABILITY.md, "query.*").
-/// Resolved once; everything recorded at brick granularity so the row loop
-/// itself stays untouched.
+/// Scan instrumentation (docs/OBSERVABILITY.md, "query.*"), resolved once.
+/// The per-brick instruments are written only by ~ScanTally; the row
+/// loops never touch them.
 struct ScanInstruments {
   obs::Counter* bricks_scanned;
   obs::Counter* bricks_pruned;
@@ -71,6 +71,82 @@ const ScanInstruments& Instruments() {
   return m;
 }
 
+/// One scan worker's plain tally of the per-brick instruments, added into
+/// the registry once, when the tally dies (so every scan path adds its
+/// bricks exactly once). The five per-brick histograms keep one sample per
+/// brick.
+struct ScanTally {
+  uint64_t bricks_scanned = 0;
+  uint64_t bricks_pruned = 0;
+  uint64_t rows_considered = 0;
+  uint64_t rows_scanned = 0;
+  uint64_t vis_cache_hits = 0;
+  uint64_t vis_cache_misses = 0;
+  uint64_t vis_cache_evictions = 0;
+  uint64_t kernel_words_scanned = 0;
+  uint64_t kernel_words_skipped = 0;
+  uint64_t kernel_words_dense = 0;
+  uint64_t kernel_simd_words = 0;
+  uint64_t kernel_simd_fallback = 0;
+  obs::HistogramTally bitmap_density_permille;
+  obs::HistogramTally visibility_us;
+  obs::HistogramTally filter_us;
+  obs::HistogramTally agg_us;
+  obs::HistogramTally kernel_dense_words_permille;
+
+  ScanTally() = default;
+  ScanTally(const ScanTally&) = delete;
+  ScanTally& operator=(const ScanTally&) = delete;
+  ~ScanTally() {
+    const ScanInstruments& ins = Instruments();
+    const auto add = [](obs::Counter* counter, uint64_t n) {
+      if (n != 0) counter->Add(n);
+    };
+    add(ins.bricks_scanned, bricks_scanned);
+    add(ins.bricks_pruned, bricks_pruned);
+    add(ins.rows_considered, rows_considered);
+    add(ins.rows_scanned, rows_scanned);
+    add(ins.vis_cache_hits, vis_cache_hits);
+    add(ins.vis_cache_misses, vis_cache_misses);
+    add(ins.vis_cache_evictions, vis_cache_evictions);
+    add(ins.kernel_words_scanned, kernel_words_scanned);
+    add(ins.kernel_words_skipped, kernel_words_skipped);
+    add(ins.kernel_words_dense, kernel_words_dense);
+    add(ins.kernel_simd_words, kernel_simd_words);
+    add(ins.kernel_simd_fallback, kernel_simd_fallback);
+    bitmap_density_permille.FlushInto(ins.bitmap_density_permille);
+    visibility_us.FlushInto(ins.visibility_us);
+    filter_us.FlushInto(ins.filter_us);
+    agg_us.FlushInto(ins.agg_us);
+    kernel_dense_words_permille.FlushInto(ins.kernel_dense_words_permille);
+  }
+};
+
+/// Times one brick's consecutive phases in microseconds, as an ObsSpan
+/// per phase would, but with one clock read between two phases. Reads no
+/// clock while metrics are disabled.
+class PhaseClock {
+ public:
+  PhaseClock() : on_(obs::Enabled()), last_(on_ ? obs::NowMicros() : 0) {}
+
+  /// Records the phase that ends now into `us` and starts the next one.
+  void Lap(obs::HistogramTally* us) {
+    if (!on_) return;
+    const int64_t now = obs::NowMicros();
+    us->Record(static_cast<uint64_t>(now < last_ ? 0 : now - last_));
+    last_ = now;
+  }
+
+  /// Starts the next phase now, leaving out the time since the last lap.
+  void Restart() {
+    if (on_) last_ = obs::NowMicros();
+  }
+
+ private:
+  bool on_;
+  int64_t last_;
+};
+
 /// All 64 bits set — the "dense word" sentinel of the scan kernels. The
 /// ragged last word of a bitmap never equals this (trailing bits are kept
 /// zero), so dense fast paths never read past num_records.
@@ -86,10 +162,9 @@ struct MetricAccessor {
   const double* doubles = nullptr;
 };
 
-std::vector<MetricAccessor> ResolveAccessors(const Brick& brick,
-                                             const Query& query) {
-  std::vector<MetricAccessor> accessors;
-  accessors.reserve(query.aggs.size());
+void ResolveAccessors(const Brick& brick, const Query& query,
+                      std::vector<MetricAccessor>* accessors) {
+  accessors->clear();
   for (const auto& agg : query.aggs) {
     MetricAccessor acc;
     if (agg.fn == AggSpec::Fn::kCount) {
@@ -100,9 +175,8 @@ std::vector<MetricAccessor> ResolveAccessors(const Brick& brick,
       acc.ints = col.ints().data();
       acc.doubles = col.doubles().data();
     }
-    accessors.push_back(acc);
+    accessors->push_back(acc);
   }
-  return accessors;
 }
 
 /// [lo, hi] coordinate interval dimension `dim` spans inside `brick`.
@@ -131,11 +205,21 @@ constexpr uint32_t kDirectKeyBits = 6;
 /// most the brick's offset widths allow), so its size follows the groups
 /// the brick actually holds, whatever the key width. An offset is always
 /// below its dimension's range_size, hence never ~0: that value in a slot's
-/// first key word marks the slot empty.
+/// first key word marks the slot empty. One table serves all the bricks a
+/// scan worker folds: Reset empties it and keeps its arrays' storage.
 class GroupSlots {
  public:
-  GroupSlots(size_t key_width, size_t num_aggs, uint64_t max_groups)
-      : width_(key_width), num_aggs_(num_aggs), max_groups_(max_groups) {}
+  GroupSlots(size_t key_width, size_t num_aggs)
+      : width_(key_width), num_aggs_(num_aggs) {}
+
+  /// Empties the table for a brick whose offsets allow at most
+  /// `max_groups` keys.
+  void Reset(uint64_t max_groups) {
+    max_groups_ = max_groups;
+    used_ = 0;
+    keys_.clear();
+    states_.clear();
+  }
 
   /// Makes room for the keys of `rows` more rows; slots returned by Find
   /// stay where they are until the next call.
@@ -177,36 +261,80 @@ class GroupSlots {
   /// consecutive offsets a brick's narrow ranges produce.
   static constexpr uint64_t kHashMul = 0x9E3779B97F4A7C15ULL;
 
-  /// Reallocates at the smallest power of two >= 2 * need slots and
-  /// re-inserts every occupied slot with its states.
+  /// Rebuilds the table at the smallest power of two >= 2 * need slots in
+  /// the spare arrays and re-inserts every occupied slot with its states;
+  /// the old arrays become the spares.
   void Rehash(uint64_t need) {
     int log2 = 1;
     while ((uint64_t{1} << log2) < 2 * need) ++log2;
     const size_t slots = size_t{1} << log2;
-    std::vector<uint64_t> old_keys =
-        std::exchange(keys_, std::vector<uint64_t>(slots * width_, kEmptyKey));
-    std::vector<AggState> old_states =
-        std::exchange(states_, std::vector<AggState>(slots * num_aggs_));
+    spare_keys_.assign(slots * width_, kEmptyKey);
+    spare_states_.assign(slots * num_aggs_, AggState());
+    keys_.swap(spare_keys_);
+    states_.swap(spare_states_);
     shift_ = 64 - log2;
     mask_ = slots - 1;
     used_ = 0;
-    for (size_t s = 0; s < old_keys.size() / width_; ++s) {
-      if (old_keys[s * width_] == kEmptyKey) continue;
-      const size_t slot = Find(&old_keys[s * width_]);
-      std::copy_n(&old_states[s * num_aggs_], num_aggs_,
+    for (size_t s = 0; s < spare_keys_.size() / width_; ++s) {
+      if (spare_keys_[s * width_] == kEmptyKey) continue;
+      const size_t slot = Find(&spare_keys_[s * width_]);
+      std::copy_n(&spare_states_[s * num_aggs_], num_aggs_,
                   &states_[slot * num_aggs_]);
     }
   }
 
   size_t width_;
   size_t num_aggs_;
-  uint64_t max_groups_;
+  uint64_t max_groups_ = 0;
   uint64_t used_ = 0;
   int shift_ = 0;
   size_t mask_ = 0;
   std::vector<uint64_t> keys_;
   std::vector<AggState> states_;
+  std::vector<uint64_t> spare_keys_;
+  std::vector<AggState> spare_states_;
 };
+
+/// What one scan worker keeps from brick to brick: the tally of the
+/// per-brick instruments and the fold's scratch buffers. A brick scan
+/// writes no shared instrument, and once the buffers have grown to the
+/// query's shape it allocates nothing.
+struct ScanContext {
+  explicit ScanContext(const Query& query)
+      : field_bits(query.group_by.size()),
+        group_lo(query.group_by.size()),
+        offsets(query.group_by.size() * 64),
+        key(query.group_by.size()),
+        group(query.group_by.size()),
+        table(query.group_by.size(), query.aggs.size()) {}
+
+  ScanTally tally;
+  Bitmap filtered;  // the filter pass's private copy of the mask
+  std::vector<MetricAccessor> accessors;
+  std::vector<AggState> locals;  // the ungrouped fold's states
+  // The grouped fold's, one entry per group-by dimension unless noted.
+  std::vector<uint32_t> field_bits;
+  std::vector<uint64_t> group_lo;
+  std::vector<uint64_t> offsets;  // 64 decoded offsets per dimension
+  std::vector<uint64_t> key;
+  QueryResult::GroupKey group;
+  std::vector<AggState> direct_states;  // all zeroed between bricks
+  GroupSlots table;
+};
+
+/// Completes the COUNT states of one grouped slot (`num_aggs` states), which
+/// the fold only counted: n calls of Accumulate(1.0) on a zeroed state
+/// leave sum = n (exact below 2^53), min = max = 1 and count = n, so the
+/// slot merges bit-identically to a row-by-row COUNT.
+void FinishCounts(const std::vector<MetricAccessor>& accessors,
+                  AggState* states) {
+  for (size_t a = 0; a < accessors.size(); ++a) {
+    if (!accessors[a].is_count) continue;
+    states[a].sum = static_cast<double>(states[a].count);
+    states[a].min = 1.0;
+    states[a].max = 1.0;
+  }
+}
 
 }  // namespace
 
@@ -256,9 +384,12 @@ void ExplainBrick(const Brick& brick, const Query& query,
   }
 }
 
-VisibilityRef VisibilityForScan(const Brick& brick,
+namespace {
+
+/// VisibilityForScan, tallying the cache outcome into `tally`.
+VisibilityRef VisibilityTallied(const Brick& brick,
                                 const aosi::Snapshot& snapshot, ScanMode mode,
-                                bool use_cache) {
+                                bool use_cache, ScanTally* tally) {
   // Defensive pin: scan entry points hold their own Guard, but helpers and
   // tests call this directly; nesting is a thread-local counter bump.
   const ebr::Guard guard;
@@ -268,42 +399,44 @@ VisibilityRef VisibilityForScan(const Brick& brick,
         ru ? aosi::BuildReadUncommittedBitmap(brick.history())
            : aosi::BuildVisibilityBitmap(brick.history(), snapshot));
   }
-  const ScanInstruments& ins = Instruments();
   aosi::VisibilityCache& cache = brick.vis_cache();
   const aosi::VisKey key =
       aosi::VisibilityCache::MakeKey(brick.history(), snapshot, ru);
   if (const Bitmap* hit = cache.Lookup(key)) {
-    ins.vis_cache_hits->Add();
+    ++tally->vis_cache_hits;
     return VisibilityRef(hit);
   }
-  ins.vis_cache_misses->Add();
+  ++tally->vis_cache_misses;
   Bitmap built = ru ? aosi::BuildReadUncommittedBitmap(brick.history())
                     : aosi::BuildVisibilityBitmap(brick.history(), snapshot);
   const auto outcome = cache.Publish(key, &built);
-  if (outcome.evicted) ins.vis_cache_evictions->Add();
+  if (outcome.evicted) ++tally->vis_cache_evictions;
   return VisibilityRef(outcome.published);
 }
 
-void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
-               ScanMode mode, const Query& query, QueryResult* result,
-               bool use_cache) {
+/// ScanBrick with the worker's context: instruments go to ctx->tally and
+/// every buffer comes from ctx.
+void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
+                   ScanMode mode, const Query& query, QueryResult* result,
+                   bool use_cache, ScanContext* ctx) {
   // Reclamation pin for the whole brick scan: the visibility bitmap served
   // from the cache — and any history Rep a concurrent compaction displaces —
   // stays readable until this guard dies.
   const ebr::Guard guard;
-  const ScanInstruments& ins = Instruments();
+  ScanTally& tally = ctx->tally;
   if (brick.num_records() == 0 || !BrickIntersectsFilters(brick, query)) {
-    ins.bricks_pruned->Add();
+    ++tally.bricks_pruned;
     return;
   }
-  ins.bricks_scanned->Add();
-  ins.rows_considered->Add(brick.num_records());
+  ++tally.bricks_scanned;
+  tally.rows_considered += brick.num_records();
 
   // Concurrency-control pass: one bitmap per brick, memoized in the
   // brick's VisibilityCache when enabled.
-  obs::ObsSpan cc_span(ins.visibility_us);
-  VisibilityRef visible = VisibilityForScan(brick, snapshot, mode, use_cache);
-  cc_span.Finish();
+  PhaseClock clock;
+  VisibilityRef visible =
+      VisibilityTallied(brick, snapshot, mode, use_cache, &tally);
+  clock.Lap(&tally.visibility_us);
   const Bitmap* mask = &visible.bitmap();
 
   // Online-checker observation point (docs/CHECKING.md): report what this
@@ -341,6 +474,7 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
       obs.runs_truncated = truncated;
       obs.visible_total = mask->CountSet();
       hook->OnScanObservation(obs);
+      clock.Restart();
     }
   }
   if (mask->None()) return;
@@ -354,12 +488,11 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
   // dense words bulk-decode 64 coordinates and run the backend's
   // compare-to-bitmask kernel (common/simd.h), sparse words enumerate set
   // bits with ctz (integer-exact, so no cross-backend concern).
-  obs::ObsSpan filter_span(ins.filter_us);
   const simd::Kernels& kern = simd::ActiveKernels();
   const bool simd_active = kern.backend != simd::Backend::kScalar;
   uint64_t words_simd = 0;
   uint64_t words_fallback = 0;
-  Bitmap filtered;
+  Bitmap& filtered = ctx->filtered;
   for (const auto& filter : query.filters) {
     uint64_t lo = 0, hi = 0;
     BrickDimBounds(brick, filter.dim, &lo, &hi);
@@ -406,7 +539,7 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
       if (out != word) filtered.SetWord(w, out);
     }
   }
-  filter_span.Finish();
+  clock.Lap(&tally.filter_us);
 
   // Aggregation pass, word-wise over the final mask, with the
   // is_count/is_double dispatch once per word (not once per row) on both
@@ -417,8 +550,8 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
   // in common/simd.h, so result bits are identical whichever backend runs —
   // proved by tests/simd_kernel_test.cc. Grouped folds are scalar and
   // backend-independent by construction.
-  obs::ObsSpan agg_span(ins.agg_us);
-  const std::vector<MetricAccessor> accessors = ResolveAccessors(brick, query);
+  std::vector<MetricAccessor>& accessors = ctx->accessors;
+  ResolveAccessors(brick, query, &accessors);
   const size_t num_words = mask->num_words();
   uint64_t rows_aggregated = 0;
   uint64_t words_skipped = 0;
@@ -430,7 +563,8 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
     for (const auto& acc : accessors) {
       if (!acc.is_count) need_values = true;
     }
-    std::vector<AggState> locals(query.aggs.size());
+    std::vector<AggState>& locals = ctx->locals;
+    locals.assign(query.aggs.size(), AggState());
     size_t rows[64];
     int64_t ibuf[64];
     double dbuf[64];
@@ -508,17 +642,18 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
     // filter pass does), then every aggregate folds the word column by
     // column into its slots' states — typed once per word, each group's
     // rows in row order — and each occupied slot merges into `result` once
-    // per brick. A key of at most kDirectKeyBits bits indexes a flat
-    // 2^key_bits slot array directly by its offsets packed into key_bits
-    // bits (first group-by dimension highest), with no hash and no probe,
-    // and marks its slot in one occupancy word; a wider key goes through
-    // GroupSlots. No vector kernel runs here, so every word counts as
-    // kernel_simd_fallback.
+    // per brick. COUNT only counts its slot's rows; FinishCounts fills in
+    // the rest of its state before the slot merges. A key of at most
+    // kDirectKeyBits bits indexes a flat 2^key_bits slot array directly by
+    // its offsets packed into key_bits bits (first group-by dimension
+    // highest), with no hash and no probe, and marks its slot in one
+    // occupancy word; a wider key goes through GroupSlots. No vector kernel
+    // runs here, so every word counts as kernel_simd_fallback.
     const size_t width = query.group_by.size();
     const size_t num_aggs = accessors.size();
     uint32_t key_bits = 0;
-    std::vector<uint32_t> field_bits(width);
-    std::vector<uint64_t> group_lo(width);
+    std::vector<uint32_t>& field_bits = ctx->field_bits;
+    std::vector<uint64_t>& group_lo = ctx->group_lo;
     for (size_t g = 0; g < width; ++g) {
       field_bits[g] = brick.schema().bess_bits(query.group_by[g]);
       key_bits += field_bits[g];
@@ -527,12 +662,16 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
     }
     const bool direct = key_bits <= kDirectKeyBits;
     uint64_t direct_used = 0;  // bit s: direct slot s holds a group
-    std::vector<AggState> direct_states(
-        direct ? (size_t{1} << key_bits) * num_aggs : 0);
-    GroupSlots table(width, num_aggs,
-                     key_bits < 64 ? uint64_t{1} << key_bits : ~uint64_t{0});
-    std::vector<uint64_t> offsets(width * 64);
-    std::vector<uint64_t> key(width);
+    std::vector<AggState>& direct_states = ctx->direct_states;
+    if (direct && direct_states.size() < (size_t{1} << key_bits) * num_aggs) {
+      direct_states.resize((size_t{1} << key_bits) * num_aggs);
+    }
+    GroupSlots& table = ctx->table;
+    if (!direct) {
+      table.Reset(key_bits < 64 ? uint64_t{1} << key_bits : ~uint64_t{0});
+    }
+    std::vector<uint64_t>& offsets = ctx->offsets;
+    std::vector<uint64_t>& key = ctx->key;
     uint64_t packed[64];
     size_t rows[64];
     size_t slots[64];  // slot index * num_aggs
@@ -588,7 +727,7 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
         const MetricAccessor& acc = accessors[a];
         AggState* col = states + a;
         if (acc.is_count) {
-          for (size_t i = 0; i < n; ++i) col[slots[i]].Accumulate(1.0);
+          for (size_t i = 0; i < n; ++i) ++col[slots[i]].count;
         } else if (acc.is_double) {
           for (size_t i = 0; i < n; ++i) {
             col[slots[i]].Accumulate(acc.doubles[rows[i]]);
@@ -600,7 +739,7 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
         }
       }
     }
-    QueryResult::GroupKey group(width);
+    QueryResult::GroupKey& group = ctx->group;
     if (direct) {
       for (uint64_t used = direct_used; used != 0; used &= used - 1) {
         const auto s = static_cast<size_t>(__builtin_ctzll(used));
@@ -610,46 +749,71 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
           group[g] = group_lo[g] + (rest & field_mask);
           rest >>= field_bits[g];
         }
-        result->MergeGroup(group, &direct_states[s * num_aggs]);
+        AggState* states = &direct_states[s * num_aggs];
+        FinishCounts(accessors, states);
+        result->MergeGroup(group, states);
+        std::fill_n(states, num_aggs, AggState());
       }
     } else {
       for (size_t s = 0; s < table.capacity(); ++s) {
         if (!table.occupied(s)) continue;
         const uint64_t* k = table.key(s);
         for (size_t g = 0; g < width; ++g) group[g] = group_lo[g] + k[g];
-        result->MergeGroup(group, table.states() + s * num_aggs);
+        AggState* states = table.states() + s * num_aggs;
+        FinishCounts(accessors, states);
+        result->MergeGroup(group, states);
       }
     }
   }
-  agg_span.Finish();
-  ins.kernel_words_scanned->Add(num_words);
-  ins.kernel_words_skipped->Add(words_skipped);
-  ins.kernel_words_dense->Add(words_dense);
-  ins.kernel_simd_words->Add(words_simd);
-  ins.kernel_simd_fallback->Add(words_fallback);
+  clock.Lap(&tally.agg_us);
+  tally.kernel_words_scanned += num_words;
+  tally.kernel_words_skipped += words_skipped;
+  tally.kernel_words_dense += words_dense;
+  tally.kernel_simd_words += words_simd;
+  tally.kernel_simd_fallback += words_fallback;
   if (num_words > 0) {
-    ins.kernel_dense_words_permille->Record(words_dense * 1000 / num_words);
+    tally.kernel_dense_words_permille.Record(words_dense * 1000 / num_words);
   }
-  ins.rows_scanned->Add(rows_aggregated);
+  tally.rows_scanned += rows_aggregated;
   // Post-CC+filter visibility density of this brick, in rows per thousand:
   // how much of the brick the snapshot (and filters) let through. A
   // histogram (not a gauge): concurrent morsel workers each record their
   // own brick, and the distribution is what the density is for.
-  ins.bitmap_density_permille->Record(rows_aggregated * 1000 /
-                                      brick.num_records());
+  tally.bitmap_density_permille.Record(rows_aggregated * 1000 /
+                                       brick.num_records());
+}
+
+}  // namespace
+
+VisibilityRef VisibilityForScan(const Brick& brick,
+                                const aosi::Snapshot& snapshot, ScanMode mode,
+                                bool use_cache) {
+  ScanTally tally;
+  return VisibilityTallied(brick, snapshot, mode, use_cache, &tally);
+}
+
+void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
+               ScanMode mode, const Query& query, QueryResult* result,
+               bool use_cache) {
+  ScanContext ctx(query);
+  ScanBrickWith(brick, snapshot, mode, query, result, use_cache, &ctx);
 }
 
 QueryResult ScanBricks(const std::vector<const Brick*>& candidates,
                        const aosi::Snapshot& snapshot, ScanMode mode,
                        const Query& query, size_t workers, bool use_cache) {
   const ScanInstruments& ins = Instruments();
-  // Prune first, with ScanBrick's own test and counter, so no worker is
-  // spent on a brick without row work.
+  // The calling thread is always worker 0; its context also tallies the
+  // bricks pruned here. Each worker's tally reaches the registry when its
+  // context dies.
+  ScanContext ctx0(query);
+  // Prune first, with ScanBrick's own test, so no worker is spent on a
+  // brick without row work.
   std::vector<const Brick*> bricks;
   bricks.reserve(candidates.size());
   for (const Brick* brick : candidates) {
     if (brick->num_records() == 0 || !BrickIntersectsFilters(*brick, query)) {
-      ins.bricks_pruned->Add();
+      ++ctx0.tally.bricks_pruned;
     } else {
       bricks.push_back(brick);
     }
@@ -658,14 +822,14 @@ QueryResult ScanBricks(const std::vector<const Brick*>& candidates,
   if (workers == 1) {
     QueryResult result(query.aggs.size());
     for (const Brick* brick : bricks) {
-      ScanBrick(*brick, snapshot, mode, query, &result, use_cache);
+      ScanBrickWith(*brick, snapshot, mode, query, &result, use_cache, &ctx0);
     }
     return result;
   }
 
   std::vector<QueryResult> partials(workers, QueryResult(query.aggs.size()));
   std::atomic<size_t> next{0};
-  auto scan_worker = [&](size_t w) {
+  auto scan_worker = [&](size_t w, ScanContext* ctx) {
     obs::ObsSpan span(ins.worker_scan_us);
     QueryResult* out = &partials[w];
     while (true) {
@@ -674,14 +838,17 @@ QueryResult ScanBricks(const std::vector<const Brick*>& candidates,
       // relaxed: the ticket only partitions disjoint bricks; no data rides on it
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= bricks.size()) break;
-      ScanBrick(*bricks[i], snapshot, mode, query, out, use_cache);
+      ScanBrickWith(*bricks[i], snapshot, mode, query, out, use_cache, ctx);
     }
   };
   TaskGroup group(&ThreadPool::Global());
   for (size_t w = 1; w < workers; ++w) {
-    group.Run([&scan_worker, w] { scan_worker(w); });
+    group.Run([&scan_worker, &query, w] {
+      ScanContext ctx(query);
+      scan_worker(w, &ctx);
+    });
   }
-  scan_worker(0);  // the calling thread is always worker 0
+  scan_worker(0, &ctx0);
   group.Wait();
 
   obs::ObsSpan merge_span(ins.parallel_merge_us);

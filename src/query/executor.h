@@ -57,7 +57,7 @@ class VisibilityRef {
 /// The single entry point for scan visibility (executor + materialize): the
 /// mode-appropriate bitmap for `brick` under `snapshot`, served from the
 /// brick's VisibilityCache when `use_cache` (publishing on miss), built
-/// fresh otherwise. Records query.vis_cache_* instruments.
+/// fresh otherwise. Adds the query.vis_cache_* outcome to the registry.
 VisibilityRef VisibilityForScan(const Brick& brick,
                                 const aosi::Snapshot& snapshot, ScanMode mode,
                                 bool use_cache);
@@ -69,8 +69,10 @@ VisibilityRef VisibilityForScan(const Brick& brick,
 /// through the per-word SIMD fold kernels, grouped ones through brick-local
 /// slots keyed by the rows' group-by offsets (a flat array indexed by the
 /// packed offsets when they fit in 6 bits, a hash table for wider keys),
-/// each group folding its rows in row order. `use_cache` enables the
-/// brick's visibility-bitmap cache (results are identical either way).
+/// each group folding its rows in row order (a grouped COUNT only counts
+/// them and fills in the rest of its state as the slot merges). `use_cache`
+/// enables the brick's visibility-bitmap cache (results are identical
+/// either way). Adds its query.* instruments to the registry on return.
 void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
                ScanMode mode, const Query& query, QueryResult* result,
                bool use_cache = true);
@@ -84,7 +86,10 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
 /// claiming bricks from a shared ticket (bricks are the morsels of
 /// morsel-driven parallelism, Leis et al., SIGMOD 2014), each into its own
 /// partial; query.worker_scan_us times each worker and
-/// query.parallel_merge_us the merge of the partials.
+/// query.parallel_merge_us the merge of the partials. Each worker tallies
+/// the per-brick instruments in a context of its own, which also holds the
+/// fold's buffers, and adds the tally to the registry once, when it is
+/// done, so a brick scan writes no shared instrument.
 QueryResult ScanBricks(const std::vector<const Brick*>& candidates,
                        const aosi::Snapshot& snapshot, ScanMode mode,
                        const Query& query, size_t workers, bool use_cache);

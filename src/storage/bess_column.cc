@@ -1,5 +1,8 @@
 #include "storage/bess_column.h"
 
+#include <bit>
+#include <cstring>
+
 namespace cubrick {
 
 BessColumn::BessColumn(std::vector<uint32_t> bits_per_field)
@@ -49,7 +52,29 @@ void BessColumn::DecodeDim(uint64_t row_begin, uint64_t count, size_t dim,
     return;
   }
   uint64_t bit_pos = row_begin * bits_per_record_ + field_shift_[dim];
-  for (uint64_t i = 0; i < count; ++i, bit_pos += bits_per_record_) {
+  uint64_t i = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    // A field of at most 57 bits lies inside the 8 bytes that start at its
+    // first byte, so one unaligned load, a shift by the bit offset within
+    // that byte and a mask read it. That takes the 8 bytes to lie inside
+    // words_, which holds for every row whose first bit is below
+    // `load_end`; the column's last rows take ReadBits instead.
+    const uint64_t bytes = words_.size() * sizeof(uint64_t);
+    const uint64_t load_end = bytes >= 8 ? (bytes - 7) * 8 : 0;
+    if (width <= 57 && bit_pos < load_end) {
+      const uint64_t loadable =
+          (load_end - bit_pos + bits_per_record_ - 1) / bits_per_record_;
+      const uint64_t n = loadable < count ? loadable : count;
+      const auto* base = reinterpret_cast<const unsigned char*>(words_.data());
+      const uint64_t mask = (uint64_t{1} << width) - 1;
+      for (; i < n; ++i, bit_pos += bits_per_record_) {
+        uint64_t v;
+        std::memcpy(&v, base + (bit_pos >> 3), sizeof(v));
+        out[i] = (v >> (bit_pos & 7)) & mask;
+      }
+    }
+  }
+  for (; i < count; ++i, bit_pos += bits_per_record_) {
     out[i] = ReadBits(bit_pos, width);
   }
 }

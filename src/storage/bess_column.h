@@ -28,9 +28,11 @@ class BessColumn {
 
   /// Bulk-decodes dimension `dim` for rows [row_begin, row_begin + count)
   /// into `out[0..count)`. Equivalent to count calls to Get(), but hoists
-  /// the per-row bit-position math into a running stride — this feeds the
+  /// the per-row bit-position math into a running stride and reads a field
+  /// of at most 57 bits with one unaligned 8-byte load — this feeds the
   /// SIMD filter kernels (common/simd.h), which compare 64 decoded
-  /// coordinates at a time. Zero-width fields decode as zeros.
+  /// coordinates at a time, and the grouped fold's keys. Zero-width fields
+  /// decode as zeros.
   void DecodeDim(uint64_t row_begin, uint64_t count, size_t dim,
                  uint64_t* out) const;
 

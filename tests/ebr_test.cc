@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace cubrick {
 namespace {
 
@@ -26,7 +28,7 @@ struct Tracked {
   std::atomic<uint64_t>* freed;
 };
 
-void RetireTracked(Tracked* t) {
+void RetireTracked(Tracked* t, size_t bytes = sizeof(Tracked)) {
   Collector::Global().Retire(
       t,
       [](void* p) {
@@ -34,7 +36,7 @@ void RetireTracked(Tracked* t) {
         tracked->freed->fetch_add(1, std::memory_order_relaxed);
         delete tracked;  // ebr-deleter
       },
-      sizeof(Tracked));
+      bytes);
 }
 
 TEST(EbrTest, RetireFreesAfterDrain) {
@@ -81,6 +83,67 @@ TEST(EbrTest, PinnedGuardDefersFree) {
   reader.join();
   ASSERT_TRUE(Collector::Global().DrainForTest());
   EXPECT_EQ(freed.load(std::memory_order_relaxed), 1u);
+}
+
+TEST(EbrTest, ByteHeavyRetireAdvancesBeforeTheEighthRetire) {
+  std::atomic<uint64_t> freed{0};
+  // An advance on a quiescent collector restarts the every-8th-retire count
+  // and leaves the current bucket empty.
+  ASSERT_TRUE(Collector::Global().TryAdvance());
+  const uint64_t before = Collector::Global().EpochForTest();
+  // Each 8 MiB retire is the first since the advance before it, so only
+  // its bytes make it attempt an advance, which succeeds because nothing
+  // is pinned. The third fills the last of the three buckets.
+  for (uint64_t i = 1; i <= 3; ++i) {
+    RetireTracked(new Tracked{&freed}, 8u << 20);
+    EXPECT_EQ(Collector::Global().EpochForTest(), before + i);
+  }
+  // The last advance swapped out the bucket the first retire filled, and
+  // its bytes with it: two retires of 4 MiB into it advance on the second,
+  // not on the first.
+  RetireTracked(new Tracked{&freed}, 4u << 20);
+  EXPECT_EQ(Collector::Global().EpochForTest(), before + 3);
+  RetireTracked(new Tracked{&freed}, 4u << 20);
+  EXPECT_EQ(Collector::Global().EpochForTest(), before + 4);
+  ASSERT_TRUE(Collector::Global().DrainForTest());
+  EXPECT_EQ(freed.load(std::memory_order_relaxed), 5u);
+}
+
+TEST(EbrTest, LimboBytesGaugeSumsTheHintsWhilePinned) {
+  ASSERT_TRUE(obs::Enabled());
+  ASSERT_TRUE(Collector::Global().DrainForTest());
+  const obs::Gauge* gauge =
+      obs::MetricsRegistry::Global().GetGauge("ebr.limbo_bytes");
+  const int64_t base = gauge->Value();
+  std::atomic<uint64_t> freed{0};
+  std::atomic<bool> pinned{false};
+  std::atomic<bool> release{false};
+  // The reader's Guard lets the collector advance at most once past its
+  // era, which frees only the drained (empty) bucket, so every object
+  // retired below stays in limbo.
+  std::thread reader([&] {
+    const Guard guard;
+    pinned.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
+  while (!pinned.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  int64_t hinted = 0;
+  for (size_t i = 1; i <= 40; ++i) {
+    RetireTracked(new Tracked{&freed}, i * 1000);
+    hinted += static_cast<int64_t>(i * 1000);
+    EXPECT_EQ(gauge->Value() - base, hinted) << "after retire " << i;
+  }
+  EXPECT_EQ(freed.load(std::memory_order_relaxed), 0u);
+
+  release.store(true, std::memory_order_release);
+  reader.join();
+  ASSERT_TRUE(Collector::Global().DrainForTest());
+  EXPECT_EQ(freed.load(std::memory_order_relaxed), 40u);
+  EXPECT_EQ(gauge->Value(), base);
 }
 
 TEST(EbrTest, GuardsNest) {

@@ -138,7 +138,7 @@ TEST(DdlFuzzTest, MutatedStatementsNeverCrash) {
           mutated.insert(pos, mutated.substr(pos, 1 + rng.Uniform(5)));
           break;
       }
-      if (mutated.empty()) mutated = "x";
+      if (mutated.empty()) mutated.push_back('x');
     }
     auto result = ParseCreateCube(mutated);  // must not crash or hang
     if (result.ok()) ++parsed_ok;

@@ -239,7 +239,8 @@ TEST(IngestParallelTest, DatabaseLoadEquivalentAcrossParallelism) {
       std::vector<Record> records;
       for (size_t i = 0; i < kManyRecords; ++i) {
         records.push_back(
-            {"r" + std::to_string((i * 7 + load) % 50),
+            {std::string("r").append(
+                 std::to_string((i * 7 + load) % 50)),
              static_cast<int64_t>(i + load)});
       }
       EXPECT_TRUE(db->Load("c", records).ok());

@@ -60,7 +60,8 @@ inline RandomLoad MakeRandomLoad(const CubeSchema& schema, size_t n,
     for (const DimensionDef& def : schema.dimensions()) {
       const uint64_t coord = rng.Uniform(def.cardinality);
       if (def.is_string) {
-        record.values.emplace_back("s" + std::to_string(coord));
+        record.values.emplace_back(
+            std::string("s").append(std::to_string(coord)));
       } else {
         record.values.emplace_back(static_cast<int64_t>(coord));
       }
@@ -76,7 +77,8 @@ inline RandomLoad MakeRandomLoad(const CubeSchema& schema, size_t n,
           record.values.emplace_back(rng.NextDouble());
           break;
         case DataType::kString:
-          record.values.emplace_back("t" + std::to_string(rng.Uniform(16)));
+          record.values.emplace_back(
+              std::string("t").append(std::to_string(rng.Uniform(16))));
           break;
       }
     }

@@ -226,11 +226,12 @@ TEST(ScanBrickTest, EmptyBrickNoGroups) {
 }
 
 TEST(ScanBrickTest, GroupedCountLeavesTheUngroupedCountState) {
-  // The grouped fold accumulates a COUNT row by row, the ungrouped one by
-  // a popcount per word. Over rows of one group both must leave every
-  // AggState field the same, which DiffResults (finalized values only)
-  // would not catch. The narrow schema's 2-bit region key takes the direct
-  // slot array, the wide schema's 20-bit key the GroupSlots table.
+  // The grouped fold only counts a COUNT's rows and sets its sum, min and
+  // max as the slot merges; the ungrouped one folds a popcount per word.
+  // Over rows of one group both must leave every AggState field the same,
+  // which DiffResults (finalized values only) would not catch. The narrow
+  // schema's 2-bit region key takes the direct slot array, the wide
+  // schema's 20-bit key the GroupSlots table.
   constexpr uint64_t kWide = uint64_t{1} << 20;
   auto wide = CubeSchema::Make("wide",
                                {{"x", kWide, kWide, false},

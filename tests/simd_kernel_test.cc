@@ -331,7 +331,8 @@ void FillCube(Database* db) {
   for (int i = 0; i < 3000; ++i) {
     Record r;
     r.values.emplace_back(static_cast<int64_t>(rng.Uniform(16)));
-    r.values.emplace_back("k" + std::to_string(rng.Uniform(8)));
+    r.values.emplace_back(
+        std::string("k").append(std::to_string(rng.Uniform(8))));
     r.values.emplace_back(static_cast<int64_t>(rng.UniformRange(-50, 50)));
     r.values.emplace_back(
         static_cast<double>(rng.UniformRange(-1000, 1000)) / 7.0);

@@ -86,6 +86,45 @@ TEST(BessColumnTest, WideFieldsUpTo64Bits) {
   EXPECT_EQ(bess.Get(1, 0), 12345678901234567ULL);
 }
 
+TEST(BessColumnTest, DecodeDimMatchesGetAtEveryWidth) {
+  // Layout {5, width, pad} puts a field of every width from 0 to 64 between
+  // two narrow ones, in a record whose width is not a multiple of 8, so the
+  // fields' first bits walk through every offset within a byte. Every start
+  // row decodes every count up to and including the column's last row:
+  // rows whose 8 bytes lie inside the column take DecodeDim's one-load
+  // path, the column's last bytes and fields wider than 57 bits ReadBits.
+  Random rng(11);
+  for (uint32_t width = 0; width <= 64; ++width) {
+    const uint32_t pad = width % 8 == 1 ? 3 : 2;
+    const std::vector<uint32_t> bits = {5, width, pad};
+    for (uint64_t rows : {1u, 13u, 40u}) {
+      BessColumn bess(bits);
+      ASSERT_NE(bess.bits_per_record() % 8, 0u);
+      for (uint64_t r = 0; r < rows; ++r) {
+        std::vector<uint64_t> offsets;
+        for (uint32_t b : bits) {
+          offsets.push_back(b == 64 ? rng.Next()
+                                    : rng.Next() & ((uint64_t{1} << b) - 1));
+        }
+        bess.Append(offsets);
+      }
+      std::vector<uint64_t> out(rows);
+      for (size_t dim = 0; dim < bits.size(); ++dim) {
+        for (uint64_t start = 0; start < rows; ++start) {
+          for (uint64_t count = 1; start + count <= rows; ++count) {
+            bess.DecodeDim(start, count, dim, out.data());
+            for (uint64_t i = 0; i < count; ++i) {
+              ASSERT_EQ(out[i], bess.Get(start + i, dim))
+                  << "width " << width << " rows " << rows << " dim " << dim
+                  << " start " << start << " count " << count << " i " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(BessColumnTest, CompactedCopyKeepsSelectedRows) {
   BessColumn bess({8});
   for (uint64_t i = 0; i < 10; ++i) bess.Append({i});

@@ -124,7 +124,8 @@ TEST(SchemaTest, RejectsOversizedBid) {
   // 5 dimensions x 16 bits each = 80 bits > 64.
   std::vector<DimensionDef> dims;
   for (int i = 0; i < 5; ++i) {
-    dims.push_back({"d" + std::to_string(i), 65536, 1, false});
+    dims.push_back(
+        {std::string("d").append(std::to_string(i)), 65536, 1, false});
   }
   auto result = CubeSchema::Make("bad", dims, {});
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
