@@ -16,6 +16,7 @@
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/random.h"
+#include "common/simd.h"
 #include "cubrick/database.h"
 #include "query/executor.h"
 
@@ -659,6 +660,27 @@ class Worker {
   std::vector<std::string> trace_;
 };
 
+/// The scan kernels a run uses.
+simd::Backend KernelBackend(const StressOptions& opt) {
+  return opt.scalar_kernels ? simd::Backend::kScalar : simd::Detect();
+}
+
+/// Switches the scans to a run's kernels and restores the previous backend
+/// when the run returns.
+class ScopedKernels {
+ public:
+  explicit ScopedKernels(const StressOptions& opt)
+      : previous_(simd::Active()) {
+    CUBRICK_CHECK(simd::SetBackend(KernelBackend(opt)));
+  }
+  ~ScopedKernels() { simd::SetBackend(previous_); }
+  ScopedKernels(const ScopedKernels&) = delete;
+  ScopedKernels& operator=(const ScopedKernels&) = delete;
+
+ private:
+  const simd::Backend previous_;
+};
+
 /// Every setting of the run, then the command that reruns it: the seed
 /// derives all of them, so the replay needs only the seed and the op count.
 std::string ConfigLine(const StressOptions& opt, bool cluster) {
@@ -673,7 +695,8 @@ std::string ConfigLine(const StressOptions& opt, bool cluster) {
       << " ingest_parallel=" << opt.engine.ingest_parallelism
       << " persist=" << opt.with_persistence
       << " online=" << opt.online_check
-      << " purge_stress=" << opt.purge_stress;
+      << " purge_stress=" << opt.purge_stress
+      << " simd=" << simd::BackendName(KernelBackend(opt));
   if (cluster) {
     out << " nodes=" << opt.num_nodes << " rf=" << opt.replication_factor
         << " latency_us=" << opt.message_latency_us;
@@ -802,6 +825,7 @@ StressOptions MakeSeedConfig(uint64_t seed, bool cluster) {
   const bool purge_stress = rng.OneIn(2);
   const size_t replication_factor = 1 + rng.Uniform(2);
   const bool latency = rng.OneIn(7);
+  opt.scalar_kernels = rng.OneIn(2);
   if (cluster) {
     opt.num_nodes = 3;
     opt.replication_factor = replication_factor;
@@ -829,6 +853,7 @@ cluster::ClusterOptions ToClusterOptions(const StressOptions& opt) {
 }
 
 StressReport RunSingleNodeStress(const StressOptions& opt) {
+  const ScopedKernels kernels(opt);
   StressReport report;
   const std::string config = ConfigLine(opt, /*cluster=*/false);
   const fs::path dir = ScratchDir(opt, "single");
@@ -933,6 +958,7 @@ StressReport RunSingleNodeStress(const StressOptions& opt) {
 }
 
 StressReport RunClusterStress(const StressOptions& opt) {
+  const ScopedKernels kernels(opt);
   StressReport report;
   const std::string config = ConfigLine(opt, /*cluster=*/true);
   const fs::path dir = ScratchDir(opt, "cluster");

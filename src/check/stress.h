@@ -70,6 +70,11 @@ struct StressOptions {
   /// compaction installs, vis-cache invalidation and EBR retirement of
   /// displaced history vectors.
   bool purge_stress = false;
+  /// Runs the scans on the scalar reference kernels instead of Detect()'s
+  /// backend, switched with simd::SetBackend for the run. The backends are
+  /// bit-identical by contract (DESIGN.md §4e), so the oracle diff checks
+  /// the scalar kernels end to end.
+  bool scalar_kernels = false;
   /// Cluster mode only.
   uint32_t num_nodes = 3;
   size_t replication_factor = 2;
@@ -102,7 +107,8 @@ struct StressReport {
 /// Derives the whole configuration from `seed`: thread count, the engine
 /// options (shard count, threaded vs inline shards, rollback index, scan
 /// and ingest fan-out), persistence, the online checker, purge stress
-/// (single node) and replication factor and simulated latency (cluster).
+/// (single node), replication factor and simulated latency (cluster) and
+/// the scan kernels.
 /// Each setting is an independent draw from Random(seed), so a seed sweep
 /// covers the configuration matrix and a seed alone replays its run.
 StressOptions MakeSeedConfig(uint64_t seed, bool cluster);
@@ -114,11 +120,13 @@ DatabaseOptions ToDatabaseOptions(const StressOptions& options);
 cluster::ClusterOptions ToClusterOptions(const StressOptions& options);
 
 /// Runs the workload against cubrick::Database (with a crash+Recover()
-/// epilogue when options.with_persistence).
+/// epilogue when options.with_persistence). Sets the SIMD backend
+/// options.scalar_kernels picks and restores the previous one on return.
 StressReport RunSingleNodeStress(const StressOptions& options);
 
 /// Runs the workload against cluster::Cluster (with a CrashNode/RecoverNode
 /// epilogue when options.with_persistence && replication_factor >= 2).
+/// Sets the SIMD backend as RunSingleNodeStress does.
 StressReport RunClusterStress(const StressOptions& options);
 
 }  // namespace cubrick::check

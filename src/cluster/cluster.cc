@@ -70,6 +70,7 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
     ring_.AddNode(i);
   }
   missed_ops_.resize(options_.num_nodes);
+  crashed_.resize(options_.num_nodes);
 }
 
 void Cluster::Latency() const {
@@ -480,6 +481,10 @@ Status Cluster::SetNodeOnline(uint32_t idx, bool online) {
     node(idx).set_online(false);
     return Status::OK();
   }
+  if (crashed_[idx - 1]) {
+    return Status::FailedPrecondition(
+        "node " + std::to_string(idx) + " crashed; RecoverNode restores it");
+  }
   node(idx).set_online(true);
   // Redeliver traffic missed while offline, in order.
   std::vector<std::function<Status(ClusterNode&)>> queued;
@@ -542,6 +547,7 @@ Status Cluster::CrashNode(uint32_t idx) {
   }
   fresh->set_online(false);
   nodes_[idx - 1] = std::move(fresh);
+  crashed_[idx - 1] = true;
   return Status::OK();
 }
 
@@ -549,10 +555,11 @@ Status Cluster::RecoverNode(uint32_t idx) {
   if (idx < 1 || idx > options_.num_nodes) {
     return Status::OutOfRange("no such node");
   }
-  ClusterNode& target = node(idx);
-  if (target.online()) {
-    return Status::FailedPrecondition("node is not crashed/offline");
+  if (!crashed_[idx - 1]) {
+    return Status::FailedPrecondition(
+        "node " + std::to_string(idx) + " did not crash");
   }
+  ClusterNode& target = node(idx);
   // Step 1: local flush segments, up to the node's own durable LSE.
   auto local = target.RecoverLocal();
   if (!local.ok()) return local.status();
@@ -572,27 +579,25 @@ Status Cluster::RecoverNode(uint32_t idx) {
       Table* peer_table = node(o).FindTable(name);
       Table* local_table = target.FindTable(name);
       CUBRICK_CHECK(peer_table != nullptr && local_table != nullptr);
-      CarryClocksForward(idx, o);
-      auto extracted = ExtractTableRuns(peer_table, local_lse, cluster_lce);
-      CarryClocksBack(idx, o);
-      // Keep only bricks (a) replicated onto `idx` and (b) for which `o`
-      // is the first online supplier — each brick is copied exactly once.
-      std::vector<ExtractedBrick> mine;
-      for (auto& brick : extracted) {
-        const auto owners =
-            ring_.NodesFor(brick.bid, options_.replication_factor);
+      // Only bricks (a) replicated onto `idx` and (b) for which `o` is the
+      // first online supplier — each brick is decoded and copied exactly
+      // once.
+      const auto supplies = [&](Bid bid) {
         bool owned = false;
         uint32_t supplier = 0;
-        for (uint32_t owner : owners) {
+        for (uint32_t owner :
+             ring_.NodesFor(bid, options_.replication_factor)) {
           if (owner == idx) owned = true;
           if (supplier == 0 && owner != idx && node(owner).online()) {
             supplier = owner;
           }
         }
-        if (owned && supplier == o) {
-          mine.push_back(std::move(brick));
-        }
-      }
+        return owned && supplier == o;
+      };
+      CarryClocksForward(idx, o);
+      auto mine =
+          ExtractTableRuns(peer_table, local_lse, cluster_lce, supplies);
+      CarryClocksBack(idx, o);
       CUBRICK_RETURN_IF_ERROR(ReplayExtracted(local_table, std::move(mine)));
     }
   }
@@ -601,6 +606,7 @@ Status Cluster::RecoverNode(uint32_t idx) {
   // durable locally only up to local_lse.
   target.txns().RestoreAfterRecovery(aosi::MaxEpoch(cluster_lce, local_lse),
                                      local_lse);
+  crashed_[idx - 1] = false;
   target.set_online(true);
   return Status::OK();
 }

@@ -150,6 +150,8 @@ class Cluster {
   PurgeStats PurgeAll();
 
   /// Takes a node offline / brings it back (redelivering missed traffic).
+  /// A crashed node has lost its tables, so it comes back only through
+  /// RecoverNode: bringing it online returns FailedPrecondition.
   Status SetNodeOnline(uint32_t idx, bool online);
 
   // --- Persistence & node recovery (§III-D) --------------------------------
@@ -160,14 +162,16 @@ class Cluster {
 
   /// Simulates a node crash: all of its in-memory state (tables, counters,
   /// queued redeliveries) is destroyed; its flush segments survive on disk.
-  /// The node is left offline.
+  /// The node is left offline and crashed until RecoverNode succeeds.
   Status CrashNode(uint32_t idx);
 
   /// Recovers a crashed node: local flush segments first, then everything
   /// after its recovered LSE is re-fetched from replica peers ("data from
   /// LSE onwards can be retrieved from the replica nodes"). Requires the
   /// rest of the cluster to be online and quiescent (no open RW txns).
-  /// Leaves the node online.
+  /// Leaves the node online. Returns FailedPrecondition for a node that did
+  /// not crash: its tables are intact, and replaying on top of them would
+  /// duplicate rows (an offline node comes back through SetNodeOnline).
   Status RecoverNode(uint32_t idx);
 
   /// Total records across nodes (replicas counted per copy).
@@ -203,6 +207,8 @@ class Cluster {
   /// Per-node FIFO of operations missed while offline.
   std::vector<std::vector<std::function<Status(ClusterNode&)>>> missed_ops_
       GUARDED_BY(redelivery_mutex_);
+  /// Per node: CrashNode destroyed it and RecoverNode has not rebuilt it.
+  std::vector<bool> crashed_;
 };
 
 }  // namespace cubrick::cluster

@@ -1,22 +1,13 @@
 #include "common/simd.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define CUBRICK_SIMD_HAVE_AVX2 1
+#define CUBRICK_HAVE_AVX2 1
 #include <immintrin.h>
 #else
-#define CUBRICK_SIMD_HAVE_AVX2 0
-#endif
-
-#if defined(__aarch64__)
-#define CUBRICK_SIMD_HAVE_NEON 1
-#include <arm_neon.h>
-#else
-#define CUBRICK_SIMD_HAVE_NEON 0
+#define CUBRICK_HAVE_AVX2 0
 #endif
 
 namespace cubrick::simd {
@@ -120,7 +111,7 @@ constexpr Kernels kScalarKernels = {
 // builds without -mavx2; only reachable after a CPUID check in Detect().
 // ---------------------------------------------------------------------------
 
-#if CUBRICK_SIMD_HAVE_AVX2
+#if CUBRICK_HAVE_AVX2
 
 __attribute__((target("avx2"))) uint64_t FilterEqAvx2(const uint64_t* coords,
                                                       uint64_t value) {
@@ -254,243 +245,42 @@ constexpr Kernels kAvx2Kernels = {
     FoldInt64Avx2,  FoldDoubleAvx2,
 };
 
-#endif  // CUBRICK_SIMD_HAVE_AVX2
+#endif  // CUBRICK_HAVE_AVX2
 
-// ---------------------------------------------------------------------------
-// NEON backend (AArch64 — Advanced SIMD is baseline there, no runtime probe).
-// Two 2-lane registers emulate the contract's four lanes so the fold order
-// matches the scalar/AVX2 backends bit for bit.
-// ---------------------------------------------------------------------------
-
-#if CUBRICK_SIMD_HAVE_NEON
-
-uint64_t FilterEqNeon(const uint64_t* coords, uint64_t value) {
-  const uint64x2_t v = vdupq_n_u64(value);
-  uint64_t mask = 0;
-  for (size_t i = 0; i < 64; i += 2) {
-    const uint64x2_t eq = vceqq_u64(vld1q_u64(coords + i), v);
-    mask |= (vgetq_lane_u64(eq, 0) & 1ULL) << i;
-    mask |= (vgetq_lane_u64(eq, 1) & 1ULL) << (i + 1);
-  }
-  return mask;
-}
-
-uint64_t FilterRangeNeon(const uint64_t* coords, uint64_t lo, uint64_t hi) {
-  const uint64x2_t lo_v = vdupq_n_u64(lo);
-  const uint64x2_t hi_v = vdupq_n_u64(hi);
-  uint64_t mask = 0;
-  for (size_t i = 0; i < 64; i += 2) {
-    const uint64x2_t x = vld1q_u64(coords + i);
-    const uint64x2_t ok = vandq_u64(vcgeq_u64(x, lo_v), vcleq_u64(x, hi_v));
-    mask |= (vgetq_lane_u64(ok, 0) & 1ULL) << i;
-    mask |= (vgetq_lane_u64(ok, 1) & 1ULL) << (i + 1);
-  }
-  return mask;
-}
-
-uint64_t FilterInNeon(const uint64_t* coords, const uint64_t* values,
-                      size_t num_values) {
-  uint64_t mask = 0;
-  for (size_t v = 0; v < num_values; ++v) {
-    mask |= FilterEqNeon(coords, values[v]);
-  }
-  return mask;
-}
-
-void FoldInt64Neon(const int64_t* v, size_t n, uint64_t* sum, int64_t* min,
-                   int64_t* max) {
-  const size_t n4 = n & ~size_t{3};
-  int64x2_t s01 = vdupq_n_s64(0), s23 = vdupq_n_s64(0);
-  int64x2_t lo01 = vdupq_n_s64(std::numeric_limits<int64_t>::max());
-  int64x2_t lo23 = lo01;
-  int64x2_t hi01 = vdupq_n_s64(std::numeric_limits<int64_t>::min());
-  int64x2_t hi23 = hi01;
-  for (size_t i = 0; i < n4; i += 4) {
-    const int64x2_t a = vld1q_s64(v + i);
-    const int64x2_t b = vld1q_s64(v + i + 2);
-    s01 = vaddq_s64(s01, a);
-    s23 = vaddq_s64(s23, b);
-    lo01 = vbslq_s64(vcltq_s64(a, lo01), a, lo01);
-    lo23 = vbslq_s64(vcltq_s64(b, lo23), b, lo23);
-    hi01 = vbslq_s64(vcgtq_s64(a, hi01), a, hi01);
-    hi23 = vbslq_s64(vcgtq_s64(b, hi23), b, hi23);
-  }
-  uint64_t s_out = vgetq_lane_u64(vreinterpretq_u64_s64(s01), 0) +
-                   vgetq_lane_u64(vreinterpretq_u64_s64(s01), 1) +
-                   vgetq_lane_u64(vreinterpretq_u64_s64(s23), 0) +
-                   vgetq_lane_u64(vreinterpretq_u64_s64(s23), 1);
-  int64_t lo_out = std::numeric_limits<int64_t>::max();
-  int64_t hi_out = std::numeric_limits<int64_t>::min();
-  const int64_t lo_lanes[4] = {vgetq_lane_s64(lo01, 0), vgetq_lane_s64(lo01, 1),
-                               vgetq_lane_s64(lo23, 0),
-                               vgetq_lane_s64(lo23, 1)};
-  const int64_t hi_lanes[4] = {vgetq_lane_s64(hi01, 0), vgetq_lane_s64(hi01, 1),
-                               vgetq_lane_s64(hi23, 0),
-                               vgetq_lane_s64(hi23, 1)};
-  for (int l = 0; l < 4; ++l) {
-    if (lo_lanes[l] < lo_out) lo_out = lo_lanes[l];
-    if (hi_lanes[l] > hi_out) hi_out = hi_lanes[l];
-  }
-  for (size_t i = n4; i < n; ++i) {
-    s_out += static_cast<uint64_t>(v[i]);
-    if (v[i] < lo_out) lo_out = v[i];
-    if (v[i] > hi_out) hi_out = v[i];
-  }
-  *sum = s_out;
-  *min = lo_out;
-  *max = hi_out;
-}
-
-void FoldDoubleNeon(const double* v, size_t n, double* sum, double* min,
-                    double* max) {
-  const size_t n4 = n & ~size_t{3};
-  const double inf = std::numeric_limits<double>::infinity();
-  float64x2_t s01 = vdupq_n_f64(0.0), s23 = vdupq_n_f64(0.0);
-  float64x2_t lo01 = vdupq_n_f64(inf), lo23 = vdupq_n_f64(inf);
-  float64x2_t hi01 = vdupq_n_f64(-inf), hi23 = vdupq_n_f64(-inf);
-  for (size_t i = 0; i < n4; i += 4) {
-    const float64x2_t a = vld1q_f64(v + i);
-    const float64x2_t b = vld1q_f64(v + i + 2);
-    s01 = vaddq_f64(s01, a);
-    s23 = vaddq_f64(s23, b);
-    // Compare+select, NOT vminq/vmaxq: NEON min/max propagate NaN, while
-    // the contract's "(x OP acc) ? x : acc" step must keep the accumulator.
-    lo01 = vbslq_f64(vcltq_f64(a, lo01), a, lo01);
-    lo23 = vbslq_f64(vcltq_f64(b, lo23), b, lo23);
-    hi01 = vbslq_f64(vcgtq_f64(a, hi01), a, hi01);
-    hi23 = vbslq_f64(vcgtq_f64(b, hi23), b, hi23);
-  }
-  // Word sum (l0+l2)+(l1+l3), per the pinned contract.
-  const float64x2_t s02_13 = vaddq_f64(s01, s23);
-  double s_out = vgetq_lane_f64(s02_13, 0) + vgetq_lane_f64(s02_13, 1);
-  const float64x2_t lo_m =
-      vbslq_f64(vcltq_f64(lo01, lo23), lo01, lo23);  // [min(l0,l2), min(l1,l3)]
-  const double lo_a = vgetq_lane_f64(lo_m, 0), lo_b = vgetq_lane_f64(lo_m, 1);
-  double lo_out = lo_a < lo_b ? lo_a : lo_b;
-  const float64x2_t hi_m = vbslq_f64(vcgtq_f64(hi01, hi23), hi01, hi23);
-  const double hi_a = vgetq_lane_f64(hi_m, 0), hi_b = vgetq_lane_f64(hi_m, 1);
-  double hi_out = hi_a > hi_b ? hi_a : hi_b;
-  for (size_t i = n4; i < n; ++i) {
-    const double x = v[i];
-    s_out += x;
-    lo_out = x < lo_out ? x : lo_out;
-    hi_out = x > hi_out ? x : hi_out;
-  }
-  *sum = s_out;
-  *min = lo_out;
-  *max = hi_out;
-}
-
-constexpr Kernels kNeonKernels = {
-    Backend::kNeon, FilterEqNeon,   FilterRangeNeon, FilterInNeon,
-    FoldInt64Neon,  FoldDoubleNeon,
-};
-
-#endif  // CUBRICK_SIMD_HAVE_NEON
-
-// ---------------------------------------------------------------------------
-// Runtime dispatch.
-// ---------------------------------------------------------------------------
-
-// -1 = unresolved; otherwise a Backend value. Resolved lazily from
-// CUBRICK_SIMD on first Active()/ActiveKernels() call; SetBackend overrides.
-std::atomic<int> g_active{-1};
-
-Backend ResolveFromEnv() {
-  const char* env = std::getenv("CUBRICK_SIMD");
-  if (env == nullptr || env[0] == '\0' || std::strcmp(env, "auto") == 0) {
-    return Detect();
-  }
-  Backend requested;
-  if (std::strcmp(env, "scalar") == 0) {
-    requested = Backend::kScalar;
-  } else if (std::strcmp(env, "avx2") == 0) {
-    requested = Backend::kAvx2;
-  } else if (std::strcmp(env, "neon") == 0) {
-    requested = Backend::kNeon;
-  } else {
-    std::fprintf(stderr,
-                 "cubrick: CUBRICK_SIMD=\"%s\" is not scalar|avx2|neon|auto; "
-                 "using \"%s\"\n",
-                 env, BackendName(Detect()));
-    return Detect();
-  }
-  if (!Supported(requested)) {
-    std::fprintf(stderr,
-                 "cubrick: CUBRICK_SIMD=%s is not supported on this CPU; "
-                 "falling back to scalar\n",
-                 env);
-    return Backend::kScalar;
-  }
-  return requested;
-}
+// The backend SetBackend() forced, or -1 while Detect()'s is active.
+std::atomic<int> g_forced{-1};
 
 }  // namespace
 
 Backend Detect() {
-#if CUBRICK_SIMD_HAVE_AVX2
+#if CUBRICK_HAVE_AVX2
   if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
 #endif
-#if CUBRICK_SIMD_HAVE_NEON
-  return Backend::kNeon;
-#else
   return Backend::kScalar;
-#endif
 }
 
 bool Supported(Backend b) {
-  switch (b) {
-    case Backend::kScalar:
-      return true;
-    case Backend::kAvx2:
-#if CUBRICK_SIMD_HAVE_AVX2
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case Backend::kNeon:
-#if CUBRICK_SIMD_HAVE_NEON
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
+  return b == Backend::kScalar || b == Detect();
 }
 
 Backend Active() {
-  int b = g_active.load(std::memory_order_acquire);
-  if (b >= 0) return static_cast<Backend>(b);
-  const Backend resolved = ResolveFromEnv();
-  int expected = -1;
-  // First resolver wins; concurrent resolvers computed the same value from
-  // the same environment, so the loser's answer is identical anyway.
-  g_active.compare_exchange_strong(expected, static_cast<int>(resolved),
-                                   std::memory_order_acq_rel,
-                                   std::memory_order_acquire);
-  return static_cast<Backend>(g_active.load(std::memory_order_acquire));
+  static const Backend detected = Detect();
+  const int forced = g_forced.load(std::memory_order_acquire);
+  return forced < 0 ? detected : static_cast<Backend>(forced);
 }
 
 const Kernels& KernelsFor(Backend b) {
-  switch (b) {
-#if CUBRICK_SIMD_HAVE_AVX2
-    case Backend::kAvx2:
-      return kAvx2Kernels;
+#if CUBRICK_HAVE_AVX2
+  if (b == Backend::kAvx2) return kAvx2Kernels;
 #endif
-#if CUBRICK_SIMD_HAVE_NEON
-    case Backend::kNeon:
-      return kNeonKernels;
-#endif
-    default:
-      return kScalarKernels;
-  }
+  return kScalarKernels;
 }
 
 const Kernels& ActiveKernels() { return KernelsFor(Active()); }
 
 bool SetBackend(Backend b) {
   if (!Supported(b)) return false;
-  g_active.store(static_cast<int>(b), std::memory_order_release);
+  g_forced.store(static_cast<int>(b), std::memory_order_release);
   return true;
 }
 
@@ -500,8 +290,6 @@ const char* BackendName(Backend b) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kNeon:
-      return "neon";
   }
   return "scalar";
 }

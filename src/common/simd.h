@@ -2,21 +2,18 @@
 //
 // The word-wise scan kernels (executor filter/fold passes) call through the
 // function table returned by ActiveKernels() instead of open-coding loops.
-// Three backends implement the table:
+// Two backends implement the table:
 //
 //   * kScalar — plain C++, always compiled, always correct. The reference
-//     the differential tests compare every other backend against.
+//     the differential tests compare the vector backend against.
 //   * kAvx2   — x86-64 AVX2, compiled behind __attribute__((target)) so the
 //     translation unit builds without -mavx2; selected at runtime only when
 //     CPUID reports the feature.
-//   * kNeon   — AArch64 Advanced SIMD (baseline on aarch64, so no runtime
-//     feature probe is needed there).
 //
-// Dispatch is resolved once per process: the CUBRICK_SIMD environment
-// variable (scalar|avx2|neon|auto, default auto = best supported) is read on
-// first use and is the only configuration route; tests override it with
-// SetBackend(). Requesting an unsupported backend falls back to scalar with
-// a stderr warning — never a crash, never silent garbage.
+// Dispatch has no user setting: the active backend is the one SetBackend()
+// last forced, or else Detect()'s, resolved once per process. Tests and the
+// check_si harness (whose seeds draw the scalar reference about half the
+// time) switch backends with SetBackend().
 //
 // ## Fold-order contract (bit-identical results across backends)
 //
@@ -43,10 +40,11 @@
 // Filter masks are integer-exact, so they carry no order contract beyond
 // "same bits".
 //
-// Blind spots (documented, DESIGN.md §4e): no AVX-512 or SVE backends; the
-// dispatch is process-global (per-query backend mixing is not supported —
-// results are bit-identical across backends, so mixing could never change
-// an answer, only confuse perf attribution).
+// Blind spots (documented, DESIGN.md §4e): no AVX-512, NEON or SVE
+// backends, so a non-x86 CPU runs the scalar kernels; the dispatch is
+// process-global (per-query backend mixing is not supported — results are
+// bit-identical across backends, so mixing could never change an answer,
+// only confuse perf attribution).
 
 #pragma once
 
@@ -55,7 +53,7 @@
 
 namespace cubrick::simd {
 
-enum class Backend : uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Backend : uint8_t { kScalar = 0, kAvx2 = 1 };
 
 /// The kernel function table one backend implements. All pointers are
 /// always non-null. `coords` buffers passed to filter kernels hold exactly
@@ -84,15 +82,15 @@ struct Kernels {
                       double* max);
 };
 
-/// Best backend this CPU supports (never consults the environment).
+/// Best backend this CPU supports: kAvx2 when CPUID reports AVX2, else
+/// kScalar.
 Backend Detect();
 
-/// True when `b` can run on this CPU.
+/// True when `b` can run on this CPU: kScalar, or Detect()'s backend.
 bool Supported(Backend b);
 
-/// The process-global active backend. First call resolves CUBRICK_SIMD
-/// (unset/"auto" -> Detect(); unknown or unsupported values warn on stderr
-/// and fall back); later SetBackend() calls override it.
+/// The process-global active backend: the last SetBackend() override, or
+/// else Detect().
 Backend Active();
 
 /// Kernel table of the active backend. Cheap (one acquire load).
@@ -106,7 +104,7 @@ const Kernels& KernelsFor(Backend b);
 /// unchanged) when `b` is not supported on this CPU.
 bool SetBackend(Backend b);
 
-/// Lowercase backend name ("scalar", "avx2", "neon").
+/// Lowercase backend name ("scalar", "avx2").
 const char* BackendName(Backend b);
 
 }  // namespace cubrick::simd

@@ -7,8 +7,8 @@
 // transactions the caller begins/commits/rolls back, CREATE CUBE text,
 // filter builders over user-facing values, row-wise Select, a background
 // checkpoint thread, and the process-global online SI checker (the SIMD
-// backend comes from CUBRICK_SIMD; see common/simd.h). Persistence is a
-// checkpoint (flush round + LSE advance) against a data directory, with
+// backend is the best the CPU supports; see common/simd.h). Persistence is
+// a checkpoint (flush round + LSE advance) against a data directory, with
 // crash recovery on startup.
 //
 // For the distributed deployment use cluster::Cluster, whose nodes are the

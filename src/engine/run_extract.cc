@@ -51,11 +51,12 @@ ExtractedBrick ExtractBrickRuns(const Brick& brick,
   return out;
 }
 
-std::vector<ExtractedBrick> ExtractTableRuns(Table* table,
-                                             aosi::Epoch from_exclusive,
-                                             aosi::Epoch to_inclusive) {
+std::vector<ExtractedBrick> ExtractTableRuns(
+    Table* table, aosi::Epoch from_exclusive, aosi::Epoch to_inclusive,
+    const std::function<bool(Bid)>& keep) {
   std::vector<ExtractedBrick> result;
   table->VisitBricks([&](const Brick& brick) {
+    if (!keep(brick.bid())) return;
     ExtractedBrick extracted =
         ExtractBrickRuns(brick, from_exclusive, to_inclusive);
     if (!extracted.runs.empty()) {

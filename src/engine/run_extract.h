@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "aosi/epoch.h"
@@ -53,10 +54,11 @@ ExtractedBrick ExtractBrickRuns(const Brick& brick,
                                 aosi::Epoch from_exclusive,
                                 aosi::Epoch to_inclusive);
 
-/// Extracts the whole table's in-range runs (drains shards sequentially).
-std::vector<ExtractedBrick> ExtractTableRuns(Table* table,
-                                             aosi::Epoch from_exclusive,
-                                             aosi::Epoch to_inclusive);
+/// Extracts the in-range runs of every brick whose bid `keep` accepts
+/// (drains shards sequentially). A brick `keep` rejects is not decoded.
+std::vector<ExtractedBrick> ExtractTableRuns(
+    Table* table, aosi::Epoch from_exclusive, aosi::Epoch to_inclusive,
+    const std::function<bool(Bid)>& keep);
 
 /// Replays extracted bricks into `table`, preserving per-brick run order.
 /// Consumes the runs: each batch moves into its append.

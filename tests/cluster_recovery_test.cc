@@ -178,6 +178,46 @@ TEST_F(ClusterRecoveryTest, RecoverOnlineNodeRejected) {
   EXPECT_EQ(cluster.RecoverNode(1).code(), StatusCode::kFailedPrecondition);
 }
 
+// A crashed node lost its tables: brought online, it would answer for its
+// bricks with nothing. Only RecoverNode brings it back.
+TEST_F(ClusterRecoveryTest, SetNodeOnlineRefusesACrashedNode) {
+  Cluster cluster(Options(3, 2));
+  ASSERT_TRUE(MakeCube(cluster).ok());
+  ASSERT_TRUE(LoadRows(cluster, 1, 0, 640).ok());
+  ASSERT_TRUE(cluster.CheckpointAll().ok());
+  const uint64_t records = cluster.TotalRecords();
+
+  ASSERT_TRUE(cluster.CrashNode(2).ok());
+  EXPECT_EQ(cluster.SetNodeOnline(2, true).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(cluster.node(2).online());
+  EXPECT_DOUBLE_EQ(Count(cluster, 1), 640.0);
+  EXPECT_DOUBLE_EQ(Count(cluster, 3), 640.0);
+
+  ASSERT_TRUE(cluster.RecoverNode(2).ok());
+  EXPECT_EQ(cluster.TotalRecords(), records);
+  for (uint32_t n = 1; n <= 3; ++n) EXPECT_DOUBLE_EQ(Count(cluster, n), 640.0);
+  // Recovered, it goes offline and comes back like any other node.
+  ASSERT_TRUE(cluster.SetNodeOnline(2, false).ok());
+  EXPECT_TRUE(cluster.SetNodeOnline(2, true).ok());
+}
+
+// A node that was only set offline kept its tables: replaying its flush
+// segments and its peers' runs on top of them would duplicate its rows.
+TEST_F(ClusterRecoveryTest, RecoverNodeRefusesANodeThatDidNotCrash) {
+  Cluster cluster(Options(3, 2));
+  ASSERT_TRUE(MakeCube(cluster).ok());
+  ASSERT_TRUE(LoadRows(cluster, 1, 0, 640).ok());
+  ASSERT_TRUE(cluster.CheckpointAll().ok());
+  const uint64_t records = cluster.TotalRecords();
+
+  ASSERT_TRUE(cluster.SetNodeOnline(2, false).ok());
+  EXPECT_EQ(cluster.RecoverNode(2).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(cluster.SetNodeOnline(2, true).ok());
+  EXPECT_EQ(cluster.TotalRecords(), records);
+  for (uint32_t n = 1; n <= 3; ++n) EXPECT_DOUBLE_EQ(Count(cluster, n), 640.0);
+}
+
 TEST_F(ClusterRecoveryTest, PurgeThenCrashThenRecover) {
   // History recycled by purge must still recover correctly (relabeled
   // merged epochs are committed <= LSE, hence visible to all).

@@ -236,14 +236,41 @@ TEST(EngineInstrumentsTest, WorkloadDrivesEveryListedInstrument) {
     EXPECT_GT(HistogramCountDelta(before, after, name), 0u) << name;
   }
   EXPECT_EQ(CounterDelta(before, after, "check.online.violations"), 0u);
+}
 
-  // Under CUBRICK_SIMD=scalar the filter kernels count as fallback words.
-  if (simd::Active() != simd::Backend::kScalar) {
-    EXPECT_GT(CounterDelta(before, after, "query.kernel_simd_words"), 0u);
-  } else {
-    EXPECT_EQ(CounterDelta(before, after, "query.kernel_simd_words"), 0u);
-    EXPECT_GT(CounterDelta(before, after, "query.kernel_simd_fallback"), 0u);
+// A dense word through the filter kernels counts as a vector word under a
+// vector backend and as a fallback word under the scalar one. The same
+// filtered scan runs under the scalar reference and under Detect()'s
+// backend, so one run on an AVX2 host checks both branches.
+TEST(EngineInstrumentsTest, KernelWordsFollowTheActiveBackend) {
+  Database db;
+  ASSERT_TRUE(MakeCube(&db).ok());
+  Random rng(12);
+  // About 125 rows per brick: every brick has a dense word.
+  ASSERT_TRUE(db.Load("c", Rows(&rng, 8000)).ok());
+  auto region = db.EqFilter("c", "region", Value("region-5"));
+  ASSERT_TRUE(region.ok());
+  Query q;
+  q.filters = {*region};
+  q.aggs = {{AggSpec::Fn::kCount, 0}};
+  const simd::Backend saved = simd::Active();
+  for (simd::Backend backend : {simd::Backend::kScalar, simd::Detect()}) {
+    ASSERT_TRUE(simd::SetBackend(backend));
+    const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+    ASSERT_TRUE(db.Query("c", q).ok());
+    const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+    const uint64_t vector_words =
+        CounterDelta(before, after, "query.kernel_simd_words");
+    const uint64_t fallback_words =
+        CounterDelta(before, after, "query.kernel_simd_fallback");
+    if (backend == simd::Backend::kScalar) {
+      EXPECT_EQ(vector_words, 0u);
+      EXPECT_GT(fallback_words, 0u);
+    } else {
+      EXPECT_GT(vector_words, 0u) << simd::BackendName(backend);
+    }
   }
+  simd::SetBackend(saved);
 }
 
 }  // namespace

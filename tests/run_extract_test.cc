@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ingest/parser.h"
 
 namespace cubrick {
@@ -27,6 +30,8 @@ EncodedBatch Rows(const CubeSchema& schema,
   return ParseRecords(schema, records).value().batches;
 }
 
+bool KeepAll(Bid) { return true; }
+
 TEST(RunExtractTest, ExtractsOnlyRequestedRange) {
   auto schema = MakeSchema();
   Table table(schema, 1, false);
@@ -34,7 +39,7 @@ TEST(RunExtractTest, ExtractsOnlyRequestedRange) {
   ASSERT_TRUE(table.Append(4, Rows(*schema, {{0, 20}})).ok());
   ASSERT_TRUE(table.Append(6, Rows(*schema, {{0, 40}})).ok());
 
-  auto extracted = ExtractTableRuns(&table, /*from=*/2, /*to=*/4);
+  auto extracted = ExtractTableRuns(&table, /*from=*/2, /*to=*/4, KeepAll);
   ASSERT_EQ(extracted.size(), 1u);
   ASSERT_EQ(extracted[0].runs.size(), 1u);
   EXPECT_EQ(extracted[0].runs[0].epoch, 4u);
@@ -47,8 +52,38 @@ TEST(RunExtractTest, EmptyWhenNothingInRange) {
   auto schema = MakeSchema();
   Table table(schema, 1, false);
   ASSERT_TRUE(table.Append(2, Rows(*schema, {{0, 10}})).ok());
-  EXPECT_TRUE(ExtractTableRuns(&table, 5, 9).empty());
-  EXPECT_TRUE(ExtractTableRuns(&table, 2, 9).empty());  // 2 is exclusive
+  EXPECT_TRUE(ExtractTableRuns(&table, 5, 9, KeepAll).empty());
+  // 2 is exclusive.
+  EXPECT_TRUE(ExtractTableRuns(&table, 2, 9, KeepAll).empty());
+}
+
+// Replica catch-up asks for the bricks it keeps: the predicate sees every
+// brick once, and only the bricks it accepts come back.
+TEST(RunExtractTest, ExtractsOnlyBricksThePredicateKeeps) {
+  auto schema = MakeSchema();
+  Table table(schema, 2, false);
+  // k has RANGE 4, so keys 0, 5, 9 and 13 land in bricks 0 to 3.
+  ASSERT_TRUE(
+      table.Append(1, Rows(*schema, {{0, 10}, {5, 11}, {9, 12}, {13, 13}}))
+          .ok());
+  std::vector<Bid> asked;
+  auto extracted = ExtractTableRuns(&table, 0, 9, [&](Bid bid) {
+    asked.push_back(bid);
+    return bid % 2 == 1;
+  });
+  std::sort(asked.begin(), asked.end());
+  EXPECT_EQ(asked, (std::vector<Bid>{0, 1, 2, 3}));
+  std::sort(extracted.begin(), extracted.end(),
+            [](const auto& a, const auto& b) { return a.bid < b.bid; });
+  ASSERT_EQ(extracted.size(), 2u);
+  EXPECT_EQ(extracted[0].bid, 1u);
+  EXPECT_EQ(extracted[1].bid, 3u);
+  for (const ExtractedBrick& brick : extracted) {
+    ASSERT_EQ(brick.runs.size(), 1u);
+    ASSERT_EQ(brick.runs[0].batch.num_rows, 1u);
+    EXPECT_EQ(brick.runs[0].batch.metric_ints[0][0],
+              static_cast<int64_t>(10 + brick.bid));
+  }
 }
 
 TEST(RunExtractTest, DeleteMarkersCarried) {
@@ -56,7 +91,7 @@ TEST(RunExtractTest, DeleteMarkersCarried) {
   Table table(schema, 1, false);
   ASSERT_TRUE(table.Append(1, Rows(*schema, {{0, 10}})).ok());
   ASSERT_TRUE(table.DeleteWhere(3, {}).ok());
-  auto extracted = ExtractTableRuns(&table, 0, 9);
+  auto extracted = ExtractTableRuns(&table, 0, 9, KeepAll);
   ASSERT_EQ(extracted.size(), 1u);
   ASSERT_EQ(extracted[0].runs.size(), 2u);
   EXPECT_FALSE(extracted[0].runs[0].is_delete);
@@ -73,7 +108,8 @@ TEST(RunExtractTest, ReplayReconstructsEquivalentTable) {
 
   Table replica(schema, 3, false);  // different shard count is fine
   ASSERT_TRUE(
-      ReplayExtracted(&replica, ExtractTableRuns(&source, 0, 99)).ok());
+      ReplayExtracted(&replica, ExtractTableRuns(&source, 0, 99, KeepAll))
+          .ok());
 
   aosi::Snapshot snap{10, {}};
   Query q;
@@ -102,7 +138,8 @@ TEST(RunExtractTest, PerBrickPhysicalOrderPreserved) {
   ASSERT_TRUE(source.Append(2, Rows(*schema, {{0, 2}})).ok());
   Table replica(schema, 1, false);
   ASSERT_TRUE(
-      ReplayExtracted(&replica, ExtractTableRuns(&source, 0, 99)).ok());
+      ReplayExtracted(&replica, ExtractTableRuns(&source, 0, 99, KeepAll))
+          .ok());
   replica.Drain();
   const Brick* brick = replica.shard(0).bricks().Find(0);
   ASSERT_NE(brick, nullptr);

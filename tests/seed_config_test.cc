@@ -26,6 +26,7 @@ bool IngestParallel(const check::StressOptions& o) {
   return o.engine.ingest_parallelism > 1;
 }
 bool Online(const check::StressOptions& o) { return o.online_check; }
+bool ScalarKernels(const check::StressOptions& o) { return o.scalar_kernels; }
 bool ParallelOnline(const check::StressOptions& o) {
   return Parallel(o) && o.online_check;
 }
@@ -59,7 +60,7 @@ const std::vector<SeedRange>& Targets() {
        PurgeParallelOnline},
       {"check_si_single_ingest_parallel", false, 396, 50, false,
        IngestParallel},
-      {"check_si_single_simd_scalar", false, 446, 50, false, Parallel},
+      {"check_si_single_simd_scalar", false, 446, 50, false, ScalarKernels},
       {"check_si_cluster_online", true, 201, 50, false, Online},
       {"check_si_seed_sweep", false, 496, 16, false, Online},
       {"check_si_seed_sweep", true, 496, 16, false, Online},
@@ -71,7 +72,8 @@ const std::vector<SeedRange>& Targets() {
        PurgeParallelOnline},
       {"check_si_single_ingest_parallel_short", false, 23, 4, true,
        ParallelIngest},
-      {"check_si_single_simd_scalar_short", false, 27, 4, true, Parallel},
+      {"check_si_single_simd_scalar_short", false, 27, 4, true,
+       ScalarKernels},
       {"check_si_cluster_short", true, 1, 4, true, Any},
       {"check_si_cluster_online_short", true, 5, 3, true, ParallelOnline},
   };
@@ -151,6 +153,8 @@ TEST(SeedConfigTest, EverySweepReachesBothValuesOfEveryDimension) {
                        [](const auto& o) { return o.with_persistence; });
       ExpectBothValues(cluster, sanitizer_sized, "threaded_shards",
                        [](const auto& o) { return o.engine.threaded_shards; });
+      ExpectBothValues(cluster, sanitizer_sized, "scalar_kernels",
+                       ScalarKernels);
     }
     ExpectBothValues(/*cluster=*/false, sanitizer_sized, "purge_stress",
                      [](const auto& o) { return o.purge_stress; });

@@ -37,9 +37,9 @@ const std::vector<RuleInfo>& Rules() {
        "unordered read observe a half-constructed checker)",
        false},
       {"simd-isolation",
-       "raw SIMD intrinsics (_mm*/vld1q*-style identifiers, immintrin.h/"
-       "arm_neon.h includes, __builtin_cpu_supports) are forbidden in src/ "
-       "outside src/common/simd.*; kernels go through the "
+       "raw SIMD intrinsics (_mm*-style identifiers, __m* vector types, "
+       "intrinsic header includes, __builtin_cpu_supports) are forbidden in "
+       "src/ outside src/common/simd.*; kernels go through the "
        "simd::ActiveKernels() dispatch table so every call site keeps the "
        "scalar fallback and the backends stay differentially testable",
        false},
