@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/stopwatch.h"
 #include "cubrick/database.h"
+#include "engine/table.h"
 #include "ingest/parser.h"
 #include "obs/metrics.h"
 #include "obs/percentile.h"
@@ -134,6 +136,76 @@ inline std::vector<Record> WideBatch(Random* rng, uint64_t rows) {
     records.push_back(std::move(r));
   }
   return records;
+}
+
+/// Empties every brick's visibility-bitmap cache of cube `name`, so that
+/// the next SI scan builds every bitmap it needs, as a scan that follows a
+/// load does: the cold columns of Figures 8 and 9 (DESIGN.md §4c).
+inline void ClearVisibilityCaches(Database* db, const std::string& name) {
+  db->FindTable(name)->VisitBricks(
+      [](const Brick& brick) { brick.vis_cache().Clear(); });
+}
+
+/// True when both results hold the same groups with bit-identical states.
+inline bool SameResult(const QueryResult& a, const QueryResult& b) {
+  if (a.num_groups() != b.num_groups()) return false;
+  auto other = b.groups().begin();
+  for (const auto& [key, states] : a.groups()) {
+    if (key != other->first || states.size() != other->second.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < states.size(); ++i) {
+      const AggState& x = states[i];
+      const AggState& y = other->second[i];
+      if (x.sum != y.sum || x.count != y.count || x.min != y.min ||
+          x.max != y.max) {
+        return false;
+      }
+    }
+    ++other;
+  }
+  return true;
+}
+
+/// p50 latencies (µs) of one query: SI over warm caches, SI cold, and RU.
+struct SiRuLatencies {
+  double si = 0;
+  double si_cold = 0;
+  double ru = 0;
+};
+
+/// Times `reps` rounds of `run(mode)`, a query over cube `cube`, after one
+/// warm-up per mode: SI over warm caches, RU, then SI after every brick's
+/// cache is emptied outside the timed window. Every cold result must equal
+/// the warm one.
+template <typename RunFn>
+SiRuLatencies MeasureSiRu(Database* db, const std::string& cube,
+                          const RunFn& run, int reps) {
+  const auto warm = run(ScanMode::kSnapshotIsolation);
+  CUBRICK_CHECK(warm.ok());
+  CUBRICK_CHECK(run(ScanMode::kReadUncommitted).ok());
+  obs::LatencyRecorder si_rec, cold_rec, ru_rec;
+  for (int i = 0; i < reps; ++i) {
+    Stopwatch t1;
+    CUBRICK_CHECK(run(ScanMode::kSnapshotIsolation).ok());
+    si_rec.Record(t1.ElapsedMicros());
+    Stopwatch t2;
+    CUBRICK_CHECK(run(ScanMode::kReadUncommitted).ok());
+    ru_rec.Record(t2.ElapsedMicros());
+    ClearVisibilityCaches(db, cube);
+    Stopwatch t3;
+    const auto cold = run(ScanMode::kSnapshotIsolation);
+    cold_rec.Record(t3.ElapsedMicros());
+    CUBRICK_CHECK(cold.ok() && SameResult(*cold, *warm));
+  }
+  return {static_cast<double>(si_rec.Percentile(50)),
+          static_cast<double>(cold_rec.Percentile(50)),
+          static_cast<double>(ru_rec.Percentile(50))};
+}
+
+/// `latency` over `ru`, in percent.
+inline double OverheadPct(double latency, double ru) {
+  return ru == 0 ? 0.0 : 100.0 * (latency - ru) / ru;
 }
 
 /// The canonical aggregation query used by the SI-vs-RU experiments: sum +

@@ -105,6 +105,8 @@ EpochVector::EpochVector(const EpochVector& other) : rep_(nullptr) {
                  std::memory_order_relaxed);
   max_epoch_.store(other.max_epoch_.load(std::memory_order_acquire),
                    std::memory_order_relaxed);
+  num_deletes_.store(other.num_deletes_.load(std::memory_order_acquire),
+                     std::memory_order_relaxed);
 }
 
 EpochVector& EpochVector::operator=(const EpochVector& other) {
@@ -114,6 +116,8 @@ EpochVector& EpochVector::operator=(const EpochVector& other) {
   SwapRep(CloneRep(src->slots.get(), n, n));
   max_epoch_.store(other.max_epoch_.load(std::memory_order_acquire),
                    std::memory_order_release);
+  num_deletes_.store(other.num_deletes_.load(std::memory_order_acquire),
+                     std::memory_order_release);
   version_.store(other.version_.load(std::memory_order_acquire),
                  std::memory_order_release);
   return *this;
@@ -125,9 +129,12 @@ EpochVector::EpochVector(EpochVector&& other) noexcept
                  std::memory_order_relaxed);
   max_epoch_.store(other.max_epoch_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
+  num_deletes_.store(other.num_deletes_.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
   other.rep_.store(new Rep(0), std::memory_order_relaxed);
   other.version_.store(0, std::memory_order_relaxed);
   other.max_epoch_.store(kNoEpoch, std::memory_order_relaxed);
+  other.num_deletes_.store(0, std::memory_order_relaxed);
 }
 
 EpochVector& EpochVector::operator=(EpochVector&& other) noexcept {
@@ -142,6 +149,8 @@ EpochVector& EpochVector::operator=(EpochVector&& other) noexcept {
                  std::memory_order_relaxed);
   max_epoch_.store(other.max_epoch_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
+  num_deletes_.store(other.num_deletes_.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
   return *this;
 }
 
@@ -197,6 +206,8 @@ void EpochVector::RecordDelete(Epoch txn) {
     rep->slots[n] = marker;
     rep->size.store(n + 1, std::memory_order_release);
   }
+  num_deletes_.store(num_deletes_.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_release);
   max_epoch_.store(
       MaxEpoch(max_epoch_.load(std::memory_order_relaxed), txn),
       std::memory_order_release);
@@ -209,6 +220,8 @@ void EpochVector::InstallRebuilt(const EpochVector& rebuilt) {
   SwapRep(CloneRep(src->slots.get(), n, n));
   max_epoch_.store(rebuilt.max_epoch_.load(std::memory_order_acquire),
                    std::memory_order_release);
+  num_deletes_.store(rebuilt.num_deletes_.load(std::memory_order_acquire),
+                     std::memory_order_release);
   BumpVersion();
 }
 
@@ -289,11 +302,13 @@ EpochVector EpochVector::FromRuns(const std::vector<EpochRun>& runs) {
   std::vector<EpochEntry> built;
   built.reserve(runs.size());
   uint64_t records = 0;
+  uint64_t deletes = 0;
   Epoch me = kNoEpoch;
   for (const auto& run : runs) {
     CUBRICK_CHECK(run.begin == records);
     if (run.is_delete) {
       built.push_back(EpochEntry::Delete(run.epoch, records));
+      ++deletes;
     } else {
       CUBRICK_CHECK(run.end > run.begin);
       // Do not coalesce: purge decides merging explicitly, so install the
@@ -308,6 +323,7 @@ EpochVector EpochVector::FromRuns(const std::vector<EpochRun>& runs) {
   ev.rep_.store(CloneRep(built.data(), built.size(), built.size()),
                 std::memory_order_relaxed);
   ev.max_epoch_.store(me, std::memory_order_relaxed);
+  ev.num_deletes_.store(deletes, std::memory_order_relaxed);
   return ev;
 }
 

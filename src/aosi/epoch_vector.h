@@ -167,6 +167,14 @@ class EpochVector {
     return max_epoch_.load(std::memory_order_acquire);
   }
 
+  /// Number of delete markers held. Kept as a count so a scan can tell in
+  /// O(1) whether a snapshot sees the whole partition (aosi::SeesWhole):
+  /// a history with a marker never qualifies, since a visible marker
+  /// clears records.
+  uint64_t num_deletes() const {
+    return num_deletes_.load(std::memory_order_acquire);
+  }
+
   /// Number of entries currently held (appends + delete markers).
   size_t num_entries() const;
 
@@ -256,6 +264,8 @@ class EpochVector {
   std::atomic<uint64_t> version_{0};
   /// See max_epoch().
   std::atomic<Epoch> max_epoch_{kNoEpoch};
+  /// See num_deletes().
+  std::atomic<uint64_t> num_deletes_{0};
 };
 
 }  // namespace cubrick::aosi

@@ -5,16 +5,9 @@
 namespace cubrick::aosi {
 
 VisKey VisibilityCache::MakeKey(const EpochVector& history,
-                                const Snapshot& snapshot,
-                                bool read_uncommitted) {
+                                const Snapshot& snapshot) {
   VisKey key;
   key.history_version = history.version();
-  key.read_uncommitted = read_uncommitted;
-  if (read_uncommitted) {
-    // RU ignores the snapshot entirely: the all-ones mask only depends on
-    // the record count, which the version tag already pins.
-    return key;
-  }
   // Clamp to the newest stamp actually present: every snapshot at or past
   // it selects the same runs, so they share one entry.
   key.horizon = MinEpoch(snapshot.epoch, history.max_epoch());

@@ -6,6 +6,12 @@
 // writer, or writers idle — consecutive scans of a brick recompute the exact
 // same bitmap. This cache memoizes those bitmaps per brick.
 //
+// Only SI bitmaps of bricks the snapshot does not see whole live here. A
+// scan whose snapshot sees the whole brick (aosi::SeesWhole), and every RU
+// scan, takes a reused all-ones mask from its scan worker instead
+// (query/executor.cc): no build, no lookup and no entry for the next
+// append to retire.
+//
 // Keying. A cached entry is tagged with a VisKey:
 //   - history_version: EpochVector::version(), bumped by every append,
 //     delete marker and compaction install, so any history change
@@ -20,8 +26,6 @@
 //     horizon (later deps cannot mask anything the horizon admits). Compared
 //     *exactly* — a fingerprint collision would be a correctness bug, so no
 //     fingerprint is ever trusted for equality.
-//   - read_uncommitted: RU scans cache the all-ones mask under the version
-//     tag alone.
 //
 // Concurrency (PR 8: EBR retirement). Bricks are single-writer (paper
 // §V-B), and each scan assigns a brick to exactly one morsel worker, but
@@ -53,13 +57,11 @@ namespace cubrick::aosi {
 struct VisKey {
   uint64_t history_version = 0;
   Epoch horizon = kNoEpoch;
-  bool read_uncommitted = false;
   EpochSet deps;
 
   bool operator==(const VisKey& other) const {
     return history_version == other.history_version &&
-           SameEpoch(horizon, other.horizon) &&
-           read_uncommitted == other.read_uncommitted && deps == other.deps;
+           SameEpoch(horizon, other.horizon) && deps == other.deps;
   }
 };
 
@@ -82,9 +84,9 @@ class VisibilityCache {
   VisibilityCache(const VisibilityCache&) = delete;
   VisibilityCache& operator=(const VisibilityCache&) = delete;
 
-  /// The normalized cache key for scanning `history` under `snapshot`.
-  static VisKey MakeKey(const EpochVector& history, const Snapshot& snapshot,
-                        bool read_uncommitted);
+  /// The normalized cache key for an SI scan of `history` under
+  /// `snapshot`.
+  static VisKey MakeKey(const EpochVector& history, const Snapshot& snapshot);
 
   /// The cached bitmap for `key`, or nullptr on miss. The pointer stays
   /// valid while the caller's ebr::Guard is alive (see file comment).

@@ -53,6 +53,22 @@ std::vector<Record> RandomRecords(Random& rng) {
   return rows;
 }
 
+/// 64 to 191 records for one brick. From 127 on they fill at least one
+/// whole bitmap word wherever they start, so scans meet dense words.
+std::vector<Record> OneBrickRecords(Random& rng) {
+  const uint64_t b0 = kRangeB * rng.Uniform(kCardB / kRangeB);
+  const uint64_t c0 = kRangeC * rng.Uniform(kCardC / kRangeC);
+  const uint64_t n = 64 + rng.Uniform(128);
+  std::vector<Record> rows;
+  rows.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    rows.push_back({static_cast<int64_t>(b0 + rng.Uniform(kRangeB)),
+                    static_cast<int64_t>(c0 + rng.Uniform(kRangeC)),
+                    static_cast<int64_t>(rng.Uniform(100))});
+  }
+  return rows;
+}
+
 Query RandomQuery(Random& rng) {
   Query q;
   q.aggs = {{AggSpec::Fn::kSum, 0},
@@ -394,6 +410,9 @@ std::vector<OpPlan> GenerateThreadPlan(const StressOptions& opt,
       }
       op.do_read = rng.OneIn(2);
       op.query = RandomQuery(rng);
+      if (opt.dense_loads && rng.OneIn(3)) {
+        op.batches.push_back(OneBrickRecords(rng));
+      }
     } else if (dice < 0.42) {
       op.kind = OpPlan::Kind::kAbort;
       op.batches.push_back(RandomRecords(rng));
@@ -696,7 +715,8 @@ std::string ConfigLine(const StressOptions& opt, bool cluster) {
       << " persist=" << opt.with_persistence
       << " online=" << opt.online_check
       << " purge_stress=" << opt.purge_stress
-      << " simd=" << simd::BackendName(KernelBackend(opt));
+      << " simd=" << simd::BackendName(KernelBackend(opt))
+      << " dense_loads=" << opt.dense_loads;
   if (cluster) {
     out << " nodes=" << opt.num_nodes << " rf=" << opt.replication_factor
         << " latency_us=" << opt.message_latency_us;
@@ -826,6 +846,7 @@ StressOptions MakeSeedConfig(uint64_t seed, bool cluster) {
   const size_t replication_factor = 1 + rng.Uniform(2);
   const bool latency = rng.OneIn(7);
   opt.scalar_kernels = rng.OneIn(2);
+  opt.dense_loads = rng.OneIn(2);
   if (cluster) {
     opt.num_nodes = 3;
     opt.replication_factor = replication_factor;

@@ -75,6 +75,12 @@ struct StressOptions {
   /// bit-identical by contract (DESIGN.md §4e), so the oracle diff checks
   /// the scalar kernels end to end.
   bool scalar_kernels = false;
+  /// Some committed appends also load 64 to 191 records into one brick, so
+  /// scans meet dense bitmap words: the vector filter kernels and bitmap
+  /// range writes that span words run against the oracle. The plan draws
+  /// these loads only when the flag is set, so seeds without it keep the
+  /// plans they always had.
+  bool dense_loads = false;
   /// Cluster mode only.
   uint32_t num_nodes = 3;
   size_t replication_factor = 2;
@@ -107,8 +113,8 @@ struct StressReport {
 /// Derives the whole configuration from `seed`: thread count, the engine
 /// options (shard count, threaded vs inline shards, rollback index, scan
 /// and ingest fan-out), persistence, the online checker, purge stress
-/// (single node), replication factor and simulated latency (cluster) and
-/// the scan kernels.
+/// (single node), replication factor and simulated latency (cluster), the
+/// scan kernels and the one-brick dense loads.
 /// Each setting is an independent draw from Random(seed), so a seed sweep
 /// covers the configuration matrix and a seed alone replays its run.
 StressOptions MakeSeedConfig(uint64_t seed, bool cluster);

@@ -10,11 +10,12 @@ constexpr uint64_t kAllOnes = ~0ULL;
 size_t WordsFor(size_t bits) { return (bits + 63) / 64; }
 }  // namespace
 
-Bitmap::Bitmap(size_t size, bool initial)
-    : size_(size), words_(WordsFor(size), initial ? kAllOnes : 0ULL) {
-  if (initial) {
-    ClearTrailingBits();
-  }
+Bitmap::Bitmap(size_t size, bool initial) { Assign(size, initial); }
+
+void Bitmap::Assign(size_t size, bool value) {
+  size_ = size;
+  words_.assign(WordsFor(size), value ? kAllOnes : 0ULL);
+  if (value) ClearTrailingBits();
 }
 
 void Bitmap::SetRange(size_t begin, size_t end) {

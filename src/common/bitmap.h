@@ -26,6 +26,10 @@ class Bitmap {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  /// Makes this a bitmap of `size` bits, all set to `value`, reusing the
+  /// word array's storage when it is large enough.
+  void Assign(size_t size, bool value);
+
   /// Reads bit `i`. Precondition: i < size().
   bool Get(size_t i) const {
     return (words_[i >> 6] >> (i & 63)) & 1ULL;

@@ -35,6 +35,7 @@ struct ScanInstruments {
   obs::Counter* vis_cache_hits;
   obs::Counter* vis_cache_misses;
   obs::Counter* vis_cache_evictions;
+  obs::Counter* vis_whole_bricks;
   obs::Counter* kernel_words_scanned;
   obs::Counter* kernel_words_skipped;
   obs::Counter* kernel_words_dense;
@@ -60,6 +61,7 @@ const ScanInstruments& Instruments() {
         reg.GetCounter("query.vis_cache_hits"),
         reg.GetCounter("query.vis_cache_misses"),
         reg.GetCounter("query.vis_cache_evictions"),
+        reg.GetCounter("query.vis_whole_bricks"),
         reg.GetCounter("query.kernel_words_scanned"),
         reg.GetCounter("query.kernel_words_skipped"),
         reg.GetCounter("query.kernel_words_dense"),
@@ -83,6 +85,7 @@ struct ScanTally {
   uint64_t vis_cache_hits = 0;
   uint64_t vis_cache_misses = 0;
   uint64_t vis_cache_evictions = 0;
+  uint64_t vis_whole_bricks = 0;
   uint64_t kernel_words_scanned = 0;
   uint64_t kernel_words_skipped = 0;
   uint64_t kernel_words_dense = 0;
@@ -109,6 +112,7 @@ struct ScanTally {
     add(ins.vis_cache_hits, vis_cache_hits);
     add(ins.vis_cache_misses, vis_cache_misses);
     add(ins.vis_cache_evictions, vis_cache_evictions);
+    add(ins.vis_whole_bricks, vis_whole_bricks);
     add(ins.kernel_words_scanned, kernel_words_scanned);
     add(ins.kernel_words_skipped, kernel_words_skipped);
     add(ins.kernel_words_dense, kernel_words_dense);
@@ -309,6 +313,7 @@ struct ScanContext {
         table(query.group_by.size(), query.aggs.size()) {}
 
   ScanTally tally;
+  Bitmap whole;     // all ones: the mask of every brick seen whole
   Bitmap filtered;  // the filter pass's private copy of the mask
   std::vector<MetricAccessor> accessors;
   std::vector<AggState> locals;  // the ungrouped fold's states
@@ -386,29 +391,37 @@ void ExplainBrick(const Brick& brick, const Query& query,
 
 namespace {
 
-/// VisibilityForScan, tallying the cache outcome into `tally`.
+/// VisibilityForScan, tallying the outcome into `tally`. A brick the
+/// snapshot sees whole, and every brick of an RU scan, gets an all-ones
+/// mask: `*whole` resized when it is a worker's reused mask, a fresh one
+/// when `whole` is null.
 VisibilityRef VisibilityTallied(const Brick& brick,
                                 const aosi::Snapshot& snapshot, ScanMode mode,
-                                bool use_cache, ScanTally* tally) {
+                                bool use_cache, ScanTally* tally,
+                                Bitmap* whole) {
   // Defensive pin: scan entry points hold their own Guard, but helpers and
   // tests call this directly; nesting is a thread-local counter bump.
   const ebr::Guard guard;
-  const bool ru = mode == ScanMode::kReadUncommitted;
+  const aosi::EpochVector& history = brick.history();
+  if (mode == ScanMode::kReadUncommitted ||
+      aosi::SeesWhole(history, snapshot)) {
+    ++tally->vis_whole_bricks;
+    const uint64_t n = history.num_records();
+    if (whole == nullptr) return VisibilityRef(Bitmap(n, true));
+    if (whole->size() != n) whole->Assign(n, true);
+    return VisibilityRef(whole);
+  }
   if (!use_cache) {
-    return VisibilityRef(
-        ru ? aosi::BuildReadUncommittedBitmap(brick.history())
-           : aosi::BuildVisibilityBitmap(brick.history(), snapshot));
+    return VisibilityRef(aosi::BuildVisibilityBitmap(history, snapshot));
   }
   aosi::VisibilityCache& cache = brick.vis_cache();
-  const aosi::VisKey key =
-      aosi::VisibilityCache::MakeKey(brick.history(), snapshot, ru);
+  const aosi::VisKey key = aosi::VisibilityCache::MakeKey(history, snapshot);
   if (const Bitmap* hit = cache.Lookup(key)) {
     ++tally->vis_cache_hits;
     return VisibilityRef(hit);
   }
   ++tally->vis_cache_misses;
-  Bitmap built = ru ? aosi::BuildReadUncommittedBitmap(brick.history())
-                    : aosi::BuildVisibilityBitmap(brick.history(), snapshot);
+  Bitmap built = aosi::BuildVisibilityBitmap(history, snapshot);
   const auto outcome = cache.Publish(key, &built);
   if (outcome.evicted) ++tally->vis_cache_evictions;
   return VisibilityRef(outcome.published);
@@ -431,11 +444,12 @@ void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
   ++tally.bricks_scanned;
   tally.rows_considered += brick.num_records();
 
-  // Concurrency-control pass: one bitmap per brick, memoized in the
-  // brick's VisibilityCache when enabled.
+  // Concurrency-control pass: the worker's all-ones mask for a brick seen
+  // whole, else one bitmap per brick, memoized in the brick's
+  // VisibilityCache when enabled.
   PhaseClock clock;
   VisibilityRef visible =
-      VisibilityTallied(brick, snapshot, mode, use_cache, &tally);
+      VisibilityTallied(brick, snapshot, mode, use_cache, &tally, &ctx->whole);
   clock.Lap(&tally.visibility_us);
   const Bitmap* mask = &visible.bitmap();
 
@@ -789,7 +803,8 @@ VisibilityRef VisibilityForScan(const Brick& brick,
                                 const aosi::Snapshot& snapshot, ScanMode mode,
                                 bool use_cache) {
   ScanTally tally;
-  return VisibilityTallied(brick, snapshot, mode, use_cache, &tally);
+  return VisibilityTallied(brick, snapshot, mode, use_cache, &tally,
+                           /*whole=*/nullptr);
 }
 
 void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,

@@ -30,10 +30,10 @@ bool BrickIntersectsFilters(const Brick& brick, const Query& query);
 /// partition-granular delete predicate fully covers it).
 bool BrickCoveredByFilters(const Brick& brick, const Query& query);
 
-/// A visibility bitmap for one brick scan: either borrowed from the brick's
-/// cache (valid until the brick's next mutation, i.e. for the whole scan op
-/// — see vis_cache.h) or owned because the cache missed and declined to
-/// store. Scan code treats both uniformly and read-only.
+/// A visibility bitmap for one brick scan: either borrowed (from the
+/// brick's cache, valid while the scan's ebr::Guard lives — see
+/// vis_cache.h — or a scan worker's all-ones mask) or owned (built without
+/// the cache). Scan code treats both uniformly and read-only.
 class VisibilityRef {
  public:
   explicit VisibilityRef(const Bitmap* borrowed) : ptr_(borrowed) {}
@@ -55,9 +55,12 @@ class VisibilityRef {
 };
 
 /// The single entry point for scan visibility (executor + materialize): the
-/// mode-appropriate bitmap for `brick` under `snapshot`, served from the
-/// brick's VisibilityCache when `use_cache` (publishing on miss), built
-/// fresh otherwise. Adds the query.vis_cache_* outcome to the registry.
+/// mode-appropriate bitmap for `brick` under `snapshot`. RU scans, and SI
+/// scans whose snapshot sees the whole brick (aosi::SeesWhole), get an
+/// all-ones mask without building or caching anything. Any other bitmap is
+/// served from the brick's VisibilityCache when `use_cache` (publishing on
+/// miss) and built fresh otherwise. Adds the outcome to the registry:
+/// query.vis_whole_bricks or query.vis_cache_*.
 VisibilityRef VisibilityForScan(const Brick& brick,
                                 const aosi::Snapshot& snapshot, ScanMode mode,
                                 bool use_cache);

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
+
+#include "aosi/purge.h"
 
 namespace cubrick::aosi {
 namespace {
@@ -190,6 +193,63 @@ TEST(EpochVectorTest, MaxEpochTracksAppendsDeletesAndRebuilds) {
   EXPECT_TRUE(SameEpoch(rebuilt.max_epoch(), 6));
   ev.InstallRebuilt(rebuilt);
   EXPECT_TRUE(SameEpoch(ev.max_epoch(), 6));
+}
+
+/// The delete-marker count a history keeps must equal the markers it
+/// decodes into, whichever way the history was made.
+void ExpectDeleteCount(const EpochVector& ev, uint64_t markers) {
+  uint64_t decoded = 0;
+  for (const EpochRun& run : ev.Decode()) decoded += run.is_delete ? 1 : 0;
+  EXPECT_EQ(decoded, markers) << ev.ToString();
+  EXPECT_EQ(ev.num_deletes(), markers) << ev.ToString();
+}
+
+TEST(EpochVectorTest, DeleteMarkerCountSurvivesEveryRebuild) {
+  EpochVector ev;
+  ExpectDeleteCount(ev, 0);
+  ev.RecordAppend(1, 2);
+  ev.RecordDelete(2);
+  ev.RecordAppend(3, 2);
+  ev.RecordDelete(4);
+  ev.RecordAppend(5, 2);
+  ev.RecordDelete(6);
+  ev.RecordAppend(7, 2);
+  ExpectDeleteCount(ev, 3);
+  ExpectDeleteCount(EpochVector::FromRuns(ev.Decode()), 3);
+
+  // Copies and moves carry the count; a moved-from vector is empty.
+  EpochVector copy(ev);
+  ExpectDeleteCount(copy, 3);
+  EpochVector assigned;
+  assigned.RecordDelete(9);
+  assigned.RecordDelete(9);
+  assigned = ev;
+  ExpectDeleteCount(assigned, 3);
+  EpochVector moved(std::move(copy));
+  ExpectDeleteCount(moved, 3);
+  ExpectDeleteCount(copy, 0);
+  EpochVector move_assigned;
+  move_assigned = std::move(assigned);
+  ExpectDeleteCount(move_assigned, 3);
+
+  // Each compaction install takes the rebuilt history's count: rollback
+  // drops its victim's marker, truncation every newer one, and purge
+  // applies every marker below LSE.
+  const auto install = [&ev](const CompactionPlan& plan) {
+    EXPECT_TRUE(plan.needed);
+    EpochVector target(ev);
+    target.InstallRebuilt(plan.new_history);
+    return target;
+  };
+  ExpectDeleteCount(install(PlanRollback(ev, 4)), 2);
+  ExpectDeleteCount(install(PlanRetainUpTo(ev, 3)), 1);
+  ExpectDeleteCount(install(PlanPurge(ev, 5)), 1);
+  ExpectDeleteCount(install(PlanPurge(ev, 8)), 0);
+  // An install can add markers too.
+  EpochVector plain;
+  plain.RecordAppend(1, 2);
+  plain.InstallRebuilt(ev);
+  ExpectDeleteCount(plain, 3);
 }
 
 }  // namespace

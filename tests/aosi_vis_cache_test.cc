@@ -1,5 +1,5 @@
 // Visibility-bitmap cache tests: key normalization (horizon clamping, deps
-// filtering, RU collapsing), slot publish/lookup/eviction mechanics, EBR
+// filtering), slot publish/lookup/eviction mechanics, EBR
 // retirement of displaced entries (no decline backlog — Publish always
 // stores), and a multi-threaded lookup/publish hammer (named *VisCache* so
 // the TSan CI job picks it up).
@@ -35,13 +35,13 @@ EpochVector SmallHistory() {
 
 TEST(VisKeyTest, HorizonClampLetsLaterSnapshotsShareAKey) {
   const EpochVector ev = SmallHistory();  // max_epoch == 5
-  const VisKey at_max = VisibilityCache::MakeKey(ev, Reader(5), false);
-  const VisKey past1 = VisibilityCache::MakeKey(ev, Reader(7), false);
-  const VisKey past2 = VisibilityCache::MakeKey(ev, Reader(1000), false);
+  const VisKey at_max = VisibilityCache::MakeKey(ev, Reader(5));
+  const VisKey past1 = VisibilityCache::MakeKey(ev, Reader(7));
+  const VisKey past2 = VisibilityCache::MakeKey(ev, Reader(1000));
   EXPECT_TRUE(at_max == past1);
   EXPECT_TRUE(at_max == past2);
   // A snapshot below the newest stamp selects a different prefix.
-  const VisKey below = VisibilityCache::MakeKey(ev, Reader(4), false);
+  const VisKey below = VisibilityCache::MakeKey(ev, Reader(4));
   EXPECT_FALSE(at_max == below);
 }
 
@@ -49,38 +49,26 @@ TEST(VisKeyTest, DepsPastTheHorizonAreDropped) {
   const EpochVector ev = SmallHistory();  // max_epoch == 5
   // Dep 50 is beyond the clamped horizon (5): it cannot mask anything the
   // horizon admits, so the key must ignore it.
-  const VisKey a = VisibilityCache::MakeKey(ev, Reader(100, {3, 50}), false);
-  const VisKey b = VisibilityCache::MakeKey(ev, Reader(100, {3}), false);
+  const VisKey a = VisibilityCache::MakeKey(ev, Reader(100, {3, 50}));
+  const VisKey b = VisibilityCache::MakeKey(ev, Reader(100, {3}));
   EXPECT_TRUE(a == b);
   // Dep 3 is at or before the horizon and masks run [0,4): it must stay.
-  const VisKey c = VisibilityCache::MakeKey(ev, Reader(100), false);
+  const VisKey c = VisibilityCache::MakeKey(ev, Reader(100));
   EXPECT_FALSE(a == c);
-}
-
-TEST(VisKeyTest, ReadUncommittedKeyIgnoresTheSnapshot) {
-  const EpochVector ev = SmallHistory();
-  const VisKey a = VisibilityCache::MakeKey(ev, Reader(2, {1}), true);
-  const VisKey b = VisibilityCache::MakeKey(ev, Reader(9), true);
-  EXPECT_TRUE(a == b);
-  // ...but never collides with an SI key over the same history.
-  const VisKey si = VisibilityCache::MakeKey(ev, Reader(9), false);
-  EXPECT_FALSE(a == si);
 }
 
 TEST(VisKeyTest, HistoryMutationChangesEveryKey) {
   EpochVector ev = SmallHistory();
   const Snapshot snap = Reader(9);
-  const VisKey before_si = VisibilityCache::MakeKey(ev, snap, false);
-  const VisKey before_ru = VisibilityCache::MakeKey(ev, snap, true);
+  const VisKey before_si = VisibilityCache::MakeKey(ev, snap);
   ev.RecordAppend(6, 1);
-  EXPECT_FALSE(before_si == VisibilityCache::MakeKey(ev, snap, false));
-  EXPECT_FALSE(before_ru == VisibilityCache::MakeKey(ev, snap, true));
-  const VisKey after_append = VisibilityCache::MakeKey(ev, snap, false);
+  EXPECT_FALSE(before_si == VisibilityCache::MakeKey(ev, snap));
+  const VisKey after_append = VisibilityCache::MakeKey(ev, snap);
   ev.RecordDelete(7);
-  EXPECT_FALSE(after_append == VisibilityCache::MakeKey(ev, snap, false));
-  const VisKey after_delete = VisibilityCache::MakeKey(ev, snap, false);
+  EXPECT_FALSE(after_append == VisibilityCache::MakeKey(ev, snap));
+  const VisKey after_delete = VisibilityCache::MakeKey(ev, snap);
   ev.InstallRebuilt(EpochVector::FromRuns({{8, 0, 2, false}}));
-  EXPECT_FALSE(after_delete == VisibilityCache::MakeKey(ev, snap, false));
+  EXPECT_FALSE(after_delete == VisibilityCache::MakeKey(ev, snap));
 }
 
 VisKey KeyFor(uint64_t version, Epoch horizon) {
@@ -175,19 +163,19 @@ TEST(VisCacheTest, CachedBitmapMatchesDirectBuild) {
 
   VisibilityCache cache;
   const Snapshot at6 = Reader(6);
-  const VisKey key = VisibilityCache::MakeKey(ev, at6, false);
+  const VisKey key = VisibilityCache::MakeKey(ev, at6);
   Bitmap built = BuildVisibilityBitmap(ev, at6);
   const std::string expect = built.ToString();
   ASSERT_NE(cache.Publish(key, &built).published, nullptr);
 
-  const VisKey same = VisibilityCache::MakeKey(ev, Reader(6, {9}), false);
+  const VisKey same = VisibilityCache::MakeKey(ev, Reader(6, {9}));
   const Bitmap* hit = cache.Lookup(same);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->ToString(), expect);
 
   // A snapshot whose deps change visibility below the horizon misses.
   EXPECT_EQ(
-      cache.Lookup(VisibilityCache::MakeKey(ev, Reader(6, {5}), false)),
+      cache.Lookup(VisibilityCache::MakeKey(ev, Reader(6, {5}))),
       nullptr);
 }
 

@@ -199,11 +199,5 @@ TEST(DeleteCleanupTest, DeleteMarkersInRunListIgnored) {
   EXPECT_EQ(bm.ToString(), "111");
 }
 
-TEST(VisibilityTest, ReadUncommittedSeesEverything) {
-  Bitmap bm = BuildReadUncommittedBitmap(Fig2a());
-  EXPECT_EQ(bm.size(), 9u);
-  EXPECT_TRUE(bm.All());
-}
-
 }  // namespace
 }  // namespace cubrick::aosi

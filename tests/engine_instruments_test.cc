@@ -79,6 +79,7 @@ const std::vector<std::string> kDrivenCounters = {
     "query.scans_total",
     "query.vis_cache_hits",
     "query.vis_cache_misses",
+    "query.vis_whole_bricks",
     "query.bricks_pruned",
     "query.bricks_scanned",
     "query.rows_scanned",
@@ -187,8 +188,12 @@ TEST(EngineInstrumentsTest, WorkloadDrivesEveryListedInstrument) {
 
     // One region keeps a quarter of each surviving brick's rows: the other
     // region partitions are pruned, the survivors take the row filter, and
-    // with several survivors per shard the scan fans out and merges. The
-    // repeat is served from the visibility cache.
+    // with several survivors per shard the scan fans out and merges. An
+    // open transaction's uncommitted rows keep the queries from seeing the
+    // surviving bricks whole, so the first query builds their bitmaps and
+    // the repeat is served from the visibility cache.
+    const aosi::Txn pending = db.Begin();
+    ASSERT_TRUE(db.LoadIn(pending, "c", Rows(&rng, 2000)).ok());
     auto region = db.EqFilter("c", "region", Value("region-5"));
     ASSERT_TRUE(region.ok());
     Query q;
@@ -200,8 +205,9 @@ TEST(EngineInstrumentsTest, WorkloadDrivesEveryListedInstrument) {
     ASSERT_TRUE(first.ok());
     ASSERT_TRUE(second.ok());
     EXPECT_EQ(first->num_groups(), second->num_groups());
+    ASSERT_TRUE(db.Commit(pending).ok());
 
-    // Purge reclaims the deleted partition and compacts the two loads'
+    // Purge reclaims the deleted partition and compacts the three loads'
     // runs. A delete applies once it is strictly below LSE, so an empty
     // transaction commits after it to move LCE past the delete epoch.
     auto day = db.RangeFilter("c", "day", 0, 1);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -79,6 +80,47 @@ GeneratedHistory Generate(Random* rng, int ops, double delete_prob) {
   return h;
 }
 
+/// A history of at least `min_records` records over epochs 1-40. Each
+/// append repeats the previous op's transaction with probability
+/// `repeat_prob`, which extends the back run in place when that op was an
+/// append (paper Fig 1 (b)).
+GeneratedHistory GenerateLong(Random* rng, uint64_t min_records,
+                              double repeat_prob, double delete_prob) {
+  GeneratedHistory h;
+  Epoch last = 0;
+  while (h.ref.records.size() < min_records) {
+    const Epoch e =
+        last != 0 && rng->NextDouble() < repeat_prob ? last : 1 + rng->Uniform(40);
+    h.max_epoch = std::max(h.max_epoch, e);
+    if (rng->NextDouble() < delete_prob && h.ref.records.size() > 0) {
+      h.ev.RecordDelete(e);
+      h.ref.Delete(e);
+    } else {
+      const uint64_t count = 1 + rng->Uniform(8);
+      h.ev.RecordAppend(e, count);
+      h.ref.Append(e, count);
+    }
+    last = e;
+  }
+  return h;
+}
+
+/// A snapshot at or past `max_epoch` half the time, with deps drawn below,
+/// at and past its horizon MinEpoch(epoch, max_epoch): the deps the bitmap
+/// build probes and the ones it may skip.
+Snapshot SnapshotAroundHorizon(Random* rng, Epoch max_epoch) {
+  Snapshot snap;
+  snap.epoch = rng->OneIn(2) ? max_epoch + rng->Uniform(3)
+                             : rng->Uniform(max_epoch + 1);
+  const Epoch horizon = std::min(snap.epoch, max_epoch);
+  std::vector<Epoch> deps;
+  if (horizon > 1 && rng->OneIn(2)) deps.push_back(1 + rng->Uniform(horizon - 1));
+  if (horizon > 0 && rng->OneIn(3)) deps.push_back(horizon);
+  if (rng->OneIn(2)) deps.push_back(horizon + 1 + rng->Uniform(3));
+  snap.deps = EpochSet(deps);
+  return snap;
+}
+
 Snapshot RandomSnapshot(Random* rng, Epoch max_epoch) {
   Snapshot snap;
   snap.epoch = rng->Uniform(max_epoch + 2);
@@ -109,6 +151,31 @@ TEST_P(RandomHistoryTest, VisibilityMatchesReferenceModel) {
           << " deps=" << snap.deps.ToString();
     }
   }
+  // Histories past one and two bitmap words, with back runs extended in
+  // place and deps below, at and past the horizon. A snapshot that sees
+  // the history whole must see every record.
+  uint64_t seen_whole = 0;
+  for (uint64_t min_records : {65u, 129u}) {
+    for (int round = 0; round < 20; ++round) {
+      auto h = GenerateLong(&rng, min_records, /*repeat_prob=*/0.3,
+                            /*delete_prob=*/round % 2 == 0 ? 0.0 : 0.08);
+      for (int probe = 0; probe < 20; ++probe) {
+        const Snapshot snap = SnapshotAroundHorizon(&rng, h.max_epoch);
+        const Bitmap expected = h.ref.VisibilityBitmap(snap);
+        ASSERT_EQ(BuildVisibilityBitmap(h.ev, snap).ToString(),
+                  expected.ToString())
+            << "history=" << h.ev.ToString() << " reader=" << snap.epoch
+            << " deps=" << snap.deps.ToString();
+        if (SeesWhole(h.ev, snap)) {
+          ++seen_whole;
+          ASSERT_TRUE(expected.All())
+              << "seen whole: history=" << h.ev.ToString()
+              << " reader=" << snap.epoch << " deps=" << snap.deps.ToString();
+        }
+      }
+    }
+  }
+  EXPECT_GT(seen_whole, 0u);
 }
 
 TEST_P(RandomHistoryTest, PurgePreservesFutureSnapshots) {

@@ -1,8 +1,8 @@
-// Scan instrument totals: a table of known bricks (pruned, with empty
-// visibility, cut by a filter, covered by it) is scanned at one worker and
-// at more workers than shards, in both shard modes, and every per-brick
-// instrument must move by exactly the sum over its bricks, computed here
-// brick by brick from the bricks themselves.
+// Scan instrument totals: a table of known bricks (pruned, seen whole, with
+// empty visibility, cut by a filter, covered by it) is scanned at one
+// worker and at more workers than shards, in both shard modes, and every
+// per-brick instrument must move by exactly the sum over its bricks,
+// computed here brick by brick from the bricks themselves.
 
 #include <gtest/gtest.h>
 
@@ -85,6 +85,7 @@ struct Expected {
   uint64_t words_skipped = 0;
   uint64_t words_dense = 0;
   uint64_t bricks_visible = 0;  // bricks that reach the filter phase
+  uint64_t bricks_whole = 0;    // bricks the snapshot sees whole
   uint64_t density_sum = 0;     // of query.bitmap_density_permille
   uint64_t dense_permille_sum = 0;  // of query.kernel_dense_words_permille
 };
@@ -100,6 +101,9 @@ Expected PerBrickSums(Table& table, const Query& query) {
     e.rows_considered += brick.num_records();
     const ebr::Guard guard;
     Bitmap mask = aosi::BuildVisibilityBitmap(brick.history(), kSnapshot);
+    // The fixture has no delete marker and no dep between two stamps of a
+    // brick, so a brick is seen whole exactly when all its rows are visible.
+    if (mask.All()) ++e.bricks_whole;
     if (mask.None()) return;
     ++e.bricks_visible;
     for (size_t row = 0; row < mask.size(); ++row) {
@@ -167,6 +171,8 @@ TEST(ScanInstrumentsTest, TalliesMatchPerBrickCounts) {
       ASSERT_GT(want.bricks_scanned, want.bricks_visible);
       ASSERT_GT(want.rows_considered, want.rows_scanned);
       ASSERT_GT(want.words_dense, 0u);
+      ASSERT_GT(want.bricks_whole, 0u);
+      ASSERT_GT(want.bricks_scanned, want.bricks_whole);
       for (size_t parallelism : {1u, 6u, 8u}) {
         SCOPED_TRACE(std::string(threaded ? "threaded" : "inline") +
                      " group_by " + std::to_string(query.group_by.size()) +
@@ -188,8 +194,10 @@ TEST(ScanInstrumentsTest, TalliesMatchPerBrickCounts) {
         EXPECT_EQ(counter("query.kernel_words_scanned"), want.words_scanned);
         EXPECT_EQ(counter("query.kernel_words_skipped"), want.words_skipped);
         EXPECT_EQ(counter("query.kernel_words_dense"), want.words_dense);
+        EXPECT_EQ(counter("query.vis_whole_bricks"), want.bricks_whole);
         EXPECT_EQ(counter("query.vis_cache_hits") +
-                      counter("query.vis_cache_misses"),
+                      counter("query.vis_cache_misses") +
+                      counter("query.vis_whole_bricks"),
                   want.bricks_scanned);
         EXPECT_EQ(histogram("query.visibility_us").count,
                   want.bricks_scanned);

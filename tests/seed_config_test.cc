@@ -27,6 +27,7 @@ bool IngestParallel(const check::StressOptions& o) {
 }
 bool Online(const check::StressOptions& o) { return o.online_check; }
 bool ScalarKernels(const check::StressOptions& o) { return o.scalar_kernels; }
+bool DenseLoads(const check::StressOptions& o) { return o.dense_loads; }
 bool ParallelOnline(const check::StressOptions& o) {
   return Parallel(o) && o.online_check;
 }
@@ -155,6 +156,7 @@ TEST(SeedConfigTest, EverySweepReachesBothValuesOfEveryDimension) {
                        [](const auto& o) { return o.engine.threaded_shards; });
       ExpectBothValues(cluster, sanitizer_sized, "scalar_kernels",
                        ScalarKernels);
+      ExpectBothValues(cluster, sanitizer_sized, "dense_loads", DenseLoads);
     }
     ExpectBothValues(/*cluster=*/false, sanitizer_sized, "purge_stress",
                      [](const auto& o) { return o.purge_stress; });

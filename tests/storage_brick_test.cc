@@ -383,7 +383,7 @@ TEST(BrickTest, MutationsInvalidateVisibilityCache) {
   auto prime = [&brick]() -> aosi::VisKey {
     const aosi::Snapshot snap{9, {}};
     const aosi::VisKey key =
-        aosi::VisibilityCache::MakeKey(brick.history(), snap, false);
+        aosi::VisibilityCache::MakeKey(brick.history(), snap);
     if (brick.vis_cache().Lookup(key) == nullptr) {
       Bitmap bm = aosi::BuildVisibilityBitmap(brick.history(), snap);
       EXPECT_NE(brick.vis_cache().Publish(key, &bm).published, nullptr);
