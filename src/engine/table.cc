@@ -172,11 +172,13 @@ QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
       obs::MetricsRegistry::Global().GetCounter("query.scans_total");
   static obs::Histogram* latency =
       obs::MetricsRegistry::Global().GetHistogram("query.latency_us");
+  static obs::Histogram* result_merge_us =
+      obs::MetricsRegistry::Global().GetHistogram("query.result_merge_us");
   scans->Add();
   obs::ObsSpan span(latency);
   const size_t num_shards = shards_.size();
-  std::vector<QueryResult> partials(num_shards,
-                                    QueryResult(query.aggs.size()));
+  std::vector<GroupTable> partials(
+      num_shards, GroupTable(query.group_by.size(), query.aggs.size()));
   OnEveryShard([&](size_t s, BrickMap& bricks) {
     // This op's share of the request's worker budget (see table.h).
     const size_t workers = std::max<size_t>(
@@ -190,11 +192,10 @@ QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
     partials[s] = ScanBricks(candidates, snapshot, mode, query, workers,
                              visibility_cache);
   });
-  QueryResult result(query.aggs.size());
-  for (const auto& partial : partials) {
-    result.Merge(partial);
-  }
-  return result;
+  obs::ObsSpan merge_span(result_merge_us);
+  GroupTable& merged = partials[0];
+  for (size_t s = 1; s < num_shards; ++s) merged.MergeFrom(partials[s]);
+  return merged.ToResult();
 }
 
 ScanPlanStats Table::ExplainScan(const Query& query) {

@@ -120,11 +120,15 @@ class Table {
   /// never fewer than one (its own thread). Each shard op hands its bricks
   /// to ScanBricks with its share, which scans them on the shard's thread
   /// plus, past the first worker, tasks on ThreadPool::Global(), and
-  /// returns the op's merged result. The shard stays blocked in its own op
-  /// for the whole fan-out, so the single-writer invariant holds: nothing
-  /// can mutate its bricks while pool workers read them. Any P <= S (the
-  /// default 1 included) is one worker per shard op, the shard's thread
-  /// alone in BrickMap order, so a scan submits pool tasks only when P > S.
+  /// returns the op's groups in one GroupTable. The shard stays blocked in
+  /// its own op for the whole fan-out, so the single-writer invariant
+  /// holds: nothing can mutate its bricks while pool workers read them.
+  /// Any P <= S (the default 1 included) is one worker per shard op, the
+  /// shard's thread alone in BrickMap order, so a scan submits pool tasks
+  /// only when P > S. Scan then merges the ops' tables in shard order and
+  /// builds the QueryResult once, timed by query.result_merge_us; every
+  /// group merges in the order bricks, workers, shard ops, so the result is
+  /// bit-identical to merging per-op results (DESIGN.md §4c).
   ///
   /// `visibility_cache` enables each brick's visibility-bitmap cache
   /// (DESIGN.md §4c); results are identical with it on or off. The engine

@@ -194,152 +194,71 @@ void BrickDimBounds(const Brick& brick, size_t dim, uint64_t* lo,
   *hi = end < max_coord ? end : max_coord;
 }
 
-/// Widest packed group-by key the grouped fold indexes directly: 2^6 = 64
-/// slots, whose occupancy fits one uint64_t. It covers every measured
-/// group-by (the ledger's region and product keys take 3 and 5 bits); raise
-/// it only together with a workload that groups by wider keys.
+/// Widest packed group-by key the grouped fold uses as its group ordinal
+/// directly: 2^6 = 64 ordinals, so a brick's fold states stay a few KB
+/// whatever its rows. It covers every measured group-by (the ledger's
+/// region and product keys take 3 and 5 bits); raise it only together with
+/// a workload that groups by wider keys.
 constexpr uint32_t kDirectKeyBits = 6;
 
-/// Brick-local group table of the grouped fold for keys wider than
-/// kDirectKeyBits (see ScanBrick): open addressing with linear
-/// probing over flat arrays, keyed by a row's group-by offsets within the
-/// brick's ranges (one uint64 per group-by dimension, so keys of any width
-/// fit). Reserve keeps the load factor at most 1/2 and grows the table by
-/// rehash only as rows arrive, never past room for `max_groups` keys (the
-/// most the brick's offset widths allow), so its size follows the groups
-/// the brick actually holds, whatever the key width. An offset is always
-/// below its dimension's range_size, hence never ~0: that value in a slot's
-/// first key word marks the slot empty. One table serves all the bricks a
-/// scan worker folds: Reset empties it and keeps its arrays' storage.
-class GroupSlots {
- public:
-  GroupSlots(size_t key_width, size_t num_aggs)
-      : width_(key_width), num_aggs_(num_aggs) {}
-
-  /// Empties the table for a brick whose offsets allow at most
-  /// `max_groups` keys.
-  void Reset(uint64_t max_groups) {
-    max_groups_ = max_groups;
-    used_ = 0;
-    keys_.clear();
-    states_.clear();
-  }
-
-  /// Makes room for the keys of `rows` more rows; slots returned by Find
-  /// stay where they are until the next call.
-  void Reserve(uint64_t rows) {
-    const uint64_t need = std::min(used_ + rows, max_groups_);
-    if (2 * need > capacity()) Rehash(need);
-  }
-
-  size_t capacity() const { return keys_.size() / width_; }
-  bool occupied(size_t slot) const {
-    return keys_[slot * width_] != kEmptyKey;
-  }
-  const uint64_t* key(size_t slot) const { return &keys_[slot * width_]; }
-  /// Slot `s`'s aggregate states start at states()[s * num_aggs].
-  AggState* states() { return states_.data(); }
-
-  /// The slot holding `key` (key_width offsets), claimed on first sight.
-  size_t Find(const uint64_t* key) {
-    uint64_t h = 0;
-    for (size_t g = 0; g < width_; ++g) h = (h ^ key[g]) * kHashMul;
-    size_t slot = static_cast<size_t>(h >> shift_);
-    while (true) {
-      uint64_t* k = &keys_[slot * width_];
-      size_t g = 0;
-      while (g < width_ && k[g] == key[g]) ++g;
-      if (g == width_) return slot;
-      if (k[0] == kEmptyKey) {
-        std::copy_n(key, width_, k);
-        ++used_;
-        return slot;
-      }
-      slot = (slot + 1) & mask_;
-    }
-  }
-
- private:
-  static constexpr uint64_t kEmptyKey = ~0ULL;
-  /// 2^64 / golden ratio: Fibonacci hashing, whose top bits spread the
-  /// consecutive offsets a brick's narrow ranges produce.
-  static constexpr uint64_t kHashMul = 0x9E3779B97F4A7C15ULL;
-
-  /// Rebuilds the table at the smallest power of two >= 2 * need slots in
-  /// the spare arrays and re-inserts every occupied slot with its states;
-  /// the old arrays become the spares.
-  void Rehash(uint64_t need) {
-    int log2 = 1;
-    while ((uint64_t{1} << log2) < 2 * need) ++log2;
-    const size_t slots = size_t{1} << log2;
-    spare_keys_.assign(slots * width_, kEmptyKey);
-    spare_states_.assign(slots * num_aggs_, AggState());
-    keys_.swap(spare_keys_);
-    states_.swap(spare_states_);
-    shift_ = 64 - log2;
-    mask_ = slots - 1;
-    used_ = 0;
-    for (size_t s = 0; s < spare_keys_.size() / width_; ++s) {
-      if (spare_keys_[s * width_] == kEmptyKey) continue;
-      const size_t slot = Find(&spare_keys_[s * width_]);
-      std::copy_n(&spare_states_[s * num_aggs_], num_aggs_,
-                  &states_[slot * num_aggs_]);
-    }
-  }
-
-  size_t width_;
-  size_t num_aggs_;
-  uint64_t max_groups_ = 0;
-  uint64_t used_ = 0;
-  int shift_ = 0;
-  size_t mask_ = 0;
-  std::vector<uint64_t> keys_;
-  std::vector<AggState> states_;
-  std::vector<uint64_t> spare_keys_;
-  std::vector<AggState> spare_states_;
+/// One aggregate's grouped fold states, indexed by group ordinal. A COUNT's
+/// stay empty: its state follows from the group's count alone.
+struct AggColumns {
+  std::vector<double> sum;
+  std::vector<double> min;
+  std::vector<double> max;
 };
 
+/// Folds the rows at bits bit_of(0) to bit_of(n - 1) of one bitmap word
+/// into `col` at their group ordinals ord[bit], each with exactly the
+/// operations of AggState::Accumulate (but the count, which the group
+/// shares), in row order. `values` points at the word's first row.
+template <typename T, typename BitOf>
+void FoldColumn(const T* values, const uint64_t* ord, size_t n, BitOf bit_of,
+                AggColumns* col) {
+  double* sum = col->sum.data();
+  double* min = col->min.data();
+  double* max = col->max.data();
+  for (size_t k = 0; k < n; ++k) {
+    const size_t b = bit_of(k);
+    const size_t o = ord[b];
+    const double v = static_cast<double>(values[b]);
+    sum[o] += v;
+    min[o] = v < min[o] ? v : min[o];
+    max[o] = v > max[o] ? v : max[o];
+  }
+}
+
 /// What one scan worker keeps from brick to brick: the tally of the
-/// per-brick instruments and the fold's scratch buffers. A brick scan
+/// per-brick instruments and the folds' scratch buffers. A brick scan
 /// writes no shared instrument, and once the buffers have grown to the
 /// query's shape it allocates nothing.
 struct ScanContext {
   explicit ScanContext(const Query& query)
-      : field_bits(query.group_by.size()),
+      : states(query.aggs.size()),
+        field_bits(query.group_by.size()),
         group_lo(query.group_by.size()),
         offsets(query.group_by.size() * 64),
         key(query.group_by.size()),
-        group(query.group_by.size()),
-        table(query.group_by.size(), query.aggs.size()) {}
+        keys(query.group_by.size(), 0),
+        columns(query.aggs.size()) {}
 
   ScanTally tally;
   Bitmap whole;     // all ones: the mask of every brick seen whole
   Bitmap filtered;  // the filter pass's private copy of the mask
   std::vector<MetricAccessor> accessors;
-  std::vector<AggState> locals;  // the ungrouped fold's states
+  // One per aggregate: the ungrouped fold's states, and a group's as it
+  // merges.
+  std::vector<AggState> states;
   // The grouped fold's, one entry per group-by dimension unless noted.
   std::vector<uint32_t> field_bits;
   std::vector<uint64_t> group_lo;
   std::vector<uint64_t> offsets;  // 64 decoded offsets per dimension
-  std::vector<uint64_t> key;
-  QueryResult::GroupKey group;
-  std::vector<AggState> direct_states;  // all zeroed between bricks
-  GroupSlots table;
+  std::vector<uint64_t> key;      // a row's offsets, a group's coordinates
+  GroupTable keys;                // ordinals of keys past kDirectKeyBits
+  std::vector<uint64_t> counts;   // one per group ordinal
+  std::vector<AggColumns> columns;  // one per aggregate
 };
-
-/// Completes the COUNT states of one grouped slot (`num_aggs` states), which
-/// the fold only counted: n calls of Accumulate(1.0) on a zeroed state
-/// leave sum = n (exact below 2^53), min = max = 1 and count = n, so the
-/// slot merges bit-identically to a row-by-row COUNT.
-void FinishCounts(const std::vector<MetricAccessor>& accessors,
-                  AggState* states) {
-  for (size_t a = 0; a < accessors.size(); ++a) {
-    if (!accessors[a].is_count) continue;
-    states[a].sum = static_cast<double>(states[a].count);
-    states[a].min = 1.0;
-    states[a].max = 1.0;
-  }
-}
 
 }  // namespace
 
@@ -427,10 +346,11 @@ VisibilityRef VisibilityTallied(const Brick& brick,
   return VisibilityRef(outcome.published);
 }
 
-/// ScanBrick with the worker's context: instruments go to ctx->tally and
-/// every buffer comes from ctx.
+/// ScanBrick with the worker's context and group table: the brick's
+/// groups merge into `out`, instruments go to ctx->tally and every buffer
+/// comes from ctx.
 void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
-                   ScanMode mode, const Query& query, QueryResult* result,
+                   ScanMode mode, const Query& query, GroupTable* out,
                    bool use_cache, ScanContext* ctx) {
   // Reclamation pin for the whole brick scan: the visibility bitmap served
   // from the cache — and any history Rep a concurrent compaction displaces —
@@ -577,7 +497,7 @@ void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
     for (const auto& acc : accessors) {
       if (!acc.is_count) need_values = true;
     }
-    std::vector<AggState>& locals = ctx->locals;
+    std::vector<AggState>& locals = ctx->states;
     locals.assign(query.aggs.size(), AggState());
     size_t rows[64];
     int64_t ibuf[64];
@@ -647,22 +567,24 @@ void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
       }
       if (need_values) ++(simd_active ? words_simd : words_fallback);
     }
-    if (rows_aggregated > 0) {
-      result->MergeGroup(QueryResult::GroupKey(), locals.data());
-    }
+    // Under the empty key: an ungrouped query's key is 0 words wide.
+    if (rows_aggregated > 0) out->MergeGroup(ctx->key.data(), locals.data());
   } else {
-    // Grouped slot fold: each word's visible rows map to brick-local slots
-    // keyed by their group-by offsets (decoded in bulk per word, as the
-    // filter pass does), then every aggregate folds the word column by
-    // column into its slots' states — typed once per word, each group's
-    // rows in row order — and each occupied slot merges into `result` once
-    // per brick. COUNT only counts its slot's rows; FinishCounts fills in
-    // the rest of its state before the slot merges. A key of at most
-    // kDirectKeyBits bits indexes a flat 2^key_bits slot array directly by
-    // its offsets packed into key_bits bits (first group-by dimension
-    // highest), with no hash and no probe, and marks its slot in one
-    // occupancy word; a wider key goes through GroupSlots. No vector kernel
-    // runs here, so every word counts as kernel_simd_fallback.
+    // Grouped ordinal fold: every visible row gets a brick-local group
+    // ordinal, from its group-by offsets decoded in bulk per word as the
+    // filter pass does: the offsets packed into key_bits bits (first
+    // group-by dimension highest) when key_bits is at most kDirectKeyBits,
+    // else the key's first-seen ordinal in ctx->keys. One loop folds every
+    // word into struct-of-arrays states indexed by ordinal: one count per
+    // group, shared by every aggregate, and a sum, min and max per non-COUNT
+    // aggregate, typed once per word and updated as AggState::Accumulate
+    // does, each group's rows in row order. A dense word folds its 64 rows
+    // by their bit; a sparse one lists its visible bits first. After the
+    // brick, each group with rows becomes one AggState per aggregate (a
+    // COUNT's sum is its count, its min and max 1: what that many
+    // Accumulate(1.0) calls leave in a zeroed state) and merges into `out`
+    // under its coordinates. No vector kernel runs here, so every word
+    // counts as kernel_simd_fallback.
     const size_t width = query.group_by.size();
     const size_t num_aggs = accessors.size();
     uint32_t key_bits = 0;
@@ -675,20 +597,33 @@ void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
       BrickDimBounds(brick, query.group_by[g], &group_lo[g], &hi);
     }
     const bool direct = key_bits <= kDirectKeyBits;
-    uint64_t direct_used = 0;  // bit s: direct slot s holds a group
-    std::vector<AggState>& direct_states = ctx->direct_states;
-    if (direct && direct_states.size() < (size_t{1} << key_bits) * num_aggs) {
-      direct_states.resize((size_t{1} << key_bits) * num_aggs);
+    GroupTable& keys = ctx->keys;
+    std::vector<uint64_t>& counts = ctx->counts;
+    std::vector<AggColumns>& columns = ctx->columns;
+    keys.Clear();
+    counts.clear();
+    for (AggColumns& col : columns) {
+      col.sum.clear();
+      col.min.clear();
+      col.max.clear();
     }
-    GroupSlots& table = ctx->table;
-    if (!direct) {
-      table.Reset(key_bits < 64 ? uint64_t{1} << key_bits : ~uint64_t{0});
-    }
+    // Makes room for ordinals below `groups`, each in a zeroed state.
+    const auto grow = [&](size_t groups) {
+      if (counts.size() >= groups) return;
+      const AggState zero;
+      counts.resize(groups, zero.count);
+      for (size_t a = 0; a < num_aggs; ++a) {
+        if (accessors[a].is_count) continue;
+        columns[a].sum.resize(groups, zero.sum);
+        columns[a].min.resize(groups, zero.min);
+        columns[a].max.resize(groups, zero.max);
+      }
+    };
+    if (direct) grow(size_t{1} << key_bits);
     std::vector<uint64_t>& offsets = ctx->offsets;
     std::vector<uint64_t>& key = ctx->key;
-    uint64_t packed[64];
-    size_t rows[64];
-    size_t slots[64];  // slot index * num_aggs
+    uint64_t ord[64];  // the group ordinal of the row at each visible bit
+    size_t bits[64];   // a sparse word's visible bits
     for (size_t w = 0; w < num_words; ++w) {
       const uint64_t word = mask->Word(w);
       if (word == 0) {
@@ -696,87 +631,85 @@ void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
         continue;
       }
       ++words_fallback;
-      if (word == kDenseWord) ++words_dense;
+      const bool dense = word == kDenseWord;
+      if (dense) ++words_dense;
       const size_t base = w * 64;
       // Decode only from the word's first to its last visible row, which
       // never passes num_records (trailing bits are kept zero).
       const auto first = static_cast<size_t>(__builtin_ctzll(word));
       const size_t span =
           64 - static_cast<size_t>(__builtin_clzll(word)) - first;
-      size_t n = 0;
       if (direct) {
         brick.bess().DecodeDim(base + first, span, query.group_by[0],
-                               &packed[first]);
+                               &ord[first]);
         for (size_t g = 1; g < width; ++g) {
           brick.bess().DecodeDim(base + first, span, query.group_by[g],
                                  &offsets[first]);
           for (size_t i = first; i < first + span; ++i) {
-            packed[i] = (packed[i] << field_bits[g]) | offsets[i];
+            ord[i] = (ord[i] << field_bits[g]) | offsets[i];
           }
         }
-        for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
-          const auto b = static_cast<size_t>(__builtin_ctzll(bits));
-          direct_used |= uint64_t{1} << packed[b];
-          rows[n] = base + b;
-          slots[n] = packed[b] * num_aggs;
-          ++n;
-        }
       } else {
-        table.Reserve(static_cast<uint64_t>(__builtin_popcountll(word)));
         for (size_t g = 0; g < width; ++g) {
           brick.bess().DecodeDim(base + first, span, query.group_by[g],
                                  &offsets[g * 64 + first]);
         }
-        for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
-          const auto b = static_cast<size_t>(__builtin_ctzll(bits));
+        for (uint64_t rest = word; rest != 0; rest &= rest - 1) {
+          const auto b = static_cast<size_t>(__builtin_ctzll(rest));
           for (size_t g = 0; g < width; ++g) key[g] = offsets[g * 64 + b];
-          rows[n] = base + b;
-          slots[n] = table.Find(key.data()) * num_aggs;
-          ++n;
+          ord[b] = keys.Find(key.data());
+        }
+        grow(keys.size());
+      }
+      size_t n = 0;
+      if (dense) {
+        n = 64;
+      } else {
+        for (uint64_t rest = word; rest != 0; rest &= rest - 1) {
+          bits[n++] = static_cast<size_t>(__builtin_ctzll(rest));
         }
       }
       rows_aggregated += n;
-      AggState* states = direct ? direct_states.data() : table.states();
-      for (size_t a = 0; a < num_aggs; ++a) {
-        const MetricAccessor& acc = accessors[a];
-        AggState* col = states + a;
-        if (acc.is_count) {
-          for (size_t i = 0; i < n; ++i) ++col[slots[i]].count;
-        } else if (acc.is_double) {
-          for (size_t i = 0; i < n; ++i) {
-            col[slots[i]].Accumulate(acc.doubles[rows[i]]);
-          }
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            col[slots[i]].Accumulate(static_cast<double>(acc.ints[rows[i]]));
+      const auto fold = [&](auto bit_of) {
+        for (size_t k = 0; k < n; ++k) ++counts[ord[bit_of(k)]];
+        for (size_t a = 0; a < num_aggs; ++a) {
+          const MetricAccessor& acc = accessors[a];
+          if (acc.is_count) continue;
+          if (acc.is_double) {
+            FoldColumn(acc.doubles + base, ord, n, bit_of, &columns[a]);
+          } else {
+            FoldColumn(acc.ints + base, ord, n, bit_of, &columns[a]);
           }
         }
+      };
+      if (dense) {
+        fold([](size_t k) { return k; });
+      } else {
+        fold([&bits](size_t k) { return bits[k]; });
       }
     }
-    QueryResult::GroupKey& group = ctx->group;
-    if (direct) {
-      for (uint64_t used = direct_used; used != 0; used &= used - 1) {
-        const auto s = static_cast<size_t>(__builtin_ctzll(used));
-        uint64_t rest = s;
+    std::vector<AggState>& states = ctx->states;
+    for (size_t o = 0; o < counts.size(); ++o) {
+      const uint64_t count = counts[o];
+      if (count == 0) continue;  // a direct ordinal no visible row packs to
+      if (direct) {
+        uint64_t rest = o;
         for (size_t g = width; g-- > 0;) {
           const uint64_t field_mask = (uint64_t{1} << field_bits[g]) - 1;
-          group[g] = group_lo[g] + (rest & field_mask);
+          key[g] = group_lo[g] + (rest & field_mask);
           rest >>= field_bits[g];
         }
-        AggState* states = &direct_states[s * num_aggs];
-        FinishCounts(accessors, states);
-        result->MergeGroup(group, states);
-        std::fill_n(states, num_aggs, AggState());
+      } else {
+        const uint64_t* k = keys.key(o);
+        for (size_t g = 0; g < width; ++g) key[g] = group_lo[g] + k[g];
       }
-    } else {
-      for (size_t s = 0; s < table.capacity(); ++s) {
-        if (!table.occupied(s)) continue;
-        const uint64_t* k = table.key(s);
-        for (size_t g = 0; g < width; ++g) group[g] = group_lo[g] + k[g];
-        AggState* states = table.states() + s * num_aggs;
-        FinishCounts(accessors, states);
-        result->MergeGroup(group, states);
+      for (size_t a = 0; a < num_aggs; ++a) {
+        const AggColumns& col = columns[a];
+        states[a] = accessors[a].is_count
+                        ? AggState{static_cast<double>(count), count, 1.0, 1.0}
+                        : AggState{col.sum[o], count, col.min[o], col.max[o]};
       }
+      out->MergeGroup(key.data(), states.data());
     }
   }
   clock.Lap(&tally.agg_us);
@@ -811,12 +744,14 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
                ScanMode mode, const Query& query, QueryResult* result,
                bool use_cache) {
   ScanContext ctx(query);
-  ScanBrickWith(brick, snapshot, mode, query, result, use_cache, &ctx);
+  GroupTable groups(query.group_by.size(), query.aggs.size());
+  ScanBrickWith(brick, snapshot, mode, query, &groups, use_cache, &ctx);
+  result->Merge(groups.ToResult());
 }
 
-QueryResult ScanBricks(const std::vector<const Brick*>& candidates,
-                       const aosi::Snapshot& snapshot, ScanMode mode,
-                       const Query& query, size_t workers, bool use_cache) {
+GroupTable ScanBricks(const std::vector<const Brick*>& candidates,
+                      const aosi::Snapshot& snapshot, ScanMode mode,
+                      const Query& query, size_t workers, bool use_cache) {
   const ScanInstruments& ins = Instruments();
   // The calling thread is always worker 0; its context also tallies the
   // bricks pruned here. Each worker's tally reaches the registry when its
@@ -833,20 +768,21 @@ QueryResult ScanBricks(const std::vector<const Brick*>& candidates,
       bricks.push_back(brick);
     }
   }
+  // Worker 0's table; worker w > 0 merges into partials[w - 1].
+  GroupTable groups(query.group_by.size(), query.aggs.size());
   workers = std::clamp<size_t>(workers, 1, std::max<size_t>(bricks.size(), 1));
   if (workers == 1) {
-    QueryResult result(query.aggs.size());
     for (const Brick* brick : bricks) {
-      ScanBrickWith(*brick, snapshot, mode, query, &result, use_cache, &ctx0);
+      ScanBrickWith(*brick, snapshot, mode, query, &groups, use_cache, &ctx0);
     }
-    return result;
+    return groups;
   }
 
-  std::vector<QueryResult> partials(workers, QueryResult(query.aggs.size()));
+  std::vector<GroupTable> partials(workers - 1, groups);
   std::atomic<size_t> next{0};
   auto scan_worker = [&](size_t w, ScanContext* ctx) {
     obs::ObsSpan span(ins.worker_scan_us);
-    QueryResult* out = &partials[w];
+    GroupTable* out = w == 0 ? &groups : &partials[w - 1];
     while (true) {
       // The brick data itself was published to the pool threads by the
       // task-handoff mutexes in ThreadPool::Submit/PopTask.
@@ -867,11 +803,8 @@ QueryResult ScanBricks(const std::vector<const Brick*>& candidates,
   group.Wait();
 
   obs::ObsSpan merge_span(ins.parallel_merge_us);
-  QueryResult result(query.aggs.size());
-  for (const QueryResult& partial : partials) {
-    result.Merge(partial);
-  }
-  return result;
+  for (const GroupTable& partial : partials) groups.MergeFrom(partial);
+  return groups;
 }
 
 }  // namespace cubrick

@@ -13,6 +13,7 @@
 
 #include "aosi/epoch.h"
 #include "common/bitmap.h"
+#include "query/group_table.h"
 #include "query/query.h"
 #include "storage/brick.h"
 
@@ -68,34 +69,35 @@ VisibilityRef VisibilityForScan(const Brick& brick,
 /// Scans one brick and accumulates into `result` (which must have been
 /// constructed with query.aggs.size()). `query` must pass ValidateQuery
 /// against the brick's schema. Both folds accumulate the brick into local
-/// states and merge each group into `result` once: ungrouped queries
-/// through the per-word SIMD fold kernels, grouped ones through brick-local
-/// slots keyed by the rows' group-by offsets (a flat array indexed by the
-/// packed offsets when they fit in 6 bits, a hash table for wider keys),
-/// each group folding its rows in row order (a grouped COUNT only counts
-/// them and fills in the rest of its state as the slot merges). `use_cache`
-/// enables the brick's visibility-bitmap cache (results are identical
-/// either way). Adds its query.* instruments to the registry on return.
+/// states and merge each group once: ungrouped queries through the
+/// per-word SIMD fold kernels, grouped ones through struct-of-arrays states
+/// indexed by a brick-local group ordinal (the packed group-by offsets when
+/// they fit in 6 bits, a first-seen ordinal for wider keys), each group
+/// folding its rows in row order. `use_cache` enables the brick's
+/// visibility-bitmap cache (results are identical either way). Adds its
+/// query.* instruments to the registry on return.
 void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
                ScanMode mode, const Query& query, QueryResult* result,
                bool use_cache = true);
 
 /// The scan of one shard op of Table::Scan: scans `candidates` with up to
-/// `workers` workers into one result. Bricks without rows or with ranges
-/// disjoint from the filters are pruned first, each counted once in
-/// query.bricks_pruned. One worker (also whenever at most one brick is
-/// left) scans the rest in order on the calling thread. More workers are
-/// the calling thread plus `workers` - 1 tasks on ThreadPool::Global(),
-/// claiming bricks from a shared ticket (bricks are the morsels of
-/// morsel-driven parallelism, Leis et al., SIGMOD 2014), each into its own
-/// partial; query.worker_scan_us times each worker and
-/// query.parallel_merge_us the merge of the partials. Each worker tallies
-/// the per-brick instruments in a context of its own, which also holds the
-/// fold's buffers, and adds the tally to the registry once, when it is
-/// done, so a brick scan writes no shared instrument.
-QueryResult ScanBricks(const std::vector<const Brick*>& candidates,
-                       const aosi::Snapshot& snapshot, ScanMode mode,
-                       const Query& query, size_t workers, bool use_cache);
+/// `workers` workers and returns their groups in one GroupTable keyed by
+/// group-by coordinates (the ungrouped result under the empty key). Bricks
+/// without rows or with ranges disjoint from the filters are pruned first,
+/// each counted once in query.bricks_pruned. One worker (also whenever at
+/// most one brick is left) scans the rest in order on the calling thread.
+/// More workers are the calling thread plus `workers` - 1 tasks on
+/// ThreadPool::Global(), claiming bricks from a shared ticket (bricks are
+/// the morsels of morsel-driven parallelism, Leis et al., SIGMOD 2014),
+/// each merging its bricks' groups into a table of its own; the tables
+/// then merge in worker order. query.worker_scan_us times each worker and
+/// query.parallel_merge_us that merge. Each worker tallies the per-brick
+/// instruments in a context of its own, which also holds the fold's
+/// buffers, and adds the tally to the registry once, when it is done, so a
+/// brick scan writes no shared instrument.
+GroupTable ScanBricks(const std::vector<const Brick*>& candidates,
+                      const aosi::Snapshot& snapshot, ScanMode mode,
+                      const Query& query, size_t workers, bool use_cache);
 
 /// EXPLAIN-style account of how granular partitioning served a query.
 struct ScanPlanStats {

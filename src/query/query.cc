@@ -35,12 +35,16 @@ Status ValidateQuery(const CubeSchema& schema, const Query& query) {
 
 void QueryResult::Merge(const QueryResult& other) {
   CUBRICK_CHECK(num_aggs_ == other.num_aggs_);
+  auto mine = groups_.begin();
   for (const auto& [key, states] : other.groups_) {
-    auto& mine = groups_[key];
-    if (mine.empty()) mine.resize(num_aggs_);
-    for (size_t i = 0; i < num_aggs_; ++i) {
-      mine[i].Merge(states[i]);
+    while (mine != groups_.end() && mine->first < key) ++mine;
+    if (mine == groups_.end() || key < mine->first) {
+      mine = groups_.emplace_hint(mine, key, std::vector<AggState>(num_aggs_));
     }
+    for (size_t i = 0; i < num_aggs_; ++i) {
+      mine->second[i].Merge(states[i]);
+    }
+    ++mine;
   }
 }
 

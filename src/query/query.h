@@ -13,6 +13,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -162,9 +163,13 @@ struct AggState {
 /// Mergeable across bricks, shards and nodes.
 class QueryResult {
  public:
-  explicit QueryResult(size_t num_aggs = 0) : num_aggs_(num_aggs) {}
-
   using GroupKey = std::vector<uint64_t>;
+  using Groups = std::map<GroupKey, std::vector<AggState>>;
+
+  explicit QueryResult(size_t num_aggs = 0) : num_aggs_(num_aggs) {}
+  /// A result holding `groups`, each with num_aggs states.
+  QueryResult(size_t num_aggs, Groups groups)
+      : num_aggs_(num_aggs), groups_(std::move(groups)) {}
 
   /// Accumulates `value` into agg `agg_idx` of group `key`.
   void Accumulate(const GroupKey& key, size_t agg_idx, double value) {
@@ -173,24 +178,23 @@ class QueryResult {
     states[agg_idx].Accumulate(value);
   }
 
-  /// Folds fully-accumulated `states` (num_aggs of them) into group `key` —
-  /// both scan folds accumulate a brick into local states and merge once.
+  /// Folds fully-accumulated `states` (num_aggs of them) into group `key`:
+  /// a new group starts from zeroed states.
   void MergeGroup(const GroupKey& key, const AggState* states) {
     auto& dst = groups_[key];
     if (dst.empty()) dst.resize(num_aggs_);
     for (size_t a = 0; a < num_aggs_; ++a) dst[a].Merge(states[a]);
   }
 
-  /// Merges a partial result (same query shape) into this one.
+  /// Merges a partial result (same query shape) into this one: MergeGroup
+  /// of every group of `other`, in one pass over both sorted maps.
   void Merge(const QueryResult& other);
 
   size_t num_groups() const { return groups_.size(); }
   size_t num_aggs() const { return num_aggs_; }
   bool empty() const { return groups_.empty(); }
 
-  const std::map<GroupKey, std::vector<AggState>>& groups() const {
-    return groups_;
-  }
+  const Groups& groups() const { return groups_; }
 
   /// Finalized value of agg `agg_idx` for `key` under `fn`; 0 for a missing
   /// group with kSum/kCount semantics.
@@ -210,7 +214,7 @@ class QueryResult {
 
  private:
   size_t num_aggs_;
-  std::map<GroupKey, std::vector<AggState>> groups_;
+  Groups groups_;
 };
 
 }  // namespace cubrick

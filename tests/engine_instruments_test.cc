@@ -105,6 +105,7 @@ const std::vector<std::string> kDrivenHistograms = {
     "query.filter_us",
     "query.agg_us",
     "query.parallel_merge_us",
+    "query.result_merge_us",
     "query.kernel_dense_words_permille",
     "aosi.purge.pause_us",
     "aosi.purge.round_us",

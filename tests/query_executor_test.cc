@@ -1,13 +1,18 @@
 // Query-model and brick-scan executor tests: filters, group-by, aggregation,
-// brick pruning, SI vs RU scan modes, and the grouped slot fold against the
-// SI oracle.
+// brick pruning, SI vs RU scan modes, the grouped ordinal fold against the
+// SI oracle and against a row-order reference, bit for bit.
 
 #include "query/executor.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <map>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "aosi/epoch.h"
 #include "check/si_oracle.h"
@@ -42,6 +47,17 @@ void AppendOne(Brick& brick, aosi::Epoch epoch, uint64_t region_off,
   batch.metric_doubles[1].push_back(revenue);
   batch.ClosePartition(brick.bid());
   brick.AppendBatch(epoch, batch, 0);
+}
+
+/// Every field of `got` equals `want`'s, doubles bit for bit.
+void ExpectSameState(const AggState& got, const AggState& want) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.sum),
+            std::bit_cast<uint64_t>(want.sum));
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.min),
+            std::bit_cast<uint64_t>(want.min));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.max),
+            std::bit_cast<uint64_t>(want.max));
 }
 
 TEST(FilterClauseTest, MatchSemantics) {
@@ -112,6 +128,63 @@ TEST(QueryResultTest, MergePreservesGroups) {
   EXPECT_DOUBLE_EQ(a.Value({1}, 0, AggSpec::Fn::kSum), 15.0);
   EXPECT_DOUBLE_EQ(a.Value({2}, 0, AggSpec::Fn::kSum), 7.0);
   EXPECT_DOUBLE_EQ(a.Value({3}, 0, AggSpec::Fn::kSum), 0.0);
+
+  // Merge walks both sorted maps at once. Whatever the two key sets, it
+  // must leave what a MergeGroup of each of other's groups leaves, bit for
+  // bit: a new group starts from zeroed states, so a -0.0 sum comes out
+  // +0.0 and a NaN min or max never lands.
+  std::mt19937_64 rng(11);
+  const auto random_states = [&rng] {
+    std::vector<AggState> states(2);
+    for (AggState& st : states) {
+      for (int i = 0; i < 3; ++i) {
+        st.Accumulate(std::ldexp(static_cast<double>(rng() >> 11),
+                                 static_cast<int>(rng() % 40) - 60));
+      }
+    }
+    return states;
+  };
+  const auto make = [&](const std::vector<QueryResult::GroupKey>& keys) {
+    QueryResult::Groups groups;
+    for (const auto& key : keys) groups.emplace(key, random_states());
+    return QueryResult(2, std::move(groups));
+  };
+  using Keys = std::vector<QueryResult::GroupKey>;
+  const std::vector<std::pair<Keys, Keys>> cases = {
+      {{{1, 0}, {2, 5}, {3, 1}}, {{2, 5}, {3, 1}, {4, 0}}},  // overlapping
+      {{{1}, {3}, {5}, {7}}, {{0}, {2}, {4}, {6}, {8}}},    // interleaved
+      {{{1}, {2}}, {{10}, {11}}},                           // disjoint, after
+      {{{10}, {11}}, {{1}, {2}}},                           // disjoint, before
+      {{}, {{4}, {9}}},
+      {{{4}, {9}}, {}},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const QueryResult mine = make(cases[c].first);
+    QueryResult other = make(cases[c].second);
+    if (!cases[c].second.empty()) {
+      // A state no fold leaves, to tell zeroed-then-Merge from a copy.
+      QueryResult::Groups groups = other.groups();
+      AggState& odd = groups.begin()->second[1];
+      odd.sum = -0.0;
+      odd.min = std::numeric_limits<double>::quiet_NaN();
+      other = QueryResult(2, std::move(groups));
+    }
+    QueryResult want = mine;
+    for (const auto& [key, states] : other.groups()) {
+      want.MergeGroup(key, states.data());
+    }
+    QueryResult got = mine;
+    got.Merge(other);
+    ASSERT_EQ(got.num_groups(), want.num_groups());
+    for (auto g = got.groups().begin(), w = want.groups().begin();
+         g != got.groups().end(); ++g, ++w) {
+      ASSERT_EQ(g->first, w->first);
+      for (size_t a = 0; a < 2; ++a) {
+        ExpectSameState(g->second[a], w->second[a]);
+      }
+    }
+  }
 }
 
 TEST(ScanBrickTest, UngroupedAggregation) {
@@ -226,12 +299,12 @@ TEST(ScanBrickTest, EmptyBrickNoGroups) {
 }
 
 TEST(ScanBrickTest, GroupedCountLeavesTheUngroupedCountState) {
-  // The grouped fold only counts a COUNT's rows and sets its sum, min and
-  // max as the slot merges; the ungrouped one folds a popcount per word.
-  // Over rows of one group both must leave every AggState field the same,
-  // which DiffResults (finalized values only) would not catch. The narrow
-  // schema's 2-bit region key takes the direct slot array, the wide
-  // schema's 20-bit key the GroupSlots table.
+  // The grouped fold only counts a group's rows and makes a COUNT's sum,
+  // min and max from that count as the group merges; the ungrouped one
+  // folds a popcount per word. Over rows of one group both must leave
+  // every AggState field the same, which DiffResults (finalized values
+  // only) would not catch. The narrow schema's 2-bit region key is a direct
+  // ordinal, the wide schema's 20-bit key a first-seen one.
   constexpr uint64_t kWide = uint64_t{1} << 20;
   auto wide = CubeSchema::Make("wide",
                                {{"x", kWide, kWide, false},
@@ -282,16 +355,28 @@ TEST(ScanBrickTest, MultiFilterConjunction) {
   EXPECT_DOUBLE_EQ(result.Single(0, AggSpec::Fn::kSum), 2.0);
 }
 
-/// The grouped slot fold against the oracle's row-at-a-time Eval: one cube
-/// loaded into a single-shard Table and a check::SiOracle under the same
-/// epochs, compared exactly (check::DiffResults) for every query and
-/// snapshot, at one and three scan workers, on every SIMD backend this CPU
-/// supports. Metric values are small integers and dyadic doubles, so every
-/// sum is exact whatever the fold order.
+/// The shard setups every GroupedFoldOracleTest case runs on: one inline
+/// shard, and four threaded ones, whose shard ops' group tables Table::Scan
+/// merges.
+struct ShardSetup {
+  size_t shards;
+  bool threaded;
+};
+constexpr ShardSetup kShardSetups[] = {{1, false}, {4, true}};
+
+/// The grouped ordinal fold against the oracle's row-at-a-time Eval: one
+/// cube loaded into a Table and a check::SiOracle under the same epochs,
+/// compared exactly (check::DiffResults) for every query and snapshot, at
+/// one and three scan workers, on every SIMD backend this CPU supports.
+/// Metric values are small integers and dyadic doubles, so every sum is
+/// exact whatever the fold order.
 class GroupedOracleFixture {
  public:
-  explicit GroupedOracleFixture(std::shared_ptr<const CubeSchema> schema)
-      : schema_(schema), table_(schema, 1, false), oracle_(schema) {}
+  GroupedOracleFixture(std::shared_ptr<const CubeSchema> schema,
+                       ShardSetup setup)
+      : schema_(schema),
+        table_(schema, setup.shards, setup.threaded),
+        oracle_(schema) {}
 
   /// Appends `num_rows` rows whose coordinate in dimension d is
   /// pick(d, rng), with one int64 and one dyadic double metric.
@@ -351,8 +436,9 @@ class GroupedOracleFixture {
                 table_.Scan(snapshots[s], ScanMode::kSnapshotIsolation,
                             queries[q], nullptr, workers);
             EXPECT_EQ(check::DiffResults(want, got, queries[q]), "")
-                << simd::BackendName(backend) << " snapshot " << s
-                << " query " << q << " workers " << workers;
+                << simd::BackendName(backend) << " shards "
+                << table_.num_shards() << " snapshot " << s << " query " << q
+                << " workers " << workers;
           }
         }
       }
@@ -400,7 +486,7 @@ TEST(GroupedFoldOracleTest, KeysWiderThan64Bits) {
   // spans 2^90 offset combinations, far more than its rows. Most offsets
   // come from a few values at both ends of each range, so groups repeat;
   // the rest are random, so each brick also holds hundreds of one-row
-  // groups and its slot table grows several times mid-scan.
+  // groups and its key table grows several times mid-scan.
   constexpr uint64_t kRange = uint64_t{1} << 30;
   auto schema = CubeSchema::Make("wide",
                                  {{"x", 2 * kRange, kRange, false},
@@ -409,21 +495,23 @@ TEST(GroupedFoldOracleTest, KeysWiderThan64Bits) {
                                  {{"i", DataType::kInt64},
                                   {"d", DataType::kDouble}})
                     .value();
-  GroupedOracleFixture fx(schema);
-  const uint64_t offsets[] = {0, 7, kRange - 1};
-  const auto snapshots =
-      LoadHistory(&fx, 600, [&](size_t, std::mt19937_64& rng) {
-        const uint64_t offset =
-            rng() % 4 == 0 ? rng() % kRange : offsets[rng() % 3];
-        return (rng() % 2) * kRange + offset;
-      });
-  ASSERT_TRUE(fx.HasRaggedBrick());
-  Query q;
-  q.group_by = {0, 1, 2};
-  q.aggs = AllAggs();
-  Query reversed = q;
-  reversed.group_by = {2, 0, 1};
-  fx.ExpectMatches({q, reversed}, snapshots);
+  for (const ShardSetup& setup : kShardSetups) {
+    GroupedOracleFixture fx(schema, setup);
+    const uint64_t offsets[] = {0, 7, kRange - 1};
+    const auto snapshots =
+        LoadHistory(&fx, 600, [&](size_t, std::mt19937_64& rng) {
+          const uint64_t offset =
+              rng() % 4 == 0 ? rng() % kRange : offsets[rng() % 3];
+          return (rng() % 2) * kRange + offset;
+        });
+    ASSERT_TRUE(fx.HasRaggedBrick());
+    Query q;
+    q.group_by = {0, 1, 2};
+    q.aggs = AllAggs();
+    Query reversed = q;
+    reversed.group_by = {2, 0, 1};
+    fx.ExpectMatches({q, reversed}, snapshots);
+  }
 }
 
 TEST(GroupedFoldOracleTest, NarrowCubeSingleAndMultiDimGroups) {
@@ -435,32 +523,35 @@ TEST(GroupedFoldOracleTest, NarrowCubeSingleAndMultiDimGroups) {
                                  {{"i", DataType::kInt64},
                                   {"d", DataType::kDouble}})
                     .value();
-  GroupedOracleFixture fx(schema);
-  const uint64_t cards[] = {16, 8, 6};
-  const auto snapshots =
-      LoadHistory(&fx, 500, [&](size_t d, std::mt19937_64& rng) {
-        return rng() % cards[d];
-      });
-  ASSERT_TRUE(fx.HasRaggedBrick());
-  std::vector<Query> queries;
-  for (std::vector<size_t> group_by :
-       {std::vector<size_t>{0}, {1}, {2}, {2, 0}, {0, 1, 2}}) {
-    Query q;
-    q.group_by = group_by;
-    q.aggs = AllAggs();
-    queries.push_back(q);
+  for (const ShardSetup& setup : kShardSetups) {
+    GroupedOracleFixture fx(schema, setup);
+    const uint64_t cards[] = {16, 8, 6};
+    const auto snapshots =
+        LoadHistory(&fx, 500, [&](size_t d, std::mt19937_64& rng) {
+          return rng() % cards[d];
+        });
+    ASSERT_TRUE(fx.HasRaggedBrick());
+    std::vector<Query> queries;
+    for (std::vector<size_t> group_by :
+         {std::vector<size_t>{0}, {1}, {2}, {2, 0}, {0, 1, 2}}) {
+      Query q;
+      q.group_by = group_by;
+      q.aggs = AllAggs();
+      queries.push_back(q);
+    }
+    // A filter that cuts through bricks adds filter-cleared sparse words.
+    Query filtered = queries[3];
+    filtered.filters = {{1, FilterClause::Op::kRange, {}, 2, 5}};
+    queries.push_back(filtered);
+    fx.ExpectMatches(queries, snapshots);
   }
-  // A filter that cuts through bricks adds filter-cleared sparse words.
-  Query filtered = queries[3];
-  filtered.filters = {{1, FilterClause::Op::kRange, {}, 2, 5}};
-  queries.push_back(filtered);
-  fx.ExpectMatches(queries, snapshots);
 }
 
 TEST(GroupedFoldOracleTest, KeyAtTheDirectSlotLimitAndOneBitPast) {
   // Group-by {a, b} packs into 3 + 3 = 6 bits, the widest key the grouped
-  // fold indexes directly (64 slots). Adding c's bit makes 7 bits, one past
-  // the limit, so {a, b, c} and {c, a, b} take GroupSlots.
+  // fold uses as its ordinal directly (64 ordinals). Adding c's bit makes 7
+  // bits, one past the limit, so {a, b, c} and {c, a, b} take first-seen
+  // ordinals.
   auto schema = CubeSchema::Make("edge",
                                  {{"a", 8, 8, false},
                                   {"b", 8, 8, false},
@@ -468,33 +559,169 @@ TEST(GroupedFoldOracleTest, KeyAtTheDirectSlotLimitAndOneBitPast) {
                                  {{"i", DataType::kInt64},
                                   {"d", DataType::kDouble}})
                     .value();
-  GroupedOracleFixture fx(schema);
-  const uint64_t cards[] = {8, 8, 2};
-  auto pick = [&](size_t d, std::mt19937_64& rng) {
-    return rng() % cards[d];
+  for (const ShardSetup& setup : kShardSetups) {
+    GroupedOracleFixture fx(schema, setup);
+    const uint64_t cards[] = {8, 8, 2};
+    auto pick = [&](size_t d, std::mt19937_64& rng) {
+      return rng() % cards[d];
+    };
+    // One brick; runs of 250, 262, 300 and 212 rows end mid-word, so a
+    // pending epoch leaves sparse words.
+    fx.Append(1, 250, pick);
+    fx.Append(2, 262, pick);
+    fx.DeleteFirstBrick(3);
+    fx.Append(4, 300, pick);
+    fx.Append(5, 212, pick);
+    std::vector<Query> queries;
+    for (std::vector<size_t> group_by :
+         {std::vector<size_t>{0, 1}, {0, 1, 2}, {2, 0, 1}}) {
+      Query q;
+      q.group_by = group_by;
+      q.aggs = AllAggs();
+      queries.push_back(q);
+    }
+    for (size_t q = 0; q < 2; ++q) {
+      Query filtered = queries[q];
+      filtered.filters = {{0, FilterClause::Op::kRange, {}, 2, 5}};
+      queries.push_back(filtered);
+    }
+    fx.ExpectMatches(queries,
+                     {Snap(5), Snap(5, {2}), Snap(5, {4}), Snap(2)});
+  }
+}
+
+/// One row of GroupedFoldOrderTest, by its offsets in the brick's ranges.
+struct OrderRow {
+  aosi::Epoch epoch;
+  uint64_t g_off;
+  uint64_t day_off;
+  int64_t i;
+  double d;
+};
+
+TEST(GroupedFoldOrderTest, EveryFieldMatchesRowOrderAccumulate) {
+  // Grouped ScanBrick output, and Table::Scan's through its merge chain,
+  // against a per-group, row-order AggState::Accumulate reference, every
+  // field bit for bit. The doubles have full 53-bit mantissas over 80
+  // binary orders of magnitude, a few near 2^950, and are ±0.0 on day
+  // offset 3; the int64s pass 2^53. So a group's sum depends on the order
+  // of its adds, and the min and max of a group of zeros on which zero
+  // comes first: a fold that reorders a group's rows fails here, which the
+  // oracle tests' dyadic values cannot show. The narrow schema's keys (3
+  // and 6 bits) are direct ordinals, the wide schema's (20 and 23 bits)
+  // first-seen ones.
+  constexpr uint64_t kWide = uint64_t{1} << 20;
+  const auto make_schema = [](uint64_t card, uint64_t range) {
+    return CubeSchema::Make("order",
+                            {{"g", card, range, false}, {"day", 32, 8, false}},
+                            {{"i", DataType::kInt64}, {"d", DataType::kDouble}})
+        .value();
   };
-  // One brick; runs of 250, 262, 300 and 212 rows end mid-word, so a
-  // pending epoch leaves sparse words.
-  fx.Append(1, 250, pick);
-  fx.Append(2, 262, pick);
-  fx.DeleteFirstBrick(3);
-  fx.Append(4, 300, pick);
-  fx.Append(5, 212, pick);
-  std::vector<Query> queries;
-  for (std::vector<size_t> group_by :
-       {std::vector<size_t>{0, 1}, {0, 1, 2}, {2, 0, 1}}) {
-    Query q;
-    q.group_by = group_by;
-    q.aggs = AllAggs();
-    queries.push_back(q);
+  const uint64_t wide_offsets[] = {0, 1, 77, 4096, kWide / 2, kWide - 1};
+  std::mt19937_64 rng(5);
+  const auto value = [&rng](uint64_t day_off) {
+    const double sign = rng() % 2 == 0 ? 1.0 : -1.0;
+    const auto mantissa = static_cast<double>(rng() >> 11);
+    if (day_off == 3) return sign * 0.0;
+    if (rng() % 32 == 0) return sign * std::ldexp(mantissa, 900);
+    return sign * std::ldexp(mantissa, static_cast<int>(rng() % 80) - 90);
+  };
+  for (const bool wide : {false, true}) {
+    SCOPED_TRACE(wide ? "wide keys" : "direct keys");
+    const auto schema = wide ? make_schema(2 * kWide, kWide) : make_schema(16, 8);
+    const uint64_t g_lo = wide ? kWide : 8;
+    const Bid bid = schema->BidFor({g_lo, 16}).value();
+    // Words 0-2 and 5 are dense; 3 and 4 hold rows of the pending epoch 2
+    // among visible ones (sparse); 6 is the ragged tail.
+    std::vector<OrderRow> rows;
+    const auto add = [&](aosi::Epoch epoch) {
+      const uint64_t g_off = wide ? wide_offsets[rng() % 6] : rng() % 8;
+      const uint64_t day_off = rng() % 4;
+      rows.push_back({epoch, g_off, day_off,
+                      static_cast<int64_t>(rng() >> 1) - (int64_t{1} << 62),
+                      value(day_off)});
+    };
+    for (int r = 0; r < 192; ++r) add(1);
+    for (int r = 0; r < 128; ++r) add(rng() % 3 == 0 ? 2 : 3);
+    for (int r = 0; r < 64; ++r) add(3);
+    for (int r = 0; r < 37; ++r) add(4);
+    Table table(schema, 4, false);
+    for (size_t begin = 0; begin < rows.size();) {
+      size_t end = begin;
+      EncodedBatch batch(*schema);
+      for (; end < rows.size() && rows[end].epoch == rows[begin].epoch; ++end) {
+        batch.dim_offsets[0].push_back(rows[end].g_off);
+        batch.dim_offsets[1].push_back(rows[end].day_off);
+        batch.metric_ints[0].push_back(rows[end].i);
+        batch.metric_doubles[1].push_back(rows[end].d);
+      }
+      batch.num_rows = end - begin;
+      batch.ClosePartition(bid);
+      ASSERT_TRUE(table.Append(rows[begin].epoch, std::move(batch)).ok());
+      begin = end;
+    }
+    const aosi::Snapshot snapshot = Snap(5, {2});
+    for (const std::vector<size_t>& group_by :
+         {std::vector<size_t>{0}, std::vector<size_t>{1, 0}}) {
+      Query q;
+      q.group_by = group_by;
+      q.aggs = AllAggs();
+      QueryResult::Groups want;
+      std::map<QueryResult::GroupKey, std::vector<double>> doubles;
+      for (const OrderRow& row : rows) {
+        if (row.epoch == 2) continue;
+        const uint64_t coords[] = {g_lo + row.g_off, 16 + row.day_off};
+        QueryResult::GroupKey key;
+        for (size_t dim : group_by) key.push_back(coords[dim]);
+        std::vector<AggState>& states = want[key];
+        states.resize(q.aggs.size());
+        for (size_t a = 0; a < q.aggs.size(); ++a) {
+          if (q.aggs[a].fn == AggSpec::Fn::kCount) {
+            states[a].Accumulate(1.0);
+          } else if (q.aggs[a].metric == 0) {
+            states[a].Accumulate(static_cast<double>(row.i));
+          } else {
+            states[a].Accumulate(row.d);
+          }
+        }
+        doubles[key].push_back(row.d);
+      }
+      // The data must make the order matter: some group's double sum
+      // changes when its rows are added in reverse.
+      bool order_matters = false;
+      for (const auto& [key, values] : doubles) {
+        double forward = 0, backward = 0;
+        for (double v : values) forward += v;
+        for (auto v = values.rbegin(); v != values.rend(); ++v) backward += *v;
+        order_matters = order_matters || forward != backward;
+      }
+      ASSERT_TRUE(order_matters);
+      QueryResult scanned(q.aggs.size());
+      table.VisitBricks([&](const Brick& brick) {
+        ScanBrick(brick, snapshot, ScanMode::kSnapshotIsolation, q, &scanned);
+      });
+      std::vector<std::pair<std::string, QueryResult>> results;
+      results.emplace_back("ScanBrick", std::move(scanned));
+      for (size_t workers : {1u, 8u}) {
+        results.emplace_back(
+            "Table::Scan P " + std::to_string(workers),
+            table.Scan(snapshot, ScanMode::kSnapshotIsolation, q, nullptr,
+                       workers));
+      }
+      for (const auto& [name, got] : results) {
+        SCOPED_TRACE(name + " group_by " + std::to_string(group_by.size()));
+        ASSERT_EQ(got.num_groups(), want.size());
+        auto w = want.begin();
+        for (const auto& [key, states] : got.groups()) {
+          ASSERT_EQ(key, w->first);
+          for (size_t a = 0; a < q.aggs.size(); ++a) {
+            ExpectSameState(states[a], w->second[a]);
+          }
+          ++w;
+        }
+      }
+    }
   }
-  for (size_t q = 0; q < 2; ++q) {
-    Query filtered = queries[q];
-    filtered.filters = {{0, FilterClause::Op::kRange, {}, 2, 5}};
-    queries.push_back(filtered);
-  }
-  fx.ExpectMatches(queries,
-                   {Snap(5), Snap(5, {2}), Snap(5, {4}), Snap(2)});
 }
 
 }  // namespace

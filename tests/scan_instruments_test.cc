@@ -215,6 +215,9 @@ TEST(ScanInstrumentsTest, TalliesMatchPerBrickCounts) {
         // their tallies count above like the shard threads'.
         EXPECT_EQ(histogram("query.worker_scan_us").count > 0,
                   parallelism > 4);
+        // One merge of the shard ops' group tables and one result build
+        // per Table::Scan, whatever the fan-out.
+        EXPECT_EQ(histogram("query.result_merge_us").count, 1u);
       }
       // With metrics off no query.* instrument moves.
       {
