@@ -18,6 +18,7 @@
 #include "common/random.h"
 #include "common/simd.h"
 #include "cubrick/database.h"
+#include "ingest/parser.h"
 #include "query/executor.h"
 
 namespace cubrick::check {
@@ -54,11 +55,15 @@ std::vector<Record> RandomRecords(Random& rng) {
 }
 
 /// 64 to 191 records for one brick. From 127 on they fill at least one
-/// whole bitmap word wherever they start, so scans meet dense words.
-std::vector<Record> OneBrickRecords(Random& rng) {
+/// whole bitmap word wherever they start, so scans meet dense words. Under
+/// a parse fan-out (`fan_out`) they are 2 * kMinMorselRecords plus 0 to 127
+/// records, which the parse splits into morsels, so the oracle checks the
+/// morsel-parallel parse too.
+std::vector<Record> OneBrickRecords(Random& rng, bool fan_out) {
   const uint64_t b0 = kRangeB * rng.Uniform(kCardB / kRangeB);
   const uint64_t c0 = kRangeC * rng.Uniform(kCardC / kRangeC);
-  const uint64_t n = 64 + rng.Uniform(128);
+  const uint64_t n =
+      (fan_out ? 2 * kMinMorselRecords : 64) + rng.Uniform(128);
   std::vector<Record> rows;
   rows.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -411,7 +416,8 @@ std::vector<OpPlan> GenerateThreadPlan(const StressOptions& opt,
       op.do_read = rng.OneIn(2);
       op.query = RandomQuery(rng);
       if (opt.dense_loads && rng.OneIn(3)) {
-        op.batches.push_back(OneBrickRecords(rng));
+        op.batches.push_back(
+            OneBrickRecords(rng, opt.engine.ingest_parallelism > 1));
       }
     } else if (dice < 0.42) {
       op.kind = OpPlan::Kind::kAbort;

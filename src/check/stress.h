@@ -77,9 +77,11 @@ struct StressOptions {
   bool scalar_kernels = false;
   /// Some committed appends also load 64 to 191 records into one brick, so
   /// scans meet dense bitmap words: the vector filter kernels and bitmap
-  /// range writes that span words run against the oracle. The plan draws
-  /// these loads only when the flag is set, so seeds without it keep the
-  /// plans they always had.
+  /// range writes that span words run against the oracle. Under
+  /// ingest_parallelism > 1 they load 2 * kMinMorselRecords plus 0 to 127
+  /// records instead, the plan's only loads that the parse fans out. The
+  /// plan draws these loads only when the flag is set, so seeds without it
+  /// keep the plans they always had.
   bool dense_loads = false;
   /// Cluster mode only.
   uint32_t num_nodes = 3;

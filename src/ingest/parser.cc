@@ -14,10 +14,6 @@ namespace cubrick {
 
 namespace {
 
-/// Records per morsel below which fanning out is not worth the task
-/// overhead; also the floor on morsel size when chunking.
-constexpr size_t kMinMorselRecords = 64;
-
 /// Column indexes (dims then metrics) that are dictionary-encoded, plus
 /// the snapshots acquired for the current phase. Snapshot pointers follow
 /// the EBR contract: valid only while the acquiring thread's Guard lives,
@@ -283,21 +279,19 @@ EncodedBatch PartitionByBrick(const CubeSchema& schema,
 }
 
 /// Splits [0, n) into at most `parallelism` contiguous morsels of at least
-/// kMinMorselRecords records. Chunking never affects the output — each
+/// kMinMorselRecords records, sized within one record of each other: the
+/// morsel count rounds n / kMinMorselRecords down, so a load under twice
+/// the floor is one morsel. Chunking never affects the output — each
 /// record's encoding depends only on the record — only load balance.
 std::vector<std::pair<size_t, size_t>> PlanIngestMorsels(size_t n,
                                                          size_t parallelism) {
-  const size_t max_morsels =
-      std::max<size_t>(1, (n + kMinMorselRecords - 1) / kMinMorselRecords);
   const size_t num_morsels =
-      std::max<size_t>(1, std::min(parallelism, max_morsels));
+      std::max<size_t>(1, std::min(parallelism, n / kMinMorselRecords));
   std::vector<std::pair<size_t, size_t>> morsels;
   morsels.reserve(num_morsels);
-  const size_t chunk = (n + num_morsels - 1) / num_morsels;
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    morsels.push_back({begin, std::min(n, begin + chunk)});
+  for (size_t m = 0; m < num_morsels; ++m) {
+    morsels.push_back({n * m / num_morsels, n * (m + 1) / num_morsels});
   }
-  if (morsels.empty()) morsels.push_back({0, 0});
   return morsels;
 }
 

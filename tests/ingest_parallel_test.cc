@@ -1,7 +1,9 @@
-// Morsel-parallel ingestion tests (DESIGN.md §4f): max_rejected threshold
-// semantics, error-string retention order under parallel parse, and the
-// serial==parallel equivalence contract — identical dictionary ids, brick
-// contents and epochs-vector state regardless of fan-out.
+// Morsel-parallel ingestion tests (DESIGN.md §4f): the morsel plan's
+// floor, max_rejected threshold semantics, error-string retention order
+// under parallel parse, and the serial==parallel equivalence contract —
+// identical dictionary ids, brick contents and epochs-vector state
+// regardless of fan-out. Every parallel side moves pool.tasks_total, so
+// each comparison is against a real fan-out.
 
 #include <string>
 #include <thread>
@@ -13,13 +15,39 @@
 #include "engine/table.h"
 #include "ingest/parser.h"
 #include "ingest_random_load.h"
+#include "obs/metrics.h"
 
 namespace cubrick {
 namespace {
 
-// Large enough that --ingest-parallel style fan-outs actually plan several
-// morsels (the planner only splits at >= 64-record chunks).
-constexpr size_t kManyRecords = 400;
+// Enough records that a fan-out of 4 plans 4 morsels: the planner gives
+// every morsel at least kMinMorselRecords.
+constexpr size_t kManyRecords = 4 * kMinMorselRecords;
+// Enough for the widest fan-out below, 13 morsels.
+constexpr size_t kFanOut13Records = 13 * kMinMorselRecords;
+
+/// Tasks submitted to the shared pool so far. A parse of k > 1 morsels
+/// submits k per phase: the dictionary-miss phase (only with a string
+/// column) and the encode phase.
+uint64_t PoolTasks() {
+  return obs::MetricsRegistry::Global().GetCounter("pool.tasks_total")->Value();
+}
+
+/// ParseRecords, expecting it to submit pool tasks exactly when
+/// `parallelism` > 1.
+Result<ParseOutput> ParseExpectingFanOut(const CubeSchema& schema,
+                                         const std::vector<Record>& records,
+                                         const ParseOptions& options,
+                                         size_t parallelism) {
+  const uint64_t before = PoolTasks();
+  auto out = ParseRecords(schema, records, options, parallelism);
+  if (parallelism > 1) {
+    EXPECT_GT(PoolTasks(), before) << "fan-out " << parallelism;
+  } else {
+    EXPECT_EQ(PoolTasks(), before);
+  }
+  return out;
+}
 
 std::shared_ptr<CubeSchema> StringSchema() {
   return CubeSchema::Make(
@@ -47,14 +75,48 @@ std::vector<Record> MixedRecords(size_t n,
   return records;
 }
 
+TEST(IngestParallelTest, MorselPlanKeepsTheFloor) {
+  // At fan-out 4 the plan rounds records / kMinMorselRecords down: a load
+  // under twice the floor parses on the caller, twice the floor splits in
+  // two and four times the floor in four. Each morsel is one pool task per
+  // phase, so the string cube submits twice the int-only cube's tasks.
+  const auto int_only = CubeSchema::Make("ints", {{"d", 1000, 100, false}},
+                                         {{"m", DataType::kInt64}})
+                            .value();
+  const auto strings = StringSchema();
+  const std::vector<std::pair<size_t, uint64_t>> plans = {
+      {2 * kMinMorselRecords - 1, 0},
+      {2 * kMinMorselRecords, 2},
+      {4 * kMinMorselRecords, 4}};
+  for (const auto& [n, morsels] : plans) {
+    std::vector<Record> ints;
+    for (size_t i = 0; i < n; ++i) {
+      ints.push_back({static_cast<int64_t>(i % 1000), static_cast<int64_t>(i)});
+    }
+    uint64_t before = PoolTasks();
+    auto out = ParseRecords(*int_only, ints, {}, /*parallelism=*/4);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->accepted, n);
+    EXPECT_EQ(PoolTasks() - before, morsels) << n << " int-only records";
+
+    before = PoolTasks();
+    out = ParseRecords(*strings, MixedRecords(n, nullptr), {},
+                       /*parallelism=*/4);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->accepted, n);
+    EXPECT_EQ(PoolTasks() - before, 2 * morsels) << n << " string records";
+  }
+}
+
 TEST(IngestParallelTest, RejectedExactlyAtThresholdIsAccepted) {
   for (size_t parallelism : {size_t{1}, size_t{4}}) {
     auto schema = StringSchema();
     ParseOptions opts;
     opts.max_rejected = 5;
-    auto records =
-        MixedRecords(kManyRecords, [](size_t i) { return i % 80 == 7; });
-    auto out = ParseRecords(*schema, records, opts, parallelism);
+    // Five rejections: two in the first morsel, one in each other.
+    auto records = MixedRecords(
+        kManyRecords, [](size_t i) { return i % (kManyRecords / 5) == 7; });
+    auto out = ParseExpectingFanOut(*schema, records, opts, parallelism);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(out->rejected, opts.max_rejected);
     EXPECT_EQ(out->accepted, kManyRecords - opts.max_rejected);
@@ -66,9 +128,9 @@ TEST(IngestParallelTest, OneOverThresholdDiscardsBatch) {
     auto schema = StringSchema();
     ParseOptions opts;
     opts.max_rejected = 4;  // the workload rejects 5
-    auto records =
-        MixedRecords(kManyRecords, [](size_t i) { return i % 80 == 7; });
-    auto out = ParseRecords(*schema, records, opts, parallelism);
+    auto records = MixedRecords(
+        kManyRecords, [](size_t i) { return i % (kManyRecords / 5) == 7; });
+    auto out = ParseExpectingFanOut(*schema, records, opts, parallelism);
     EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(out.status().ToString().find("max_rejected=4"),
               std::string::npos);
@@ -80,7 +142,7 @@ TEST(IngestParallelTest, AllRejectedBatch) {
   ParseOptions opts;
   opts.max_rejected = kManyRecords;
   auto records = MixedRecords(kManyRecords, [](size_t) { return true; });
-  auto out = ParseRecords(*schema, records, opts, /*parallelism=*/4);
+  auto out = ParseExpectingFanOut(*schema, records, opts, /*parallelism=*/4);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(out->accepted, 0u);
   EXPECT_EQ(out->rejected, kManyRecords);
@@ -101,13 +163,16 @@ TEST(IngestParallelTest, EmptyBatch) {
 }
 
 TEST(IngestParallelTest, ErrorRetentionOrderMatchesRecordOrder) {
-  // Rejections land in different morsels; each carries a distinguishable
-  // message (the dimension value), so retention order is checkable.
+  // Rejections land in each of the four morsels; each carries a
+  // distinguishable message (the dimension value), so retention order is
+  // checkable.
   auto schema = CubeSchema::Make("c", {{"d", 1000, 100, false}},
                                  {{"m", DataType::kInt64}})
                     .value();
   std::vector<Record> records;
-  std::vector<size_t> reject_at = {3, 71, 142, 260, 388};
+  constexpr size_t k = kMinMorselRecords;
+  std::vector<size_t> reject_at = {3, k + 71, 2 * k + 142, 2 * k + 260,
+                                   3 * k + 388};
   for (size_t i = 0; i < kManyRecords; ++i) {
     const bool bad =
         std::find(reject_at.begin(), reject_at.end(), i) != reject_at.end();
@@ -118,8 +183,8 @@ TEST(IngestParallelTest, ErrorRetentionOrderMatchesRecordOrder) {
   ParseOptions opts;
   opts.max_rejected = 10;
   opts.max_errors = 3;  // fewer than the rejection count: must truncate
-  auto serial = ParseRecords(*schema, records, opts, 1);
-  auto parallel = ParseRecords(*schema, records, opts, 4);
+  auto serial = ParseExpectingFanOut(*schema, records, opts, 1);
+  auto parallel = ParseExpectingFanOut(*schema, records, opts, 4);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(serial->errors.size(), 3u);
@@ -134,13 +199,13 @@ TEST(IngestParallelTest, ErrorRetentionOrderMatchesRecordOrder) {
 
 TEST(IngestParallelTest, SerialAndParallelProduceIdenticalState) {
   auto records =
-      MixedRecords(kManyRecords, [](size_t i) { return i % 100 == 50; });
+      MixedRecords(kFanOut13Records, [](size_t i) { return i % 1000 == 50; });
   ParseOptions opts;
-  opts.max_rejected = 10;
+  opts.max_rejected = 20;
 
   auto run = [&](size_t parallelism) {
     auto schema = StringSchema();
-    auto out = ParseRecords(*schema, records, opts, parallelism);
+    auto out = ParseExpectingFanOut(*schema, records, opts, parallelism);
     EXPECT_TRUE(out.ok()) << out.status().ToString();
     return std::make_pair(schema, std::move(*out));
   };
@@ -178,18 +243,19 @@ TEST(IngestParallelTest, SerialAndParallelProduceIdenticalState) {
 }
 
 TEST(IngestParallelTest, RandomLoadsPartitionIdenticallyAtAnyFanOut) {
-  // 1000 records plan 13 morsels of at least 64 at fan-out 13; every
+  // 13 * kMinMorselRecords records plan 13 morsels at fan-out 13; every
   // fan-out must give the serial batch and dictionaries exactly, and each
   // output must meet the partition contract on its own.
   for (auto make_cube : {ingest_test::StringDimCube, ingest_test::WideBidCube}) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
-      const auto load =
-          ingest_test::MakeRandomLoad(*make_cube(), 1000, 100 + seed);
+      const auto load = ingest_test::MakeRandomLoad(
+          *make_cube(), kFanOut13Records, 100 + seed);
       ParseOptions opts;
       opts.max_rejected = load.records.size();
       auto run = [&](size_t parallelism) {
         auto schema = make_cube();
-        auto out = ParseRecords(*schema, load.records, opts, parallelism);
+        auto out =
+            ParseExpectingFanOut(*schema, load.records, opts, parallelism);
         EXPECT_TRUE(out.ok()) << out.status().ToString();
         return std::make_pair(schema, std::move(*out));
       };
@@ -229,6 +295,7 @@ TEST(IngestParallelTest, DatabaseLoadEquivalentAcrossParallelism) {
   // End-to-end: identical queries and epochs-vector footprint whether the
   // loads ran through the serial or the morsel-parallel pipeline.
   auto run = [&](size_t parallelism) {
+    const uint64_t before = PoolTasks();
     DatabaseOptions db_opts;
     db_opts.ingest_parallelism = parallelism;
     auto db = std::make_unique<Database>(db_opts);
@@ -244,6 +311,9 @@ TEST(IngestParallelTest, DatabaseLoadEquivalentAcrossParallelism) {
              static_cast<int64_t>(i + load)});
       }
       EXPECT_TRUE(db->Load("c", records).ok());
+    }
+    if (parallelism > 1) {
+      EXPECT_GT(PoolTasks(), before);
     }
     return db;
   };

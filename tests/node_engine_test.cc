@@ -14,6 +14,8 @@
 #include "cluster/cluster.h"
 #include "common/random.h"
 #include "cubrick/database.h"
+#include "ingest/parser.h"
+#include "obs/metrics.h"
 
 namespace cubrick {
 namespace {
@@ -75,14 +77,14 @@ Status MakeCube(cluster::Cluster& cluster) {
       {{"n", DataType::kInt64}, {"x", DataType::kDouble}});
 }
 
-/// Loads the same seeded batches into `cluster` (1000 rows per load, so
-/// the parallel parse actually splits into morsels) and deletes one
-/// partition-granular region range between the loads.
+/// Loads the same seeded batches into `cluster` (4 * kMinMorselRecords
+/// rows per load, so an ingest_parallelism of 4 parses each in 4 morsels)
+/// and deletes one partition-granular region range between the loads.
 void Feed(cluster::Cluster& cluster, uint64_t seed) {
   Random rng(seed);
   for (int load = 0; load < 6; ++load) {
     std::vector<Record> records;
-    for (int r = 0; r < 1000; ++r) {
+    for (size_t r = 0; r < 4 * kMinMorselRecords; ++r) {
       // Small integral metric values keep double sums exact, so any
       // difference between the clusters is a real divergence.
       records.push_back({static_cast<int64_t>(rng.Uniform(64)),
@@ -132,7 +134,12 @@ TEST(ClusterEngineKnobsTest, ParallelScanAndParseMatchSerialCluster) {
   ASSERT_TRUE(MakeCube(serial).ok());
   ASSERT_TRUE(MakeCube(parallel).ok());
   Feed(serial, 42);
+  // Only a parse fan-out submits pool tasks while the clusters load.
+  obs::Counter* tasks =
+      obs::MetricsRegistry::Global().GetCounter("pool.tasks_total");
+  const uint64_t before = tasks->Value();
   Feed(parallel, 42);
+  EXPECT_GT(tasks->Value(), before);
 
   Query ungrouped;
   ungrouped.aggs = {{AggSpec::Fn::kSum, 0},
