@@ -19,6 +19,8 @@
 //   QUERY s SUM v BY region
 //   QUIT
 //   EOF
+//
+// ctest runs the same demo from cubrick_shell_demo.txt (run_shell_demo.cmake).
 
 #include <cstdio>
 #include <iostream>

@@ -19,10 +19,7 @@ VisKey VisibilityCache::MakeKey(const EpochVector& history,
 }
 
 const Bitmap* VisibilityCache::Lookup(const VisKey& key) const {
-  for (const auto& slot : slots_) {
-    // acquire pairs with the release exchange in Publish: seeing the
-    // pointer implies seeing the fully-built Entry behind it.
-    const Entry* entry = slot.load(std::memory_order_acquire);
+  for (const auto& entry : slots_) {
     if (entry != nullptr && entry->key == key) return &entry->bitmap;
   }
   return nullptr;
@@ -30,32 +27,17 @@ const Bitmap* VisibilityCache::Lookup(const VisKey& key) const {
 
 VisibilityCache::PublishResult VisibilityCache::Publish(const VisKey& key,
                                                         Bitmap* bitmap) {
-  const Entry* entry = new Entry{key, std::move(*bitmap)};
-  // relaxed: the cursor only spreads victims across slots; no data rides on it
-  const uint64_t cursor = next_victim_.fetch_add(1, std::memory_order_relaxed);
-  const size_t victim = cursor % kSlots;
-  const Entry* old =
-      slots_[victim].exchange(entry, std::memory_order_acq_rel);
+  std::unique_ptr<const Entry>& slot = slots_[next_victim_];
+  next_victim_ = (next_victim_ + 1) % kSlots;
   PublishResult result;
-  result.published = &entry->bitmap;
-  if (old != nullptr) {
-    result.evicted = true;
-    // The victim is unlinked but a concurrent scan that Looked it up under
-    // its Guard may still read the bitmap; the collector frees it after
-    // every such pin has drained.
-    Retire(old);
-  }
+  result.evicted = slot != nullptr;
+  slot = std::make_unique<const Entry>(Entry{key, std::move(*bitmap)});
+  result.published = &slot->bitmap;
   return result;
 }
 
 void VisibilityCache::Clear() {
-  for (auto& slot : slots_) {
-    // acq_rel: acquire the retiring entry's contents before handing it to
-    // the collector; release so a republished slot never appears to hold
-    // stale data.
-    const Entry* entry = slot.exchange(nullptr, std::memory_order_acq_rel);
-    if (entry != nullptr) Retire(entry);
-  }
+  for (auto& slot : slots_) slot.reset();
 }
 
 }  // namespace cubrick::aosi

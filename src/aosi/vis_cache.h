@@ -10,7 +10,7 @@
 // scan whose snapshot sees the whole brick (aosi::SeesWhole), and every RU
 // scan, takes a reused all-ones mask from its scan worker instead
 // (query/executor.cc): no build, no lookup and no entry for the next
-// append to retire.
+// append to free.
 //
 // Keying. A cached entry is tagged with a VisKey:
 //   - history_version: EpochVector::version(), bumped by every append,
@@ -27,28 +27,23 @@
 //     *exactly* — a fingerprint collision would be a correctness bug, so no
 //     fingerprint is ever trusted for equality.
 //
-// Concurrency (PR 8: EBR retirement). Bricks are single-writer (paper
-// §V-B), and each scan assigns a brick to exactly one morsel worker, but
-// slots are accessed from different threads across scans, so entries are
-// published with release stores of immutable heap entries and read with
-// acquire loads — TSan-clean with no locks on the hit path. Entries
-// displaced by Publish or Clear are retired through ebr::Collector instead
-// of waiting for a quiescent point: a pointer returned by Lookup stays
-// valid for as long as the caller's ebr::Guard is alive (every scan entry
-// point pins one), and the old kMaxRetired backlog — which made Publish
-// silently decline under pure-read snapshot churn — is gone. Publish always
-// publishes, and Clear() no longer needs scan quiescence, which is what lets
-// purge compact bricks while scans are in flight.
+// Concurrency. A brick's cache is ordinary state of the shard that owns the
+// brick (paper §V-B: single-writer shards need no low-level locking on the
+// bricks). Every Lookup, Publish and Clear runs inside an op on that shard:
+// a scan or Materialize walk, an append, a delete or a compaction install.
+// A scan whose worker budget exceeds its shard count hands each brick to
+// exactly one pool worker while the shard's op waits for it, so no two
+// threads touch one cache at once. Publish and Clear free the entries they
+// displace at once.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
+#include <memory>
 
 #include "aosi/epoch.h"
 #include "aosi/epoch_vector.h"
 #include "common/bitmap.h"
-#include "common/ebr.h"
 
 namespace cubrick::aosi {
 
@@ -74,40 +69,28 @@ class VisibilityCache {
   /// are active, in which case the version tag churns anyway.
   static constexpr size_t kSlots = 8;
 
-  VisibilityCache() {
-    for (auto& slot : slots_) {
-      slot.store(nullptr, std::memory_order_relaxed);
-    }
-  }
-  ~VisibilityCache() { Clear(); }
-
-  VisibilityCache(const VisibilityCache&) = delete;
-  VisibilityCache& operator=(const VisibilityCache&) = delete;
-
   /// The normalized cache key for an SI scan of `history` under
   /// `snapshot`.
   static VisKey MakeKey(const EpochVector& history, const Snapshot& snapshot);
 
   /// The cached bitmap for `key`, or nullptr on miss. The pointer stays
-  /// valid while the caller's ebr::Guard is alive (see file comment).
+  /// valid until the brick's next Publish or Clear, which only a later op
+  /// on the brick's shard can make.
   const Bitmap* Lookup(const VisKey& key) const;
 
   struct PublishResult {
-    /// The published (now cache-owned) bitmap. Never nullptr: with EBR
-    /// retirement there is no backlog bound, so Publish cannot decline.
+    /// The published (now cache-owned) bitmap. Never nullptr: Publish
+    /// always publishes.
     const Bitmap* published = nullptr;
-    /// True when storing displaced an older entry (now EBR-retired).
+    /// True when storing displaced (and freed) an older entry.
     bool evicted = false;
   };
 
-  /// Stores `*bitmap` (moved from) under `key`, displacing the round-robin
-  /// victim slot; the victim is EBR-retired. Safe to call while other
-  /// threads Lookup under their own Guards.
+  /// Stores `*bitmap` (moved from) under `key`, freeing the entry in the
+  /// round-robin victim slot.
   PublishResult Publish(const VisKey& key, Bitmap* bitmap);
 
-  /// Unlinks and EBR-retires every entry. Callable from the shard thread
-  /// even while off-thread scans hold Lookup pointers under live Guards —
-  /// retirement defers the frees past their critical sections.
+  /// Frees every entry.
   void Clear();
 
  private:
@@ -116,15 +99,9 @@ class VisibilityCache {
     Bitmap bitmap;
   };
 
-  /// Unlinked entries go through the shared collector; charge the bitmap's
-  /// heap to the limbo accounting.
-  static void Retire(const Entry* entry) {
-    ebr::RetireDelete(entry, entry->bitmap.MemoryUsage());
-  }
-
-  std::array<std::atomic<const Entry*>, kSlots> slots_;
-  /// relaxed round-robin victim cursor; see Publish.
-  std::atomic<uint64_t> next_victim_{0};
+  std::array<std::unique_ptr<const Entry>, kSlots> slots_;
+  /// Round-robin victim cursor; see Publish.
+  size_t next_victim_ = 0;
 };
 
 }  // namespace cubrick::aosi

@@ -72,9 +72,8 @@ Collector::Collector() {
 
 Collector::~Collector() {
   // Process teardown: every user thread is gone, so whatever is still in
-  // limbo is unreachable. Free it for leak-clean ASan exits. A deleter may
-  // retire more (a freed brick can drop the last reference to its schema,
-  // whose dictionaries retire their snapshots), so drain until limbo stays
+  // limbo is unreachable. Free it for leak-clean ASan exits. A deleter runs
+  // arbitrary destructors and may retire more, so drain until limbo stays
   // empty.
   while (true) {
     std::vector<Retired> batch;

@@ -1,12 +1,21 @@
 // Epoch-based memory reclamation (EBR).
 //
-// The quiescent-point frees this replaces (vis-cache Clear(), purge's
-// stop-the-shard compaction swap) coupled reclamation to coarse barriers:
-// retired objects could only be freed when *nothing* was reading, so either
-// readers blocked reclaimers (the 64-entry retired backlog made
-// VisibilityCache::Publish decline) or reclaimers blocked readers (purge
-// waited for scan quiescence). EBR decouples them with the classic
-// three-epoch scheme (Fraser 2004; EEMARQ, arXiv 2210.17086):
+// EBR is for readers that race a writer unlinking what they read. Shards
+// are single-writer (paper §V-B) and scans, Materialize walks and brick
+// mutations all run as ops on the brick's own shard, so nearly everything
+// is freed at once by its owner. The one reader that works off the shard is
+// concurrent purge (§III-C4, Table::Purge), and EBR guards exactly what it
+// reads there:
+//
+//  * EpochVector Reps: the purge plan reads a brick's history through
+//    PinnedSnapshot while the shard keeps appending, and a history change
+//    that would rewrite published entries swaps in a fresh Rep and retires
+//    the old one.
+//  * Bricks: purge holds Brick pointers collected in one shard op across
+//    later ones, and BrickMap::Erase retires the bricks it unlinks.
+//
+// It uses the classic three-epoch scheme (Fraser 2004; EEMARQ, arXiv
+// 2210.17086):
 //
 //  * A global epoch advances monotonically. Each reader thread owns one slot
 //    in a fixed-size table and *pins* itself to the epoch it observed for
@@ -34,8 +43,8 @@
 //    progress (there are none in-tree: TryAdvance never blocks).
 //
 // Guards nest: an inner Guard on an already-pinned thread is a counter
-// bump, so helpers like VisibilityForScan can pin defensively while their
-// callers hold the scan-scope guard.
+// bump, so a helper can pin defensively while its caller holds a guard
+// (Table::Purge pins once for a whole round).
 //
 // Health metrics (docs/OBSERVABILITY.md, "ebr.*") are published into
 // obs::MetricsRegistry::Global(): pinned threads, limbo bytes/objects,

@@ -208,12 +208,11 @@ ScanPlanStats Table::ExplainScan(const Query& query) {
 
 std::vector<MaterializedRow> Table::Materialize(
     const aosi::Snapshot& snapshot, ScanMode mode, const Query& query,
-    const MaterializeOptions& options, bool visibility_cache) {
+    const MaterializeOptions& options) {
   std::vector<MaterializedRow> rows;
   // MaterializeBrick returns at once when `rows` is full.
   VisitBricks([&](const Brick& brick) {
-    MaterializeBrick(brick, snapshot, mode, query, options, &rows,
-                     visibility_cache);
+    MaterializeBrick(brick, snapshot, mode, query, options, &rows);
   });
   return rows;
 }

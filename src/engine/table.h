@@ -147,7 +147,7 @@ class Table {
   /// row order follows physical order within each brick.
   std::vector<MaterializedRow> Materialize(
       const aosi::Snapshot& snapshot, ScanMode mode, const Query& query,
-      const MaterializeOptions& options = {}, bool visibility_cache = true);
+      const MaterializeOptions& options = {});
 
   /// Runs the purge procedure (§III-C4) over every brick at `lse` as a
   /// phased pipeline: planning and row filtering run off the shard threads

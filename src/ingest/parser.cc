@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <memory>
 #include <string_view>
 
-#include "common/ebr.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -15,10 +15,10 @@ namespace cubrick {
 namespace {
 
 /// Column indexes (dims then metrics) that are dictionary-encoded, plus
-/// the snapshots acquired for the current phase. Snapshot pointers follow
-/// the EBR contract: valid only while the acquiring thread's Guard lives,
-/// so each worker builds its own Snaps under its own Guard.
-using DictSnaps = std::vector<const StringDictionary::DictSnapshot*>;
+/// the snapshots acquired for the current phase, indexed by column. Each
+/// worker holds its own share of every snapshot for as long as it reads it.
+using DictSnaps =
+    std::vector<std::shared_ptr<const StringDictionary::DictSnapshot>>;
 
 std::vector<size_t> StringColumns(const CubeSchema& schema) {
   std::vector<size_t> cols;
@@ -33,14 +33,11 @@ std::vector<size_t> StringColumns(const CubeSchema& schema) {
   return cols;
 }
 
-/// REQUIRES a live ebr::Guard on the calling thread: the returned pointers
-/// outlive this helper, so the pin that keeps them valid must be the
-/// caller's (both call sites declare one immediately before calling).
 DictSnaps AcquireSnaps(const CubeSchema& schema,
                        const std::vector<size_t>& string_cols) {
-  DictSnaps snaps(schema.num_columns(), nullptr);
+  DictSnaps snaps(schema.num_columns());
   for (size_t c : string_cols) {
-    snaps[c] = schema.dictionary(c)->AcquireSnapshot();  // aosi-lint: allow(ebr-guard)
+    snaps[c] = schema.dictionary(c)->AcquireSnapshot();
   }
   return snaps;
 }
@@ -55,7 +52,6 @@ void CollectDictMisses(const CubeSchema& schema,
                        size_t end, const std::vector<size_t>& string_cols,
                        std::vector<std::vector<std::string>>* misses,
                        uint64_t* hits) {
-  const ebr::Guard guard;
   const DictSnaps snaps = AcquireSnaps(schema, string_cols);
   const size_t arity = schema.num_columns();
   uint64_t local_hits = 0;
@@ -160,7 +156,6 @@ void EncodeMorsel(const CubeSchema& schema, const std::vector<Record>& records,
                   size_t begin, size_t end, const ParseOptions& options,
                   const std::vector<size_t>& string_cols, Staging* staging,
                   MorselOutput* out) {
-  const ebr::Guard guard;
   const DictSnaps snaps = AcquireSnaps(schema, string_cols);
   const size_t num_dims = schema.num_dimensions();
   const size_t num_metrics = schema.num_metrics();

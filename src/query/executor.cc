@@ -8,7 +8,6 @@
 #include "aosi/checker_hook.h"
 #include "aosi/vis_cache.h"
 #include "aosi/visibility.h"
-#include "common/ebr.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
@@ -318,9 +317,6 @@ VisibilityRef VisibilityTallied(const Brick& brick,
                                 const aosi::Snapshot& snapshot, ScanMode mode,
                                 bool use_cache, ScanTally* tally,
                                 Bitmap* whole) {
-  // Defensive pin: scan entry points hold their own Guard, but helpers and
-  // tests call this directly; nesting is a thread-local counter bump.
-  const ebr::Guard guard;
   const aosi::EpochVector& history = brick.history();
   if (mode == ScanMode::kReadUncommitted ||
       aosi::SeesWhole(history, snapshot)) {
@@ -352,10 +348,6 @@ VisibilityRef VisibilityTallied(const Brick& brick,
 void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
                    ScanMode mode, const Query& query, GroupTable* out,
                    bool use_cache, ScanContext* ctx) {
-  // Reclamation pin for the whole brick scan: the visibility bitmap served
-  // from the cache — and any history Rep a concurrent compaction displaces —
-  // stays readable until this guard dies.
-  const ebr::Guard guard;
   ScanTally& tally = ctx->tally;
   if (brick.num_records() == 0 || !BrickIntersectsFilters(brick, query)) {
     ++tally.bricks_pruned;
@@ -733,19 +725,19 @@ void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
 }  // namespace
 
 VisibilityRef VisibilityForScan(const Brick& brick,
-                                const aosi::Snapshot& snapshot, ScanMode mode,
-                                bool use_cache) {
+                                const aosi::Snapshot& snapshot,
+                                ScanMode mode) {
   ScanTally tally;
-  return VisibilityTallied(brick, snapshot, mode, use_cache, &tally,
+  return VisibilityTallied(brick, snapshot, mode, /*use_cache=*/true, &tally,
                            /*whole=*/nullptr);
 }
 
 void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
-               ScanMode mode, const Query& query, QueryResult* result,
-               bool use_cache) {
+               ScanMode mode, const Query& query, QueryResult* result) {
   ScanContext ctx(query);
   GroupTable groups(query.group_by.size(), query.aggs.size());
-  ScanBrickWith(brick, snapshot, mode, query, &groups, use_cache, &ctx);
+  ScanBrickWith(brick, snapshot, mode, query, &groups, /*use_cache=*/true,
+                &ctx);
   result->Merge(groups.ToResult());
 }
 

@@ -32,9 +32,10 @@ bool BrickIntersectsFilters(const Brick& brick, const Query& query);
 bool BrickCoveredByFilters(const Brick& brick, const Query& query);
 
 /// A visibility bitmap for one brick scan: either borrowed (from the
-/// brick's cache, valid while the scan's ebr::Guard lives — see
-/// vis_cache.h — or a scan worker's all-ones mask) or owned (built without
-/// the cache). Scan code treats both uniformly and read-only.
+/// brick's cache, valid until the brick's next cache Publish or Clear,
+/// which only a later op on its shard can make — see vis_cache.h — or a
+/// scan worker's all-ones mask) or owned (built without the cache). Scan
+/// code treats both uniformly and read-only.
 class VisibilityRef {
  public:
   explicit VisibilityRef(const Bitmap* borrowed) : ptr_(borrowed) {}
@@ -59,12 +60,10 @@ class VisibilityRef {
 /// mode-appropriate bitmap for `brick` under `snapshot`. RU scans, and SI
 /// scans whose snapshot sees the whole brick (aosi::SeesWhole), get an
 /// all-ones mask without building or caching anything. Any other bitmap is
-/// served from the brick's VisibilityCache when `use_cache` (publishing on
-/// miss) and built fresh otherwise. Adds the outcome to the registry:
-/// query.vis_whole_bricks or query.vis_cache_*.
+/// served from the brick's VisibilityCache (publishing on miss). Adds the
+/// outcome to the registry: query.vis_whole_bricks or query.vis_cache_*.
 VisibilityRef VisibilityForScan(const Brick& brick,
-                                const aosi::Snapshot& snapshot, ScanMode mode,
-                                bool use_cache);
+                                const aosi::Snapshot& snapshot, ScanMode mode);
 
 /// Scans one brick and accumulates into `result` (which must have been
 /// constructed with query.aggs.size()). `query` must pass ValidateQuery
@@ -73,12 +72,10 @@ VisibilityRef VisibilityForScan(const Brick& brick,
 /// per-word SIMD fold kernels, grouped ones through struct-of-arrays states
 /// indexed by a brick-local group ordinal (the packed group-by offsets when
 /// they fit in 6 bits, a first-seen ordinal for wider keys), each group
-/// folding its rows in row order. `use_cache` enables the brick's
-/// visibility-bitmap cache (results are identical either way). Adds its
-/// query.* instruments to the registry on return.
+/// folding its rows in row order. Adds its query.* instruments to the
+/// registry on return.
 void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
-               ScanMode mode, const Query& query, QueryResult* result,
-               bool use_cache = true);
+               ScanMode mode, const Query& query, QueryResult* result);
 
 /// The scan of one shard op of Table::Scan: scans `candidates` with up to
 /// `workers` workers and returns their groups in one GroupTable keyed by

@@ -1,6 +1,5 @@
 #include "query/materialize.h"
 
-#include "common/ebr.h"
 #include "query/executor.h"
 
 namespace cubrick {
@@ -8,18 +7,14 @@ namespace cubrick {
 uint64_t MaterializeBrick(const Brick& brick, const aosi::Snapshot& snapshot,
                           ScanMode mode, const Query& query,
                           const MaterializeOptions& options,
-                          std::vector<MaterializedRow>* out, bool use_cache) {
+                          std::vector<MaterializedRow>* out) {
   if (out->size() >= options.limit) return 0;
   if (brick.num_records() == 0) return 0;
   if (!BrickIntersectsFilters(brick, query)) return 0;
 
   const CubeSchema& schema = brick.schema();
-  // Reclamation pin for the whole materialization: the cached bitmap (and,
-  // under concurrent purge, the brick's history snapshot) stay valid until
-  // the guard dies.
-  const ebr::Guard guard;
   // Same visibility entry point (and cache) as the aggregation executor.
-  const VisibilityRef ref = VisibilityForScan(brick, snapshot, mode, use_cache);
+  const VisibilityRef ref = VisibilityForScan(brick, snapshot, mode);
   const Bitmap& visible = ref.bitmap();
 
   uint64_t produced = 0;

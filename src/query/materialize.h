@@ -32,12 +32,9 @@ struct MaterializeOptions {
 
 /// Materializes the visible-and-matching rows of one brick, appending to
 /// `out` until options.limit rows are held. Returns the number appended.
-/// `use_cache` enables the brick's visibility-bitmap cache (the bitmap is
-/// read-only here, so results are identical either way).
 uint64_t MaterializeBrick(const Brick& brick, const aosi::Snapshot& snapshot,
                           ScanMode mode, const Query& query,
                           const MaterializeOptions& options,
-                          std::vector<MaterializedRow>* out,
-                          bool use_cache = true);
+                          std::vector<MaterializedRow>* out);
 
 }  // namespace cubrick

@@ -113,8 +113,9 @@ class Brick {
 
   /// The brick's visibility-bitmap cache. Mutable scan-side state: scans
   /// take const bricks, publishing a memoized bitmap does not change what
-  /// any reader observes. Every mutator above clears it at the shard
-  /// thread's quiescent point (see vis_cache.h).
+  /// any reader observes. Like the rest of the brick it is state of the
+  /// owning shard, touched only inside that shard's ops; every mutator
+  /// above clears it (see vis_cache.h).
   aosi::VisibilityCache& vis_cache() const { return vis_cache_; }
 
   /// Applies a purge/rollback compaction plan: rebuilds every column keeping

@@ -1,20 +1,8 @@
 #include "storage/dictionary.h"
 
-#include "common/ebr.h"
 #include "common/mutex.h"
 
 namespace cubrick {
-
-StringDictionary::~StringDictionary() {
-  // The published snapshot is retired, not deleted: a reader pinned before
-  // this destructor ran may still be walking it (schema lifetime is the
-  // caller's contract, but retirement makes the teardown race-free for
-  // free).
-  const DictSnapshot* snap = snapshot_.load(std::memory_order_acquire);
-  if (snap != nullptr) {
-    ebr::RetireDelete(snap, snap->to_id.size() * sizeof(std::string));
-  }
-}
 
 uint64_t StringDictionary::EncodeOrAdd(const std::string& value) {
   MutexLock lock(mutex_);
@@ -26,8 +14,7 @@ uint64_t StringDictionary::EncodeOrAdd(const std::string& value) {
   // Lazy invalidation: the next AcquireSnapshot() rebuilds. Keeping the
   // single-insert path O(1) matters because recovery replays dictionaries
   // entry by entry through here.
-  version_.store(version_.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_release);
+  snapshot_.reset();
   return id;
 }
 
@@ -49,36 +36,17 @@ Result<std::string> StringDictionary::Decode(uint64_t id) const {
   return to_string_[id];
 }
 
-const StringDictionary::DictSnapshot* StringDictionary::AcquireSnapshot()
-    const {
-  // Fast path: the published snapshot reflects every insert so far. The
-  // acquire loads pair with the release stores in PublishSnapshotLocked and
-  // the version bumps, so a version match proves the snapshot's map is
-  // fully visible.
-  const DictSnapshot* snap = snapshot_.load(std::memory_order_acquire);
-  if (snap != nullptr &&
-      snap->version == version_.load(std::memory_order_acquire)) {
-    return snap;
-  }
+std::shared_ptr<const StringDictionary::DictSnapshot>
+StringDictionary::AcquireSnapshot() const {
   MutexLock lock(mutex_);
-  snap = snapshot_.load(std::memory_order_acquire);
-  if (snap != nullptr &&
-      snap->version == version_.load(std::memory_order_relaxed)) {
-    return snap;  // another thread rebuilt while we waited for the mutex
-  }
-  return PublishSnapshotLocked();
+  if (snapshot_ == nullptr) snapshot_ = BuildSnapshotLocked();
+  return snapshot_;
 }
 
-const StringDictionary::DictSnapshot* StringDictionary::PublishSnapshotLocked()
-    const {
-  auto* fresh = new DictSnapshot();
-  fresh->version = version_.load(std::memory_order_relaxed);
+std::shared_ptr<const StringDictionary::DictSnapshot>
+StringDictionary::BuildSnapshotLocked() const {
+  auto fresh = std::make_shared<DictSnapshot>();
   fresh->to_id = to_id_;
-  const DictSnapshot* old = snapshot_.load(std::memory_order_relaxed);
-  snapshot_.store(fresh, std::memory_order_release);
-  if (old != nullptr) {
-    ebr::RetireDelete(old, old->to_id.size() * sizeof(std::string));
-  }
   return fresh;
 }
 
@@ -95,12 +63,10 @@ size_t StringDictionary::InsertSortedBatch(
     ++inserted;
   }
   if (inserted > 0) {
-    version_.store(version_.load(std::memory_order_relaxed) + inserted,
-                   std::memory_order_release);
-    // Eager republication: the encode phase that follows a batch insert
+    // Eager rebuild: the encode phase that follows a batch insert
     // re-acquires immediately, so building the snapshot here (once, under
-    // the same lock hold) beats every worker racing to rebuild it.
-    PublishSnapshotLocked();
+    // the same lock hold) beats every worker queueing to rebuild it.
+    snapshot_ = BuildSnapshotLocked();
   }
   return inserted;
 }

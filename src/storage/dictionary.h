@@ -14,15 +14,15 @@
 // threads, which is what keeps parallel ingest bit-identical to serial
 // replay.
 //
-// Snapshot lifetime follows the EBR safety contract (common/ebr.h):
-// AcquireSnapshot() returns a pointer that is only valid while the calling
-// thread's ebr::Guard is live; displaced snapshots are retired through the
-// collector so pinned readers finish before the memory goes away.
+// Snapshots are shared, not retired: AcquireSnapshot() hands out shared
+// ownership of an immutable map, so a parse worker reads its snapshot for as
+// long as it holds it, whatever inserts (or the dictionary's destruction)
+// happen meanwhile.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -34,12 +34,8 @@ namespace cubrick {
 
 class StringDictionary {
  public:
-  /// Immutable copy of the encode map published for the lock-free lookup
-  /// phase. EBR-managed: dereference only under the ebr::Guard that was
-  /// live when AcquireSnapshot() returned it.
+  /// Immutable copy of the encode map for the lock-free lookup phase.
   struct DictSnapshot {
-    /// Insert version the snapshot reflects (staleness check).
-    uint64_t version = 0;
     std::unordered_map<std::string, uint64_t> to_id;
 
     /// Lookup against the snapshot; returns false on miss.
@@ -52,7 +48,6 @@ class StringDictionary {
   };
 
   StringDictionary() = default;
-  ~StringDictionary();
 
   StringDictionary(const StringDictionary&) = delete;
   StringDictionary& operator=(const StringDictionary&) = delete;
@@ -67,16 +62,16 @@ class StringDictionary {
   /// Returns the string for `id` or OutOfRange.
   Result<std::string> Decode(uint64_t id) const;
 
-  /// The current immutable snapshot for lock-free lookups, rebuilt (under
-  /// the mutex) when inserts have made the cached one stale. The caller
-  /// must hold a live ebr::Guard for as long as it dereferences the result.
-  const DictSnapshot* AcquireSnapshot() const;
+  /// The current immutable snapshot for lock-free lookups, taken under the
+  /// mutex and rebuilt there when an EncodeOrAdd has dropped the last one.
+  /// Later inserts never change a snapshot already handed out.
+  std::shared_ptr<const DictSnapshot> AcquireSnapshot() const;
 
   /// Deterministic batch insert: `sorted_misses` must be sorted and
   /// deduplicated. Every string not already present is assigned the next
   /// dense id in sorted order. Returns how many strings were inserted
   /// (already-present entries — e.g. raced in by a concurrent load — are
-  /// skipped, never reassigned).
+  /// skipped, never reassigned). Rebuilds the snapshot when it inserts.
   size_t InsertSortedBatch(const std::vector<std::string>& sorted_misses);
 
   size_t size() const;
@@ -86,22 +81,15 @@ class StringDictionary {
   size_t MemoryUsage() const;
 
  private:
-  /// Rebuilds and publishes the snapshot from the authoritative map.
-  /// REQUIRES mutex_ held; retires the displaced snapshot via EBR.
-  const DictSnapshot* PublishSnapshotLocked() const REQUIRES(mutex_);
+  /// A fresh snapshot of the authoritative map.
+  std::shared_ptr<const DictSnapshot> BuildSnapshotLocked() const
+      REQUIRES(mutex_);
 
   mutable Mutex mutex_;
   std::unordered_map<std::string, uint64_t> to_id_ GUARDED_BY(mutex_);
   std::vector<std::string> to_string_ GUARDED_BY(mutex_);
-
-  /// Insert counter. Written under mutex_ (release); read lock-free by the
-  /// AcquireSnapshot fast path (acquire) to detect a stale snapshot.
-  mutable std::atomic<uint64_t> version_{0};
-  /// The published snapshot. Written under mutex_ (release store after the
-  /// snapshot is fully built); read lock-free (acquire). Displaced
-  /// snapshots are EBR-retired, so a pointer loaded under a live Guard
-  /// stays dereferenceable for the guard's lifetime.
-  mutable std::atomic<const DictSnapshot*> snapshot_{nullptr};
+  /// The current snapshot, or null when an EncodeOrAdd has made it stale.
+  mutable std::shared_ptr<const DictSnapshot> snapshot_ GUARDED_BY(mutex_);
 };
 
 }  // namespace cubrick

@@ -519,28 +519,28 @@ TEST(Program, CheckerHookCallsStayBehindTheGate) {
 
 TEST(Program, EbrProtectedReadNeedsDominatingGuard) {
   ProgramModel bad = ProgramOf({
-      {"src/query/scan.cc",
-       "class Scan { public: void Run(); VisibilityCache* cache_; };\n"
-       "void Scan::Run() { const void* b = cache_->Lookup(k_); (void)b; }\n"},
+      {"src/engine/purge.cc",
+       "class Purge { public: void Run(); EpochVector* history_; };\n"
+       "void Purge::Run() { history_->PinnedSnapshot(&view_); }\n"},
   });
   EXPECT_EQ(OfRule(CheckEbrGuard(bad), "ebr-guard").size(), 1u);
 
   ProgramModel good = ProgramOf({
-      {"src/query/scan.cc",
-       "class Scan { public: void Run(); VisibilityCache* cache_; };\n"
-       "void Scan::Run() {\n"
+      {"src/engine/purge.cc",
+       "class Purge { public: void Run(); EpochVector* history_; };\n"
+       "void Purge::Run() {\n"
        "  const ebr::Guard guard;\n"
-       "  const void* b = cache_->Lookup(k_); (void)b;\n"
+       "  history_->PinnedSnapshot(&view_);\n"
        "}\n"},
   });
   EXPECT_TRUE(OfRule(CheckEbrGuard(good), "ebr-guard").empty());
 
   // A guard AFTER the call does not dominate it.
   ProgramModel late = ProgramOf({
-      {"src/query/scan.cc",
-       "class Scan { public: void Run(); VisibilityCache* cache_; };\n"
-       "void Scan::Run() {\n"
-       "  const void* b = cache_->Lookup(k_); (void)b;\n"
+      {"src/engine/purge.cc",
+       "class Purge { public: void Run(); EpochVector* history_; };\n"
+       "void Purge::Run() {\n"
+       "  history_->PinnedSnapshot(&view_);\n"
        "  const ebr::Guard guard;\n"
        "}\n"},
   });
@@ -551,7 +551,7 @@ TEST(Program, EbrRawDeleteOfManagedTypeFlaggedUnlessMarked) {
   ProgramModel bad = ProgramOf({
       {"src/engine/purge.cc",
        "void Drop(void* slot) {\n"
-       "  Entry* victim = static_cast<Entry*>(slot);\n"
+       "  Rep* victim = static_cast<Rep*>(slot);\n"
        "  delete victim;\n"
        "}\n"},
   });
@@ -563,7 +563,7 @@ TEST(Program, EbrRawDeleteOfManagedTypeFlaggedUnlessMarked) {
   ProgramModel marked = ProgramOf({
       {"src/engine/purge.cc",
        "void Drop(void* slot) {\n"
-       "  Entry* victim = static_cast<Entry*>(slot);\n"
+       "  Rep* victim = static_cast<Rep*>(slot);\n"
        "  delete victim;  " + marker + "\n"
        "}\n"},
   });
@@ -583,7 +583,7 @@ TEST(Program, EbrRawDeleteOfManagedTypeFlaggedUnlessMarked) {
   ProgramModel self = ProgramOf({
       {"src/common/ebr.cc",
        "void Drop(void* slot) {\n"
-       "  Entry* victim = static_cast<Entry*>(slot);\n"
+       "  Rep* victim = static_cast<Rep*>(slot);\n"
        "  delete victim;\n"
        "}\n"},
   });

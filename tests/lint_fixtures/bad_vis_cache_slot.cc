@@ -1,9 +1,9 @@
 // aosi-lint-fixture: atomic-memory-order
 // aosi-lint-as: src/aosi/vis_cache_slot_fixture.cc
 //
-// Cache-slot atomics must carry explicit memory orders (an implicit
+// Atomic publication slots must carry explicit memory orders (an implicit
 // seq_cst exchange hides the publication protocol) and any relaxed RMW —
-// like a victim cursor — needs a '// relaxed: <why>' justification.
+// like a round-robin cursor — needs a '// relaxed: <why>' justification.
 #include <atomic>
 
 namespace cubrick {

@@ -1,10 +1,10 @@
 // aosi-lint-fixture: atomic-memory-order
 // aosi-lint-as: src/aosi/vis_cache_slot_fixture.cc
 //
-// The visibility-cache slot discipline (src/aosi/vis_cache.cc): entries are
-// published with an explicit release-flavored exchange, read with acquire
-// loads, and the only relaxed RMW — the round-robin victim cursor — carries
-// a '// relaxed: <why>' justification. Every order is spelled out.
+// The atomic publication-slot discipline: entries are published with an
+// explicit release-flavored exchange, read with acquire loads, and the only
+// relaxed RMW — a round-robin victim cursor — carries a
+// '// relaxed: <why>' justification. Every order is spelled out.
 #include <atomic>
 #include <cstddef>
 

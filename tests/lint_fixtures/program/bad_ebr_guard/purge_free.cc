@@ -1,18 +1,18 @@
 // aosi-lint-as: src/engine/purge_free.cc
 //
-// Raw delete of a retire-managed type (the vis-cache Entry) with no EBR
-// deleter marker: a concurrent scan pinned before the unlink may still be
-// reading the entry's bitmap, so this free must go through
-// ebr::Retire/RetireDelete instead.
+// Raw delete of a retire-managed type (an EpochVector Rep) with no EBR
+// deleter marker: a concurrent purge pinned before the unlink may still be
+// reading the Rep's entries through PinnedSnapshot, so this free must go
+// through ebr::Retire/RetireDelete instead.
 
 namespace cubrick {
 
-struct Entry {
-  unsigned long long key;
+struct Rep {
+  unsigned long long capacity;
 };
 
-void DropDisplacedEntry(void* slot) {
-  Entry* victim = static_cast<Entry*>(slot);
+void DropDisplacedRep(void* slot) {
+  Rep* victim = static_cast<Rep*>(slot);
   delete victim;
 }
 

@@ -1,15 +1,13 @@
 // aosi-lint-fixture: ebr-guard
 // aosi-lint-as: src/query/scan_path.cc
 //
-// Dereference-without-pin: calls VisibilityCache::Lookup and
-// EpochVector::PinnedSnapshot with no ebr::Guard declared anywhere in the
-// function. The returned pointers are EBR-protected — the collector may
-// free them the moment no pin covers the reading thread — so both calls
-// must trip the ebr-guard pass.
+// Dereference-without-pin: calls EpochVector::PinnedSnapshot with no
+// ebr::Guard declared anywhere in the function. The view it fills borrows
+// an EBR-protected history Rep — the collector may free it the moment no
+// pin covers the reading thread — so the call must trip the ebr-guard pass.
 
 namespace cubrick {
 
-class VisibilityCache;
 class EpochVector;
 struct HistoryView;
 
@@ -18,16 +16,12 @@ class ScanPath {
   void ScanBrick();
 
  private:
-  VisibilityCache* cache_;
   EpochVector* history_;
-  unsigned long long key_ = 0;
 };
 
 void ScanPath::ScanBrick() {
-  const void* bitmap = cache_->Lookup(key_);
   HistoryView* view = nullptr;
   history_->PinnedSnapshot(view);
-  (void)bitmap;
 }
 
 }  // namespace cubrick

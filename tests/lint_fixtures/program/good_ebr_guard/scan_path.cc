@@ -1,9 +1,9 @@
 // aosi-lint-fixture: ebr-guard
 // aosi-lint-as: src/query/scan_path.cc
 //
-// The compliant counterpart of bad_ebr_guard: every EBR-protected read is
+// The compliant counterpart of bad_ebr_guard: the EBR-protected read is
 // dominated by an ebr::Guard declaration in the same function, and the
-// retire-managed Entry is handed to ebr::RetireDelete instead of being
+// retire-managed Rep is handed to ebr::RetireDelete instead of being
 // deleted raw. The program pass must stay silent.
 
 namespace cubrick {
@@ -18,34 +18,29 @@ template <typename T>
 void RetireDelete(const T* ptr, unsigned long long extra_bytes);
 }  // namespace ebr
 
-class VisibilityCache;
 class EpochVector;
 struct HistoryView;
 
-struct Entry {
-  unsigned long long key;
+struct Rep {
+  unsigned long long capacity;
 };
 
 class ScanPath {
  public:
   void ScanBrick();
-  void DropDisplacedEntry(const Entry* victim);
+  void DropDisplacedRep(const Rep* victim);
 
  private:
-  VisibilityCache* cache_;
   EpochVector* history_;
-  unsigned long long key_ = 0;
 };
 
 void ScanPath::ScanBrick() {
   const ebr::Guard guard;
-  const void* bitmap = cache_->Lookup(key_);
   HistoryView* view = nullptr;
   history_->PinnedSnapshot(view);
-  (void)bitmap;
 }
 
-void ScanPath::DropDisplacedEntry(const Entry* victim) {
+void ScanPath::DropDisplacedRep(const Rep* victim) {
   ebr::RetireDelete(victim, 0);
 }
 

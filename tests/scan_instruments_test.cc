@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "aosi/visibility.h"
-#include "common/ebr.h"
 #include "engine/table.h"
 #include "ingest/parser.h"
 #include "obs/metrics.h"
@@ -99,7 +98,6 @@ Expected PerBrickSums(Table& table, const Query& query) {
     }
     ++e.bricks_scanned;
     e.rows_considered += brick.num_records();
-    const ebr::Guard guard;
     Bitmap mask = aosi::BuildVisibilityBitmap(brick.history(), kSnapshot);
     // The fixture has no delete marker and no dep between two stamps of a
     // brick, so a brick is seen whole exactly when all its rows are visible.

@@ -82,7 +82,7 @@ const std::vector<SeedRange>& Targets() {
       {"check_si_single_simd_scalar_short", false, 27, 4, true,
        ScalarKernels},
       {"check_si_cluster_short", true, 1, 4, true, Any},
-      {"check_si_cluster_online_short", true, 5, 3, true, ParallelOnline},
+      {"check_si_cluster_online_short", true, 5, 5, true, ParallelOnline},
   };
   return kTargets;
 }
@@ -163,12 +163,8 @@ TEST(SeedConfigTest, EverySweepReachesBothValuesOfEveryDimension) {
       ExpectBothValues(cluster, sanitizer_sized, "scalar_kernels",
                        ScalarKernels);
       ExpectBothValues(cluster, sanitizer_sized, "dense_loads", DenseLoads);
-      // The cluster `_short` seeds (1 to 7) draw no parse fan-out; the
-      // single ones race it under the sanitizers (seed 23).
-      if (!(cluster && sanitizer_sized)) {
-        ExpectBothValues(cluster, sanitizer_sized, "a parse fan-out",
-                         ParseFanOut);
-      }
+      ExpectBothValues(cluster, sanitizer_sized, "a parse fan-out",
+                       ParseFanOut);
     }
     ExpectBothValues(/*cluster=*/false, sanitizer_sized, "purge_stress",
                      [](const auto& o) { return o.purge_stress; });
@@ -196,17 +192,16 @@ TEST(SeedConfigTest, LongSweepsReachEveryScanFanOut) {
 // must cover each combination the sanitizer runs have always raced.
 TEST(SeedConfigTest, ShortSweepsHitTheRacingCombinations) {
   for (bool cluster : {false, true}) {
-    EXPECT_GT(Count(Sweep(cluster, /*sanitizer_sized=*/true), cluster,
-                    ParallelOnline),
-              0u)
+    const std::vector<uint64_t> seeds =
+        Sweep(cluster, /*sanitizer_sized=*/true);
+    EXPECT_GT(Count(seeds, cluster, ParallelOnline), 0u)
         << "parallel scans under the online checker, cluster=" << cluster;
+    // Single seed 23 and cluster seed 9.
+    EXPECT_GT(Count(seeds, cluster, ParallelParseFanOut), 0u)
+        << "parallel scans beside a parse fan-out, cluster=" << cluster;
   }
   const std::vector<uint64_t> single =
       Sweep(/*cluster=*/false, /*sanitizer_sized=*/true);
-  // Only the single-node `_short` seeds fan a parse out (the cluster ones
-  // draw none, as above), so only they race it beside parallel scans.
-  EXPECT_GT(Count(single, /*cluster=*/false, ParallelParseFanOut), 0u)
-      << "parallel scans beside a parse fan-out";
   EXPECT_GT(Count(single, /*cluster=*/false, PurgeParallelOnline), 0u)
       << "purge stress racing parallel scans under the online checker";
 }

@@ -1,8 +1,8 @@
 // VisibilityForScan is the one visibility path behind every brick scan. It
-// must return exactly BuildVisibilityBitmap's mask under SI and all ones
-// under RU, with the visibility cache on and off. A brick the snapshot sees
-// whole gets an all-ones mask with nothing built or cached; any other SI
-// bitmap is built, and published to the brick's cache when it is on.
+// must return exactly BuildVisibilityBitmap's mask (the uncached reference)
+// under SI and all ones under RU. A brick the snapshot sees whole gets an
+// all-ones mask with nothing built or cached; any other SI bitmap is built
+// and published to the brick's cache.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "aosi/vis_cache.h"
 #include "aosi/visibility.h"
-#include "common/ebr.h"
 #include "obs/metrics.h"
 #include "query/executor.h"
 #include "storage/brick.h"
@@ -94,39 +93,33 @@ TEST(VisibilityForScanTest, ReturnsTheBuiltMaskOnEveryPath) {
     }
     const aosi::EpochVector& history = brick.history();
     ASSERT_EQ(aosi::SeesWhole(history, c.snapshot), c.whole) << c.name;
-    const ebr::Guard guard;
     const Bitmap built = aosi::BuildVisibilityBitmap(history, c.snapshot);
     const aosi::VisKey key =
         aosi::VisibilityCache::MakeKey(history, c.snapshot);
-    for (bool use_cache : {false, true}) {
-      for (ScanMode mode :
-           {ScanMode::kSnapshotIsolation, ScanMode::kReadUncommitted}) {
-        const bool si = mode == ScanMode::kSnapshotIsolation;
-        SCOPED_TRACE(std::string(c.name) + (si ? " SI" : " RU") +
-                     (use_cache ? " cached" : " uncached"));
-        brick.vis_cache().Clear();
-        // Twice: with the cache on, a built bitmap misses, then hits.
-        for (int call = 0; call < 2; ++call) {
-          const obs::MetricsSnapshot before = reg.Snapshot();
-          const VisibilityRef ref =
-              VisibilityForScan(brick, c.snapshot, mode, use_cache);
-          const obs::MetricsSnapshot after = reg.Snapshot();
-          if (si) {
-            EXPECT_EQ(ref.bitmap(), built);
-          } else {
-            EXPECT_EQ(ref.bitmap(), Bitmap(brick.num_records(), true));
-          }
-          const bool whole = !si || c.whole;
-          EXPECT_EQ(CounterDelta(before, after, "query.vis_whole_bricks"),
-                    whole ? 1u : 0u);
-          const bool cached = use_cache && !whole;
-          EXPECT_EQ(CounterDelta(before, after, "query.vis_cache_misses"),
-                    cached && call == 0 ? 1u : 0u);
-          EXPECT_EQ(CounterDelta(before, after, "query.vis_cache_hits"),
-                    cached && call == 1 ? 1u : 0u);
-          // Only a built bitmap is ever published.
-          EXPECT_EQ(brick.vis_cache().Lookup(key) != nullptr, cached);
+    for (ScanMode mode :
+         {ScanMode::kSnapshotIsolation, ScanMode::kReadUncommitted}) {
+      const bool si = mode == ScanMode::kSnapshotIsolation;
+      SCOPED_TRACE(std::string(c.name) + (si ? " SI" : " RU"));
+      brick.vis_cache().Clear();
+      // Twice: a built bitmap misses, then hits.
+      for (int call = 0; call < 2; ++call) {
+        const obs::MetricsSnapshot before = reg.Snapshot();
+        const VisibilityRef ref = VisibilityForScan(brick, c.snapshot, mode);
+        const obs::MetricsSnapshot after = reg.Snapshot();
+        if (si) {
+          EXPECT_EQ(ref.bitmap(), built);
+        } else {
+          EXPECT_EQ(ref.bitmap(), Bitmap(brick.num_records(), true));
         }
+        const bool whole = !si || c.whole;
+        EXPECT_EQ(CounterDelta(before, after, "query.vis_whole_bricks"),
+                  whole ? 1u : 0u);
+        EXPECT_EQ(CounterDelta(before, after, "query.vis_cache_misses"),
+                  !whole && call == 0 ? 1u : 0u);
+        EXPECT_EQ(CounterDelta(before, after, "query.vis_cache_hits"),
+                  !whole && call == 1 ? 1u : 0u);
+        // Only a built bitmap is ever published.
+        EXPECT_EQ(brick.vis_cache().Lookup(key) != nullptr, !whole);
       }
     }
   }

@@ -623,25 +623,21 @@ std::vector<Finding> CheckCheckerHookGate(const ProgramModel& pm) {
 
 std::vector<Finding> CheckEbrGuard(const ProgramModel& pm) {
   // Member calls returning pointers that stay valid only while the calling
-  // thread's ebr::Guard is live (common/ebr.h safety contract).
-  static const std::set<std::string> kProtectedReads = {
-      "Lookup", "PinnedSnapshot", "AcquireSnapshot"};
+  // thread's ebr::Guard is live (common/ebr.h safety contract): concurrent
+  // purge's off-shard read of a brick's history.
+  static const std::set<std::string> kProtectedReads = {"PinnedSnapshot"};
   // Types that die through ebr::Retire deleters: a raw delete/free of one
   // of these frees memory a pinned reader may still be traversing. Mirrors
-  // the RetireDelete call sites (vis-cache Entry, EpochVector Rep, Brick,
-  // dictionary DictSnapshot).
-  static const std::set<std::string> kRetireManaged = {"Entry", "Rep", "Brick",
-                                                       "DictSnapshot"};
+  // the RetireDelete call sites (EpochVector Rep, BrickMap::Erase's Brick).
+  static const std::set<std::string> kRetireManaged = {"Rep", "Brick"};
   std::vector<Finding> findings;
   for (const FileModel& fm : pm.files()) {
     const std::string& rel = fm.cls.rel;
     if (rel.rfind("src/", 0) != 0) continue;
-    // The collector itself and the EBR-protected structures' own
-    // implementations are the protocol, not its users.
+    // The collector itself and the EBR-protected structure's own
+    // implementation are the protocol, not its users.
     const bool ebr_impl = rel.rfind("src/common/ebr", 0) == 0 ||
-                          rel.rfind("src/aosi/vis_cache", 0) == 0 ||
-                          rel.rfind("src/aosi/epoch_vector", 0) == 0 ||
-                          rel.rfind("src/storage/dictionary", 0) == 0;
+                          rel.rfind("src/aosi/epoch_vector", 0) == 0;
     if (ebr_impl) continue;
     for (const FunctionModel& fn : fm.functions) {
       for (const CallSite& c : fn.calls) {

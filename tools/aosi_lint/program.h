@@ -25,13 +25,13 @@
 //                         are only invoked behind the GetCheckerHook()
 //                         enabled-load in the same function, keeping the
 //                         hooks-off cost to one relaxed load
-//   ebr-guard             reclamation discipline (common/ebr.h): calls
-//                         returning EBR-protected pointers (VisibilityCache
-//                         ::Lookup, EpochVector::PinnedSnapshot) must be
-//                         dominated by an ebr::Guard declaration in the
-//                         same function, and `delete`/`free` of a
-//                         retire-managed type is only legal on a line
-//                         marked as an EBR deleter
+//   ebr-guard             reclamation discipline (common/ebr.h): a call
+//                         returning EBR-protected pointers (EpochVector
+//                         ::PinnedSnapshot) must be dominated by an
+//                         ebr::Guard declaration in the same function, and
+//                         `delete`/`free` of a retire-managed type (Rep,
+//                         Brick) is only legal on a line marked as an EBR
+//                         deleter
 //
 // See docs/STATIC_ANALYSIS.md ("Program-level analyses").
 

@@ -63,11 +63,10 @@ const std::vector<RuleInfo>& Rules() {
        "before returning",
        true},
       {"ebr-guard",
-       "EBR reclamation discipline (common/ebr.h): calls returning "
-       "EBR-protected pointers (VisibilityCache::Lookup, "
-       "EpochVector::PinnedSnapshot) must be dominated by an ebr::Guard "
-       "declaration in the same function, and delete/free of a "
-       "retire-managed type (vis-cache Entry, EpochVector Rep, Brick) is "
+       "EBR reclamation discipline (common/ebr.h): a call returning "
+       "EBR-protected pointers (EpochVector::PinnedSnapshot) must be "
+       "dominated by an ebr::Guard declaration in the same function, and "
+       "delete/free of a retire-managed type (EpochVector Rep, Brick) is "
        "only legal on a line marked as an EBR deleter — anything else can "
        "free memory a pinned reader still holds",
        true},
