@@ -8,33 +8,16 @@
 // the is_delete flag; a delete entry marks the whole partition as deleted at
 // that point and stores the data-vector size at delete time.
 //
-// Concurrency (PR 8). Mutations still come from a single shard thread
-// (paper §V-B), but the entries now live in an immutable-prefix `Rep` behind
-// an atomic pointer so an *off-thread* reader holding an ebr::Guard can
-// traverse a consistent snapshot while the shard keeps appending — this is
-// what lets purge plan compactions concurrently with scans instead of at
-// quiescent points. The write protocol:
-//
-//   * Published entries ([0, size)) of a Rep are never rewritten. Appending
-//     a new entry writes the spare-capacity slot, then publishes it with a
-//     release store of `size`.
-//   * Anything that would rewrite published state — extending the back run
-//     in place (Fig 1 (b)), growing capacity, InstallRebuilt, ShrinkToFit —
-//     copies into a fresh Rep, publishes it with a release store of `rep_`,
-//     and retires the old Rep through ebr::Collector (readers pinned before
-//     the swap keep traversing their snapshot safely).
-//   * `version_` is stored (release) strictly *after* the data it stamps.
-//     PinnedSnapshot reads version / data / version and retries on
-//     mismatch, so an accepted snapshot's entries always correspond to a
-//     version at or after the stamp — a concurrent-purge plan built from it
-//     can fail its version-checked install (and replan) but can never
-//     install against newer data it did not see.
+// A brick's vector is plain state of its shard (paper §V-B): only the
+// owning shard thread reads or writes it, inside that shard's ops, so it
+// needs no synchronization. Capacity doubles from one entry, and is exact
+// after a copy, FromRuns and InstallRebuilt: MemoryUsage charges capacity,
+// which is what Figures 6 and 7 report.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "aosi/epoch.h"
@@ -82,63 +65,24 @@ struct EpochRun {
   bool is_delete = false;
 };
 
-/// Borrowed, iterable window over a Rep's published entries. Valid for as
-/// long as its source guarantees the Rep stays alive: on the owning shard
-/// thread until the next mutation, off-thread for the lifetime of the
-/// ebr::Guard it was obtained under.
-class EntriesView {
- public:
-  EntriesView() = default;
-  EntriesView(const EpochEntry* data, size_t size)
-      : data_(data), size_(size) {}
-
-  const EpochEntry* begin() const { return data_; }
-  const EpochEntry* end() const { return data_ + size_; }
-  const EpochEntry& operator[](size_t i) const { return data_[i]; }
-  const EpochEntry& back() const { return data_[size_ - 1]; }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
- private:
-  const EpochEntry* data_ = nullptr;
-  size_t size_ = 0;
-};
-
-/// A validated consistent snapshot of one partition's history, taken
-/// off-thread under an ebr::Guard (EpochVector::PinnedSnapshot). `entries`
-/// borrows the pinned Rep: it stays readable until the Guard dies.
-struct HistoryView {
-  EntriesView entries;
-  /// Mutation-counter stamp the snapshot is consistent with. The entries
-  /// may belong to `version` or to a *later* mutation whose version store
-  /// was not yet visible — never to an earlier one — so installing against
-  /// a live history still at `version` is always installing against
-  /// exactly these entries.
-  uint64_t version = 0;
-  uint64_t num_records = 0;
-  Epoch max_epoch = kNoEpoch;
-};
-
-/// Append-only transactional history of one partition.
-///
-/// Single shard-thread writer; lock-free concurrent readers via
-/// PinnedSnapshot under an ebr::Guard (see file comment).
+/// Append-only transactional history of one partition. Shard state: only
+/// the owning shard thread touches it (see file comment).
 class EpochVector {
  public:
-  EpochVector();
-  ~EpochVector();
+  EpochVector() = default;
 
-  /// Deep copies (plan construction, tests). The copy starts life with the
-  /// source's version so a plan stamped from the original validates.
-  EpochVector(const EpochVector& other);
-  EpochVector& operator=(const EpochVector& other);
+  /// A copy (plan construction, tests) holds exactly the source's entries
+  /// and keeps its version. A moved-from vector is empty.
+  EpochVector(const EpochVector& other) = default;
   EpochVector(EpochVector&& other) noexcept;
-  EpochVector& operator=(EpochVector&& other) noexcept;
+  /// Copy-and-swap, so a copy-assign is as exact as a copy: std::vector's
+  /// own copy-assign would keep the target's larger capacity.
+  EpochVector& operator=(EpochVector other) noexcept;
 
   /// Records that `txn` appended `count` records to the back of the data
-  /// vectors. Extends the back entry when `txn` was also the last writer
-  /// (Fig 1 (b)) — via a fresh Rep, since published entries are immutable —
-  /// otherwise appends a new entry in place.
+  /// vectors. Extends the back entry in place when `txn` was also the last
+  /// writer (Fig 1 (b)), so that allocates nothing; otherwise appends a new
+  /// entry.
   void RecordAppend(Epoch txn, uint64_t count);
 
   /// Records a partition delete by `txn` (§III-C2). The marker covers every
@@ -152,42 +96,27 @@ class EpochVector {
   /// Monotonic mutation counter: bumped by every append, delete marker and
   /// InstallRebuilt (purge/rollback/truncate compactions). Visibility-bitmap
   /// caches key on it, so any history change invalidates every cached
-  /// bitmap for the partition; concurrent purge validates its plans
-  /// against it.
-  uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
+  /// bitmap for the partition; purge's install checks its plan against it.
+  uint64_t version() const { return version_; }
 
   /// The largest epoch stamped on any entry (appends and delete markers),
   /// or kNoEpoch when empty. Maintained incrementally so callers can clamp
   /// a snapshot to its *effective* horizon in O(1): any snapshot at or past
   /// max_epoch() sees the same history prefix, which is what lets bitmap
   /// caches share entries across readers.
-  Epoch max_epoch() const {
-    return max_epoch_.load(std::memory_order_acquire);
-  }
+  Epoch max_epoch() const { return max_epoch_; }
 
   /// Number of delete markers held. Kept as a count so a scan can tell in
   /// O(1) whether a snapshot sees the whole partition (aosi::SeesWhole):
   /// a history with a marker never qualifies, since a visible marker
   /// clears records.
-  uint64_t num_deletes() const {
-    return num_deletes_.load(std::memory_order_acquire);
-  }
+  uint64_t num_deletes() const { return num_deletes_; }
 
   /// Number of entries currently held (appends + delete markers).
-  size_t num_entries() const;
+  size_t num_entries() const { return entries_.size(); }
 
-  /// Borrowed view of the entries. Owning-shard-thread or Guard-protected
-  /// use only (see EntriesView).
-  EntriesView entries() const;
-
-  /// Off-thread consistent snapshot. REQUIRES a live ebr::Guard on the
-  /// calling thread (enforced by aosi_lint's ebr-guard rule): the returned
-  /// view borrows the pinned Rep. Returns false when the history mutated
-  /// faster than the bounded retry loop could validate — callers skip or
-  /// retry the partition.
-  bool PinnedSnapshot(HistoryView* out) const;
+  /// The entries, in physical order.
+  const std::vector<EpochEntry>& entries() const { return entries_; }
 
   /// Expands entries into explicit record ranges, in physical order.
   std::vector<EpochRun> Decode() const;
@@ -198,74 +127,41 @@ class EpochVector {
   /// aosi::kMaxObservedRuns runs — O(bound) instead of O(history).
   std::vector<EpochRun> DecodePrefix(size_t max_runs, bool* truncated) const;
 
-  /// Decodes a snapshot's borrowed entries — what concurrent purge planning
-  /// feeds to PlanPurge while the shard keeps writing.
-  static std::vector<EpochRun> DecodeView(const HistoryView& view);
-
   /// Bytes of heap memory consumed by the entries array. This is the "AOSI
   /// overhead" series of the paper's Figures 6/7.
-  size_t MemoryUsage() const;
-
-  /// Releases unused capacity (after purge/compaction) by installing an
-  /// exact-size Rep; the old one is EBR-retired.
-  void ShrinkToFit();
+  size_t MemoryUsage() const {
+    return entries_.capacity() * sizeof(EpochEntry);
+  }
 
   /// Directly installs decoded runs — used by purge/rollback to rebuild a
   /// partition's history. Runs must be in physical order; append runs must
   /// be contiguous starting at record 0.
   static EpochVector FromRuns(const std::vector<EpochRun>& runs);
 
-  /// Replaces this vector's contents with `rebuilt`'s (a compaction plan's
-  /// new_history) while *advancing* — never resetting — the version
-  /// counter, so caches keyed on (this partition, version) invalidate.
-  /// The displaced Rep is EBR-retired: concurrently pinned readers keep
-  /// traversing the pre-install snapshot.
+  /// Replaces this vector's contents with an exact copy of `rebuilt`'s (a
+  /// compaction plan's new_history) while *advancing* — never resetting —
+  /// the version counter, so caches keyed on (this partition, version)
+  /// invalidate. The old capacity goes with the old contents, so the memory
+  /// a purge recycles returns (Fig 6's post-purge drop).
   void InstallRebuilt(const EpochVector& rebuilt);
 
-  bool operator==(const EpochVector& other) const;
+  bool operator==(const EpochVector& other) const {
+    return entries_ == other.entries_;
+  }
 
   /// Debug rendering: "[e1:0-2][e2:3-6][e1:del@7]".
   std::string ToString() const;
 
  private:
-  /// Heap representation: fixed-capacity entry array + published count.
-  /// Entries [0, size) are immutable; the slot at `size` is the shard
-  /// thread's private staging area until the release store of `size`
-  /// publishes it.
-  struct Rep {
-    explicit Rep(size_t cap)
-        : capacity(cap), slots(cap > 0 ? new EpochEntry[cap] : nullptr) {}
+  /// Appends `entry`, doubling the capacity from one entry when full.
+  void Push(EpochEntry entry);
 
-    const size_t capacity;
-    const std::unique_ptr<EpochEntry[]> slots;
-    std::atomic<size_t> size{0};
-  };
-
-  /// Allocates a Rep with `cap` capacity holding copies of entries [0, n)
-  /// of `src` (which may be null when n == 0).
-  static Rep* CloneRep(const EpochEntry* src, size_t n, size_t cap);
-
-  /// num_records derived from the published back entry.
-  static uint64_t RecordsOf(const EpochEntry* slots, size_t n);
-
-  /// Single-writer view of the current Rep (owning shard thread only).
-  Rep* OwnerRep() const {
-    return rep_.load(std::memory_order_relaxed);
-  }
-
-  /// Publishes `fresh` and EBR-retires the displaced Rep. Does not touch
-  /// version_ — callers stamp it after (data first, version last).
-  void SwapRep(Rep* fresh);
-
-  /// Bumps the mutation counter (single writer: load + store, no RMW).
-  void BumpVersion();
-
-  std::atomic<Rep*> rep_;
-  std::atomic<uint64_t> version_{0};
+  std::vector<EpochEntry> entries_;
+  uint64_t version_ = 0;
   /// See max_epoch().
-  std::atomic<Epoch> max_epoch_{kNoEpoch};
+  Epoch max_epoch_ = kNoEpoch;
   /// See num_deletes().
-  std::atomic<uint64_t> num_deletes_{0};
+  uint64_t num_deletes_ = 0;
 };
 
 }  // namespace cubrick::aosi

@@ -56,10 +56,31 @@ CompactionPlan BuildPlan(const std::vector<EpochRun>& runs,
   return plan;
 }
 
-/// The purge rules over already-decoded runs; shared by the live-vector and
-/// snapshot-view entry points so the two can never diverge.
-CompactionPlan PlanPurgeRuns(const std::vector<EpochRun>& runs,
-                             uint64_t num_records, Epoch lse) {
+/// Plans the removal of every run whose epoch `drop` selects: its records
+/// and its delete markers go, every other run stays unmerged. Rollback and
+/// crash-recovery truncation differ only in the selector.
+template <typename DropFn>
+CompactionPlan PlanDropRuns(const EpochVector& history, DropFn drop) {
+  std::vector<EpochRun> runs = history.Decode();
+  bool touched = false;
+  Bitmap keep(history.num_records(), true);
+  for (auto& run : runs) {
+    if (!drop(run.epoch)) continue;
+    touched = true;
+    if (run.is_delete) {
+      run.epoch = kNoEpoch;  // drop the marker
+    } else {
+      keep.ClearRange(run.begin, run.end);
+    }
+  }
+  if (!touched) return CompactionPlan{};
+  return BuildPlan(runs, keep, /*merge_below=*/kNoEpoch);
+}
+
+}  // namespace
+
+CompactionPlan PlanPurge(const EpochVector& history, Epoch lse) {
+  const std::vector<EpochRun> runs = history.Decode();
 
   // Decide whether any work is needed: an applicable delete (epoch < lse) or
   // recyclable history (two adjacent mergeable append runs < lse).
@@ -85,7 +106,7 @@ CompactionPlan PlanPurgeRuns(const std::vector<EpochRun>& runs,
   // marker with epoch < lse using exactly the visibility cleanup rule —
   // literally the same code (visibility.cc's ApplyDeleteCleanup), so purge
   // and scan can never disagree about what a delete covers.
-  Bitmap keep(num_records, true);
+  Bitmap keep(history.num_records(), true);
   std::vector<EpochRun> working = runs;
   for (auto& del : working) {
     if (!del.is_delete || AtOrAfter(del.epoch, lse)) continue;
@@ -94,37 +115,6 @@ CompactionPlan PlanPurgeRuns(const std::vector<EpochRun>& runs,
   }
 
   return BuildPlan(working, keep, /*merge_below=*/lse);
-}
-
-/// Plans the removal of every run whose epoch `drop` selects: its records
-/// and its delete markers go, every other run stays unmerged. Rollback and
-/// crash-recovery truncation differ only in the selector.
-template <typename DropFn>
-CompactionPlan PlanDropRuns(const EpochVector& history, DropFn drop) {
-  std::vector<EpochRun> runs = history.Decode();
-  bool touched = false;
-  Bitmap keep(history.num_records(), true);
-  for (auto& run : runs) {
-    if (!drop(run.epoch)) continue;
-    touched = true;
-    if (run.is_delete) {
-      run.epoch = kNoEpoch;  // drop the marker
-    } else {
-      keep.ClearRange(run.begin, run.end);
-    }
-  }
-  if (!touched) return CompactionPlan{};
-  return BuildPlan(runs, keep, /*merge_below=*/kNoEpoch);
-}
-
-}  // namespace
-
-CompactionPlan PlanPurge(const EpochVector& history, Epoch lse) {
-  return PlanPurgeRuns(history.Decode(), history.num_records(), lse);
-}
-
-CompactionPlan PlanPurge(const HistoryView& view, Epoch lse) {
-  return PlanPurgeRuns(EpochVector::DecodeView(view), view.num_records, lse);
 }
 
 CompactionPlan PlanRollback(const EpochVector& history, Epoch victim) {

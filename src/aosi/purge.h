@@ -44,14 +44,6 @@ struct CompactionPlan {
 ///    across a surviving delete marker.
 CompactionPlan PlanPurge(const EpochVector& history, Epoch lse);
 
-/// Plans a purge from a consistent off-thread snapshot (PR 8): identical
-/// rules, but decoding the borrowed entries of `view` instead of touching
-/// the live vector, so concurrent purge can plan while the owning shard
-/// keeps appending. The caller must hold the ebr::Guard the view was pinned
-/// under; the resulting plan is only installable while the history is still
-/// at `view.version` (Brick::InstallCompaction validates).
-CompactionPlan PlanPurge(const HistoryView& view, Epoch lse);
-
 /// Plans removal of every append/delete by `victim` (transaction rollback).
 CompactionPlan PlanRollback(const EpochVector& history, Epoch victim);
 

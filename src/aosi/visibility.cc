@@ -9,7 +9,6 @@ namespace cubrick::aosi {
 Bitmap BuildVisibilityBitmap(const EpochVector& history,
                              const Snapshot& snapshot) {
   Bitmap bitmap(history.num_records(), false);
-  const EntriesView entries = history.entries();
 
   // Every stamp is at or before max_epoch(), so a run the snapshot epoch
   // admits is at or before the horizon, and only the deps up to it can
@@ -34,7 +33,7 @@ Bitmap BuildVisibilityBitmap(const EpochVector& history,
   uint64_t stretch_begin = 0;
   bool in_stretch = false;
   bool visible_delete = false;
-  for (const EpochEntry& entry : entries) {
+  for (const EpochEntry& entry : history.entries()) {
     if (entry.is_delete()) {
       visible_delete = visible_delete || snapshot.Sees(entry.epoch);
       continue;

@@ -904,8 +904,8 @@ StressReport RunSingleNodeStress(const StressOptions& opt) {
   shared.failures = &report.failures;
   shared.config = config;
 
-  // Dedicated purge churn (purge_stress): loop the concurrent phased
-  // purge while the workers scan, append and delete. Shared structure lock
+  // Dedicated purge churn (purge_stress): loop the purge pipeline while
+  // the workers scan, append and delete. Shared structure lock
   // only — same locking as MaintenanceOp, so deletes still serialize
   // against it — and LSE chases LCE only in the diskless case (with
   // persistence the LSE must stay checkpoint-bounded for the crash

@@ -62,13 +62,14 @@ struct StressOptions {
   /// itself cross-checked against the offline oracle.
   bool online_check = false;
   /// Runs a dedicated purge thread for the whole workload (single-node
-  /// mode): it loops LSE advance + Database::PurgeAll() — the concurrent
-  /// phased pipeline (engine/table.cc) — under the shared structure lock
-  /// while workers append, delete and scan. Purge only compacts history at
-  /// or below the LSE, which every live snapshot is at or past, so the
-  /// oracle comparison is unchanged; what it adds is scans racing
-  /// compaction installs, vis-cache invalidation and EBR retirement of
-  /// displaced history vectors.
+  /// mode): it loops LSE advance + Database::PurgeAll() — the purge
+  /// pipeline of shard ops (engine/table.cc) — under the shared structure
+  /// lock while workers append, delete and scan, and beside the
+  /// maintenance ops' own purge rounds. Purge only compacts history at or
+  /// below the LSE, which every live snapshot is at or past, so the oracle
+  /// comparison is unchanged; what it adds is scans and appends racing
+  /// compaction installs (some refused), vis-cache invalidation, and two
+  /// rounds overlapping on one table, one erasing bricks the other holds.
   bool purge_stress = false;
   /// Runs the scans on the scalar reference kernels instead of Detect()'s
   /// backend, switched with simd::SetBackend for the run. The backends are

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "aosi/purge.h"
-#include "common/ebr.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -240,55 +239,43 @@ PurgeStats Table::Purge(aosi::Epoch lse) {
         .get();
   };
 
-  // One reclamation pin across the whole pipeline. Brick pointers collected
-  // by the phase-1 op below stay dereferenceable for the guard's lifetime
-  // even if a concurrent maintenance op erases them: BrickMap::Erase
-  // retires bricks through the collector, and every retire after this pin
-  // waits out the guard. History Reps displaced by concurrent appends
-  // likewise stay readable for PinnedSnapshot's borrowed views.
-  const ebr::Guard guard;
-
   PurgeStats total;
   uint64_t total_entries = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
 
-    // Phase 1 (shard op, O(bricks)): collect the shard's brick pointers.
-    std::vector<Brick*> shard_bricks;
+    // Op 1 (O(bricks)): take shared handles to the shard's bricks. Another
+    // round may erase one of them before this round reaches it; the handle
+    // keeps it alive, so later ops touch only the object planned against,
+    // never a brick created since under the same bid.
+    std::vector<std::shared_ptr<Brick>> shard_bricks;
     timed(shard, [&shard_bricks](BrickMap& bricks) {
-      bricks.ForEach([&](Brick& brick) { shard_bricks.push_back(&brick); });
+      shard_bricks = bricks.Handles();
     });
 
-    for (Brick* brick : shard_bricks) {
+    for (const std::shared_ptr<Brick>& brick : shard_bricks) {
       ++total.bricks_examined;
-      // Bounded replan loop: a concurrent mutation between snapshot and
-      // install invalidates the plan; purge is periodic, so after a few
-      // conflicts the brick simply waits for the next round.
+      // Bounded replan loop: a mutation between plan and install refuses
+      // the install; purge is periodic, so after a few refusals the brick
+      // simply waits for the next round.
       for (int attempt = 0; attempt < 3; ++attempt) {
-        // Phase 2 (off-shard): consistent history snapshot + purge plan,
-        // while the shard keeps serving scans and appends.
-        aosi::HistoryView view;
-        if (!brick->history().PinnedSnapshot(&view)) break;
-        const auto plan = aosi::PlanPurge(view, lse);
-        if (!plan.needed) break;
-
-        // Phase 3 (shard op, O(bytes) memcpy): version-validated raw
-        // column copy.
+        // Op 2 (O(entries + bytes)): plan against the live history and
+        // copy the columns the plan filters, at one version.
+        uint64_t version = 0;
+        aosi::CompactionPlan plan;
         std::optional<BessColumn> bess_copy;
         std::vector<MetricColumn> metric_copies;
-        bool copied = false;
         timed(shard, [&](BrickMap&) {
-          copied = brick->SnapshotColumnsForCompaction(view.version,
-                                                       &bess_copy,
-                                                       &metric_copies);
+          version = brick->history().version();
+          plan = aosi::PlanPurge(brick->history(), lse);
+          if (plan.needed) {
+            brick->SnapshotColumnsForCompaction(&bess_copy, &metric_copies);
+          }
         });
-        if (!copied) {
-          conflicts->Add();
-          continue;
-        }
+        if (!plan.needed) break;
 
-        // Phase 4 (off-shard): the expensive part — filter every column
-        // down to the plan's keep rows, against the copies.
+        // Off the shard: the expensive part — filter every column down to
+        // the plan's keep rows, against the copies.
         const auto keep = [&plan](uint64_t row) {
           return plan.keep.Get(row);
         };
@@ -299,13 +286,13 @@ PurgeStats Table::Purge(aosi::Epoch lse) {
           new_metrics.push_back(m.CompactedCopy(keep));
         }
 
-        // Phase 5 (shard op, O(history entries)): version-validated
-        // install of the rebuilt columns.
+        // Op 3 (O(history entries)): version-checked install of the
+        // rebuilt columns.
         bool installed = false;
         uint64_t removed = 0;
         timed(shard, [&](BrickMap&) {
           const uint64_t before = brick->num_records();
-          installed = brick->InstallCompaction(view.version, plan,
+          installed = brick->InstallCompaction(version, plan,
                                                std::move(new_bess),
                                                std::move(new_metrics));
           if (installed) removed = before - brick->num_records();
@@ -320,9 +307,8 @@ PurgeStats Table::Purge(aosi::Epoch lse) {
       }
     }
 
-    // Phase 6 (shard op, O(bricks)): count surviving history entries and
-    // erase bricks the round left fully dead (Erase EBR-retires them; the
-    // pointers in shard_bricks stay valid under our guard).
+    // Op 4 (O(bricks)): count surviving history entries and erase bricks
+    // the round left fully dead.
     timed(shard, [&](BrickMap& bricks) {
       std::vector<Bid> dead;
       bricks.ForEach([&](Brick& brick) {

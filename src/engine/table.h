@@ -150,10 +150,11 @@ class Table {
       const MaterializeOptions& options = {});
 
   /// Runs the purge procedure (§III-C4) over every brick at `lse` as a
-  /// phased pipeline: planning and row filtering run off the shard threads
-  /// against EBR-pinned snapshots and version-validated column copies, so
-  /// scans interleave with the purge and `aosi.purge.pause_us` records only
-  /// the short copy/install shard ops (DESIGN.md §4d).
+  /// pipeline of short shard ops: one op plans a brick and copies its
+  /// columns, the rows are filtered off the shard against the copies, and
+  /// a later op installs the result unless the brick's history moved in
+  /// between. Scans interleave with the purge, and `aosi.purge.pause_us`
+  /// records only the shard ops (DESIGN.md §4d).
   PurgeStats Purge(aosi::Epoch lse);
 
   /// Physically removes every append/delete made by `victim` (§III-C5).
@@ -221,7 +222,7 @@ class Table {
 
   /// Runs `op(s, bricks)` as one op on every shard s at once and returns
   /// when all have run. Every table-wide operation but Append's coalescer,
-  /// Purge's timed phases and the one-shard-at-a-time VisitBricks goes
+  /// Purge's timed ops and the one-shard-at-a-time VisitBricks goes
   /// through here.
   void OnEveryShard(const std::function<void(size_t, BrickMap&)>& op);
 

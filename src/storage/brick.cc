@@ -133,13 +133,11 @@ void Brick::ApplyCompaction(const aosi::CompactionPlan& plan) {
   CUBRICK_CHECK(installed);  // same-thread: the version cannot have moved
 }
 
-bool Brick::SnapshotColumnsForCompaction(
-    uint64_t expected_version, std::optional<BessColumn>* bess,
+void Brick::SnapshotColumnsForCompaction(
+    std::optional<BessColumn>* bess,
     std::vector<MetricColumn>* metrics) const {
-  if (history_.version() != expected_version) return false;
   bess->emplace(bess_);
   *metrics = metrics_;
-  return true;
 }
 
 bool Brick::InstallCompaction(uint64_t expected_version,
@@ -156,9 +154,6 @@ bool Brick::InstallCompaction(uint64_t expected_version,
   // advancing, so cached visibility bitmaps of the pre-compaction layout
   // can never be mistaken for the new one.
   history_.InstallRebuilt(plan.new_history);
-  // Recycling epochs entries is the point of purge: release the old
-  // capacity so the memory actually returns (Fig 6's post-purge drop).
-  history_.ShrinkToFit();
   vis_cache_.Clear();
   return true;
 }

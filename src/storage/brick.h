@@ -124,25 +124,21 @@ class Brick {
   /// paper's new-partition-then-atomic-swap scheme.
   void ApplyCompaction(const aosi::CompactionPlan& plan);
 
-  // --- Phased compaction (PR 8: purge concurrent with scans) --------------
+  // --- Compaction in steps (Table::Purge) ---------------------------------
   //
-  // Concurrent purge splits ApplyCompaction so only two cheap steps occupy
-  // the shard thread: copying the raw columns out and installing the
-  // rebuilt ones back in. The expensive keep-bitmap row filtering runs
-  // off-thread in between, against the copies. Both steps validate the
-  // history version the plan was built from, so a mutation that slips
-  // between phases makes the round replan instead of installing stale data.
+  // Purge splits ApplyCompaction so the expensive keep-bitmap row filtering
+  // runs off the shard, against copies of the columns. The copy is taken in
+  // the same shard op as the plan, so it always matches it; the install is
+  // a later op, and checks that the history has not moved since.
 
-  /// Phase 3 (shard op): copies the raw columns out iff the history is
-  /// still at `expected_version`. Returns false — leaving the outputs
-  /// untouched — when a mutation invalidated the caller's plan.
-  bool SnapshotColumnsForCompaction(uint64_t expected_version,
-                                    std::optional<BessColumn>* bess,
+  /// Copies the raw columns out (a shard op, beside PlanPurge).
+  void SnapshotColumnsForCompaction(std::optional<BessColumn>* bess,
                                     std::vector<MetricColumn>* metrics) const;
 
-  /// Phase 5 (shard op): installs off-thread-rebuilt columns and the plan's
-  /// history iff the history is still at `expected_version` (no mutation
-  /// since the columns were copied). O(history entries), not O(rows).
+  /// Installs off-shard-rebuilt columns and the plan's history iff the
+  /// history is still at `expected_version`, the version the plan was made
+  /// at. Returns false, changing nothing, when a mutation since then
+  /// invalidated the plan. O(history entries), not O(rows).
   bool InstallCompaction(uint64_t expected_version,
                          const aosi::CompactionPlan& plan,
                          BessColumn new_bess,

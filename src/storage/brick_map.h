@@ -2,14 +2,16 @@
 //
 // Bricks are sparse — only materialized when a record lands in their range.
 // The map indexes them by bid. Like Brick itself, a BrickMap belongs to a
-// single shard thread and is unsynchronized.
+// single shard thread and is unsynchronized. It owns its bricks through
+// shared handles so that work spanning several shard ops (Table::Purge)
+// can keep the bricks it started on alive; see Handles().
 
 #pragma once
 
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
-#include "common/ebr.h"
 #include "storage/brick.h"
 
 namespace cubrick {
@@ -23,7 +25,7 @@ class BrickMap {
   Brick& GetOrCreate(Bid bid) {
     auto it = bricks_.find(bid);
     if (it == bricks_.end()) {
-      it = bricks_.emplace(bid, std::make_unique<Brick>(schema_, bid)).first;
+      it = bricks_.emplace(bid, std::make_shared<Brick>(schema_, bid)).first;
     }
     return *it->second;
   }
@@ -38,17 +40,19 @@ class BrickMap {
     return it == bricks_.end() ? nullptr : it->second.get();
   }
 
-  /// Removes a brick entirely (after purge found it fully dead). The Brick
-  /// is EBR-retired, not freed: concurrent purge pipelines hold Brick*
-  /// collected in an earlier shard op under an ebr::Guard, and those stay
-  /// dereferenceable until every such pin drains.
-  void Erase(Bid bid) {
-    auto it = bricks_.find(bid);
-    if (it == bricks_.end()) return;
-    const Brick* brick = it->second.release();
-    bricks_.erase(it);
-    ebr::RetireDelete(brick,
-                      brick->DataMemoryUsage() + brick->HistoryMemoryUsage());
+  /// Removes a brick entirely (after purge found it fully dead). A handle
+  /// taken earlier keeps the unlinked brick alive until it is dropped.
+  void Erase(Bid bid) { bricks_.erase(bid); }
+
+  /// Shared handles to every brick. Purge takes them in one shard op and
+  /// works on them in later ones: a brick that another op erases in
+  /// between stays alive, unlinked, so the round never touches a brick
+  /// created since under the same bid.
+  std::vector<std::shared_ptr<Brick>> Handles() {
+    std::vector<std::shared_ptr<Brick>> handles;
+    handles.reserve(bricks_.size());
+    for (const auto& [bid, brick] : bricks_) handles.push_back(brick);
+    return handles;
   }
 
   size_t size() const { return bricks_.size(); }
@@ -88,7 +92,7 @@ class BrickMap {
 
  private:
   std::shared_ptr<const CubeSchema> schema_;
-  std::unordered_map<Bid, std::unique_ptr<Brick>> bricks_;
+  std::unordered_map<Bid, std::shared_ptr<Brick>> bricks_;
 };
 
 }  // namespace cubrick

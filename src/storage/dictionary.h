@@ -14,10 +14,10 @@
 // threads, which is what keeps parallel ingest bit-identical to serial
 // replay.
 //
-// Snapshots are shared, not retired: AcquireSnapshot() hands out shared
-// ownership of an immutable map, so a parse worker reads its snapshot for as
-// long as it holds it, whatever inserts (or the dictionary's destruction)
-// happen meanwhile.
+// Snapshots are shared: AcquireSnapshot() hands out shared ownership of an
+// immutable map, so a parse worker reads its snapshot for as long as it
+// holds it, whatever inserts (or the dictionary's destruction) happen
+// meanwhile.
 
 #pragma once
 

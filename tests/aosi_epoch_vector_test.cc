@@ -67,6 +67,54 @@ TEST(EpochVectorTest, EntryCostsSixteenBytes) {
   EXPECT_EQ(sizeof(EpochEntry), 16u);
 }
 
+TEST(EpochVectorTest, CapacityDoublesAndCompactionsFitExactly) {
+  // MemoryUsage charges capacity, so the growth policy is part of what
+  // Figures 6 and 7 report: capacity doubles from one entry, and every copy
+  // or rebuild holds exactly its entries.
+  constexpr size_t kEntry = sizeof(EpochEntry);
+  EpochVector ev;
+  EXPECT_EQ(ev.MemoryUsage(), 0u);
+  const size_t kCapacityAfter[] = {1, 2, 4, 4, 8};
+  for (Epoch txn = 1; txn <= 5; ++txn) {
+    ev.RecordAppend(txn, 2);
+    EXPECT_EQ(ev.MemoryUsage(), kCapacityAfter[txn - 1] * kEntry)
+        << "after txn " << txn;
+  }
+
+  // A same-transaction extension and a delete within capacity allocate
+  // nothing.
+  const EpochEntry* slots = ev.entries().data();
+  ev.RecordAppend(5, 3);
+  EXPECT_EQ(ev.num_entries(), 5u);
+  EXPECT_EQ(ev.entries().data(), slots);
+  ev.RecordDelete(6);
+  EXPECT_EQ(ev.num_entries(), 6u);
+  EXPECT_EQ(ev.entries().data(), slots);
+  EXPECT_EQ(ev.MemoryUsage(), 8 * kEntry);
+
+  // Copies fit exactly, a copy-assign over a larger vector included.
+  EXPECT_EQ(EpochVector(ev).MemoryUsage(), 6 * kEntry);
+  EpochVector larger;
+  for (Epoch txn = 1; txn <= 9; ++txn) larger.RecordAppend(txn, 1);
+  ASSERT_EQ(larger.MemoryUsage(), 16 * kEntry);
+  larger = ev;
+  EXPECT_EQ(larger, ev);
+  EXPECT_EQ(larger.MemoryUsage(), 6 * kEntry);
+  EXPECT_EQ(EpochVector::FromRuns(ev.Decode()).MemoryUsage(), 6 * kEntry);
+
+  // A compaction install fits the rebuilt history, so purge returns the
+  // capacity it recycles: runs 1-3 merge below LSE 4.
+  const CompactionPlan plan = PlanPurge(ev, /*lse=*/4);
+  ASSERT_TRUE(plan.needed);
+  ev.InstallRebuilt(plan.new_history);
+  EXPECT_EQ(ev.ToString(), "[3:0-5][4:6-7][5:8-12][6:del@13]");
+  EXPECT_EQ(ev.MemoryUsage(), 4 * kEntry);
+
+  // The next new entry doubles it again.
+  ev.RecordAppend(7, 1);
+  EXPECT_EQ(ev.MemoryUsage(), 8 * kEntry);
+}
+
 TEST(EpochVectorTest, DeleteMarkerRecordsBoundary) {
   EpochVector ev;
   ev.RecordAppend(1, 5);

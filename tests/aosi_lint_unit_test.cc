@@ -517,79 +517,6 @@ TEST(Program, CheckerHookCallsStayBehindTheGate) {
   EXPECT_TRUE(OfRule(CheckCheckerHookGate(self), "checker-hook-gate").empty());
 }
 
-TEST(Program, EbrProtectedReadNeedsDominatingGuard) {
-  ProgramModel bad = ProgramOf({
-      {"src/engine/purge.cc",
-       "class Purge { public: void Run(); EpochVector* history_; };\n"
-       "void Purge::Run() { history_->PinnedSnapshot(&view_); }\n"},
-  });
-  EXPECT_EQ(OfRule(CheckEbrGuard(bad), "ebr-guard").size(), 1u);
-
-  ProgramModel good = ProgramOf({
-      {"src/engine/purge.cc",
-       "class Purge { public: void Run(); EpochVector* history_; };\n"
-       "void Purge::Run() {\n"
-       "  const ebr::Guard guard;\n"
-       "  history_->PinnedSnapshot(&view_);\n"
-       "}\n"},
-  });
-  EXPECT_TRUE(OfRule(CheckEbrGuard(good), "ebr-guard").empty());
-
-  // A guard AFTER the call does not dominate it.
-  ProgramModel late = ProgramOf({
-      {"src/engine/purge.cc",
-       "class Purge { public: void Run(); EpochVector* history_; };\n"
-       "void Purge::Run() {\n"
-       "  history_->PinnedSnapshot(&view_);\n"
-       "  const ebr::Guard guard;\n"
-       "}\n"},
-  });
-  EXPECT_EQ(OfRule(CheckEbrGuard(late), "ebr-guard").size(), 1u);
-}
-
-TEST(Program, EbrRawDeleteOfManagedTypeFlaggedUnlessMarked) {
-  ProgramModel bad = ProgramOf({
-      {"src/engine/purge.cc",
-       "void Drop(void* slot) {\n"
-       "  Rep* victim = static_cast<Rep*>(slot);\n"
-       "  delete victim;\n"
-       "}\n"},
-  });
-  EXPECT_EQ(OfRule(CheckEbrGuard(bad), "ebr-guard").size(), 1u);
-
-  // The deleter-comment marker makes the free legal (the EBR deleter
-  // itself must be able to call delete).
-  const std::string marker = std::string("// ebr-") + "deleter";
-  ProgramModel marked = ProgramOf({
-      {"src/engine/purge.cc",
-       "void Drop(void* slot) {\n"
-       "  Rep* victim = static_cast<Rep*>(slot);\n"
-       "  delete victim;  " + marker + "\n"
-       "}\n"},
-  });
-  EXPECT_TRUE(OfRule(CheckEbrGuard(marked), "ebr-guard").empty());
-
-  // Unmanaged types are not the reclamation pass's business.
-  ProgramModel other = ProgramOf({
-      {"src/engine/purge.cc",
-       "void Drop(void* slot) {\n"
-       "  Buffer* victim = static_cast<Buffer*>(slot);\n"
-       "  delete victim;\n"
-       "}\n"},
-  });
-  EXPECT_TRUE(OfRule(CheckEbrGuard(other), "ebr-guard").empty());
-
-  // The EBR implementation itself is exempt.
-  ProgramModel self = ProgramOf({
-      {"src/common/ebr.cc",
-       "void Drop(void* slot) {\n"
-       "  Rep* victim = static_cast<Rep*>(slot);\n"
-       "  delete victim;\n"
-       "}\n"},
-  });
-  EXPECT_TRUE(OfRule(CheckEbrGuard(self), "ebr-guard").empty());
-}
-
 TEST(FileRules, SimdIsolationKeepsIntrinsicsInTheSimdImpl) {
   auto simd_findings = [](const std::string& src, const std::string& rel) {
     SourceFile f;

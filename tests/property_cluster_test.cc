@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "common/random.h"
 
@@ -17,26 +21,7 @@ struct OpenTxn {
   uint64_t appended_rows = 0;
 };
 
-class RandomClusterTest
-    : public ::testing::TestWithParam<std::tuple<int, uint32_t, size_t>> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsNodesReplicas, RandomClusterTest,
-    ::testing::Combine(::testing::Range(0, 4),
-                       ::testing::Values(1u, 3u),
-                       ::testing::Values(size_t{1}, size_t{2})),
-    [](const auto& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_nodes" +
-             std::to_string(std::get<1>(info.param)) + "_rf" +
-             std::to_string(std::get<2>(info.param));
-    });
-
-TEST_P(RandomClusterTest, ConvergesToConsistentState) {
-  const int seed = std::get<0>(GetParam());
-  const uint32_t num_nodes = std::get<1>(GetParam());
-  const size_t rf = std::get<2>(GetParam());
-  if (rf > num_nodes) GTEST_SKIP();
-
+void ConvergesToConsistentState(int seed, uint32_t num_nodes, size_t rf) {
   ClusterOptions options;
   options.num_nodes = num_nodes;
   options.replication_factor = rf;
@@ -135,14 +120,8 @@ TEST_P(RandomClusterTest, ConvergesToConsistentState) {
                    static_cast<double>(committed_rows));
 }
 
-TEST_P(RandomClusterTest, RandomOutagesNeverLoseCommittedData) {
-  const int seed = std::get<0>(GetParam());
-  const uint32_t num_nodes = std::get<1>(GetParam());
-  const size_t rf = std::get<2>(GetParam());
-  if (rf < 2 || rf > num_nodes) {
-    GTEST_SKIP() << "outage tolerance needs replication";
-  }
-
+void RandomOutagesNeverLoseCommittedData(int seed, uint32_t num_nodes,
+                                         size_t rf) {
   ClusterOptions options;
   options.num_nodes = num_nodes;
   options.replication_factor = rf;
@@ -185,6 +164,65 @@ TEST_P(RandomClusterTest, RandomOutagesNeverLoseCommittedData) {
     ASSERT_TRUE(cluster.SetNodeOnline(victim, true).ok());
   }
 }
+
+// Each property runs only on the layouts it is about: convergence wherever
+// the replicas fit on the nodes, outages only with replication. A
+// value-parameterized suite would instantiate both on every layout and skip
+// the rest, so each case is registered on its own, under the name and
+// parameter label a TEST_P over (seed, nodes, rf) would print.
+class RandomClusterTest : public ::testing::Test {
+ public:
+  using Property = void (*)(int seed, uint32_t num_nodes, size_t rf);
+
+  RandomClusterTest(Property property, int seed, uint32_t num_nodes,
+                    size_t rf)
+      : property_(property), seed_(seed), num_nodes_(num_nodes), rf_(rf) {}
+
+  void TestBody() override { property_(seed_, num_nodes_, rf_); }
+
+ private:
+  Property property_;
+  int seed_;
+  uint32_t num_nodes_;
+  size_t rf_;
+};
+
+[[maybe_unused]] const bool kRegistered = [] {
+  struct Layout {
+    uint32_t num_nodes;
+    size_t rf;
+  };
+  const struct {
+    const char* name;
+    RandomClusterTest::Property property;
+    std::vector<Layout> layouts;
+  } kProperties[] = {
+      {"ConvergesToConsistentState", ConvergesToConsistentState,
+       {{1, 1}, {3, 1}, {3, 2}}},
+      {"RandomOutagesNeverLoseCommittedData",
+       RandomOutagesNeverLoseCommittedData, {{3, 2}}},
+  };
+  for (const auto& p : kProperties) {
+    for (int seed = 0; seed < 4; ++seed) {
+      for (const Layout& layout : p.layouts) {
+        const std::string s = std::to_string(seed);
+        const std::string n = std::to_string(layout.num_nodes);
+        const std::string r = std::to_string(layout.rf);
+        ::testing::RegisterTest(
+            "SeedsNodesReplicas/RandomClusterTest",
+            (std::string(p.name) + "/seed" + s + "_nodes" + n + "_rf" + r)
+                .c_str(),
+            nullptr, ("(" + s + ", " + n + ", " + r + ")").c_str(), __FILE__,
+            __LINE__,
+            [property = p.property, seed, layout]() -> RandomClusterTest* {
+              return new RandomClusterTest(property, seed, layout.num_nodes,
+                                           layout.rf);
+            });
+      }
+    }
+  }
+  return true;
+}();
 
 }  // namespace
 }  // namespace cubrick::cluster

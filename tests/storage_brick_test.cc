@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <tuple>
+#include <vector>
 
 #include "aosi/visibility.h"
 #include "common/random.h"
@@ -435,7 +438,7 @@ TEST(BrickMapTest, AggregatesAcrossBricks) {
 TEST(BrickTest, MutationsInvalidateVisibilityCache) {
   // Every brick mutation is a quiescent point: it must both bump the
   // history version (so stale keys can never match) and clear the cache
-  // (reclaiming retired entries). Covers append, delete-marker, and the
+  // (freeing its entries). Covers append, delete-marker, and the
   // compaction paths used by purge and rollback.
   auto schema = TestSchema();
   Brick brick(schema, 0);
@@ -486,6 +489,71 @@ TEST(BrickTest, MutationsInvalidateVisibilityCache) {
   brick.ApplyCompaction(rollback);
   EXPECT_GT(brick.history().version(), version);
   EXPECT_EQ(brick.vis_cache().Lookup(key), nullptr);
+}
+
+TEST(BrickTest, InstallRefusesAPlanMadeBeforeAnAppend) {
+  // Table::Purge plans a brick and copies its columns in one shard op and
+  // installs the filtered copies in a later one. An append in between must
+  // refuse the install and leave the brick as the append left it.
+  auto schema = TestSchema();
+  Brick brick(schema, 0);
+  brick.AppendBatch(1, MakeBatch(*schema, brick.bid(), 6), 0);
+  brick.MarkDeleted(2);
+  brick.AppendBatch(3, MakeBatch(*schema, brick.bid(), 4, /*seed=*/5), 0);
+
+  struct Staged {
+    uint64_t version = 0;
+    aosi::CompactionPlan plan;
+    std::optional<BessColumn> bess;
+    std::vector<MetricColumn> metrics;
+  };
+  const auto plan_and_filter = [&brick]() {
+    Staged staged;
+    staged.version = brick.history().version();
+    staged.plan = aosi::PlanPurge(brick.history(), /*lse=*/4);
+    std::optional<BessColumn> bess;
+    std::vector<MetricColumn> metrics;
+    brick.SnapshotColumnsForCompaction(&bess, &metrics);
+    const auto keep = [&staged](uint64_t row) {
+      return staged.plan.keep.Get(row);
+    };
+    staged.bess.emplace(bess->CompactedCopy(keep));
+    for (const auto& m : metrics) {
+      staged.metrics.push_back(m.CompactedCopy(keep));
+    }
+    return staged;
+  };
+  const auto rows = [&brick]() {
+    std::vector<std::tuple<uint64_t, uint64_t, int64_t, double>> out;
+    for (uint64_t r = 0; r < brick.num_records(); ++r) {
+      out.emplace_back(brick.DimCoord(r, 0), brick.DimCoord(r, 1),
+                       brick.metric(0).GetInt64(r),
+                       brick.metric(1).GetDouble(r));
+    }
+    return out;
+  };
+
+  Staged stale = plan_and_filter();
+  ASSERT_TRUE(stale.plan.needed);
+  brick.AppendBatch(4, MakeBatch(*schema, brick.bid(), 3, /*seed=*/7), 0);
+  const aosi::EpochVector history = brick.history();
+  const auto before = rows();
+  EXPECT_FALSE(brick.InstallCompaction(stale.version, stale.plan,
+                                       std::move(*stale.bess),
+                                       std::move(stale.metrics)));
+  EXPECT_EQ(brick.num_records(), 13u);
+  EXPECT_EQ(brick.history(), history);
+  EXPECT_EQ(brick.history().version(), history.version());
+  EXPECT_EQ(rows(), before);
+
+  // A fresh plan installs: epoch 1's records go with the applied marker.
+  Staged fresh = plan_and_filter();
+  ASSERT_TRUE(fresh.plan.needed);
+  EXPECT_TRUE(brick.InstallCompaction(fresh.version, fresh.plan,
+                                      std::move(*fresh.bess),
+                                      std::move(fresh.metrics)));
+  EXPECT_EQ(brick.history().ToString(), "[3:0-3][4:4-6]");
+  EXPECT_EQ(rows(), std::vector(before.begin() + 6, before.end()));
 }
 
 TEST(BrickMapTest, EraseRemovesBrick) {

@@ -99,8 +99,7 @@ int Usage() {
       << "compile_commands.json (auto-detected at <root>/build/).\n"
       << "--program additionally merges all src/ files into a whole-program\n"
       << "model and runs the cross-TU passes (lock-cycle,\n"
-      << "hold-across-blocking, vis-cache-protocol, checker-hook-gate,\n"
-      << "ebr-guard).\n";
+      << "hold-across-blocking, vis-cache-protocol, checker-hook-gate).\n";
   return 2;
 }
 

@@ -125,25 +125,6 @@ std::set<int> CollectRelaxedComments(const std::string& raw) {
   return lines;
 }
 
-std::set<int> CollectEbrDeleterComments(const std::string& raw) {
-  // Assembled so this function never marks its own defining line when the
-  // linter lints itself.
-  const std::string key = std::string("ebr-") + "deleter";
-  std::set<int> lines;
-  std::istringstream in(raw);
-  std::string line_text;
-  int line = 0;
-  while (std::getline(in, line_text)) {
-    ++line;
-    const size_t comment = line_text.find("//");
-    if (comment == std::string::npos) continue;
-    if (line_text.find(key, comment) == std::string::npos) continue;
-    lines.insert(line);
-    if (line_text.find_first_not_of(" \t") == comment) lines.insert(line + 1);
-  }
-  return lines;
-}
-
 std::string FindDirective(const std::string& raw, const std::string& key) {
   const size_t pos = raw.find(key);
   if (pos == std::string::npos) return "";
@@ -171,7 +152,6 @@ bool LoadFile(const std::string& path, const std::string& rel_for_rules,
   out->cls = Classify(as.empty() ? rel_for_rules : as);
   out->waivers = CollectWaivers(raw);
   out->relaxed_lines = CollectRelaxedComments(raw);
-  out->ebr_deleter_lines = CollectEbrDeleterComments(raw);
   out->toks = Lex(StripCommentsAndStrings(raw));
   if (raw_out) *raw_out = std::move(raw);
   return true;
@@ -184,7 +164,6 @@ void LoadFromString(const std::string& content, const std::string& rel,
   out->cls = Classify(as.empty() ? rel : as);
   out->waivers = CollectWaivers(content);
   out->relaxed_lines = CollectRelaxedComments(content);
-  out->ebr_deleter_lines = CollectEbrDeleterComments(content);
   out->toks = Lex(StripCommentsAndStrings(content));
 }
 
@@ -646,54 +625,6 @@ FileModel ExtractModel(const SourceFile& f) {
     // Protocol-relevant identifiers.
     if (t.text == "VisKey" || t.text == "MakeKey") fn.viskey_tokens.push_back(i);
     if (t.text == "GetCheckerHook") fn.checker_get_tokens.push_back(i);
-    if (t.text == "Guard" && i >= 2 && toks[i - 1].text == "::" &&
-        toks[i - 2].text == "ebr") {
-      fn.ebr_guard_tokens.push_back(i);
-    }
-
-    // `delete expr` sites (for the ebr-guard reclamation rule). The pointee
-    // type is resolved from a static_cast or a declared local; marked
-    // lines are deleter bodies and exempt by construction.
-    if (t.text == "delete" && i > 0 && toks[i - 1].text != "=" &&
-        toks[i - 1].text != "operator" &&
-        !f.ebr_deleter_lines.count(t.line)) {
-      size_t j = i + 1;
-      if (j + 1 < toks.size() && toks[j].text == "[" &&
-          toks[j + 1].text == "]") {
-        j += 2;
-      }
-      FunctionModel::EbrDeleteSite site;
-      site.line = t.line;
-      site.tok_index = i;
-      if (j + 1 < toks.size() && toks[j].text == "static_cast" &&
-          toks[j + 1].text == "<") {
-        for (size_t k = j + 2; k < toks.size() && toks[k].text != ">"; ++k) {
-          if (toks[k].text == ";") break;
-          if (toks[k].kind == TokKind::kIdent &&
-              std::isupper(static_cast<unsigned char>(toks[k].text[0]))) {
-            site.type = toks[k].text;
-            break;
-          }
-        }
-      } else if (j + 1 < toks.size() && toks[j].kind == TokKind::kIdent &&
-                 toks[j + 1].text == ";") {
-        auto lt = fn.local_types.find(toks[j].text);
-        if (lt != fn.local_types.end()) site.type = lt->second;
-      }
-      fn.ebr_deletes.push_back(std::move(site));
-      continue;
-    }
-    // `free(ptr)` of a typed local — same reclamation-discipline concern.
-    if (t.text == "free" && i + 3 < toks.size() && toks[i + 1].text == "(" &&
-        toks[i + 2].kind == TokKind::kIdent && toks[i + 3].text == ")" &&
-        !f.ebr_deleter_lines.count(t.line)) {
-      FunctionModel::EbrDeleteSite site;
-      site.line = t.line;
-      site.tok_index = i;
-      auto lt = fn.local_types.find(toks[i + 2].text);
-      if (lt != fn.local_types.end()) site.type = lt->second;
-      fn.ebr_deletes.push_back(std::move(site));
-    }
 
     // Call sites.
     if (i + 1 < toks.size() && toks[i + 1].text == "(" &&

@@ -80,10 +80,6 @@ struct SourceFile {
   std::map<int, std::set<std::string>> waivers;
   // Lines carrying (or covered by) a '// relaxed: <why>' justification.
   std::set<int> relaxed_lines;
-  // Lines carrying (or covered by) an '// ebr-deleter' marker: a delete of
-  // a retire-managed type here runs inside an EBR deleter (or at another
-  // provably safe point) and is exempt from the ebr-guard rule.
-  std::set<int> ebr_deleter_lines;
 
   // True when `line` carries a waiver for `rule` (or for "*").
   bool Waived(int line, const std::string& rule) const;
@@ -95,10 +91,6 @@ std::map<int, std::set<std::string>> CollectWaivers(const std::string& raw);
 // Scans raw (pre-strip) content for '// relaxed: <why>' justification
 // comments. Like waivers, a comment-only line also covers the next line.
 std::set<int> CollectRelaxedComments(const std::string& raw);
-
-// Scans raw (pre-strip) content for '// ebr-deleter' marker comments.
-// Same line-coverage semantics as the relaxed justifications.
-std::set<int> CollectEbrDeleterComments(const std::string& raw);
 
 // First value following `key` in the raw text (fixture directives).
 std::string FindDirective(const std::string& raw, const std::string& key);
@@ -167,19 +159,6 @@ struct FunctionModel {
   // the vis-cache and checker-hook state machines.
   std::vector<size_t> viskey_tokens;        // VisKey / MakeKey
   std::vector<size_t> checker_get_tokens;   // GetCheckerHook
-  // Token indices of ebr::Guard declarations: EBR-protected reads after
-  // one of these run under a live pin.
-  std::vector<size_t> ebr_guard_tokens;
-
-  // A `delete expr` / `free(ptr)` site with the best-known pointee type
-  // ("" when the expression's type could not be resolved). Sites on
-  // '// ebr-deleter'-marked lines are not recorded.
-  struct EbrDeleteSite {
-    int line = 0;
-    size_t tok_index = 0;
-    std::string type;
-  };
-  std::vector<EbrDeleteSite> ebr_deletes;
 };
 
 struct FileModel {

@@ -617,67 +617,12 @@ std::vector<Finding> CheckCheckerHookGate(const ProgramModel& pm) {
   return findings;
 }
 
-// ---------------------------------------------------------------------------
-// Pass 5: EBR reclamation discipline
-// ---------------------------------------------------------------------------
-
-std::vector<Finding> CheckEbrGuard(const ProgramModel& pm) {
-  // Member calls returning pointers that stay valid only while the calling
-  // thread's ebr::Guard is live (common/ebr.h safety contract): concurrent
-  // purge's off-shard read of a brick's history.
-  static const std::set<std::string> kProtectedReads = {"PinnedSnapshot"};
-  // Types that die through ebr::Retire deleters: a raw delete/free of one
-  // of these frees memory a pinned reader may still be traversing. Mirrors
-  // the RetireDelete call sites (EpochVector Rep, BrickMap::Erase's Brick).
-  static const std::set<std::string> kRetireManaged = {"Rep", "Brick"};
-  std::vector<Finding> findings;
-  for (const FileModel& fm : pm.files()) {
-    const std::string& rel = fm.cls.rel;
-    if (rel.rfind("src/", 0) != 0) continue;
-    // The collector itself and the EBR-protected structure's own
-    // implementation are the protocol, not its users.
-    const bool ebr_impl = rel.rfind("src/common/ebr", 0) == 0 ||
-                          rel.rfind("src/aosi/epoch_vector", 0) == 0;
-    if (ebr_impl) continue;
-    for (const FunctionModel& fn : fm.functions) {
-      for (const CallSite& c : fn.calls) {
-        if (!c.member_call || !kProtectedReads.count(c.name)) continue;
-        const bool guarded = std::any_of(
-            fn.ebr_guard_tokens.begin(), fn.ebr_guard_tokens.end(),
-            [&](size_t idx) { return idx < c.tok_index; });
-        if (guarded) continue;
-        if (fm.Waived(c.line, "ebr-guard")) continue;
-        findings.push_back(
-            {fn.file, c.line, "ebr-guard",
-             fn.Qualified() + " calls " + c.name + "() without a "
-             "dominating ebr::Guard in the same function; the returned "
-             "pointer is EBR-protected and may be reclaimed the moment "
-             "no pin covers it (common/ebr.h safety contract)",
-             {}});
-      }
-      for (const FunctionModel::EbrDeleteSite& d : fn.ebr_deletes) {
-        if (!kRetireManaged.count(d.type)) continue;
-        if (fm.Waived(d.line, "ebr-guard")) continue;
-        findings.push_back(
-            {fn.file, d.line, "ebr-guard",
-             fn.Qualified() + " deletes retire-managed type '" + d.type +
-                 "' directly; route it through ebr::Retire/RetireDelete (a "
-                 "pinned reader may still hold the pointer), or mark a "
-                 "provably-safe free with the EBR deleter comment",
-             {}});
-      }
-    }
-  }
-  return findings;
-}
-
 std::vector<Finding> RunProgramPasses(const ProgramModel& pm) {
   std::vector<Finding> findings;
   for (auto&& f : CheckLockCycles(pm)) findings.push_back(std::move(f));
   for (auto&& f : CheckHoldAcrossBlocking(pm)) findings.push_back(std::move(f));
   for (auto&& f : CheckVisCacheProtocol(pm)) findings.push_back(std::move(f));
   for (auto&& f : CheckCheckerHookGate(pm)) findings.push_back(std::move(f));
-  for (auto&& f : CheckEbrGuard(pm)) findings.push_back(std::move(f));
   return findings;
 }
 

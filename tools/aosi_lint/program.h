@@ -5,7 +5,7 @@
 // lock acquired in cluster.cc resolves against the member declared in
 // cluster.h), REQUIRES annotations from in-class declarations are applied
 // to out-of-line definitions, and a name-based call graph with class
-// scoping is built. Five passes then run over the merged model:
+// scoping is built. Four passes then run over the merged model:
 //
 //   lock-cycle            directed lock-order graph (edge A->B when B is
 //                         acquired — directly or through any call depth —
@@ -25,13 +25,6 @@
 //                         are only invoked behind the GetCheckerHook()
 //                         enabled-load in the same function, keeping the
 //                         hooks-off cost to one relaxed load
-//   ebr-guard             reclamation discipline (common/ebr.h): a call
-//                         returning EBR-protected pointers (EpochVector
-//                         ::PinnedSnapshot) must be dominated by an
-//                         ebr::Guard declaration in the same function, and
-//                         `delete`/`free` of a retire-managed type (Rep,
-//                         Brick) is only legal on a line marked as an EBR
-//                         deleter
 //
 // See docs/STATIC_ANALYSIS.md ("Program-level analyses").
 
@@ -89,7 +82,7 @@ class ProgramModel {
   std::vector<const FunctionModel*> empty_;
 };
 
-// Runs all five program passes; waived findings are already filtered out.
+// Runs all four program passes; waived findings are already filtered out.
 std::vector<Finding> RunProgramPasses(const ProgramModel& pm);
 
 // Individual passes (exposed for unit tests).
@@ -97,6 +90,5 @@ std::vector<Finding> CheckLockCycles(const ProgramModel& pm);
 std::vector<Finding> CheckHoldAcrossBlocking(const ProgramModel& pm);
 std::vector<Finding> CheckVisCacheProtocol(const ProgramModel& pm);
 std::vector<Finding> CheckCheckerHookGate(const ProgramModel& pm);
-std::vector<Finding> CheckEbrGuard(const ProgramModel& pm);
 
 }  // namespace aosilint

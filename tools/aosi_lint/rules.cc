@@ -62,14 +62,6 @@ const std::vector<RuleInfo>& Rules() {
        "RecordDelete/InstallRebuilt) clears the brick's visibility cache "
        "before returning",
        true},
-      {"ebr-guard",
-       "EBR reclamation discipline (common/ebr.h): a call returning "
-       "EBR-protected pointers (EpochVector::PinnedSnapshot) must be "
-       "dominated by an ebr::Guard declaration in the same function, and "
-       "delete/free of a retire-managed type (EpochVector Rep, Brick) is "
-       "only legal on a line marked as an EBR deleter — anything else can "
-       "free memory a pinned reader still holds",
-       true},
       {"checker-hook-gate",
        "checker-hook methods (OnBegin, OnFinish, OnScanObservation, ...) may "
        "only be invoked behind a dominating GetCheckerHook() enabled-load in "
