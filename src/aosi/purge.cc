@@ -79,28 +79,23 @@ CompactionPlan PlanDropRuns(const EpochVector& history, DropFn drop) {
 
 }  // namespace
 
-CompactionPlan PlanPurge(const EpochVector& history, Epoch lse) {
-  const std::vector<EpochRun> runs = history.Decode();
+bool HasPurgeWork(const EpochVector& history, Epoch lse) {
+  const std::vector<EpochEntry>& entries = history.entries();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const EpochEntry& e = entries[i];
+    if (!HappensBefore(e.epoch, lse)) continue;
+    if (e.is_delete()) return true;
+    if (i + 1 < entries.size() && !entries[i + 1].is_delete() &&
+        HappensBefore(entries[i + 1].epoch, lse)) {
+      return true;
+    }
+  }
+  return false;
+}
 
-  // Decide whether any work is needed: an applicable delete (epoch < lse) or
-  // recyclable history (two adjacent mergeable append runs < lse).
-  bool has_applicable_delete = false;
-  for (const auto& run : runs) {
-    if (run.is_delete && HappensBefore(run.epoch, lse)) {
-      has_applicable_delete = true;
-      break;
-    }
-  }
-  bool has_mergeable = false;
-  for (size_t i = 0; i + 1 < runs.size(); ++i) {
-    if (!runs[i].is_delete && !runs[i + 1].is_delete &&
-        HappensBefore(runs[i].epoch, lse) &&
-        HappensBefore(runs[i + 1].epoch, lse)) {
-      has_mergeable = true;
-      break;
-    }
-  }
-  if (!has_applicable_delete && !has_mergeable) return CompactionPlan{};
+CompactionPlan PlanPurge(const EpochVector& history, Epoch lse) {
+  if (!HasPurgeWork(history, lse)) return CompactionPlan{};
+  const std::vector<EpochRun> runs = history.Decode();
 
   // Compute surviving records: start from all-kept, then apply every delete
   // marker with epoch < lse using exactly the visibility cleanup rule —

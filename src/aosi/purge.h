@@ -30,6 +30,11 @@ struct CompactionPlan {
   EpochVector new_history;
 };
 
+/// Whether a purge at `lse` has work in `history`: a delete marker with
+/// epoch < lse to apply, or two adjacent append runs with epochs < lse to
+/// merge. PlanPurge plans exactly when this holds.
+bool HasPurgeWork(const EpochVector& history, Epoch lse);
+
 /// Plans a purge of `history` at `lse`.
 ///
 /// Rules:

@@ -244,17 +244,22 @@ PurgeStats Table::Purge(aosi::Epoch lse) {
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
 
-    // Op 1 (O(bricks)): take shared handles to the shard's bricks. Another
-    // round may erase one of them before this round reaches it; the handle
-    // keeps it alive, so later ops touch only the object planned against,
-    // never a brick created since under the same bid.
+    // Op 1 (O(history entries)): take shared handles to the shard's
+    // bricks that have work at `lse`, by PlanPurge's own predicate. A brick
+    // left out is left untouched, which is always correct; work that
+    // appears after this op waits for the next round. Another round may
+    // erase a brick before this round reaches it; the handle keeps it
+    // alive, so later ops touch only the object planned against, never a
+    // brick created since under the same bid.
     std::vector<std::shared_ptr<Brick>> shard_bricks;
-    timed(shard, [&shard_bricks](BrickMap& bricks) {
-      shard_bricks = bricks.Handles();
+    timed(shard, [&](BrickMap& bricks) {
+      total.bricks_examined += bricks.size();
+      shard_bricks = bricks.Handles([lse](const Brick& brick) {
+        return aosi::HasPurgeWork(brick.history(), lse);
+      });
     });
 
     for (const std::shared_ptr<Brick>& brick : shard_bricks) {
-      ++total.bricks_examined;
       // Bounded replan loop: a mutation between plan and install refuses
       // the install; purge is periodic, so after a few refusals the brick
       // simply waits for the next round.

@@ -150,11 +150,12 @@ class Table {
       const MaterializeOptions& options = {});
 
   /// Runs the purge procedure (§III-C4) over every brick at `lse` as a
-  /// pipeline of short shard ops: one op plans a brick and copies its
-  /// columns, the rows are filtered off the shard against the copies, and
-  /// a later op installs the result unless the brick's history moved in
-  /// between. Scans interleave with the purge, and `aosi.purge.pause_us`
-  /// records only the shard ops (DESIGN.md §4d).
+  /// pipeline of short shard ops: one op per shard picks the bricks with
+  /// work, one op plans such a brick and copies its columns, the rows are
+  /// filtered off the shard against the copies, and a later op installs
+  /// the result unless the brick's history moved in between. Scans
+  /// interleave with the purge, and `aosi.purge.pause_us` records only the
+  /// shard ops (DESIGN.md §4d).
   PurgeStats Purge(aosi::Epoch lse);
 
   /// Physically removes every append/delete made by `victim` (§III-C5).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <memory>
 #include <string_view>
 
 #include "common/thread_pool.h"
@@ -14,12 +13,7 @@ namespace cubrick {
 
 namespace {
 
-/// Column indexes (dims then metrics) that are dictionary-encoded, plus
-/// the snapshots acquired for the current phase, indexed by column. Each
-/// worker holds its own share of every snapshot for as long as it reads it.
-using DictSnaps =
-    std::vector<std::shared_ptr<const StringDictionary::DictSnapshot>>;
-
+/// Column indexes (dims then metrics) that are dictionary-encoded.
 std::vector<size_t> StringColumns(const CubeSchema& schema) {
   std::vector<size_t> cols;
   for (size_t d = 0; d < schema.num_dimensions(); ++d) {
@@ -33,53 +27,71 @@ std::vector<size_t> StringColumns(const CubeSchema& schema) {
   return cols;
 }
 
-DictSnaps AcquireSnaps(const CubeSchema& schema,
-                       const std::vector<size_t>& string_cols) {
-  DictSnaps snaps(schema.num_columns());
-  for (size_t c : string_cols) {
-    snaps[c] = schema.dictionary(c)->AcquireSnapshot();
-  }
-  return snaps;
-}
+/// One string column's ids for the load: phase 1 fills `found`, phase 2
+/// `misses` and `miss_ids`, and phase 3 only reads them.
+struct ColumnIds {
+  /// Indexed by record: the id phase 1's lookup found, or kMissing.
+  std::vector<uint64_t> found;
+  /// The load's values the lookup missed, sorted and deduplicated, and the
+  /// id the batch insert returned for each.
+  std::vector<std::string_view> misses;
+  std::vector<uint64_t> miss_ids;
 
-/// Phase 1 of the two-phase dictionary encode: walk [begin, end) and
-/// collect, per string column, every type-correct value the snapshot does
-/// not know. Records with the wrong arity contribute nothing (they cannot
-/// be accepted later). `misses` is indexed by column; `hits` counts
-/// snapshot hits for the ingest.dict_snapshot_hits metric.
-void CollectDictMisses(const CubeSchema& schema,
-                       const std::vector<Record>& records, size_t begin,
-                       size_t end, const std::vector<size_t>& string_cols,
-                       std::vector<std::vector<std::string>>* misses,
-                       uint64_t* hits) {
-  const DictSnaps snaps = AcquireSnaps(schema, string_cols);
+  /// The id of `value`, record `i`'s string, which phase 1 looked up.
+  uint64_t IdOf(size_t i, std::string_view value) const {
+    if (found[i] != StringDictionary::kMissing) return found[i];
+    const auto it = std::lower_bound(misses.begin(), misses.end(), value);
+    return miss_ids[it - misses.begin()];
+  }
+};
+
+/// Phase 1 of the two-phase dictionary encode: per string column, looks up
+/// every type-correct value of records [begin, end) in one locked batch,
+/// keeps each id found at its record, and collects the values the
+/// dictionary lacks. Records with the wrong arity contribute nothing (they
+/// cannot be accepted later). `misses` is indexed by column; `hits` counts
+/// the values found, for the ingest.dict_snapshot_hits metric.
+void LookUpStrings(const CubeSchema& schema,
+                   const std::vector<Record>& records, size_t begin,
+                   size_t end, const std::vector<size_t>& string_cols,
+                   std::vector<ColumnIds>* ids,
+                   std::vector<std::vector<std::string_view>>* misses,
+                   uint64_t* hits) {
   const size_t arity = schema.num_columns();
   uint64_t local_hits = 0;
-  for (size_t i = begin; i < end; ++i) {
-    const Record& record = records[i];
-    if (record.values.size() != arity) continue;
-    for (size_t c : string_cols) {
-      const Value& value = record.values[c];
-      if (!value.is_string()) continue;
-      uint64_t id = 0;
-      if (snaps[c]->Find(value.as_string(), &id)) {
-        ++local_hits;
+  std::vector<std::string_view> values;
+  std::vector<size_t> rows;
+  for (size_t c : string_cols) {
+    values.clear();
+    rows.clear();
+    for (size_t i = begin; i < end; ++i) {
+      const Record& record = records[i];
+      if (record.values.size() != arity || !record.values[c].is_string()) {
+        continue;
+      }
+      values.push_back(record.values[c].as_string());
+      rows.push_back(i);
+    }
+    const std::vector<uint64_t> found = schema.dictionary(c)->Lookup(values);
+    std::vector<uint64_t>& column = (*ids)[c].found;
+    for (size_t k = 0; k < rows.size(); ++k) {
+      column[rows[k]] = found[k];
+      if (found[k] == StringDictionary::kMissing) {
+        (*misses)[c].push_back(values[k]);
       } else {
-        (*misses)[c].push_back(value.as_string());
+        ++local_hits;
       }
     }
   }
   *hits += local_hits;
 }
 
-/// Encodes one dimension value to its coordinate, validating cardinality.
-/// String dimensions resolve through the phase-1/2 snapshot (every string
-/// of an acceptable record is present after the batch insert); the
-/// EncodeOrAdd fallback only fires when a concurrent load raced a fresh
-/// snapshot in, and cannot change ids (the string is already assigned).
+/// Encodes record `i`'s value of dimension `dim` to its coordinate,
+/// validating cardinality. String dimensions take the id phases 1 and 2
+/// kept for the record.
 Result<uint64_t> EncodeDimension(const CubeSchema& schema,
-                                 const DictSnaps& snaps, size_t dim,
-                                 const Value& value) {
+                                 const std::vector<ColumnIds>& ids,
+                                 size_t dim, size_t i, const Value& value) {
   const DimensionDef& def = schema.dimensions()[dim];
   uint64_t coord = 0;
   if (def.is_string) {
@@ -87,9 +99,7 @@ Result<uint64_t> EncodeDimension(const CubeSchema& schema,
       return Status::InvalidArgument("dimension '" + def.name +
                                      "' expects a string");
     }
-    if (!snaps[dim]->Find(value.as_string(), &coord)) {
-      coord = schema.dictionary(dim)->EncodeOrAdd(value.as_string());
-    }
+    coord = ids[dim].IdOf(i, value.as_string());
   } else {
     if (!value.is_int64()) {
       return Status::InvalidArgument("dimension '" + def.name +
@@ -150,13 +160,12 @@ struct Staging {
 
 /// One worker's share of the encode phase: validates and encodes records
 /// [begin, end) into their staging rows. Deterministic by construction —
-/// it only reads the shared snapshots — so the staging rows, counts and
-/// diagnostics are the same at any fan-out.
+/// it only reads the ids phases 1 and 2 kept, never a dictionary — so the
+/// staging rows, counts and diagnostics are the same at any fan-out.
 void EncodeMorsel(const CubeSchema& schema, const std::vector<Record>& records,
                   size_t begin, size_t end, const ParseOptions& options,
-                  const std::vector<size_t>& string_cols, Staging* staging,
+                  const std::vector<ColumnIds>& ids, Staging* staging,
                   MorselOutput* out) {
-  const DictSnaps snaps = AcquireSnaps(schema, string_cols);
   const size_t num_dims = schema.num_dimensions();
   const size_t num_metrics = schema.num_metrics();
   std::vector<uint64_t> coords(num_dims);
@@ -167,7 +176,7 @@ void EncodeMorsel(const CubeSchema& schema, const std::vector<Record>& records,
       record_status = Status::InvalidArgument("wrong number of columns");
     }
     for (size_t d = 0; record_status.ok() && d < num_dims; ++d) {
-      auto coord = EncodeDimension(schema, snaps, d, record.values[d]);
+      auto coord = EncodeDimension(schema, ids, d, i, record.values[d]);
       if (!coord.ok()) {
         record_status = coord.status();
         break;
@@ -221,15 +230,10 @@ void EncodeMorsel(const CubeSchema& schema, const std::vector<Record>& records,
         case DataType::kDouble:
           staging->metric_doubles[m][i] = v.ToDouble().value();
           break;
-        case DataType::kString: {
-          const size_t c = num_dims + m;
-          uint64_t id = 0;
-          if (!snaps[c]->Find(v.as_string(), &id)) {
-            id = schema.dictionary(c)->EncodeOrAdd(v.as_string());
-          }
-          staging->metric_ints[m][i] = static_cast<int64_t>(id);
+        case DataType::kString:
+          staging->metric_ints[m][i] =
+              static_cast<int64_t>(ids[num_dims + m].IdOf(i, v.as_string()));
           break;
-        }
       }
     }
     ++out->accepted;
@@ -315,9 +319,9 @@ Result<ParseOutput> ParseRecords(const CubeSchema& schema,
   static obs::Counter* accepted = reg.GetCounter("ingest.records_accepted");
   static obs::Counter* rejected = reg.GetCounter("ingest.records_rejected");
   static obs::Counter* batches = reg.GetCounter("ingest.batches_total");
-  static obs::Counter* snapshot_hits =
+  static obs::Counter* lookup_hits =
       reg.GetCounter("ingest.dict_snapshot_hits");
-  static obs::Counter* batch_misses =
+  static obs::Counter* strings_added =
       reg.GetCounter("ingest.dict_batch_misses");
   static obs::Histogram* parse_us = reg.GetHistogram("ingest.parse_us");
   obs::ObsSpan span(parse_us);
@@ -326,15 +330,18 @@ Result<ParseOutput> ParseRecords(const CubeSchema& schema,
   const auto morsels = PlanIngestMorsels(records.size(), parallelism);
   const size_t num_morsels = morsels.size();
 
-  // Phase 1: every morsel collects the strings its snapshot does not know.
-  std::vector<std::vector<std::vector<std::string>>> misses(
+  // Phase 1: every morsel looks its strings up, one locked batch per
+  // string column, and keeps the ids found.
+  std::vector<ColumnIds> ids(schema.num_columns());
+  for (size_t c : string_cols) ids[c].found.resize(records.size());
+  std::vector<std::vector<std::vector<std::string_view>>> misses(
       num_morsels,
-      std::vector<std::vector<std::string>>(schema.num_columns()));
+      std::vector<std::vector<std::string_view>>(schema.num_columns()));
   std::vector<uint64_t> hits(num_morsels, 0);
   if (!string_cols.empty()) {
     ForEachMorsel(num_morsels, [&](size_t m) {
-      CollectDictMisses(schema, records, morsels[m].first, morsels[m].second,
-                        string_cols, &misses[m], &hits[m]);
+      LookUpStrings(schema, records, morsels[m].first, morsels[m].second,
+                    string_cols, &ids, &misses[m], &hits[m]);
     });
   }
 
@@ -343,30 +350,30 @@ Result<ParseOutput> ParseRecords(const CubeSchema& schema,
   // dictionary's prior state and the *set* of new strings, never on record
   // order or chunking (serial replay assigns identical ids).
   uint64_t total_hits = 0;
-  uint64_t total_batch_misses = 0;
+  uint64_t total_added = 0;
   for (uint64_t h : hits) total_hits += h;
   for (size_t c : string_cols) {
-    std::vector<std::string> merged;
+    std::vector<std::string_view>& merged = ids[c].misses;
     for (size_t m = 0; m < num_morsels; ++m) {
-      auto& part = misses[m][c];
-      merged.insert(merged.end(), std::make_move_iterator(part.begin()),
-                    std::make_move_iterator(part.end()));
+      merged.insert(merged.end(), misses[m][c].begin(), misses[m][c].end());
     }
     if (merged.empty()) continue;
     std::sort(merged.begin(), merged.end());
     merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    total_batch_misses += schema.dictionary(c)->InsertSortedBatch(merged);
+    size_t added = 0;
+    ids[c].miss_ids = schema.dictionary(c)->InsertSorted(merged, &added);
+    total_added += added;
   }
-  snapshot_hits->Add(total_hits);
-  batch_misses->Add(total_batch_misses);
+  lookup_hits->Add(total_hits);
+  strings_added->Add(total_added);
 
-  // Phase 3: morsel-parallel validate + encode against the post-insert
-  // snapshots, each morsel into its own records' staging rows.
+  // Phase 3: morsel-parallel validate + encode from the kept ids, each
+  // morsel into its own records' staging rows.
   Staging staging(schema, records.size());
   std::vector<MorselOutput> outputs(num_morsels);
   ForEachMorsel(num_morsels, [&](size_t m) {
     EncodeMorsel(schema, records, morsels[m].first, morsels[m].second,
-                 options, string_cols, &staging, &outputs[m]);
+                 options, ids, &staging, &outputs[m]);
   });
 
   MorselOutput total;

@@ -64,11 +64,12 @@ struct ParseOutput {
 /// Returns InvalidArgument when rejected > options.max_rejected (batch
 /// discarded).
 /// String dimension/metric values are encoded through the schema's
-/// dictionaries via the two-phase scheme (DESIGN.md §4f): a lock-free
-/// lookup pass against each dictionary's immutable snapshot, then one
-/// deterministic sorted batch insert of the misses. Ids therefore depend
-/// only on the dictionaries' prior state and the set of new strings —
-/// never on record order within the batch or on `parallelism`.
+/// dictionaries via the two-phase scheme (DESIGN.md §4f): each morsel looks
+/// its values up in one locked batch per dictionary and keeps the ids
+/// found, then one deterministic sorted batch insert per dictionary gives
+/// the misses theirs. Ids therefore depend only on the dictionaries' prior
+/// state and the set of new strings — never on record order within the
+/// batch or on `parallelism`.
 ///
 /// `parallelism` > 1 chunks the record vector into at most `parallelism`
 /// morsels of at least kMinMorselRecords records each, fanned out on

@@ -44,14 +44,16 @@ class BrickMap {
   /// taken earlier keeps the unlinked brick alive until it is dropped.
   void Erase(Bid bid) { bricks_.erase(bid); }
 
-  /// Shared handles to every brick. Purge takes them in one shard op and
-  /// works on them in later ones: a brick that another op erases in
-  /// between stays alive, unlinked, so the round never touches a brick
-  /// created since under the same bid.
-  std::vector<std::shared_ptr<Brick>> Handles() {
+  /// Shared handles to the bricks `select` picks. Purge takes them in one
+  /// shard op and works on them in later ones: a brick that another op
+  /// erases in between stays alive, unlinked, so the round never touches a
+  /// brick created since under the same bid.
+  template <typename Select>
+  std::vector<std::shared_ptr<Brick>> Handles(Select&& select) {
     std::vector<std::shared_ptr<Brick>> handles;
-    handles.reserve(bricks_.size());
-    for (const auto& [bid, brick] : bricks_) handles.push_back(brick);
+    for (const auto& [bid, brick] : bricks_) {
+      if (select(*brick)) handles.push_back(brick);
+    }
     return handles;
   }
 

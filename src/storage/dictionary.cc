@@ -4,18 +4,18 @@
 
 namespace cubrick {
 
+uint64_t StringDictionary::AddLocked(std::string_view value) {
+  const uint64_t id = strings_.size();
+  strings_.emplace_back(value);
+  to_id_.emplace(strings_.back(), id);
+  return id;
+}
+
 uint64_t StringDictionary::EncodeOrAdd(const std::string& value) {
   MutexLock lock(mutex_);
   auto it = to_id_.find(value);
   if (it != to_id_.end()) return it->second;
-  const uint64_t id = to_string_.size();
-  to_string_.push_back(value);
-  to_id_.emplace(value, id);
-  // Lazy invalidation: the next AcquireSnapshot() rebuilds. Keeping the
-  // single-insert path O(1) matters because recovery replays dictionaries
-  // entry by entry through here.
-  snapshot_.reset();
-  return id;
+  return AddLocked(value);
 }
 
 Result<uint64_t> StringDictionary::Encode(const std::string& value) const {
@@ -29,63 +29,44 @@ Result<uint64_t> StringDictionary::Encode(const std::string& value) const {
 
 Result<std::string> StringDictionary::Decode(uint64_t id) const {
   MutexLock lock(mutex_);
-  if (id >= to_string_.size()) {
+  if (id >= strings_.size()) {
     return Status::OutOfRange("dictionary id out of range: " +
                               std::to_string(id));
   }
-  return to_string_[id];
+  return strings_[id];
 }
 
-std::shared_ptr<const StringDictionary::DictSnapshot>
-StringDictionary::AcquireSnapshot() const {
+std::vector<uint64_t> StringDictionary::Lookup(
+    const std::vector<std::string_view>& values) const {
+  std::vector<uint64_t> ids(values.size());
   MutexLock lock(mutex_);
-  if (snapshot_ == nullptr) snapshot_ = BuildSnapshotLocked();
-  return snapshot_;
+  for (size_t k = 0; k < values.size(); ++k) {
+    auto it = to_id_.find(values[k]);
+    ids[k] = it == to_id_.end() ? kMissing : it->second;
+  }
+  return ids;
 }
 
-std::shared_ptr<const StringDictionary::DictSnapshot>
-StringDictionary::BuildSnapshotLocked() const {
-  auto fresh = std::make_shared<DictSnapshot>();
-  fresh->to_id = to_id_;
-  return fresh;
-}
-
-size_t StringDictionary::InsertSortedBatch(
-    const std::vector<std::string>& sorted_misses) {
-  if (sorted_misses.empty()) return 0;
+std::vector<uint64_t> StringDictionary::InsertSorted(
+    const std::vector<std::string_view>& sorted, size_t* added) {
+  std::vector<uint64_t> ids(sorted.size());
+  *added = 0;
   MutexLock lock(mutex_);
-  size_t inserted = 0;
-  for (const std::string& value : sorted_misses) {
-    if (to_id_.count(value) > 0) continue;
-    const uint64_t id = to_string_.size();
-    to_string_.push_back(value);
-    to_id_.emplace(value, id);
-    ++inserted;
+  for (size_t k = 0; k < sorted.size(); ++k) {
+    auto it = to_id_.find(sorted[k]);
+    if (it != to_id_.end()) {
+      ids[k] = it->second;
+    } else {
+      ids[k] = AddLocked(sorted[k]);
+      ++*added;
+    }
   }
-  if (inserted > 0) {
-    // Eager rebuild: the encode phase that follows a batch insert
-    // re-acquires immediately, so building the snapshot here (once, under
-    // the same lock hold) beats every worker queueing to rebuild it.
-    snapshot_ = BuildSnapshotLocked();
-  }
-  return inserted;
+  return ids;
 }
 
 size_t StringDictionary::size() const {
   MutexLock lock(mutex_);
-  return to_string_.size();
-}
-
-size_t StringDictionary::MemoryUsage() const {
-  MutexLock lock(mutex_);
-  size_t bytes = 0;
-  for (const auto& s : to_string_) {
-    // Counted twice: once in the vector, once as a map key.
-    bytes += 2 * (s.capacity() + sizeof(std::string));
-    bytes += sizeof(uint64_t) + sizeof(void*);  // map payload + bucket link
-  }
-  bytes += to_string_.capacity() * sizeof(std::string);
-  return bytes;
+  return strings_.size();
 }
 
 }  // namespace cubrick

@@ -182,8 +182,8 @@ TEST(EngineInstrumentsTest, WorkloadDrivesEveryListedInstrument) {
     Database db(options);
     ASSERT_TRUE(MakeCube(&db).ok());
     Random rng(11);
-    // The second load re-encodes regions the first one inserted, so it
-    // takes the dictionary snapshot fast path.
+    // The second load re-encodes regions the first one inserted, so its
+    // dictionary lookups find them.
     ASSERT_TRUE(db.Load("c", Rows(&rng, 8000)).ok());
     ASSERT_TRUE(db.Load("c", Rows(&rng, 8000)).ok());
 

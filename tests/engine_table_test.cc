@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "ingest/parser.h"
+#include "obs/metrics.h"
 
 namespace cubrick {
 namespace {
@@ -148,6 +149,45 @@ TEST_P(TableTest, PurgeErasesFullyDeadBricks) {
   EXPECT_EQ(stats.bricks_erased, 2u);
   EXPECT_EQ(table.NumBricks(), 0u);
   EXPECT_EQ(table.TotalRecords(), 0u);
+}
+
+TEST_P(TableTest, PurgeRunsPerBrickOpsOnlyForBricksWithWork) {
+  const auto pause_samples = [] {
+    return obs::MetricsRegistry::Global()
+        .GetHistogram("aosi.purge.pause_us")
+        ->Read()
+        .count;
+  };
+  auto schema = MakeSchema();
+  constexpr size_t kShards = 4;
+  Table table(schema, kShards, threaded());
+  // Eight bricks of one append run each, and a second run on brick 0 at
+  // epoch 3: at LSE 3 no brick has a delete marker or two adjacent runs
+  // below the LSE.
+  std::vector<std::array<int64_t, 3>> rows;
+  for (int64_t region = 0; region < 16; region += 2) {
+    rows.push_back({region, 0, 1});
+  }
+  ASSERT_TRUE(table.Append(1, Batches(*schema, rows)).ok());
+  ASSERT_TRUE(table.Append(3, Batches(*schema, {{0, 0, 1}})).ok());
+  const size_t bricks = table.NumBricks();
+  ASSERT_EQ(bricks, 8u);
+
+  // Only each shard's first and last op run.
+  uint64_t before = pause_samples();
+  PurgeStats stats = table.Purge(/*lse=*/3);
+  EXPECT_EQ(pause_samples() - before, 2 * kShards);
+  EXPECT_EQ(stats.bricks_examined, bricks);
+  EXPECT_EQ(stats.bricks_rewritten, 0u);
+
+  // At LSE 4 brick 0's two runs merge: its plan op and its install op.
+  before = pause_samples();
+  stats = table.Purge(/*lse=*/4);
+  EXPECT_EQ(pause_samples() - before, 2 * kShards + 2);
+  EXPECT_EQ(stats.bricks_examined, bricks);
+  EXPECT_EQ(stats.bricks_rewritten, 1u);
+  auto result = table.Scan(Snap(4), ScanMode::kSnapshotIsolation, SumQuery());
+  EXPECT_DOUBLE_EQ(result.Single(0, AggSpec::Fn::kSum), 9.0);
 }
 
 TEST_P(TableTest, RollbackRemovesVictimAcrossShards) {

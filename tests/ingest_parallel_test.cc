@@ -5,6 +5,9 @@
 // regardless of fan-out. Every parallel side moves pool.tasks_total, so
 // each comparison is against a real fan-out.
 
+#include <atomic>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,7 +30,7 @@ constexpr size_t kManyRecords = 4 * kMinMorselRecords;
 constexpr size_t kFanOut13Records = 13 * kMinMorselRecords;
 
 /// Tasks submitted to the shared pool so far. A parse of k > 1 morsels
-/// submits k per phase: the dictionary-miss phase (only with a string
+/// submits k per phase: the dictionary lookup phase (only with a string
 /// column) and the encode phase.
 uint64_t PoolTasks() {
   return obs::MetricsRegistry::Global().GetCounter("pool.tasks_total")->Value();
@@ -342,6 +345,103 @@ TEST(IngestParallelTest, DatabaseLoadEquivalentAcrossParallelism) {
 // Eight loaders call Append at once on threaded shards, so a shard's drain
 // op can pick up several staged requests (group appends). The name is kept
 // from the former asynchronous append flavour, now folded into Append.
+TEST(IngestParallelTest, ConcurrentStringLoadsShareOneDictionary) {
+  // Four threads load overlapping sets of known and new strings into one
+  // string dimension at once, on threaded shards; at fan-out 4 each load's
+  // two morsels race as well. A load's lookup and its insert take the
+  // dictionary lock separately, so another load can add a string between
+  // them, and the insert must then return the id that load gave it.
+  constexpr size_t kThreads = 4;
+  constexpr size_t kLoads = 32;
+  constexpr size_t kRecordsPerLoad = 2 * kMinMorselRecords;
+  constexpr size_t kKnown = 32;
+  constexpr size_t kNewPerLoad = 16;
+  // Load k carries a known string in its even records and one of new-k to
+  // new-(k + 15) in its odd ones, so any two loads less than 16 apart, as
+  // concurrent loads are, bring mostly the same new strings.
+  const auto region = [](size_t k, size_t i) {
+    if (i % 2 == 0) return "known-" + std::to_string((i / 2 + k) % kKnown);
+    return "new-" + std::to_string(k + i / 2 % kNewPerLoad);
+  };
+  const auto make_load = [&region](size_t k) {
+    std::vector<Record> records;
+    for (size_t i = 0; i < kRecordsPerLoad; ++i) {
+      records.push_back({region(k, i), static_cast<int64_t>(i)});
+    }
+    return records;
+  };
+  std::map<std::string, double> expected;
+  for (size_t k = 0; k < kKnown; ++k) ++expected["known-" + std::to_string(k)];
+  for (size_t k = 0; k < kLoads; ++k) {
+    for (size_t i = 0; i < kRecordsPerLoad; ++i) ++expected[region(k, i)];
+  }
+
+  for (size_t parallelism : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("fan-out " + std::to_string(parallelism));
+    const uint64_t before = PoolTasks();
+    DatabaseOptions opts;
+    opts.threaded_shards = true;
+    opts.shards_per_cube = 4;
+    opts.ingest_parallelism = parallelism;
+    Database db(opts);
+    ASSERT_TRUE(
+        db.ExecuteDdl("CREATE CUBE c (region string CARDINALITY 128, n int)")
+            .ok());
+    std::vector<Record> known;
+    for (size_t k = 0; k < kKnown; ++k) {
+      known.push_back({"known-" + std::to_string(k), int64_t{0}});
+    }
+    ASSERT_TRUE(db.Load("c", known).ok());
+
+    // The threads take loads in order from one counter.
+    std::vector<Status> statuses(kLoads);
+    std::atomic<size_t> next_load{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        const auto take = [&] {
+          return next_load.fetch_add(1, std::memory_order_relaxed);
+        };
+        for (size_t k = take(); k < kLoads; k = take()) {
+          statuses[k] = db.Load("c", make_load(k));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (const Status& status : statuses) {
+      ASSERT_TRUE(status.ok()) << status.ToString();
+    }
+    if (parallelism > 1) {
+      EXPECT_GT(PoolTasks(), before);
+    }
+
+    // Ids are dense and unique, and every string round-trips.
+    const StringDictionary* dict = db.FindSchema("c")->dictionary(0);
+    ASSERT_EQ(dict->size(), expected.size());
+    std::set<uint64_t> ids;
+    for (const auto& [value, count] : expected) {
+      const auto id = dict->Encode(value);
+      ASSERT_TRUE(id.ok()) << value;
+      EXPECT_EQ(dict->Decode(*id).value(), value);
+      ids.insert(*id);
+    }
+    ASSERT_EQ(ids.size(), expected.size());
+    EXPECT_EQ(*ids.rbegin(), expected.size() - 1);
+
+    Query q;
+    q.group_by = {0};
+    q.aggs = {{AggSpec::Fn::kCount, 0}};
+    auto result = db.Query("c", q);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::map<std::string, double> counted;
+    for (const auto& [key, states] : result->groups()) {
+      counted[dict->Decode(key[0]).value()] =
+          states[0].Finalize(AggSpec::Fn::kCount);
+    }
+    EXPECT_EQ(counted, expected);
+  }
+}
+
 TEST(IngestParallelTest, AppendAsyncOverlapsAndGroupAppendsCoalesce) {
   auto schema = CubeSchema::Make("events",
                                  {{"k", 16, 2, /*is_string=*/false}},

@@ -44,63 +44,43 @@ TEST(DictionaryTest, EncodeWithoutInsert) {
   EXPECT_EQ(dict.size(), 1u);
 }
 
+TEST(DictionaryTest, LookupFindsKnownStringsAndInsertsNothing) {
+  StringDictionary dict;
+  dict.EncodeOrAdd("US");
+  dict.EncodeOrAdd("BR");
+  const std::vector<uint64_t> ids = dict.Lookup({"BR", "FR", "US", "BR", ""});
+  EXPECT_EQ(ids, (std::vector<uint64_t>{1, StringDictionary::kMissing, 0, 1,
+                                        StringDictionary::kMissing}));
+  EXPECT_TRUE(dict.Lookup({}).empty());
+  EXPECT_EQ(dict.size(), 2u);
+  EXPECT_EQ(dict.Encode("FR").status().code(), StatusCode::kNotFound);
+}
+
 TEST(DictionaryTest, BatchInsertAssignsSortedDenseIdsAndSkipsPresent) {
   StringDictionary dict;
   dict.EncodeOrAdd("m");
   // Sorted and deduplicated, as the parse's phase 2 hands it over; "m" is
-  // already present and keeps its id.
-  EXPECT_EQ(dict.InsertSortedBatch({"a", "m", "z"}), 2u);
+  // already present and keeps its id, and the absent strings are numbered
+  // in list order.
+  size_t added = 0;
+  EXPECT_EQ(dict.InsertSorted({"a", "m", "z"}, &added),
+            (std::vector<uint64_t>{1, 0, 2}));
+  EXPECT_EQ(added, 2u);
   EXPECT_EQ(dict.Encode("m").value(), 0u);
   EXPECT_EQ(dict.Encode("a").value(), 1u);
   EXPECT_EQ(dict.Encode("z").value(), 2u);
-  EXPECT_EQ(dict.InsertSortedBatch({"a", "z"}), 0u);
-  EXPECT_EQ(dict.InsertSortedBatch({}), 0u);
-  EXPECT_EQ(dict.size(), 3u);
+  EXPECT_EQ(dict.InsertSorted({"a", "z"}, &added),
+            (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(added, 0u);
+  EXPECT_TRUE(dict.InsertSorted({}, &added).empty());
+  EXPECT_EQ(added, 0u);
+  EXPECT_EQ(dict.InsertSorted({"b", "n", "z"}, &added),
+            (std::vector<uint64_t>{3, 4, 2}));
+  EXPECT_EQ(added, 2u);
+  EXPECT_EQ(dict.size(), 5u);
   EXPECT_EQ(dict.Decode(2).value(), "z");
-}
-
-TEST(DictionaryTest, SnapshotIsUnchangedByLaterInsertsAndOutlivesDictionary) {
-  auto dict = std::make_unique<StringDictionary>();
-  dict->EncodeOrAdd("US");
-  const auto first = dict->AcquireSnapshot();
-  dict->EncodeOrAdd("BR");
-  const auto second = dict->AcquireSnapshot();
-  EXPECT_EQ(dict->InsertSortedBatch({"AR", "FR"}), 2u);
-
-  uint64_t id = 0;
-  EXPECT_EQ(first->to_id.size(), 1u);
-  EXPECT_FALSE(first->Find("BR", &id));
-  EXPECT_EQ(second->to_id.size(), 2u);
-  EXPECT_FALSE(second->Find("AR", &id));
-
-  dict.reset();
-  ASSERT_TRUE(first->Find("US", &id));
-  EXPECT_EQ(id, 0u);
-  ASSERT_TRUE(second->Find("BR", &id));
-  EXPECT_EQ(id, 1u);
-}
-
-TEST(DictionaryTest, NextSnapshotFindsNewStrings) {
-  StringDictionary dict;
-  const auto empty = dict.AcquireSnapshot();
-  EXPECT_TRUE(empty->to_id.empty());
-  // No insert in between: the same snapshot, not a rebuild.
-  EXPECT_EQ(dict.AcquireSnapshot(), empty);
-
-  dict.EncodeOrAdd("US");
-  uint64_t id = 0;
-  const auto after_encode = dict.AcquireSnapshot();
-  ASSERT_TRUE(after_encode->Find("US", &id));
-  EXPECT_EQ(id, 0u);
-
-  dict.InsertSortedBatch({"AR", "BR"});
-  const auto after_batch = dict.AcquireSnapshot();
-  ASSERT_TRUE(after_batch->Find("AR", &id));
-  EXPECT_EQ(id, 1u);
-  ASSERT_TRUE(after_batch->Find("BR", &id));
-  EXPECT_EQ(id, 2u);
-  ASSERT_TRUE(after_batch->Find("US", &id));
-  EXPECT_EQ(id, 0u);
+  EXPECT_EQ(dict.Decode(4).value(), "n");
+  EXPECT_EQ(dict.Lookup({"n", "b"}), (std::vector<uint64_t>{4, 3}));
 }
 
 TEST(BessColumnTest, PacksAndUnpacksOffsets) {
