@@ -96,7 +96,8 @@ class EpochVector {
   /// Monotonic mutation counter: bumped by every append, delete marker and
   /// InstallRebuilt (purge/rollback/truncate compactions). Visibility-bitmap
   /// caches key on it, so any history change invalidates every cached
-  /// bitmap for the partition; purge's install checks its plan against it.
+  /// bitmap for the partition; the online checker's scan observations
+  /// record it.
   uint64_t version() const { return version_; }
 
   /// The largest epoch stamped on any entry (appends and delete markers),

@@ -904,7 +904,7 @@ StressReport RunSingleNodeStress(const StressOptions& opt) {
   shared.failures = &report.failures;
   shared.config = config;
 
-  // Dedicated purge churn (purge_stress): loop the purge pipeline while
+  // Dedicated purge churn (purge_stress): loop purge rounds while
   // the workers scan, append and delete. Shared structure lock
   // only — same locking as MaintenanceOp, so deletes still serialize
   // against it — and LSE chases LCE only in the diskless case (with

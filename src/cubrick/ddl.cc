@@ -1,6 +1,7 @@
 #include "cubrick/ddl.h"
 
 #include <cctype>
+#include <limits>
 
 namespace cubrick {
 
@@ -44,7 +45,12 @@ Result<uint64_t> ParseNumber(const std::string& token) {
     if (!std::isdigit(static_cast<unsigned char>(c))) {
       return Status::InvalidArgument("expected a number, got '" + token + "'");
     }
-    v = v * 10 + static_cast<uint64_t>(c - '0');
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (v > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      return Status::InvalidArgument("number '" + token +
+                                     "' does not fit in 64 bits");
+    }
+    v = v * 10 + digit;
   }
   return v;
 }

@@ -225,10 +225,13 @@ PurgeStats Table::Purge(aosi::Epoch lse) {
     rollback_index_->DiscardUpTo(lse);
   }
   obs::Histogram* pause = reg.GetHistogram("aosi.purge.pause_us");
-  obs::Counter* conflicts = reg.GetCounter("aosi.purge.conflicts");
+  // Purge plans and installs in one shard op, so nothing can refuse an
+  // install and this counter never moves. It stays registered only because
+  // the ledger reads it (bench/ledger/traced.cc).
+  reg.GetCounter("aosi.purge.conflicts");
 
-  // Each shard op of the pipeline is timed individually, so pause_us
-  // records the slices scans actually wait behind, not the whole round.
+  // Each shard op is timed individually, so pause_us records the slices
+  // scans actually wait behind, not the whole round.
   const auto timed = [pause](Shard& shard,
                              std::function<void(BrickMap&)> op) {
     shard
@@ -244,76 +247,41 @@ PurgeStats Table::Purge(aosi::Epoch lse) {
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
 
-    // Op 1 (O(history entries)): take shared handles to the shard's
-    // bricks that have work at `lse`, by PlanPurge's own predicate. A brick
-    // left out is left untouched, which is always correct; work that
-    // appears after this op waits for the next round. Another round may
-    // erase a brick before this round reaches it; the handle keeps it
-    // alive, so later ops touch only the object planned against, never a
-    // brick created since under the same bid.
-    std::vector<std::shared_ptr<Brick>> shard_bricks;
+    // First op (O(history entries)): list the bids of the shard's bricks
+    // that have work at `lse`, by PlanPurge's own predicate. A brick left
+    // out is left untouched, which is always correct; work that appears
+    // after this op waits for the next round.
+    std::vector<Bid> with_work;
     timed(shard, [&](BrickMap& bricks) {
       total.bricks_examined += bricks.size();
-      shard_bricks = bricks.Handles([lse](const Brick& brick) {
-        return aosi::HasPurgeWork(brick.history(), lse);
+      bricks.ForEach([&](const Brick& brick) {
+        if (aosi::HasPurgeWork(brick.history(), lse)) {
+          with_work.push_back(brick.bid());
+        }
       });
     });
 
-    for (const std::shared_ptr<Brick>& brick : shard_bricks) {
-      // Bounded replan loop: a mutation between plan and install refuses
-      // the install; purge is periodic, so after a few refusals the brick
-      // simply waits for the next round.
-      for (int attempt = 0; attempt < 3; ++attempt) {
-        // Op 2 (O(entries + bytes)): plan against the live history and
-        // copy the columns the plan filters, at one version.
-        uint64_t version = 0;
-        aosi::CompactionPlan plan;
-        std::optional<BessColumn> bess_copy;
-        std::vector<MetricColumn> metric_copies;
-        timed(shard, [&](BrickMap&) {
-          version = brick->history().version();
-          plan = aosi::PlanPurge(brick->history(), lse);
-          if (plan.needed) {
-            brick->SnapshotColumnsForCompaction(&bess_copy, &metric_copies);
-          }
-        });
-        if (!plan.needed) break;
-
-        // Off the shard: the expensive part — filter every column down to
-        // the plan's keep rows, against the copies.
-        const auto keep = [&plan](uint64_t row) {
-          return plan.keep.Get(row);
-        };
-        BessColumn new_bess = bess_copy->CompactedCopy(keep);
-        std::vector<MetricColumn> new_metrics;
-        new_metrics.reserve(metric_copies.size());
-        for (const auto& m : metric_copies) {
-          new_metrics.push_back(m.CompactedCopy(keep));
-        }
-
-        // Op 3 (O(history entries)): version-checked install of the
-        // rebuilt columns.
-        bool installed = false;
-        uint64_t removed = 0;
-        timed(shard, [&](BrickMap&) {
-          const uint64_t before = brick->num_records();
-          installed = brick->InstallCompaction(version, plan,
-                                               std::move(new_bess),
-                                               std::move(new_metrics));
-          if (installed) removed = before - brick->num_records();
-        });
-        if (!installed) {
-          conflicts->Add();
-          continue;
-        }
+    // One op per listed bid (O(history entries), plus O(rows) when a row
+    // goes): plan against the live history and apply the plan in the same
+    // op, so nothing can change in between. A brick that another round
+    // erased since the first op is skipped; one re-created under the bid
+    // since is purged like any other, since `lse` is still safe.
+    for (Bid bid : with_work) {
+      timed(shard, [&](BrickMap& bricks) {
+        Brick* brick = bricks.Find(bid);
+        if (brick == nullptr) return;
+        const aosi::CompactionPlan plan =
+            aosi::PlanPurge(brick->history(), lse);
+        if (!plan.needed) return;
+        const uint64_t before = brick->num_records();
+        brick->ApplyCompaction(plan);
         ++total.bricks_rewritten;
-        total.records_removed += removed;
-        break;
-      }
+        total.records_removed += before - brick->num_records();
+      });
     }
 
-    // Op 4 (O(bricks)): count surviving history entries and erase bricks
-    // the round left fully dead.
+    // Last op (O(bricks)): count surviving history entries and erase
+    // bricks the round left fully dead.
     timed(shard, [&](BrickMap& bricks) {
       std::vector<Bid> dead;
       bricks.ForEach([&](Brick& brick) {
@@ -348,18 +316,25 @@ void Table::Rollback(aosi::Epoch victim) {
     }
   }
   OnEveryShard([victim, &indexed](size_t s, BrickMap& bricks) {
+    // Rolls `brick` back; true when that left it with no records and no
+    // history, so the op erases it as purge and truncation do.
     const auto roll_back = [victim](Brick& brick) {
       auto plan = aosi::PlanRollback(brick.history(), victim);
-      if (plan.needed) {
-        brick.ApplyCompaction(plan);
-      }
+      if (!plan.needed) return false;
+      brick.ApplyCompaction(plan);
+      return brick.num_records() == 0 && brick.history().num_entries() == 0;
     };
     if (!indexed) {
-      bricks.ForEach(roll_back);
+      std::vector<Bid> emptied;
+      bricks.ForEach([&](Brick& brick) {
+        if (roll_back(brick)) emptied.push_back(brick.bid());
+      });
+      for (Bid bid : emptied) bricks.Erase(bid);
       return;
     }
     for (Bid bid : (*indexed)[s]) {
-      if (Brick* brick = bricks.Find(bid)) roll_back(*brick);
+      Brick* brick = bricks.Find(bid);
+      if (brick != nullptr && roll_back(*brick)) bricks.Erase(bid);
     }
   });
 }

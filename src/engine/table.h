@@ -149,16 +149,17 @@ class Table {
       const aosi::Snapshot& snapshot, ScanMode mode, const Query& query,
       const MaterializeOptions& options = {});
 
-  /// Runs the purge procedure (§III-C4) over every brick at `lse` as a
-  /// pipeline of short shard ops: one op per shard picks the bricks with
-  /// work, one op plans such a brick and copies its columns, the rows are
-  /// filtered off the shard against the copies, and a later op installs
-  /// the result unless the brick's history moved in between. Scans
-  /// interleave with the purge, and `aosi.purge.pause_us` records only the
-  /// shard ops (DESIGN.md §4d).
+  /// Runs the purge procedure (§III-C4) over every brick at `lse` as short
+  /// ops on each shard in turn: one op lists the bids of the bricks with
+  /// work, one op per listed bid plans that brick's purge and applies it
+  /// (rebuilding the columns only when a row goes), and a last op counts
+  /// the surviving history and erases emptied bricks. No op keeps a brick
+  /// for a later one. Scans interleave between the ops, and
+  /// `aosi.purge.pause_us` times each op (DESIGN.md §4d).
   PurgeStats Purge(aosi::Epoch lse);
 
-  /// Physically removes every append/delete made by `victim` (§III-C5).
+  /// Physically removes every append/delete made by `victim` (§III-C5),
+  /// erasing the bricks that leaves with no records and no history.
   void Rollback(aosi::Epoch victim);
 
   /// Drops everything newer than `lse` (crash-recovery truncation).

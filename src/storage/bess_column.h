@@ -41,6 +41,10 @@ class BessColumn {
 
   size_t MemoryUsage() const { return words_.capacity() * sizeof(uint64_t); }
 
+  /// The packed records' words (white-box tests check which compactions
+  /// leave them in place).
+  const uint64_t* data() const { return words_.data(); }
+
   /// Builds a compacted copy containing only rows where keep(row) is true.
   /// `keep` is any callable (uint64_t row) -> bool.
   template <typename KeepFn>

@@ -121,41 +121,17 @@ void Brick::MarkDeleted(aosi::Epoch epoch) {
 void Brick::ApplyCompaction(const aosi::CompactionPlan& plan) {
   CUBRICK_CHECK(plan.needed);
   CUBRICK_CHECK(plan.keep.size() == history_.num_records());
-  const auto keep = [&](uint64_t row) { return plan.keep.Get(row); };
-  BessColumn new_bess = bess_.CompactedCopy(keep);
-  std::vector<MetricColumn> new_metrics;
-  new_metrics.reserve(metrics_.size());
-  for (const auto& m : metrics_) {
-    new_metrics.push_back(m.CompactedCopy(keep));
+  if (plan.new_history.num_records() < history_.num_records()) {
+    const auto keep = [&plan](uint64_t row) { return plan.keep.Get(row); };
+    bess_ = bess_.CompactedCopy(keep);
+    for (auto& m : metrics_) m = m.CompactedCopy(keep);
   }
-  const bool installed = InstallCompaction(
-      history_.version(), plan, std::move(new_bess), std::move(new_metrics));
-  CUBRICK_CHECK(installed);  // same-thread: the version cannot have moved
-}
-
-void Brick::SnapshotColumnsForCompaction(
-    std::optional<BessColumn>* bess,
-    std::vector<MetricColumn>* metrics) const {
-  bess->emplace(bess_);
-  *metrics = metrics_;
-}
-
-bool Brick::InstallCompaction(uint64_t expected_version,
-                              const aosi::CompactionPlan& plan,
-                              BessColumn new_bess,
-                              std::vector<MetricColumn> new_metrics) {
-  if (history_.version() != expected_version) return false;
-  CUBRICK_CHECK(plan.needed);
-  CUBRICK_CHECK(plan.keep.size() == history_.num_records());
-  CUBRICK_CHECK(new_bess.num_records() == plan.new_history.num_records());
-  bess_ = std::move(new_bess);
-  metrics_ = std::move(new_metrics);
+  CUBRICK_CHECK(bess_.num_records() == plan.new_history.num_records());
   // InstallRebuilt (not plain assignment) keeps the version counter
   // advancing, so cached visibility bitmaps of the pre-compaction layout
   // can never be mistaken for the new one.
   history_.InstallRebuilt(plan.new_history);
   vis_cache_.Clear();
-  return true;
 }
 
 size_t Brick::DataMemoryUsage() const {

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "aosi/epoch_vector.h"
@@ -118,31 +117,14 @@ class Brick {
   /// above clears it (see vis_cache.h).
   aosi::VisibilityCache& vis_cache() const { return vis_cache_; }
 
-  /// Applies a purge/rollback compaction plan: rebuilds every column keeping
-  /// only plan.keep rows and installs plan.new_history. The rebuild happens
-  /// into fresh vectors which then replace the old ones, mirroring the
-  /// paper's new-partition-then-atomic-swap scheme.
+  /// Applies a purge, rollback or truncation plan and installs
+  /// plan.new_history. Only a plan that drops a row rebuilds the columns:
+  /// they are rebuilt into fresh vectors keeping the plan.keep rows, which
+  /// then replace the old ones, mirroring the paper's
+  /// new-partition-then-atomic-swap scheme. A plan that keeps every row (a
+  /// purge that only merges append runs) leaves the columns alone. Either
+  /// way the history version advances and the visibility cache is cleared.
   void ApplyCompaction(const aosi::CompactionPlan& plan);
-
-  // --- Compaction in steps (Table::Purge) ---------------------------------
-  //
-  // Purge splits ApplyCompaction so the expensive keep-bitmap row filtering
-  // runs off the shard, against copies of the columns. The copy is taken in
-  // the same shard op as the plan, so it always matches it; the install is
-  // a later op, and checks that the history has not moved since.
-
-  /// Copies the raw columns out (a shard op, beside PlanPurge).
-  void SnapshotColumnsForCompaction(std::optional<BessColumn>* bess,
-                                    std::vector<MetricColumn>* metrics) const;
-
-  /// Installs off-shard-rebuilt columns and the plan's history iff the
-  /// history is still at `expected_version`, the version the plan was made
-  /// at. Returns false, changing nothing, when a mutation since then
-  /// invalidated the plan. O(history entries), not O(rows).
-  bool InstallCompaction(uint64_t expected_version,
-                         const aosi::CompactionPlan& plan,
-                         BessColumn new_bess,
-                         std::vector<MetricColumn> new_metrics);
 
   /// Data bytes (bess + metrics). Excludes the epochs vector.
   size_t DataMemoryUsage() const;

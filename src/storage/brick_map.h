@@ -2,15 +2,12 @@
 //
 // Bricks are sparse — only materialized when a record lands in their range.
 // The map indexes them by bid. Like Brick itself, a BrickMap belongs to a
-// single shard thread and is unsynchronized. It owns its bricks through
-// shared handles so that work spanning several shard ops (Table::Purge)
-// can keep the bricks it started on alive; see Handles().
+// single shard thread and is unsynchronized.
 
 #pragma once
 
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "storage/brick.h"
 
@@ -25,7 +22,7 @@ class BrickMap {
   Brick& GetOrCreate(Bid bid) {
     auto it = bricks_.find(bid);
     if (it == bricks_.end()) {
-      it = bricks_.emplace(bid, std::make_shared<Brick>(schema_, bid)).first;
+      it = bricks_.emplace(bid, std::make_unique<Brick>(schema_, bid)).first;
     }
     return *it->second;
   }
@@ -40,22 +37,9 @@ class BrickMap {
     return it == bricks_.end() ? nullptr : it->second.get();
   }
 
-  /// Removes a brick entirely (after purge found it fully dead). A handle
-  /// taken earlier keeps the unlinked brick alive until it is dropped.
+  /// Removes a brick entirely (once purge, rollback or truncation left it
+  /// with no records and no history).
   void Erase(Bid bid) { bricks_.erase(bid); }
-
-  /// Shared handles to the bricks `select` picks. Purge takes them in one
-  /// shard op and works on them in later ones: a brick that another op
-  /// erases in between stays alive, unlinked, so the round never touches a
-  /// brick created since under the same bid.
-  template <typename Select>
-  std::vector<std::shared_ptr<Brick>> Handles(Select&& select) {
-    std::vector<std::shared_ptr<Brick>> handles;
-    for (const auto& [bid, brick] : bricks_) {
-      if (select(*brick)) handles.push_back(brick);
-    }
-    return handles;
-  }
 
   size_t size() const { return bricks_.size(); }
 
@@ -94,7 +78,7 @@ class BrickMap {
 
  private:
   std::shared_ptr<const CubeSchema> schema_;
-  std::unordered_map<Bid, std::shared_ptr<Brick>> bricks_;
+  std::unordered_map<Bid, std::unique_ptr<Brick>> bricks_;
 };
 
 }  // namespace cubrick

@@ -85,6 +85,22 @@ TEST(DdlTest, RejectsNonNumericCardinality) {
       ParseCreateCube("CREATE CUBE c (d int CARDINALITY four)").ok());
 }
 
+TEST(DdlTest, RejectsNumbersPastUint64Max) {
+  // A parse that wrapped would read 2^64 + 1 and 2^64 + 2 as the valid
+  // sizes 1 and 2.
+  const auto cardinality = ParseCreateCube(
+      "CREATE CUBE c (d int CARDINALITY 18446744073709551617, m int)");
+  EXPECT_EQ(cardinality.status().code(), StatusCode::kInvalidArgument);
+  const auto range = ParseCreateCube(
+      "CREATE CUBE c (d int CARDINALITY 4 RANGE 18446744073709551618, m int)");
+  EXPECT_EQ(range.status().code(), StatusCode::kInvalidArgument);
+
+  const auto max = ParseCreateCube(
+      "CREATE CUBE c (d int CARDINALITY 18446744073709551615, m int)");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->dimensions[0].cardinality, 18446744073709551615u);
+}
+
 TEST(DdlTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(
       ParseCreateCube("CREATE CUBE c (d int CARDINALITY 4) garbage").ok());

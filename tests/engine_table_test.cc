@@ -180,10 +180,10 @@ TEST_P(TableTest, PurgeRunsPerBrickOpsOnlyForBricksWithWork) {
   EXPECT_EQ(stats.bricks_examined, bricks);
   EXPECT_EQ(stats.bricks_rewritten, 0u);
 
-  // At LSE 4 brick 0's two runs merge: its plan op and its install op.
+  // At LSE 4 brick 0's two runs merge, in one op that plans and applies.
   before = pause_samples();
   stats = table.Purge(/*lse=*/4);
-  EXPECT_EQ(pause_samples() - before, 2 * kShards + 2);
+  EXPECT_EQ(pause_samples() - before, 2 * kShards + 1);
   EXPECT_EQ(stats.bricks_examined, bricks);
   EXPECT_EQ(stats.bricks_rewritten, 1u);
   auto result = table.Scan(Snap(4), ScanMode::kSnapshotIsolation, SumQuery());
@@ -199,6 +199,33 @@ TEST_P(TableTest, RollbackRemovesVictimAcrossShards) {
   auto result = table.Scan(Snap(9), ScanMode::kSnapshotIsolation, SumQuery());
   EXPECT_DOUBLE_EQ(result.Single(0, AggSpec::Fn::kSum), 3.0);
   EXPECT_EQ(table.TotalRecords(), 2u);
+}
+
+TEST_P(TableTest, RollbackErasesTheBricksItEmpties) {
+  for (const bool rollback_index : {false, true}) {
+    SCOPED_TRACE(rollback_index ? "rollback index" : "full walk");
+    auto schema = MakeSchema();
+    Table table(schema, 4, threaded(), rollback_index);
+    ASSERT_TRUE(table.Append(1, Batches(*schema, {{0, 0, 1}})).ok());
+    ASSERT_TRUE(
+        table.Append(2, Batches(*schema, {{0, 0, 2}, {8, 1, 4}, {15, 3, 8}}))
+            .ok());
+    ASSERT_EQ(table.NumBricks(), 3u);
+
+    // Epoch 2 alone touched two of the bricks: they go, the shared one
+    // keeps epoch 1's row.
+    table.Rollback(2);
+    EXPECT_EQ(table.NumBricks(), 1u);
+    EXPECT_EQ(table.TotalRecords(), 1u);
+    EXPECT_EQ(table.ExplainScan(SumQuery()).bricks_total, 1u);
+    auto result =
+        table.Scan(Snap(9), ScanMode::kSnapshotIsolation, SumQuery());
+    EXPECT_DOUBLE_EQ(result.Single(0, AggSpec::Fn::kSum), 1.0);
+
+    table.Rollback(1);
+    EXPECT_EQ(table.NumBricks(), 0u);
+    EXPECT_EQ(table.TotalRecords(), 0u);
+  }
 }
 
 TEST_P(TableTest, GroupByAcrossBricksAndShards) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -419,7 +418,8 @@ TEST(BrickTest, MutationsInvalidateVisibilityCache) {
   // Every brick mutation is a quiescent point: it must both bump the
   // history version (so stale keys can never match) and clear the cache
   // (freeing its entries). Covers append, delete-marker, and the
-  // compaction paths used by purge and rollback.
+  // compaction paths used by purge (dropping rows or only merging runs)
+  // and rollback.
   auto schema = TestSchema();
   Brick brick(schema, 0);
   brick.AppendBatch(1, MakeBatch(*schema, brick.bid(), 10), 0);
@@ -469,40 +469,30 @@ TEST(BrickTest, MutationsInvalidateVisibilityCache) {
   brick.ApplyCompaction(rollback);
   EXPECT_GT(brick.history().version(), version);
   EXPECT_EQ(brick.vis_cache().Lookup(key), nullptr);
+
+  // Purge that only merges append runs: every row stays and the columns
+  // are left alone, but the new history still moves the version.
+  brick.AppendBatch(7, MakeBatch(*schema, brick.bid(), 2), 0);
+  key = prime();
+  version = brick.history().version();
+  const uint64_t records = brick.num_records();
+  auto merge = aosi::PlanPurge(brick.history(), /*lse=*/8);
+  ASSERT_TRUE(merge.needed);
+  brick.ApplyCompaction(merge);
+  EXPECT_EQ(brick.num_records(), records);
+  EXPECT_EQ(brick.history().num_entries(), 1u);
+  EXPECT_GT(brick.history().version(), version);
+  EXPECT_EQ(brick.vis_cache().Lookup(key), nullptr);
 }
 
-TEST(BrickTest, InstallRefusesAPlanMadeBeforeAnAppend) {
-  // Table::Purge plans a brick and copies its columns in one shard op and
-  // installs the filtered copies in a later one. An append in between must
-  // refuse the install and leave the brick as the append left it.
+TEST(BrickTest, MergeOnlyPurgeLeavesTheColumnsInPlace) {
+  // A purge that only merges append runs keeps every row, so it installs
+  // the merged history and leaves every column buffer where it was.
   auto schema = TestSchema();
   Brick brick(schema, 0);
-  brick.AppendBatch(1, MakeBatch(*schema, brick.bid(), 6), 0);
-  brick.MarkDeleted(2);
-  brick.AppendBatch(3, MakeBatch(*schema, brick.bid(), 4, /*seed=*/5), 0);
-
-  struct Staged {
-    uint64_t version = 0;
-    aosi::CompactionPlan plan;
-    std::optional<BessColumn> bess;
-    std::vector<MetricColumn> metrics;
-  };
-  const auto plan_and_filter = [&brick]() {
-    Staged staged;
-    staged.version = brick.history().version();
-    staged.plan = aosi::PlanPurge(brick.history(), /*lse=*/4);
-    std::optional<BessColumn> bess;
-    std::vector<MetricColumn> metrics;
-    brick.SnapshotColumnsForCompaction(&bess, &metrics);
-    const auto keep = [&staged](uint64_t row) {
-      return staged.plan.keep.Get(row);
-    };
-    staged.bess.emplace(bess->CompactedCopy(keep));
-    for (const auto& m : metrics) {
-      staged.metrics.push_back(m.CompactedCopy(keep));
-    }
-    return staged;
-  };
+  brick.AppendBatch(1, MakeBatch(*schema, brick.bid(), 40, /*seed=*/3), 0);
+  brick.AppendBatch(2, MakeBatch(*schema, brick.bid(), 30, /*seed=*/4), 0);
+  brick.AppendBatch(3, MakeBatch(*schema, brick.bid(), 20, /*seed=*/5), 0);
   const auto rows = [&brick]() {
     std::vector<std::tuple<uint64_t, uint64_t, int64_t, double>> out;
     for (uint64_t r = 0; r < brick.num_records(); ++r) {
@@ -512,28 +502,19 @@ TEST(BrickTest, InstallRefusesAPlanMadeBeforeAnAppend) {
     }
     return out;
   };
-
-  Staged stale = plan_and_filter();
-  ASSERT_TRUE(stale.plan.needed);
-  brick.AppendBatch(4, MakeBatch(*schema, brick.bid(), 3, /*seed=*/7), 0);
-  const aosi::EpochVector history = brick.history();
   const auto before = rows();
-  EXPECT_FALSE(brick.InstallCompaction(stale.version, stale.plan,
-                                       std::move(*stale.bess),
-                                       std::move(stale.metrics)));
-  EXPECT_EQ(brick.num_records(), 13u);
-  EXPECT_EQ(brick.history(), history);
-  EXPECT_EQ(brick.history().version(), history.version());
-  EXPECT_EQ(rows(), before);
+  const uint64_t* bess = brick.bess().data();
+  const int64_t* ints = brick.metric(0).ints().data();
+  const double* doubles = brick.metric(1).doubles().data();
 
-  // A fresh plan installs: epoch 1's records go with the applied marker.
-  Staged fresh = plan_and_filter();
-  ASSERT_TRUE(fresh.plan.needed);
-  EXPECT_TRUE(brick.InstallCompaction(fresh.version, fresh.plan,
-                                      std::move(*fresh.bess),
-                                      std::move(fresh.metrics)));
-  EXPECT_EQ(brick.history().ToString(), "[3:0-3][4:4-6]");
-  EXPECT_EQ(rows(), std::vector(before.begin() + 6, before.end()));
+  auto plan = aosi::PlanPurge(brick.history(), /*lse=*/4);
+  ASSERT_TRUE(plan.needed);
+  brick.ApplyCompaction(plan);
+  EXPECT_EQ(brick.history().ToString(), "[3:0-89]");
+  EXPECT_EQ(brick.bess().data(), bess);
+  EXPECT_EQ(brick.metric(0).ints().data(), ints);
+  EXPECT_EQ(brick.metric(1).doubles().data(), doubles);
+  EXPECT_EQ(rows(), before);
 }
 
 TEST(BrickMapTest, EraseRemovesBrick) {
