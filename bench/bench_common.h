@@ -138,14 +138,6 @@ inline std::vector<Record> WideBatch(Random* rng, uint64_t rows) {
   return records;
 }
 
-/// Empties every brick's visibility-bitmap cache of cube `name`, so that
-/// the next SI scan builds every bitmap it needs, as a scan that follows a
-/// load does: the cold columns of Figures 8 and 9 (DESIGN.md §4c).
-inline void ClearVisibilityCaches(Database* db, const std::string& name) {
-  db->FindTable(name)->VisitBricks(
-      [](const Brick& brick) { brick.vis_cache().Clear(); });
-}
-
 /// True when both results hold the same groups with bit-identical states.
 inline bool SameResult(const QueryResult& a, const QueryResult& b) {
   if (a.num_groups() != b.num_groups()) return false;
@@ -167,39 +159,32 @@ inline bool SameResult(const QueryResult& a, const QueryResult& b) {
   return true;
 }
 
-/// p50 latencies (µs) of one query: SI over warm caches, SI cold, and RU.
+/// p50 latencies (µs) of one query under SI and RU.
 struct SiRuLatencies {
   double si = 0;
-  double si_cold = 0;
   double ru = 0;
 };
 
-/// Times `reps` rounds of `run(mode)`, a query over cube `cube`, after one
-/// warm-up per mode: SI over warm caches, RU, then SI after every brick's
-/// cache is emptied outside the timed window. Every cold result must equal
-/// the warm one.
+/// Times `reps` alternating rounds of `run(mode)`, SI then RU, after one
+/// warm-up per mode. Every SI rep builds the bitmaps its bricks need, as
+/// the paper builds one per query (§III-C3), and must return the warm-up's
+/// result.
 template <typename RunFn>
-SiRuLatencies MeasureSiRu(Database* db, const std::string& cube,
-                          const RunFn& run, int reps) {
-  const auto warm = run(ScanMode::kSnapshotIsolation);
-  CUBRICK_CHECK(warm.ok());
+SiRuLatencies MeasureSiRu(const RunFn& run, int reps) {
+  const auto first = run(ScanMode::kSnapshotIsolation);
+  CUBRICK_CHECK(first.ok());
   CUBRICK_CHECK(run(ScanMode::kReadUncommitted).ok());
-  obs::LatencyRecorder si_rec, cold_rec, ru_rec;
+  obs::LatencyRecorder si_rec, ru_rec;
   for (int i = 0; i < reps; ++i) {
     Stopwatch t1;
-    CUBRICK_CHECK(run(ScanMode::kSnapshotIsolation).ok());
+    const auto si = run(ScanMode::kSnapshotIsolation);
     si_rec.Record(t1.ElapsedMicros());
+    CUBRICK_CHECK(si.ok() && SameResult(*si, *first));
     Stopwatch t2;
     CUBRICK_CHECK(run(ScanMode::kReadUncommitted).ok());
     ru_rec.Record(t2.ElapsedMicros());
-    ClearVisibilityCaches(db, cube);
-    Stopwatch t3;
-    const auto cold = run(ScanMode::kSnapshotIsolation);
-    cold_rec.Record(t3.ElapsedMicros());
-    CUBRICK_CHECK(cold.ok() && SameResult(*cold, *warm));
   }
   return {static_cast<double>(si_rec.Percentile(50)),
-          static_cast<double>(cold_rec.Percentile(50)),
           static_cast<double>(ru_rec.Percentile(50))};
 }
 

@@ -8,12 +8,9 @@
 // minor. Expected shape: both latencies grow linearly with dataset size;
 // SI tracks RU within a few percent.
 //
-// Two SI columns: warm repeats the query over the bricks' visibility-bitmap
-// caches as the paper's loop would, cold empties every cache before each
-// rep (outside the timed window), as a query after a load finds them. The
-// paper builds a bitmap per query (§III-C3); the cache is this
-// reproduction's (DESIGN.md §4c). Every load here is committed before the
-// reader begins, so the reader sees every brick whole and needs no bitmap.
+// Every SI rep builds the bitmaps it needs, as the paper builds one per
+// query (§III-C3). Every load here is committed before the reader begins,
+// so the reader sees every brick whole and builds none (DESIGN.md §4c).
 
 #include <cinttypes>
 
@@ -33,9 +30,8 @@ int main() {
   std::printf(
       "Figure 8: query latency SI vs RU, growing dataset "
       "(same aggregation, alternating modes, single thread)\n\n");
-  std::printf("%12s %10s %12s %14s %12s %10s %14s\n", "rows", "txns",
-              "si_p50_us", "si_cold_p50_us", "ru_p50_us", "overhead",
-              "cold_overhead");
+  std::printf("%12s %10s %12s %12s %10s\n", "rows", "txns", "si_p50_us",
+              "ru_p50_us", "overhead");
 
   for (uint64_t size : kSizes) {
     Database db;  // inline shards: single-threaded latency measurement
@@ -54,12 +50,9 @@ int main() {
     // Alternate SI and RU within the same run, exactly as the paper's
     // single-thread experiment does.
     const SiRuLatencies lat = MeasureSiRu(
-        &db, "t", [&](ScanMode mode) { return db.Query("t", q, mode); },
-        kReps);
-    std::printf("%12" PRIu64 " %10" PRIu64 " %12.0f %14.0f %12.0f %9.2f%% "
-                "%13.2f%%\n",
-                size, txns, lat.si, lat.si_cold, lat.ru,
-                OverheadPct(lat.si, lat.ru), OverheadPct(lat.si_cold, lat.ru));
+        [&](ScanMode mode) { return db.Query("t", q, mode); }, kReps);
+    std::printf("%12" PRIu64 " %10" PRIu64 " %12.0f %12.0f %9.2f%%\n", size,
+                txns, lat.si, lat.ru, OverheadPct(lat.si, lat.ru));
     std::fflush(stdout);
   }
   std::printf(

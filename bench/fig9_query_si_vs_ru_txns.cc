@@ -12,11 +12,8 @@
 // Each pending transaction appends one uncommitted record to every brick
 // before the reader begins, so the reader's deps name runs in every brick
 // and its SI scans build bitmaps. With no pending transaction the reader
-// sees every brick whole and needs none. Two SI columns: warm repeats the
-// query over the bricks' visibility-bitmap caches, cold empties every cache
-// before each rep (outside the timed window), as a query after a load finds
-// them. The paper builds a bitmap per query (§III-C3); the cache is this
-// reproduction's (DESIGN.md §4c).
+// sees every brick whole and needs none. Every SI rep builds its bitmaps
+// again, as the paper builds one per query (§III-C3; DESIGN.md §4c).
 
 #include <cinttypes>
 
@@ -39,9 +36,8 @@ int main() {
       "Figure 9: query latency SI vs RU vs transactional history "
       "(fixed %" PRIu64 " rows)\n\n",
       kRows);
-  std::printf("%8s %9s %12s %14s %12s %10s %14s\n", "txns", "pending",
-              "si_p50_us", "si_cold_p50_us", "ru_p50_us", "overhead",
-              "cold_overhead");
+  std::printf("%8s %9s %12s %12s %10s\n", "txns", "pending", "si_p50_us",
+              "ru_p50_us", "overhead");
 
   for (uint64_t txns : kTxnCounts) {
     if (txns > kRows) continue;
@@ -66,13 +62,10 @@ int main() {
 
       const cubrick::Query q = AggregationQuery();
       const SiRuLatencies lat = MeasureSiRu(
-          &db, "t",
           [&](ScanMode mode) { return db.QueryIn(reader, "t", q, mode); },
           kReps);
-      std::printf("%8" PRIu64 " %9zu %12.0f %14.0f %12.0f %9.2f%% %13.2f%%\n",
-                  txns, pending, lat.si, lat.si_cold, lat.ru,
-                  OverheadPct(lat.si, lat.ru),
-                  OverheadPct(lat.si_cold, lat.ru));
+      std::printf("%8" PRIu64 " %9zu %12.0f %12.0f %9.2f%%\n", txns, pending,
+                  lat.si, lat.ru, OverheadPct(lat.si, lat.ru));
       std::fflush(stdout);
 
       CUBRICK_CHECK(db.Commit(reader).ok());
@@ -92,14 +85,14 @@ int main() {
     }
     const cubrick::Query q = AggregationQuery();
     const auto run = [&](ScanMode mode) { return db.Query("t", q, mode); };
-    const SiRuLatencies before = MeasureSiRu(&db, "t", run, kReps);
+    const SiRuLatencies before = MeasureSiRu(run, kReps);
     db.txns().TryAdvanceLSE(db.txns().LCE());
     db.PurgeAll();
-    const SiRuLatencies after = MeasureSiRu(&db, "t", run, kReps);
+    const SiRuLatencies after = MeasureSiRu(run, kReps);
     std::printf(
-        "\nPurge effect (10000 txns): SI p50 %.0f us (cold %.0f us) before "
-        "purge, %.0f us (cold %.0f us) after, RU %.0f us\n",
-        before.si, before.si_cold, after.si, after.si_cold, after.ru);
+        "\nPurge effect (10000 txns): SI p50 %.0f us before purge, %.0f us "
+        "after, RU %.0f us\n",
+        before.si, after.si, after.ru);
   }
   return 0;
 }

@@ -94,17 +94,15 @@ class EpochVector {
   uint64_t num_records() const;
 
   /// Monotonic mutation counter: bumped by every append, delete marker and
-  /// InstallRebuilt (purge/rollback/truncate compactions). Visibility-bitmap
-  /// caches key on it, so any history change invalidates every cached
-  /// bitmap for the partition; the online checker's scan observations
-  /// record it.
+  /// InstallRebuilt (purge/rollback/truncate compactions). The online
+  /// checker's scan observations record it, and key repeatability on it.
   uint64_t version() const { return version_; }
 
   /// The largest epoch stamped on any entry (appends and delete markers),
   /// or kNoEpoch when empty. Maintained incrementally so callers can clamp
   /// a snapshot to its *effective* horizon in O(1): any snapshot at or past
-  /// max_epoch() sees the same history prefix, which is what lets bitmap
-  /// caches share entries across readers.
+  /// max_epoch() sees the same history prefix, which is what lets a scan
+  /// tell a brick seen whole without a walk (aosi::SeesWhole).
   Epoch max_epoch() const { return max_epoch_; }
 
   /// Number of delete markers held. Kept as a count so a scan can tell in
@@ -141,9 +139,10 @@ class EpochVector {
 
   /// Replaces this vector's contents with an exact copy of `rebuilt`'s (a
   /// compaction plan's new_history) while *advancing* — never resetting —
-  /// the version counter, so caches keyed on (this partition, version)
-  /// invalidate. The old capacity goes with the old contents, so the memory
-  /// a purge recycles returns (Fig 6's post-purge drop).
+  /// the version counter, so observations keyed on (this partition,
+  /// version) tell the layouts apart. The old capacity goes with the old
+  /// contents, so the memory a purge recycles returns (Fig 6's post-purge
+  /// drop).
   void InstallRebuilt(const EpochVector& rebuilt);
 
   bool operator==(const EpochVector& other) const {

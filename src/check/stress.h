@@ -68,8 +68,8 @@ struct StressOptions {
   /// ops' own purge rounds. Purge only compacts history at or below the
   /// LSE, which every live snapshot is at or past, so the oracle
   /// comparison is unchanged; what it adds is scans and appends
-  /// interleaving with the compaction ops, vis-cache invalidation, and two
-  /// rounds overlapping on one table, one erasing bricks the other listed.
+  /// interleaving with the compaction ops, and two rounds overlapping on
+  /// one table, one erasing bricks the other listed.
   bool purge_stress = false;
   /// Runs the scans on the scalar reference kernels instead of Detect()'s
   /// backend, switched with simd::SetBackend for the run. The backends are

@@ -5,7 +5,7 @@
 // cube's FlushManager — and implements each per-node operation once: cube
 // lifecycle; parse (a load becomes one batch partitioned by brick), append
 // (a view of such a batch), delete and scan under the engine's parallelism
-// and cache knobs; data rollback of an epoch (§III-C5); purge at LSE
+// knobs; data rollback of an epoch (§III-C5); purge at LSE
 // (§III-C4); checkpoint flush rounds and local recovery (§III-D).
 //
 // cubrick::Database is the single-node facade over one NodeEngine;
@@ -95,8 +95,9 @@ class NodeEngine {
                      const std::vector<FilterClause>& filters);
   /// Snapshot scan with query_parallelism workers per request, split over
   /// the shards as Table::Scan says (P / S each, plus one for the first
-  /// P % S, at least one), served through each brick's visibility-bitmap
-  /// cache (DESIGN.md §4c). `brick_filter` (optional) selects which local
+  /// P % S, at least one), each brick taking the all-ones mask when the
+  /// snapshot sees it whole and a bitmap built for the scan otherwise
+  /// (DESIGN.md §4c). `brick_filter` (optional) selects which local
   /// bricks to answer for. A query that fails ValidateQuery returns
   /// InvalidArgument without scanning.
   Result<QueryResult> Scan(const std::string& cube,

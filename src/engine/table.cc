@@ -166,7 +166,7 @@ void Table::MarkDeleted(aosi::Epoch epoch,
 QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
                         const Query& query,
                         const std::function<bool(Bid)>& brick_filter,
-                        size_t parallelism, bool visibility_cache) {
+                        size_t parallelism, bool) {
   static obs::Counter* scans =
       obs::MetricsRegistry::Global().GetCounter("query.scans_total");
   static obs::Histogram* latency =
@@ -188,8 +188,7 @@ QueryResult Table::Scan(const aosi::Snapshot& snapshot, ScanMode mode,
         candidates.push_back(&brick);
       }
     });
-    partials[s] = ScanBricks(candidates, snapshot, mode, query, workers,
-                             visibility_cache);
+    partials[s] = ScanBricks(candidates, snapshot, mode, query, workers);
   });
   obs::ObsSpan merge_span(result_merge_us);
   GroupTable& merged = partials[0];

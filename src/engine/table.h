@@ -130,13 +130,14 @@ class Table {
   /// group merges in the order bricks, workers, shard ops, so the result is
   /// bit-identical to merging per-op results (DESIGN.md §4c).
   ///
-  /// `visibility_cache` enables each brick's visibility-bitmap cache
-  /// (DESIGN.md §4c); results are identical with it on or off. The engine
-  /// always scans with it on; tests turn it off for an uncached reference.
+  /// Each brick takes the all-ones mask when the snapshot sees it whole
+  /// and a bitmap built for this scan otherwise (DESIGN.md §4c).
+  // The trailing bool is ignored; bench/ledger/traced.cc passes it until
+  // ROADMAP direction 1 deletes it.
   QueryResult Scan(const aosi::Snapshot& snapshot, ScanMode mode,
                    const Query& query,
                    const std::function<bool(Bid)>& brick_filter = nullptr,
-                   size_t parallelism = 1, bool visibility_cache = true);
+                   size_t parallelism = 1, bool = true);
 
   /// EXPLAIN: reports how many bricks the filters prune without scanning —
   /// the indexed-access property of granular partitioning.

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <utility>
 #include <vector>
 
 #include "aosi/checker_hook.h"
-#include "aosi/vis_cache.h"
 #include "aosi/visibility.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -31,9 +29,6 @@ struct ScanInstruments {
   obs::Histogram* agg_us;
   obs::Histogram* worker_scan_us;
   obs::Histogram* parallel_merge_us;
-  obs::Counter* vis_cache_hits;
-  obs::Counter* vis_cache_misses;
-  obs::Counter* vis_cache_evictions;
   obs::Counter* vis_whole_bricks;
   obs::Counter* kernel_words_scanned;
   obs::Counter* kernel_words_skipped;
@@ -46,6 +41,10 @@ struct ScanInstruments {
 const ScanInstruments& Instruments() {
   static const ScanInstruments m = [] {
     auto& reg = obs::MetricsRegistry::Global();
+    // Stubs that always read 0, kept for bench/ledger/traced.cc until
+    // ROADMAP direction 1 deletes them.
+    reg.GetCounter("query.vis_cache_hits");
+    reg.GetCounter("query.vis_cache_misses");
     return ScanInstruments{
         reg.GetCounter("query.bricks_scanned"),
         reg.GetCounter("query.bricks_pruned"),
@@ -57,9 +56,6 @@ const ScanInstruments& Instruments() {
         reg.GetHistogram("query.agg_us"),
         reg.GetHistogram("query.worker_scan_us"),
         reg.GetHistogram("query.parallel_merge_us"),
-        reg.GetCounter("query.vis_cache_hits"),
-        reg.GetCounter("query.vis_cache_misses"),
-        reg.GetCounter("query.vis_cache_evictions"),
         reg.GetCounter("query.vis_whole_bricks"),
         reg.GetCounter("query.kernel_words_scanned"),
         reg.GetCounter("query.kernel_words_skipped"),
@@ -81,9 +77,6 @@ struct ScanTally {
   uint64_t bricks_pruned = 0;
   uint64_t rows_considered = 0;
   uint64_t rows_scanned = 0;
-  uint64_t vis_cache_hits = 0;
-  uint64_t vis_cache_misses = 0;
-  uint64_t vis_cache_evictions = 0;
   uint64_t vis_whole_bricks = 0;
   uint64_t kernel_words_scanned = 0;
   uint64_t kernel_words_skipped = 0;
@@ -108,9 +101,6 @@ struct ScanTally {
     add(ins.bricks_pruned, bricks_pruned);
     add(ins.rows_considered, rows_considered);
     add(ins.rows_scanned, rows_scanned);
-    add(ins.vis_cache_hits, vis_cache_hits);
-    add(ins.vis_cache_misses, vis_cache_misses);
-    add(ins.vis_cache_evictions, vis_cache_evictions);
     add(ins.vis_whole_bricks, vis_whole_bricks);
     add(ins.kernel_words_scanned, kernel_words_scanned);
     add(ins.kernel_words_skipped, kernel_words_skipped);
@@ -243,8 +233,10 @@ struct ScanContext {
         columns(query.aggs.size()) {}
 
   ScanTally tally;
-  Bitmap whole;     // all ones: the mask of every brick seen whole
-  Bitmap filtered;  // the filter pass's private copy of the mask
+  Bitmap whole;  // all ones: the mask of every brick seen whole
+  // Any other brick's bitmap, built for this scan, which the filter pass
+  // narrows in place; or the filter pass's copy of the whole mask.
+  Bitmap filtered;
   std::vector<MetricAccessor> accessors;
   // One per aggregate: the ungrouped fold's states, and a group's as it
   // merges.
@@ -309,37 +301,23 @@ void ExplainBrick(const Brick& brick, const Query& query,
 
 namespace {
 
-/// VisibilityForScan, tallying the outcome into `tally`. A brick the
-/// snapshot sees whole, and every brick of an RU scan, gets an all-ones
-/// mask: `*whole` resized when it is a worker's reused mask, a fresh one
-/// when `whole` is null.
-VisibilityRef VisibilityTallied(const Brick& brick,
-                                const aosi::Snapshot& snapshot, ScanMode mode,
-                                bool use_cache, ScanTally* tally,
-                                Bitmap* whole) {
+/// VisibilityForScan, tallying into `tally`: `*whole`, resized to the
+/// brick's rows and all ones, for a brick the snapshot sees whole and for
+/// every brick of an RU scan, else `*built`, set to the brick's bitmap.
+/// Returns the one it set.
+Bitmap* VisibilityTallied(const Brick& brick, const aosi::Snapshot& snapshot,
+                          ScanMode mode, ScanTally* tally, Bitmap* whole,
+                          Bitmap* built) {
   const aosi::EpochVector& history = brick.history();
   if (mode == ScanMode::kReadUncommitted ||
       aosi::SeesWhole(history, snapshot)) {
     ++tally->vis_whole_bricks;
     const uint64_t n = history.num_records();
-    if (whole == nullptr) return VisibilityRef(Bitmap(n, true));
     if (whole->size() != n) whole->Assign(n, true);
-    return VisibilityRef(whole);
+    return whole;
   }
-  if (!use_cache) {
-    return VisibilityRef(aosi::BuildVisibilityBitmap(history, snapshot));
-  }
-  aosi::VisibilityCache& cache = brick.vis_cache();
-  const aosi::VisKey key = aosi::VisibilityCache::MakeKey(history, snapshot);
-  if (const Bitmap* hit = cache.Lookup(key)) {
-    ++tally->vis_cache_hits;
-    return VisibilityRef(hit);
-  }
-  ++tally->vis_cache_misses;
-  Bitmap built = aosi::BuildVisibilityBitmap(history, snapshot);
-  const auto outcome = cache.Publish(key, &built);
-  if (outcome.evicted) ++tally->vis_cache_evictions;
-  return VisibilityRef(outcome.published);
+  *built = aosi::BuildVisibilityBitmap(history, snapshot);
+  return built;
 }
 
 /// ScanBrick with the worker's context and group table: the brick's
@@ -347,7 +325,7 @@ VisibilityRef VisibilityTallied(const Brick& brick,
 /// comes from ctx.
 void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
                    ScanMode mode, const Query& query, GroupTable* out,
-                   bool use_cache, ScanContext* ctx) {
+                   ScanContext* ctx) {
   ScanTally& tally = ctx->tally;
   if (brick.num_records() == 0 || !BrickIntersectsFilters(brick, query)) {
     ++tally.bricks_pruned;
@@ -357,13 +335,11 @@ void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
   tally.rows_considered += brick.num_records();
 
   // Concurrency-control pass: the worker's all-ones mask for a brick seen
-  // whole, else one bitmap per brick, memoized in the brick's
-  // VisibilityCache when enabled.
+  // whole, else one bitmap built for this scan (§III-C3).
   PhaseClock clock;
-  VisibilityRef visible =
-      VisibilityTallied(brick, snapshot, mode, use_cache, &tally, &ctx->whole);
+  const Bitmap* mask = VisibilityTallied(brick, snapshot, mode, &tally,
+                                         &ctx->whole, &ctx->filtered);
   clock.Lap(&tally.visibility_us);
-  const Bitmap* mask = &visible.bitmap();
 
   // Online-checker observation point (docs/CHECKING.md): report what this
   // SI scan's visibility mask admitted per epoch run, BEFORE the filter
@@ -407,9 +383,9 @@ void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
 
   // Filter pass: clear bits that fail a dimension predicate. Filters whose
   // clause already covers the brick's whole range are skipped (common with
-  // range predicates aligned to granular partitioning). The pass is
-  // copy-on-write: the visibility bitmap may be shared cache state, so the
-  // first filter needing row work takes a private copy; fully-covered
+  // range predicates aligned to granular partitioning). A built bitmap is
+  // the scan's own and narrows in place; the whole mask is the worker's,
+  // so the first filter needing row work copies it, and fully-covered
   // queries never copy at all. Word-wise kernel: zero words are skipped,
   // dense words bulk-decode 64 coordinates and run the backend's
   // compare-to-bitmask kernel (common/simd.h), sparse words enumerate set
@@ -724,26 +700,25 @@ void ScanBrickWith(const Brick& brick, const aosi::Snapshot& snapshot,
 
 }  // namespace
 
-VisibilityRef VisibilityForScan(const Brick& brick,
-                                const aosi::Snapshot& snapshot,
-                                ScanMode mode) {
+Bitmap VisibilityForScan(const Brick& brick, const aosi::Snapshot& snapshot,
+                         ScanMode mode) {
   ScanTally tally;
-  return VisibilityTallied(brick, snapshot, mode, /*use_cache=*/true, &tally,
-                           /*whole=*/nullptr);
+  Bitmap visible;
+  VisibilityTallied(brick, snapshot, mode, &tally, &visible, &visible);
+  return visible;
 }
 
 void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
                ScanMode mode, const Query& query, QueryResult* result) {
   ScanContext ctx(query);
   GroupTable groups(query.group_by.size(), query.aggs.size());
-  ScanBrickWith(brick, snapshot, mode, query, &groups, /*use_cache=*/true,
-                &ctx);
+  ScanBrickWith(brick, snapshot, mode, query, &groups, &ctx);
   result->Merge(groups.ToResult());
 }
 
 GroupTable ScanBricks(const std::vector<const Brick*>& candidates,
                       const aosi::Snapshot& snapshot, ScanMode mode,
-                      const Query& query, size_t workers, bool use_cache) {
+                      const Query& query, size_t workers) {
   const ScanInstruments& ins = Instruments();
   // The calling thread is always worker 0; its context also tallies the
   // bricks pruned here. Each worker's tally reaches the registry when its
@@ -765,7 +740,7 @@ GroupTable ScanBricks(const std::vector<const Brick*>& candidates,
   workers = std::clamp<size_t>(workers, 1, std::max<size_t>(bricks.size(), 1));
   if (workers == 1) {
     for (const Brick* brick : bricks) {
-      ScanBrickWith(*brick, snapshot, mode, query, &groups, use_cache, &ctx0);
+      ScanBrickWith(*brick, snapshot, mode, query, &groups, &ctx0);
     }
     return groups;
   }
@@ -781,7 +756,7 @@ GroupTable ScanBricks(const std::vector<const Brick*>& candidates,
       // relaxed: the ticket only partitions disjoint bricks; no data rides on it
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= bricks.size()) break;
-      ScanBrickWith(*bricks[i], snapshot, mode, query, out, use_cache, ctx);
+      ScanBrickWith(*bricks[i], snapshot, mode, query, out, ctx);
     }
   };
   TaskGroup group(&ThreadPool::Global());

@@ -8,7 +8,6 @@
 
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "aosi/epoch.h"
@@ -31,39 +30,14 @@ bool BrickIntersectsFilters(const Brick& brick, const Query& query);
 /// partition-granular delete predicate fully covers it).
 bool BrickCoveredByFilters(const Brick& brick, const Query& query);
 
-/// A visibility bitmap for one brick scan: either borrowed (from the
-/// brick's cache, valid until the brick's next cache Publish or Clear,
-/// which only a later op on its shard can make — see vis_cache.h — or a
-/// scan worker's all-ones mask) or owned (built without the cache). Scan
-/// code treats both uniformly and read-only.
-class VisibilityRef {
- public:
-  explicit VisibilityRef(const Bitmap* borrowed) : ptr_(borrowed) {}
-  explicit VisibilityRef(Bitmap owned)
-      : owned_(std::move(owned)), ptr_(&owned_) {}
-
-  VisibilityRef(VisibilityRef&& other) noexcept
-      : owned_(std::move(other.owned_)),
-        ptr_(other.ptr_ == &other.owned_ ? &owned_ : other.ptr_) {}
-  VisibilityRef(const VisibilityRef&) = delete;
-  VisibilityRef& operator=(const VisibilityRef&) = delete;
-  VisibilityRef& operator=(VisibilityRef&&) = delete;
-
-  const Bitmap& bitmap() const { return *ptr_; }
-
- private:
-  Bitmap owned_;
-  const Bitmap* ptr_;
-};
-
-/// The single entry point for scan visibility (executor + materialize): the
-/// mode-appropriate bitmap for `brick` under `snapshot`. RU scans, and SI
-/// scans whose snapshot sees the whole brick (aosi::SeesWhole), get an
-/// all-ones mask without building or caching anything. Any other bitmap is
-/// served from the brick's VisibilityCache (publishing on miss). Adds the
-/// outcome to the registry: query.vis_whole_bricks or query.vis_cache_*.
-VisibilityRef VisibilityForScan(const Brick& brick,
-                                const aosi::Snapshot& snapshot, ScanMode mode);
+/// The single entry point for scan visibility outside the executor's scan
+/// loop (Materialize, tests): the mode-appropriate bitmap for `brick` under
+/// `snapshot`. RU scans, and SI scans whose snapshot sees the whole brick
+/// (aosi::SeesWhole), get an all-ones mask, counted in
+/// query.vis_whole_bricks; any other SI scan gets
+/// aosi::BuildVisibilityBitmap's, built for this call (§III-C3).
+Bitmap VisibilityForScan(const Brick& brick, const aosi::Snapshot& snapshot,
+                         ScanMode mode);
 
 /// Scans one brick and accumulates into `result` (which must have been
 /// constructed with query.aggs.size()). `query` must pass ValidateQuery
@@ -94,7 +68,7 @@ void ScanBrick(const Brick& brick, const aosi::Snapshot& snapshot,
 /// brick scan writes no shared instrument.
 GroupTable ScanBricks(const std::vector<const Brick*>& candidates,
                       const aosi::Snapshot& snapshot, ScanMode mode,
-                      const Query& query, size_t workers, bool use_cache);
+                      const Query& query, size_t workers);
 
 /// EXPLAIN-style account of how granular partitioning served a query.
 struct ScanPlanStats {

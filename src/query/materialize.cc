@@ -13,9 +13,8 @@ uint64_t MaterializeBrick(const Brick& brick, const aosi::Snapshot& snapshot,
   if (!BrickIntersectsFilters(brick, query)) return 0;
 
   const CubeSchema& schema = brick.schema();
-  // Same visibility entry point (and cache) as the aggregation executor.
-  const VisibilityRef ref = VisibilityForScan(brick, snapshot, mode);
-  const Bitmap& visible = ref.bitmap();
+  // The same visibility rule as the aggregation executor.
+  const Bitmap visible = VisibilityForScan(brick, snapshot, mode);
 
   uint64_t produced = 0;
   for (size_t row = visible.FindNextSet(0);

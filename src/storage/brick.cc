@@ -110,12 +110,10 @@ void Brick::AppendBatch(aosi::Epoch epoch, const EncodedBatch& batch,
     }
   }
   history_.RecordAppend(epoch, end - begin);
-  vis_cache_.Clear();
 }
 
 void Brick::MarkDeleted(aosi::Epoch epoch) {
   history_.RecordDelete(epoch);
-  vis_cache_.Clear();
 }
 
 void Brick::ApplyCompaction(const aosi::CompactionPlan& plan) {
@@ -128,10 +126,9 @@ void Brick::ApplyCompaction(const aosi::CompactionPlan& plan) {
   }
   CUBRICK_CHECK(bess_.num_records() == plan.new_history.num_records());
   // InstallRebuilt (not plain assignment) keeps the version counter
-  // advancing, so cached visibility bitmaps of the pre-compaction layout
-  // can never be mistaken for the new one.
+  // advancing, so the online checker never takes two observations of
+  // different layouts for repeated reads of one.
   history_.InstallRebuilt(plan.new_history);
-  vis_cache_.Clear();
 }
 
 size_t Brick::DataMemoryUsage() const {

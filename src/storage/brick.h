@@ -20,7 +20,6 @@
 
 #include "aosi/epoch_vector.h"
 #include "aosi/purge.h"
-#include "aosi/vis_cache.h"
 #include "common/status.h"
 #include "storage/metric_column.h"
 #include "storage/bess_column.h"
@@ -110,20 +109,13 @@ class Brick {
   const BessColumn& bess() const { return bess_; }
   const aosi::EpochVector& history() const { return history_; }
 
-  /// The brick's visibility-bitmap cache. Mutable scan-side state: scans
-  /// take const bricks, publishing a memoized bitmap does not change what
-  /// any reader observes. Like the rest of the brick it is state of the
-  /// owning shard, touched only inside that shard's ops; every mutator
-  /// above clears it (see vis_cache.h).
-  aosi::VisibilityCache& vis_cache() const { return vis_cache_; }
-
   /// Applies a purge, rollback or truncation plan and installs
   /// plan.new_history. Only a plan that drops a row rebuilds the columns:
   /// they are rebuilt into fresh vectors keeping the plan.keep rows, which
   /// then replace the old ones, mirroring the paper's
   /// new-partition-then-atomic-swap scheme. A plan that keeps every row (a
   /// purge that only merges append runs) leaves the columns alone. Either
-  /// way the history version advances and the visibility cache is cleared.
+  /// way the history version advances.
   void ApplyCompaction(const aosi::CompactionPlan& plan);
 
   /// Data bytes (bess + metrics). Excludes the epochs vector.
@@ -140,7 +132,6 @@ class Brick {
   BessColumn bess_;
   std::vector<MetricColumn> metrics_;
   aosi::EpochVector history_;
-  mutable aosi::VisibilityCache vis_cache_;
 };
 
 }  // namespace cubrick

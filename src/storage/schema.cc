@@ -1,18 +1,12 @@
 #include "storage/schema.h"
 
+#include <bit>
 #include <unordered_set>
 
 namespace cubrick {
 
 uint32_t BitsForCount(uint64_t n) {
-  if (n <= 1) return 0;
-  uint32_t bits = 0;
-  uint64_t capacity = 1;
-  while (capacity < n) {
-    capacity <<= 1;
-    ++bits;
-  }
-  return bits;
+  return n <= 1 ? 0 : static_cast<uint32_t>(std::bit_width(n - 1));
 }
 
 Result<std::shared_ptr<CubeSchema>> CubeSchema::Make(
@@ -91,14 +85,6 @@ Result<size_t> CubeSchema::MetricIndex(const std::string& name) const {
   return Status::NotFound("no metric named '" + name + "'");
 }
 
-uint64_t CubeSchema::MaxBricks() const {
-  uint64_t total = 1;
-  for (const auto& d : dimensions_) {
-    total *= d.num_ranges();
-  }
-  return total;
-}
-
 Result<Bid> CubeSchema::BidFor(std::span<const uint64_t> coords) const {
   if (coords.size() != dimensions_.size()) {
     return Status::InvalidArgument("coordinate arity mismatch");
@@ -110,6 +96,8 @@ Result<Bid> CubeSchema::BidFor(std::span<const uint64_t> coords) const {
                                 " exceeds cardinality of dimension '" +
                                 dimensions_[i].name + "'");
     }
+    // A dimension of one range takes no bits (and may sit at shift 64).
+    if (bid_dim_bits_[i] == 0) continue;
     const uint64_t range_idx = coords[i] / dimensions_[i].range_size;
     bid |= range_idx << bid_dim_shift_[i];
   }
@@ -119,7 +107,7 @@ Result<Bid> CubeSchema::BidFor(std::span<const uint64_t> coords) const {
 uint64_t CubeSchema::RangeIndexOf(Bid bid, size_t dim) const {
   const uint32_t bits = bid_dim_bits_[dim];
   if (bits == 0) return 0;
-  return (bid >> bid_dim_shift_[dim]) & ((1ULL << bits) - 1);
+  return (bid >> bid_dim_shift_[dim]) & (~0ULL >> (64 - bits));
 }
 
 bool CubeSchema::IsValidBid(Bid bid) const {

@@ -37,7 +37,7 @@ struct DimensionDef {
   bool is_string = false;
 
   uint64_t num_ranges() const {
-    return (cardinality + range_size - 1) / range_size;
+    return cardinality / range_size + (cardinality % range_size != 0);
   }
 };
 
@@ -70,10 +70,6 @@ class CubeSchema {
 
   /// Bits the bid occupies (sum of per-dimension range-index widths).
   uint32_t bid_bits() const { return bid_bits_; }
-
-  /// Total number of addressable bricks (product of num_ranges, capped by
-  /// the bid bit layout).
-  uint64_t MaxBricks() const;
 
   /// Computes the bid for a record's encoded dimension coordinates.
   /// Coordinates must be < cardinality for each dimension.
@@ -126,7 +122,7 @@ class CubeSchema {
   std::vector<std::unique_ptr<StringDictionary>> dictionaries_;
 };
 
-/// Bits required to represent values in [0, n); 0 when n <= 1.
+/// Bits required to represent values in [0, n); 0 when n <= 1, at most 64.
 uint32_t BitsForCount(uint64_t n);
 
 }  // namespace cubrick

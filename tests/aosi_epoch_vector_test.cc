@@ -211,8 +211,8 @@ TEST(EpochVectorTest, VersionBumpsOnEveryMutation) {
 
 TEST(EpochVectorTest, InstallRebuiltAdvancesVersionPastTheSource) {
   // The rebuilt history's own (lower) counter must never clobber the
-  // target's: a cache keyed on the old version would otherwise serve a
-  // pre-compaction bitmap for the compacted layout.
+  // target's: the online checker would otherwise compare an observation of
+  // the compacted layout with one of the old layout as a repeat.
   EpochVector ev;
   for (int i = 1; i <= 5; ++i) ev.RecordAppend(static_cast<Epoch>(i), 1);
   const uint64_t before = ev.version();

@@ -446,50 +446,8 @@ TEST(Program, WaiverAtTheBlockingCallSuppressesTheFinding) {
 }
 
 // ---------------------------------------------------------------------------
-// Passes 3 and 4: protocol state machines
+// Pass 3: checker-hook gate
 // ---------------------------------------------------------------------------
-
-TEST(Program, VisCachePublishNeedsVersionedKeyBuild) {
-  ProgramModel bad = ProgramOf({
-      {"src/query/exec.cc",
-       "class Exec { public: void Cache(); VisibilityCache* cache_; };\n"
-       "void Exec::Cache() { cache_->Publish(id_, bits_); }\n"},
-  });
-  EXPECT_EQ(OfRule(CheckVisCacheProtocol(bad), "vis-cache-protocol").size(),
-            1u);
-
-  ProgramModel good = ProgramOf({
-      {"src/query/exec.cc",
-       "class Exec { public: void Cache(); VisibilityCache* cache_; };\n"
-       "void Exec::Cache() {\n"
-       "  const auto key = cache_->MakeKey(id_, horizon_);\n"
-       "  cache_->Publish(key, bits_);\n"
-       "}\n"},
-  });
-  EXPECT_TRUE(OfRule(CheckVisCacheProtocol(good), "vis-cache-protocol").empty());
-}
-
-TEST(Program, StorageHistoryMutationNeedsCacheClear) {
-  ProgramModel bad = ProgramOf({
-      {"src/storage/brick.cc",
-       "class Brick { public: void Apply(); EpochHistory* history_; "
-       "VisibilityCache* vis_; };\n"
-       "void Brick::Apply() { history_->RecordAppend(e_, n_); }\n"},
-  });
-  EXPECT_EQ(OfRule(CheckVisCacheProtocol(bad), "vis-cache-protocol").size(),
-            1u);
-
-  ProgramModel good = ProgramOf({
-      {"src/storage/brick.cc",
-       "class Brick { public: void Apply(); EpochHistory* history_; "
-       "VisibilityCache* vis_; };\n"
-       "void Brick::Apply() {\n"
-       "  history_->RecordAppend(e_, n_);\n"
-       "  vis_->Clear();\n"
-       "}\n"},
-  });
-  EXPECT_TRUE(OfRule(CheckVisCacheProtocol(good), "vis-cache-protocol").empty());
-}
 
 TEST(Program, CheckerHookCallsStayBehindTheGate) {
   ProgramModel bad = ProgramOf({
@@ -559,7 +517,7 @@ TEST(Report, WaiverSitesBecomeTheDebtLedger) {
   const std::string raw =
       "int a;\n"
       "x();  // aosi-lint: " "allow(lock-cycle)\n"
-      "y();  // aosi-lint: " "allow(hold-across-blocking, vis-cache-protocol)\n";
+      "y();  // aosi-lint: " "allow(hold-across-blocking, checker-hook-gate)\n";
   const std::vector<WaiverSite> sites = CollectWaiverSites(raw, "src/x.cc");
   ASSERT_EQ(sites.size(), 2u);
   EXPECT_EQ(sites[0].line, 2);

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 namespace cubrick {
 namespace {
 
@@ -208,6 +213,56 @@ TEST(DatabaseTest, PurgeAfterDeleteReclaimsMemory) {
   EXPECT_GT(stats.records_removed, 0u);
   EXPECT_EQ(db.TotalRecords(), 1u);
   EXPECT_LE(db.HistoryMemoryUsage(), before);
+}
+
+/// The d coordinates of cube c's groups, grouped by its first dimension.
+std::vector<uint64_t> GroupedFirstDim(Database& db) {
+  cubrick::Query q;
+  q.group_by = {0};
+  q.aggs = {{AggSpec::Fn::kCount, 0}};
+  auto result = db.Query("c", q);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<uint64_t> coords;
+  if (!result.ok()) return coords;
+  for (const auto& [key, states] : result->groups()) coords.push_back(key[0]);
+  std::sort(coords.begin(), coords.end());
+  return coords;
+}
+
+TEST(DatabaseTest, CardinalitiesPastTwoToTheSixtyThreeTakeSixtyFourBidBits) {
+  // 2^63 + 1 ranges need a 64-bit range index: sizing it must not loop,
+  // and reading it back must not shift by 64. e's one range takes no bits
+  // and sits at bit 64, where BidFor must not shift either.
+  {
+    Database db;
+    ASSERT_TRUE(db.ExecuteDdl("CREATE CUBE c (d int CARDINALITY "
+                              "9223372036854775809, e int CARDINALITY 4 "
+                              "RANGE 4, m int)")
+                    .ok());
+    ASSERT_TRUE(db.Load("c", {{int64_t{9223372036854775807}, 3, 1}}).ok());
+    EXPECT_EQ(GroupedFirstDim(db),
+              (std::vector<uint64_t>{9223372036854775807u}));
+  }
+  // 64 bid bits for d plus one for e do not fit.
+  Database db;
+  EXPECT_EQ(db.ExecuteDdl("CREATE CUBE c (d int CARDINALITY "
+                          "18446744073709551615 RANGE 1, e int CARDINALITY 4 "
+                          "RANGE 2, m int)")
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DatabaseTest, RangeCountDoesNotWrapAtTheLargestCardinality) {
+  // 2^64 - 1 values in ranges of 2 are 2^63 ranges; counting them as
+  // (cardinality + range - 1) / range wraps to 0 and collapses every range
+  // onto the first.
+  Database db;
+  ASSERT_TRUE(db.ExecuteDdl("CREATE CUBE c (d int CARDINALITY "
+                            "18446744073709551615 RANGE 2, m int)")
+                  .ok());
+  EXPECT_EQ(db.FindSchema("c")->dimensions()[0].num_ranges(), 1ULL << 63);
+  ASSERT_TRUE(db.Load("c", {{10, 1}, {11, 2}}).ok());
+  EXPECT_EQ(GroupedFirstDim(db), (std::vector<uint64_t>{10, 11}));
 }
 
 }  // namespace

@@ -372,10 +372,9 @@ TEST(OnlineCheckerFaultInjectionTest, SkipFirstDepFaultIsDetected) {
   db.online_checker()->DrainForTest();
   EXPECT_EQ(db.online_checker()->ViolationCount(), 0u);
 
-  // The visibility cache keys on (history version, horizon, deps) — not on
-  // the fault knob — so the control scan's cached bitmap would mask the
-  // fault. A committed load bumps every brick's history version; its rows
-  // are newer than the reader, so they stay out of view either way.
+  // A committed load bumps every brick's history version, so the faulty
+  // scan below is not checked as a repeat of the control's; its rows are
+  // newer than the reader, so they stay out of view either way.
   ASSERT_TRUE(db.Load("t", Rows(&rng, 64)).ok());
 
   // Inject: the snapshot "forgets" to exclude its first dependency, which
@@ -397,9 +396,9 @@ TEST(OnlineCheckerFaultInjectionTest, SkipFirstDepFaultIsDetected) {
   ASSERT_TRUE(db.Commit(reader).ok());
 }
 
-// Serial and morsel-parallel execution, each served from the visibility
-// cache on the repeated query, must agree with the checker observing every
-// scan — and the checker must stay silent on both.
+// Serial and morsel-parallel execution, each querying twice, must agree
+// with the checker observing every scan — and the checker must stay silent
+// on both.
 TEST(OnlineCheckerEquivalenceTest, SerialParallelCachedAgreeUnderChecker) {
   auto run = [](size_t parallelism) {
     DatabaseOptions opt;
@@ -415,7 +414,7 @@ TEST(OnlineCheckerEquivalenceTest, SerialParallelCachedAgreeUnderChecker) {
     }
     auto result = db.Query("t", SumQuery());
     EXPECT_TRUE(result.ok());
-    // Query twice so the second scan hits the cache.
+    // Query twice; the checker observes both scans.
     auto again = db.Query("t", SumQuery());
     EXPECT_TRUE(again.ok());
     db.online_checker()->DrainForTest();

@@ -193,10 +193,6 @@ TEST(ScanInstrumentsTest, TalliesMatchPerBrickCounts) {
         EXPECT_EQ(counter("query.kernel_words_skipped"), want.words_skipped);
         EXPECT_EQ(counter("query.kernel_words_dense"), want.words_dense);
         EXPECT_EQ(counter("query.vis_whole_bricks"), want.bricks_whole);
-        EXPECT_EQ(counter("query.vis_cache_hits") +
-                      counter("query.vis_cache_misses") +
-                      counter("query.vis_whole_bricks"),
-                  want.bricks_scanned);
         EXPECT_EQ(histogram("query.visibility_us").count,
                   want.bricks_scanned);
         for (const char* name : {"query.filter_us", "query.agg_us",

@@ -28,7 +28,6 @@ TEST(SchemaTest, Figure4_BitLayout) {
   EXPECT_EQ(schema->dimensions()[0].num_ranges(), 2u);
   EXPECT_EQ(schema->dimensions()[1].num_ranges(), 4u);
   EXPECT_EQ(schema->bid_bits(), 3u);
-  EXPECT_EQ(schema->MaxBricks(), 8u);
   // bess: offsets within ranges need 1 bit for region, 0 for gender.
   EXPECT_EQ(schema->bess_bits(0), 1u);
   EXPECT_EQ(schema->bess_bits(1), 0u);
@@ -44,7 +43,6 @@ TEST(SchemaTest, Figure4_BidComputation) {
   EXPECT_EQ(schema->BidFor({2, 0}).value(), 1u);
   EXPECT_EQ(schema->BidFor({0, 1}).value(), 2u);
   EXPECT_EQ(schema->BidFor({3, 3}).value(), 7u);
-  EXPECT_EQ(schema->MaxBricks(), 8u);
 }
 
 TEST(SchemaTest, Figure4_RangeIndexRoundTrip) {
@@ -149,6 +147,8 @@ TEST(SchemaTest, BitsForCountEdgeCases) {
   EXPECT_EQ(BitsForCount(4), 2u);
   EXPECT_EQ(BitsForCount(5), 3u);
   EXPECT_EQ(BitsForCount(1ULL << 32), 32u);
+  EXPECT_EQ(BitsForCount((1ULL << 63) + 1), 64u);
+  EXPECT_EQ(BitsForCount(~0ULL), 64u);
 }
 
 }  // namespace

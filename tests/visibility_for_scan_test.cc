@@ -1,8 +1,8 @@
 // VisibilityForScan is the one visibility path behind every brick scan. It
-// must return exactly BuildVisibilityBitmap's mask (the uncached reference)
-// under SI and all ones under RU. A brick the snapshot sees whole gets an
-// all-ones mask with nothing built or cached; any other SI bitmap is built
-// and published to the brick's cache.
+// must return exactly BuildVisibilityBitmap's mask under SI and all ones
+// under RU. A brick the snapshot sees whole gets an all-ones mask without a
+// build, counted in query.vis_whole_bricks; any other SI bitmap is built
+// for the call.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "aosi/vis_cache.h"
 #include "aosi/visibility.h"
 #include "obs/metrics.h"
 #include "query/executor.h"
@@ -61,7 +60,7 @@ std::vector<Case> Cases() {
       {"dep at the newest stamp", {{1, 70}, {3, 60}}, {5, aosi::EpochSet({3})},
        false},
       // Dep 2 names no run, so every row is visible; the brick is still not
-      // seen whole, and its bitmap comes from the cache path.
+      // seen whole, and its bitmap is built.
       {"dep below the newest stamp", {{1, 70}, {4, 60}},
        {5, aosi::EpochSet({2})}, false},
       {"visible delete marker", {{1, 20}, {2, 0}, {3, 110}}, {5, {}}, false},
@@ -94,33 +93,21 @@ TEST(VisibilityForScanTest, ReturnsTheBuiltMaskOnEveryPath) {
     const aosi::EpochVector& history = brick.history();
     ASSERT_EQ(aosi::SeesWhole(history, c.snapshot), c.whole) << c.name;
     const Bitmap built = aosi::BuildVisibilityBitmap(history, c.snapshot);
-    const aosi::VisKey key =
-        aosi::VisibilityCache::MakeKey(history, c.snapshot);
     for (ScanMode mode :
          {ScanMode::kSnapshotIsolation, ScanMode::kReadUncommitted}) {
       const bool si = mode == ScanMode::kSnapshotIsolation;
       SCOPED_TRACE(std::string(c.name) + (si ? " SI" : " RU"));
-      brick.vis_cache().Clear();
-      // Twice: a built bitmap misses, then hits.
-      for (int call = 0; call < 2; ++call) {
-        const obs::MetricsSnapshot before = reg.Snapshot();
-        const VisibilityRef ref = VisibilityForScan(brick, c.snapshot, mode);
-        const obs::MetricsSnapshot after = reg.Snapshot();
-        if (si) {
-          EXPECT_EQ(ref.bitmap(), built);
-        } else {
-          EXPECT_EQ(ref.bitmap(), Bitmap(brick.num_records(), true));
-        }
-        const bool whole = !si || c.whole;
-        EXPECT_EQ(CounterDelta(before, after, "query.vis_whole_bricks"),
-                  whole ? 1u : 0u);
-        EXPECT_EQ(CounterDelta(before, after, "query.vis_cache_misses"),
-                  !whole && call == 0 ? 1u : 0u);
-        EXPECT_EQ(CounterDelta(before, after, "query.vis_cache_hits"),
-                  !whole && call == 1 ? 1u : 0u);
-        // Only a built bitmap is ever published.
-        EXPECT_EQ(brick.vis_cache().Lookup(key) != nullptr, !whole);
+      const obs::MetricsSnapshot before = reg.Snapshot();
+      const Bitmap mask = VisibilityForScan(brick, c.snapshot, mode);
+      const obs::MetricsSnapshot after = reg.Snapshot();
+      if (si) {
+        EXPECT_EQ(mask, built);
+      } else {
+        EXPECT_EQ(mask, Bitmap(brick.num_records(), true));
       }
+      const bool whole = !si || c.whole;
+      EXPECT_EQ(CounterDelta(before, after, "query.vis_whole_bricks"),
+                whole ? 1u : 0u);
     }
   }
 }

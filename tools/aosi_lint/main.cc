@@ -4,8 +4,8 @@
 // Clang's -Wthread-safety cannot express. Per-file rules (rules.h) check one
 // translation unit at a time; with --program, the whole-program passes
 // (program.h) additionally merge every src/ file into one model and check
-// lock ordering, hold-across-blocking, and the vis-cache / checker-hook
-// protocols across translation units.
+// lock ordering, hold-across-blocking, and the checker-hook protocol across
+// translation units.
 //
 // Input is the set of sources named by a compile_commands.json plus a
 // recursive scan of the conventional directories, so headers (which carry
@@ -99,7 +99,7 @@ int Usage() {
       << "compile_commands.json (auto-detected at <root>/build/).\n"
       << "--program additionally merges all src/ files into a whole-program\n"
       << "model and runs the cross-TU passes (lock-cycle,\n"
-      << "hold-across-blocking, vis-cache-protocol, checker-hook-gate).\n";
+      << "hold-across-blocking, checker-hook-gate).\n";
   return 2;
 }
 

@@ -623,7 +623,6 @@ FileModel ExtractModel(const SourceFile& f) {
     }
 
     // Protocol-relevant identifiers.
-    if (t.text == "VisKey" || t.text == "MakeKey") fn.viskey_tokens.push_back(i);
     if (t.text == "GetCheckerHook") fn.checker_get_tokens.push_back(i);
 
     // Call sites.

@@ -12,7 +12,7 @@
 //   - one FunctionModel per function *definition*: ordered lock
 //     acquire/release events, call sites with the set of locks held at the
 //     call, and the token indices of protocol-relevant identifiers
-//     (GetCheckerHook, VisKey/MakeKey, ...).
+//     (GetCheckerHook).
 //
 // docs/STATIC_ANALYSIS.md ("The per-file model") documents this format for
 // rule authors.
@@ -155,10 +155,9 @@ struct FunctionModel {
   // pointers record the pointee (`std::unique_ptr<Database> db` => Database).
   std::map<std::string, std::string> local_types;
 
-  // Token indices of protocol-relevant identifiers seen in the body, for
-  // the vis-cache and checker-hook state machines.
-  std::vector<size_t> viskey_tokens;        // VisKey / MakeKey
-  std::vector<size_t> checker_get_tokens;   // GetCheckerHook
+  // Token indices of GetCheckerHook in the body, for the checker-hook
+  // state machine.
+  std::vector<size_t> checker_get_tokens;
 };
 
 struct FileModel {

@@ -521,68 +521,7 @@ std::vector<Finding> CheckHoldAcrossBlocking(const ProgramModel& pm) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 3: vis-cache protocol state machine
-// ---------------------------------------------------------------------------
-
-std::vector<Finding> CheckVisCacheProtocol(const ProgramModel& pm) {
-  std::vector<Finding> findings;
-  for (const FileModel& fm : pm.files()) {
-    const std::string& rel = fm.cls.rel;
-    if (rel.rfind("src/", 0) != 0) continue;
-    const bool cache_impl = rel.rfind("src/aosi/vis_cache", 0) == 0;
-    for (const FunctionModel& fn : fm.functions) {
-      // (a) Every Publish is dominated by a versioned VisKey build in the
-      // same function: publishing a bitmap under a stale or hand-rolled key
-      // would serve wrong visibility to every later hit.
-      if (!cache_impl) {
-        for (const CallSite& c : fn.calls) {
-          if (c.name != "Publish" || !c.member_call) continue;
-          const bool dominated =
-              std::any_of(fn.viskey_tokens.begin(), fn.viskey_tokens.end(),
-                          [&](size_t idx) { return idx < c.tok_index; });
-          if (dominated) continue;
-          if (fm.Waived(c.line, "vis-cache-protocol")) continue;
-          findings.push_back(
-              {fn.file, c.line, "vis-cache-protocol",
-               fn.Qualified() + " publishes a visibility bitmap without a "
-               "preceding VisibilityCache::MakeKey/VisKey build in the same "
-               "function; the key must be derived from the same history "
-               "version the bitmap was built against",
-               {}});
-        }
-      }
-      // (b) A history mutation must clear the brick's visibility cache
-      // before returning; a stale cached bitmap would hide or resurrect
-      // rows for every snapshot that hits it.
-      if (rel.rfind("src/storage/", 0) == 0) {
-        const CallSite* mutation = nullptr;
-        bool has_clear = false;
-        for (const CallSite& c : fn.calls) {
-          if (c.member_call && (c.name == "RecordAppend" ||
-                                c.name == "RecordDelete" ||
-                                c.name == "InstallRebuilt")) {
-            if (mutation == nullptr) mutation = &c;
-          }
-          if (c.member_call && c.name == "Clear") has_clear = true;
-        }
-        if (mutation != nullptr && !has_clear &&
-            !fm.Waived(mutation->line, "vis-cache-protocol")) {
-          findings.push_back(
-              {fn.file, mutation->line, "vis-cache-protocol",
-               fn.Qualified() + " mutates the epoch history (" +
-                   mutation->name + ") without clearing the brick's "
-                   "visibility cache before returning; cached bitmaps keyed "
-                   "by the old history version would go stale",
-               {}});
-        }
-      }
-    }
-  }
-  return findings;
-}
-
-// ---------------------------------------------------------------------------
-// Pass 4: checker-hook gate
+// Pass 3: checker-hook gate
 // ---------------------------------------------------------------------------
 
 std::vector<Finding> CheckCheckerHookGate(const ProgramModel& pm) {
@@ -621,7 +560,6 @@ std::vector<Finding> RunProgramPasses(const ProgramModel& pm) {
   std::vector<Finding> findings;
   for (auto&& f : CheckLockCycles(pm)) findings.push_back(std::move(f));
   for (auto&& f : CheckHoldAcrossBlocking(pm)) findings.push_back(std::move(f));
-  for (auto&& f : CheckVisCacheProtocol(pm)) findings.push_back(std::move(f));
   for (auto&& f : CheckCheckerHookGate(pm)) findings.push_back(std::move(f));
   return findings;
 }

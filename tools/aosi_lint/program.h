@@ -5,7 +5,7 @@
 // lock acquired in cluster.cc resolves against the member declared in
 // cluster.h), REQUIRES annotations from in-class declarations are applied
 // to out-of-line definitions, and a name-based call graph with class
-// scoping is built. Four passes then run over the merged model:
+// scoping is built. Three passes then run over the merged model:
 //
 //   lock-cycle            directed lock-order graph (edge A->B when B is
 //                         acquired — directly or through any call depth —
@@ -16,11 +16,6 @@
 //                         TaskGroup::Wait, or a condition-variable wait.
 //                         A CondVar wait under exactly the one lock it
 //                         releases is the legitimate pattern and exempt
-//   vis-cache-protocol    every VisibilityCache::Publish call is dominated
-//                         by a versioned VisKey build (MakeKey) in the same
-//                         function; every history mutation in src/storage
-//                         (RecordAppend/RecordDelete/InstallRebuilt) clears
-//                         the brick's visibility cache before returning
 //   checker-hook-gate     checker-hook methods (OnBegin, OnFinish, ...)
 //                         are only invoked behind the GetCheckerHook()
 //                         enabled-load in the same function, keeping the
@@ -82,13 +77,12 @@ class ProgramModel {
   std::vector<const FunctionModel*> empty_;
 };
 
-// Runs all four program passes; waived findings are already filtered out.
+// Runs all three program passes; waived findings are already filtered out.
 std::vector<Finding> RunProgramPasses(const ProgramModel& pm);
 
 // Individual passes (exposed for unit tests).
 std::vector<Finding> CheckLockCycles(const ProgramModel& pm);
 std::vector<Finding> CheckHoldAcrossBlocking(const ProgramModel& pm);
-std::vector<Finding> CheckVisCacheProtocol(const ProgramModel& pm);
 std::vector<Finding> CheckCheckerHookGate(const ProgramModel& pm);
 
 }  // namespace aosilint

@@ -55,13 +55,6 @@ const std::vector<RuleInfo>& Rules() {
        "condition-variable wait. A CondVar wait under exactly the one lock "
        "it releases is the legitimate pattern and exempt",
        true},
-      {"vis-cache-protocol",
-       "visibility-cache discipline: every VisibilityCache::Publish call is "
-       "dominated by a versioned VisKey build (MakeKey) in the same function, "
-       "and every epoch-history mutation in src/storage (RecordAppend/"
-       "RecordDelete/InstallRebuilt) clears the brick's visibility cache "
-       "before returning",
-       true},
       {"checker-hook-gate",
        "checker-hook methods (OnBegin, OnFinish, OnScanObservation, ...) may "
        "only be invoked behind a dominating GetCheckerHook() enabled-load in "
