@@ -55,15 +55,11 @@ std::vector<Record> RandomRecords(Random& rng) {
 }
 
 /// 64 to 191 records for one brick. From 127 on they fill at least one
-/// whole bitmap word wherever they start, so scans meet dense words. Under
-/// a parse fan-out (`fan_out`) they are 2 * kMinMorselRecords plus 0 to 127
-/// records, which the parse splits into morsels, so the oracle checks the
-/// morsel-parallel parse too.
-std::vector<Record> OneBrickRecords(Random& rng, bool fan_out) {
+/// whole bitmap word wherever they start, so scans meet dense words.
+std::vector<Record> OneBrickRecords(Random& rng) {
   const uint64_t b0 = kRangeB * rng.Uniform(kCardB / kRangeB);
   const uint64_t c0 = kRangeC * rng.Uniform(kCardC / kRangeC);
-  const uint64_t n =
-      (fan_out ? 2 * kMinMorselRecords : 64) + rng.Uniform(128);
+  const uint64_t n = 64 + rng.Uniform(128);
   std::vector<Record> rows;
   rows.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -416,8 +412,7 @@ std::vector<OpPlan> GenerateThreadPlan(const StressOptions& opt,
       op.do_read = rng.OneIn(2);
       op.query = RandomQuery(rng);
       if (opt.dense_loads && rng.OneIn(3)) {
-        op.batches.push_back(
-            OneBrickRecords(rng, opt.engine.ingest_parallelism > 1));
+        op.batches.push_back(OneBrickRecords(rng));
       }
     } else if (dice < 0.42) {
       op.kind = OpPlan::Kind::kAbort;
@@ -717,7 +712,6 @@ std::string ConfigLine(const StressOptions& opt, bool cluster) {
       << " threaded=" << opt.engine.threaded_shards
       << " rollback_index=" << opt.engine.rollback_index
       << " parallel=" << opt.engine.query_parallelism
-      << " ingest_parallel=" << opt.engine.ingest_parallelism
       << " persist=" << opt.with_persistence
       << " online=" << opt.online_check
       << " purge_stress=" << opt.purge_stress
@@ -845,7 +839,6 @@ StressOptions MakeSeedConfig(uint64_t seed, bool cluster) {
   opt.engine.threaded_shards = rng.OneIn(2);
   opt.engine.rollback_index = rng.OneIn(2);
   opt.engine.query_parallelism = kQueryParallelism[rng.Uniform(3)];
-  opt.engine.ingest_parallelism = rng.OneIn(2) ? 4 : 1;
   opt.with_persistence = rng.OneIn(5);
   opt.online_check = rng.OneIn(2);
   const bool purge_stress = rng.OneIn(2);

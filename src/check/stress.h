@@ -47,10 +47,9 @@ struct StressOptions {
   int ops_per_thread = 100;
   /// The engine configuration of the Database, or of every cluster node;
   /// leave data_dir empty (with_persistence gives the run its own scratch
-  /// directory). Scan and ingest fan-out cannot change an answer the
-  /// oracle diffs: workload metric values are small integers, so double
-  /// aggregation is exact in any merge order, and parallel parse output is
-  /// bit-identical to serial (DESIGN.md §4f).
+  /// directory). Scan fan-out cannot change an answer the oracle diffs:
+  /// workload metric values are small integers, so double aggregation is
+  /// exact in any merge order.
   EngineOptions engine;
   /// Enables checkpoint operations in the mix plus a crash/recovery epilogue
   /// validated against the oracle.
@@ -78,11 +77,9 @@ struct StressOptions {
   bool scalar_kernels = false;
   /// Some committed appends also load 64 to 191 records into one brick, so
   /// scans meet dense bitmap words: the vector filter kernels and bitmap
-  /// range writes that span words run against the oracle. Under
-  /// ingest_parallelism > 1 they load 2 * kMinMorselRecords plus 0 to 127
-  /// records instead, the plan's only loads that the parse fans out. The
-  /// plan draws these loads only when the flag is set, so seeds without it
-  /// keep the plans they always had.
+  /// range writes that span words run against the oracle. The plan draws
+  /// these loads only when the flag is set, so seeds without it keep the
+  /// plans they always had.
   bool dense_loads = false;
   /// Cluster mode only.
   uint32_t num_nodes = 3;
@@ -115,7 +112,7 @@ struct StressReport {
 
 /// Derives the whole configuration from `seed`: thread count, the engine
 /// options (shard count, threaded vs inline shards, rollback index, scan
-/// and ingest fan-out), persistence, the online checker, purge stress
+/// fan-out), persistence, the online checker, purge stress
 /// (single node), replication factor and simulated latency (cluster), the
 /// scan kernels and the one-brick dense loads.
 /// Each setting is an independent draw from Random(seed), so a seed sweep

@@ -9,22 +9,19 @@ namespace cubrick {
 ThreadPool::ThreadPool(size_t num_threads) {
   auto& reg = obs::MetricsRegistry::Global();
   tasks_total_ = reg.GetCounter("pool.tasks_total");
-  steals_total_ = reg.GetCounter("pool.steals_total");
   queue_depth_ = reg.GetGauge("pool.queue_depth");
+  // Always 0; bench/ledger/traced.cc reads it until ROADMAP direction 1.
+  reg.GetCounter("pool.steals_total");
   const size_t n = num_threads == 0 ? 1 : num_threads;
-  queues_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    queues_.push_back(std::make_unique<Worker>());
-  }
   threads_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    MutexLock lock(sleep_mu_);
+    MutexLock lock(mu_);
     stop_ = true;
     wake_cv_.NotifyAll();
   }
@@ -32,72 +29,44 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  // The ticket only spreads tasks across deques; any placement is correct
-  // (work stealing rebalances), so no ordering is carried through it.
-  // relaxed: round-robin placement hint; the task is published via the deque mutex
-  const uint64_t t = submit_ticket_.fetch_add(1, std::memory_order_relaxed);
-  Worker& worker = *queues_[t % queues_.size()];
-  {
-    MutexLock lock(worker.mu);
-    worker.tasks.push_back(std::move(task));
-  }
   tasks_total_->Add();
-  // Publish-then-count: the task is already claimable, so a worker that
-  // observes the incremented count always finds work (or someone else
-  // already ran it).
-  MutexLock lock(sleep_mu_);
-  ++queued_;
-  queue_depth_->Set(static_cast<int64_t>(queued_));
+  MutexLock lock(mu_);
+  tasks_.push_back(std::move(task));
+  queue_depth_->Set(static_cast<int64_t>(tasks_.size()));
   wake_cv_.NotifyOne();
 }
 
-bool ThreadPool::PopTask(size_t home, std::function<void()>* out) {
-  const size_t n = queues_.size();
-  for (size_t i = 0; i < n; ++i) {
-    const size_t q = (home + i) % n;
-    Worker& worker = *queues_[q];
-    MutexLock lock(worker.mu);
-    if (worker.tasks.empty()) continue;
-    if (i == 0) {
-      *out = std::move(worker.tasks.front());
-      worker.tasks.pop_front();
-    } else {
-      // Steal from the cold end of a sibling's deque.
-      *out = std::move(worker.tasks.back());
-      worker.tasks.pop_back();
-      steals_total_->Add();
-    }
-    return true;
-  }
-  return false;
+std::function<void()> ThreadPool::PopLocked() {
+  std::function<void()> task = std::move(tasks_.front());
+  tasks_.pop_front();
+  queue_depth_->Set(static_cast<int64_t>(tasks_.size()));
+  return task;
 }
 
-bool ThreadPool::RunOneFrom(size_t home) {
+bool ThreadPool::TryRunOne() {
   std::function<void()> task;
-  if (!PopTask(home, &task)) return false;
   {
-    MutexLock lock(sleep_mu_);
-    --queued_;
-    queue_depth_->Set(static_cast<int64_t>(queued_));
+    MutexLock lock(mu_);
+    if (tasks_.empty()) return false;
+    task = PopLocked();
   }
   task();
   return true;
 }
 
-bool ThreadPool::TryRunOne() { return RunOneFrom(/*home=*/0); }
-
-void ThreadPool::WorkerLoop(size_t index) {
+void ThreadPool::WorkerLoop() {
   while (true) {
-    if (RunOneFrom(index)) continue;
-    MutexLock lock(sleep_mu_);
-    // queued_ can lag a concurrent claim by a moment (the claimer
-    // decrements after popping), which at worst causes one extra loop —
-    // never a missed task, because Submit increments under this mutex
-    // after the task is claimable.
-    while (queued_ == 0 && !stop_) {
-      wake_cv_.Wait(lock);
+    std::function<void()> task;
+    {
+      MutexLock lock(mu_);
+      while (tasks_.empty() && !stop_) {
+        wake_cv_.Wait(lock);
+      }
+      // Stopping, but the backlog runs first.
+      if (tasks_.empty()) return;
+      task = PopLocked();
     }
-    if (stop_ && queued_ == 0) return;
+    task();
   }
 }
 

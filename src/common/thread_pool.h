@@ -1,33 +1,25 @@
-// Work-stealing thread pool: the shared execution substrate for
-// morsel-parallel query scans (DESIGN.md §"Morsel-parallel execution") and,
-// later, purge/ingest parallelization.
+// Thread pool: the shared execution substrate for ScanBricks' fan-out
+// (DESIGN.md §4b), its one producer.
 //
 // Design:
-//  * One task deque per worker, each guarded by its own Mutex. Submit()
-//    places a task on the deque picked by a round-robin ticket; a worker
-//    pops from the front of its own deque and steals from the *back* of a
-//    sibling's, so an owner and a thief touch opposite ends and contend
-//    only on the deque mutex, never on the same task.
-//  * A single sleep mutex + condvar parks idle workers. The wake predicate
-//    is a guarded count of queued tasks which Submit() increments *after*
-//    publishing the task and while holding the sleep mutex, so a Submit()
-//    racing with a worker going to sleep can never lose the wakeup.
+//  * One FIFO task deque under one Mutex. Submit() appends a task and wakes
+//    one worker; workers pop the front. A scan's tasks are coarse (one per
+//    extra worker, each claiming bricks from a shared ticket), so there is
+//    nothing for per-worker deques or work stealing to balance.
 //  * TaskGroup tracks one fan-out. Wait() first lends the calling thread to
-//    the pool (running queued tasks) and only then blocks, so a scan fanned
-//    out from inside a shard operation makes progress even when every pool
-//    worker is busy with other groups — no nested-fan-out deadlock.
+//    the pool (running queued tasks from the front) and only then blocks,
+//    so a scan fanned out from inside a shard operation makes progress even
+//    when every pool worker is busy with other groups — no nested-fan-out
+//    deadlock.
 //
-// Instrumented per docs/OBSERVABILITY.md: pool.queue_depth (gauge),
-// pool.tasks_total and pool.steals_total (counters).
+// Instrumented per docs/OBSERVABILITY.md: pool.queue_depth (gauge) and
+// pool.tasks_total (counter).
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -55,9 +47,9 @@ class ThreadPool {
   /// Enqueues a task. Thread-safe; never blocks on task execution.
   void Submit(std::function<void()> task);
 
-  /// Runs one queued task (any worker's) on the calling thread. Returns
-  /// false when every deque is empty. Lets non-pool threads lend a hand —
-  /// see TaskGroup::Wait.
+  /// Runs the front queued task on the calling thread. Returns false when
+  /// the queue is empty. Lets non-pool threads lend a hand — see
+  /// TaskGroup::Wait.
   bool TryRunOne();
 
   size_t num_threads() const { return threads_.size(); }
@@ -68,29 +60,16 @@ class ThreadPool {
   static ThreadPool& Global();
 
  private:
-  struct Worker {
-    Mutex mu;
-    std::deque<std::function<void()>> tasks GUARDED_BY(mu);
-  };
+  void WorkerLoop();
+  /// Pops the front task; the queue must not be empty.
+  std::function<void()> PopLocked() REQUIRES(mu_);
 
-  void WorkerLoop(size_t index);
-  /// Pops from `home`'s front, else steals from another deque's back.
-  bool PopTask(size_t home, std::function<void()>* out);
-  /// PopTask + bookkeeping + execution; false when nothing was queued.
-  bool RunOneFrom(size_t home);
-
-  std::vector<std::unique_ptr<Worker>> queues_;
-
-  Mutex sleep_mu_;
+  Mutex mu_;
   CondVar wake_cv_;
-  /// Tasks submitted but not yet claimed; the workers' wake predicate.
-  size_t queued_ GUARDED_BY(sleep_mu_) = 0;
-  bool stop_ GUARDED_BY(sleep_mu_) = false;
-
-  std::atomic<uint64_t> submit_ticket_{0};
+  std::deque<std::function<void()>> tasks_ GUARDED_BY(mu_);
+  bool stop_ GUARDED_BY(mu_) = false;
 
   obs::Counter* tasks_total_;
-  obs::Counter* steals_total_;
   obs::Gauge* queue_depth_;
 
   std::vector<std::thread> threads_;

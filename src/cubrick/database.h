@@ -43,6 +43,8 @@ struct DatabaseOptions : EngineOptions {
   /// global hook — at most one Database (or manually installed checker)
   /// may enable it at a time.
   bool online_check = false;
+  /// Ignored stub: bench/ledger/ledger.h sets it until ROADMAP direction 1.
+  size_t ingest_parallelism = 1;
 };
 
 class Database {

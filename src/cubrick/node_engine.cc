@@ -71,8 +71,7 @@ Result<ParseOutput> NodeEngine::Parse(const std::string& cube,
                                       const ParseOptions& options) {
   auto table = GetTable(cube);
   if (!table.ok()) return table.status();
-  return ParseRecords((*table)->schema(), records, options,
-                      options_.ingest_parallelism);
+  return ParseRecords((*table)->schema(), records, options);
 }
 
 Status NodeEngine::Append(aosi::Epoch epoch, const std::string& cube,

@@ -4,8 +4,8 @@
 // of every cube — a sharded Table plus, when a data_dir is configured, the
 // cube's FlushManager — and implements each per-node operation once: cube
 // lifecycle; parse (a load becomes one batch partitioned by brick), append
-// (a view of such a batch), delete and scan under the engine's parallelism
-// knobs; data rollback of an epoch (§III-C5); purge at LSE
+// (a view of such a batch), delete, and scan under the engine's query
+// parallelism; data rollback of an epoch (§III-C5); purge at LSE
 // (§III-C4); checkpoint flush rounds and local recovery (§III-D).
 //
 // cubrick::Database is the single-node facade over one NodeEngine;
@@ -46,15 +46,6 @@ struct EngineOptions {
   /// shards_per_cube, the default 1 included, scans each shard on its own
   /// thread alone.
   size_t query_parallelism = 1;
-  /// Morsel-parallel ingestion (DESIGN.md §4f): maximum parse/encode
-  /// workers per load request (record morsels fanned out on
-  /// ThreadPool::Global(), each encoding into its own rows of the load's
-  /// batch; see ParseRecords). Only loads of at least 2 * kMinMorselRecords
-  /// (1,024) records fan out, in morsels of at least kMinMorselRecords;
-  /// smaller loads parse on the caller at any setting. Output is
-  /// bit-identical to the serial walk at any setting; 1 (the default)
-  /// parses every load on the caller.
-  size_t ingest_parallelism = 1;
 };
 
 class NodeEngine {
@@ -81,8 +72,8 @@ class NodeEngine {
 
   // --- Data operations -----------------------------------------------------
 
-  /// Validates and encodes `records` for `cube` with ingest_parallelism
-  /// parse workers (see ParseRecords).
+  /// Validates and encodes `records` for `cube` on the calling thread (see
+  /// ParseRecords).
   Result<ParseOutput> Parse(const std::string& cube,
                             const std::vector<Record>& records,
                             const ParseOptions& options = {});

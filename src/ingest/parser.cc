@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <string_view>
+#include <utility>
 
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "storage/dictionary.h"
@@ -27,248 +27,268 @@ std::vector<size_t> StringColumns(const CubeSchema& schema) {
   return cols;
 }
 
-/// One string column's ids for the load: phase 1 fills `found`, phase 2
-/// `misses` and `miss_ids`, and phase 3 only reads them.
-struct ColumnIds {
-  /// Indexed by record: the id phase 1's lookup found, or kMissing.
-  std::vector<uint64_t> found;
-  /// The load's values the lookup missed, sorted and deduplicated, and the
-  /// id the batch insert returned for each.
-  std::vector<std::string_view> misses;
-  std::vector<uint64_t> miss_ids;
-
-  /// The id of `value`, record `i`'s string, which phase 1 looked up.
-  uint64_t IdOf(size_t i, std::string_view value) const {
-    if (found[i] != StringDictionary::kMissing) return found[i];
-    const auto it = std::lower_bound(misses.begin(), misses.end(), value);
-    return miss_ids[it - misses.begin()];
-  }
-};
-
-/// Phase 1 of the two-phase dictionary encode: per string column, looks up
-/// every type-correct value of records [begin, end) in one locked batch,
-/// keeps each id found at its record, and collects the values the
-/// dictionary lacks. Records with the wrong arity contribute nothing (they
-/// cannot be accepted later). `misses` is indexed by column; `hits` counts
-/// the values found, for the ingest.dict_snapshot_hits metric.
-void LookUpStrings(const CubeSchema& schema,
-                   const std::vector<Record>& records, size_t begin,
-                   size_t end, const std::vector<size_t>& string_cols,
-                   std::vector<ColumnIds>* ids,
-                   std::vector<std::vector<std::string_view>>* misses,
-                   uint64_t* hits) {
-  const size_t arity = schema.num_columns();
-  uint64_t local_hits = 0;
-  std::vector<std::string_view> values;
-  std::vector<size_t> rows;
-  for (size_t c : string_cols) {
-    values.clear();
-    rows.clear();
-    for (size_t i = begin; i < end; ++i) {
-      const Record& record = records[i];
-      if (record.values.size() != arity || !record.values[c].is_string()) {
-        continue;
-      }
-      values.push_back(record.values[c].as_string());
-      rows.push_back(i);
-    }
-    const std::vector<uint64_t> found = schema.dictionary(c)->Lookup(values);
-    std::vector<uint64_t>& column = (*ids)[c].found;
-    for (size_t k = 0; k < rows.size(); ++k) {
-      column[rows[k]] = found[k];
-      if (found[k] == StringDictionary::kMissing) {
-        (*misses)[c].push_back(values[k]);
-      } else {
-        ++local_hits;
-      }
-    }
-  }
-  *hits += local_hits;
+Status ExceedsCardinality(const DimensionDef& def, uint64_t coord) {
+  return Status::OutOfRange("dimension '" + def.name + "' value " +
+                            std::to_string(coord) +
+                            " exceeds declared cardinality " +
+                            std::to_string(def.cardinality));
 }
 
-/// Encodes record `i`'s value of dimension `dim` to its coordinate,
-/// validating cardinality. String dimensions take the id phases 1 and 2
-/// kept for the record.
-Result<uint64_t> EncodeDimension(const CubeSchema& schema,
-                                 const std::vector<ColumnIds>& ids,
-                                 size_t dim, size_t i, const Value& value) {
-  const DimensionDef& def = schema.dimensions()[dim];
-  uint64_t coord = 0;
-  if (def.is_string) {
-    if (!value.is_string()) {
-      return Status::InvalidArgument("dimension '" + def.name +
-                                     "' expects a string");
-    }
-    coord = ids[dim].IdOf(i, value.as_string());
-  } else {
-    if (!value.is_int64()) {
-      return Status::InvalidArgument("dimension '" + def.name +
-                                     "' expects an integer");
-    }
-    const int64_t raw = value.as_int64();
-    if (raw < 0) {
-      return Status::OutOfRange("dimension '" + def.name +
-                                "' coordinate is negative");
-    }
-    coord = static_cast<uint64_t>(raw);
-  }
-  if (coord >= def.cardinality) {
-    return Status::OutOfRange("dimension '" + def.name + "' value " +
-                              std::to_string(coord) +
-                              " exceeds declared cardinality " +
-                              std::to_string(def.cardinality));
-  }
-  return coord;
-}
+/// The records a parse rejects, and the first `max_errors` diagnostics in
+/// record order. The string phases reject records after the type checks
+/// have, so a diagnostic may land before ones already kept.
+class Rejections {
+ public:
+  Rejections(size_t num_records, size_t max_errors)
+      : rejected_(num_records, 0), max_errors_(max_errors) {}
 
-/// One morsel's validation tally. Its encoded rows go straight into the
-/// load's staging columns at their record indexes (see Staging), so these
-/// counts and diagnostics are all that is left to combine.
-struct MorselOutput {
-  uint64_t accepted = 0;
-  uint64_t rejected = 0;
-  /// First `max_errors` rejection diagnostics of this morsel, in record
-  /// order (concatenated in morsel order and re-truncated afterwards).
-  std::vector<std::string> errors;
+  bool rejected(size_t i) const { return rejected_[i] != 0; }
+  uint64_t count() const { return count_; }
+
+  void Add(size_t i, const Status& why) {
+    rejected_[i] = 1;
+    ++count_;
+    const auto by_record = [](const auto& error, size_t record) {
+      return error.first < record;
+    };
+    const size_t pos =
+        std::lower_bound(errors_.begin(), errors_.end(), i, by_record) -
+        errors_.begin();
+    if (pos >= max_errors_) return;
+    if (errors_.size() == max_errors_) errors_.pop_back();
+    errors_.insert(errors_.begin() + pos, {i, why.ToString()});
+  }
+
+  std::vector<std::string> TakeErrors() {
+    std::vector<std::string> out;
+    out.reserve(errors_.size());
+    for (auto& [record, error] : errors_) out.push_back(std::move(error));
+    return out;
+  }
+
+  Status Discard(uint64_t max_rejected) const {
+    const std::string detail =
+        errors_.empty() ? "" : " (first: " + errors_.front().second + ")";
+    return Status::InvalidArgument(
+        "batch discarded: " + std::to_string(count_) +
+        " records rejected, max_rejected=" + std::to_string(max_rejected) +
+        detail);
+  }
+
+ private:
+  std::vector<uint8_t> rejected_;
+  uint64_t count_ = 0;
+  size_t max_errors_;
+  /// (record, diagnostic), ascending by record.
+  std::vector<std::pair<size_t, std::string>> errors_;
 };
 
-/// The encode phase's output, indexed by record: row i of every column
-/// holds record i's encoding, and `bids[i]` its brick, when `accepted[i]`
-/// is set. Morsels own disjoint record ranges, so they write disjoint rows.
-struct Staging {
-  Staging(const CubeSchema& schema, size_t n)
-      : dim_offsets(schema.num_dimensions(), std::vector<uint64_t>(n)),
-        metric_ints(schema.num_metrics()),
-        metric_doubles(schema.num_metrics()),
-        bids(n),
-        accepted(n, 0) {
-    for (size_t m = 0; m < schema.num_metrics(); ++m) {
-      if (schema.metrics()[m].type == DataType::kDouble) {
-        metric_doubles[m].resize(n);
-      } else {
-        metric_ints[m].resize(n);
-      }
-    }
+/// Checks `record`'s arity, value types and integer coordinates, and
+/// writes each integer dimension's coordinate to codes[d][i]. String values
+/// are only type-checked here: the dictionary phases encode them.
+Status CheckRecord(const CubeSchema& schema, const Record& record, size_t i,
+                   std::vector<std::vector<uint64_t>>* codes) {
+  if (record.values.size() != schema.num_columns()) {
+    return Status::InvalidArgument("wrong number of columns");
   }
-
-  std::vector<std::vector<uint64_t>> dim_offsets;
-  std::vector<std::vector<int64_t>> metric_ints;
-  std::vector<std::vector<double>> metric_doubles;
-  std::vector<Bid> bids;
-  std::vector<uint8_t> accepted;
-};
-
-/// One worker's share of the encode phase: validates and encodes records
-/// [begin, end) into their staging rows. Deterministic by construction —
-/// it only reads the ids phases 1 and 2 kept, never a dictionary — so the
-/// staging rows, counts and diagnostics are the same at any fan-out.
-void EncodeMorsel(const CubeSchema& schema, const std::vector<Record>& records,
-                  size_t begin, size_t end, const ParseOptions& options,
-                  const std::vector<ColumnIds>& ids, Staging* staging,
-                  MorselOutput* out) {
   const size_t num_dims = schema.num_dimensions();
-  const size_t num_metrics = schema.num_metrics();
-  std::vector<uint64_t> coords(num_dims);
-  for (size_t i = begin; i < end; ++i) {
-    const Record& record = records[i];
-    Status record_status;
-    if (record.values.size() != num_dims + num_metrics) {
-      record_status = Status::InvalidArgument("wrong number of columns");
-    }
-    for (size_t d = 0; record_status.ok() && d < num_dims; ++d) {
-      auto coord = EncodeDimension(schema, ids, d, i, record.values[d]);
-      if (!coord.ok()) {
-        record_status = coord.status();
-        break;
-      }
-      coords[d] = *coord;
-    }
-    for (size_t m = 0; record_status.ok() && m < num_metrics; ++m) {
-      const Value& v = record.values[num_dims + m];
-      const MetricDef& def = schema.metrics()[m];
-      switch (def.type) {
-        case DataType::kInt64:
-          if (!v.is_int64()) {
-            record_status = Status::InvalidArgument("metric '" + def.name +
-                                                    "' expects int64");
-          }
-          break;
-        case DataType::kDouble:
-          if (v.is_string()) {
-            record_status = Status::InvalidArgument("metric '" + def.name +
-                                                    "' expects a number");
-          }
-          break;
-        case DataType::kString:
-          if (!v.is_string()) {
-            record_status = Status::InvalidArgument("metric '" + def.name +
-                                                    "' expects a string");
-          }
-          break;
-      }
-    }
-    if (!record_status.ok()) {
-      ++out->rejected;
-      if (out->errors.size() < options.max_errors) {
-        out->errors.push_back(record_status.ToString());
+  for (size_t d = 0; d < num_dims; ++d) {
+    const DimensionDef& def = schema.dimensions()[d];
+    const Value& v = record.values[d];
+    if (def.is_string) {
+      if (!v.is_string()) {
+        return Status::InvalidArgument("dimension '" + def.name +
+                                       "' expects a string");
       }
       continue;
     }
-    staging->bids[i] = schema.BidFor(coords).value();
-    staging->accepted[i] = 1;
-    for (size_t d = 0; d < num_dims; ++d) {
-      uint64_t range_idx = 0;
-      schema.SplitCoord(d, coords[d], &range_idx,
-                        &staging->dim_offsets[d][i]);
+    if (!v.is_int64()) {
+      return Status::InvalidArgument("dimension '" + def.name +
+                                     "' expects an integer");
     }
-    for (size_t m = 0; m < num_metrics; ++m) {
-      const Value& v = record.values[num_dims + m];
-      switch (schema.metrics()[m].type) {
-        case DataType::kInt64:
-          staging->metric_ints[m][i] = v.as_int64();
-          break;
-        case DataType::kDouble:
-          staging->metric_doubles[m][i] = v.ToDouble().value();
-          break;
-        case DataType::kString:
-          staging->metric_ints[m][i] =
-              static_cast<int64_t>(ids[num_dims + m].IdOf(i, v.as_string()));
-          break;
-      }
+    if (v.as_int64() < 0) {
+      return Status::OutOfRange("dimension '" + def.name +
+                                "' coordinate is negative");
     }
-    ++out->accepted;
+    const auto coord = static_cast<uint64_t>(v.as_int64());
+    if (coord >= def.cardinality) return ExceedsCardinality(def, coord);
+    (*codes)[d][i] = coord;
   }
+  for (size_t m = 0; m < schema.num_metrics(); ++m) {
+    const Value& v = record.values[num_dims + m];
+    const MetricDef& def = schema.metrics()[m];
+    switch (def.type) {
+      case DataType::kInt64:
+        if (!v.is_int64()) {
+          return Status::InvalidArgument("metric '" + def.name +
+                                         "' expects int64");
+        }
+        break;
+      case DataType::kDouble:
+        if (v.is_string()) {
+          return Status::InvalidArgument("metric '" + def.name +
+                                         "' expects a number");
+        }
+        break;
+      case DataType::kString:
+        if (!v.is_string()) {
+          return Status::InvalidArgument("metric '" + def.name +
+                                         "' expects a string");
+        }
+        break;
+    }
+  }
+  return Status::OK();
 }
 
-/// Partitions the accepted staging rows by brick in one pass: sorting the
-/// (bid, record index) pairs puts each brick's rows together in record
-/// order, and one gather per column lays them out contiguously.
+/// The values of one string column that its dictionary lacked, sorted and
+/// deduplicated, and the records that bring them. Between the two phases
+/// such a record's code holds its value's rank in `values`.
+struct NewStrings {
+  std::vector<std::string_view> values;
+  std::vector<size_t> records;
+};
+
+/// Phase one of the two-phase dictionary encode for string column `c`: one
+/// locked Lookup of the kept records' values writes each id found to
+/// `codes` and collects the misses. A dimension rejects each record whose
+/// id, found or predicted, reaches its cardinality; the prediction is the
+/// id the sorted insert of every miss would give. Returns the values found.
+uint64_t LookUpColumn(const CubeSchema& schema,
+                      const std::vector<Record>& records, size_t c,
+                      Rejections* rejects, std::vector<uint64_t>* codes,
+                      NewStrings* fresh) {
+  const StringDictionary& dict = *schema.dictionary(c);
+  const DimensionDef* dim =
+      c < schema.num_dimensions() ? &schema.dimensions()[c] : nullptr;
+  // Read before the lookup, so a racing load can only make a prediction
+  // low, never high; InsertColumn then rejects by the ids the insert gives.
+  const uint64_t next_id = dict.size();
+  std::vector<std::string_view> values;
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (rejects->rejected(i)) continue;
+    values.push_back(records[i].values[c].as_string());
+    rows.push_back(i);
+  }
+  const std::vector<uint64_t> found = dict.Lookup(values);
+  uint64_t hits = 0;
+  for (size_t k = 0; k < rows.size(); ++k) {
+    if (found[k] == StringDictionary::kMissing) {
+      fresh->values.push_back(values[k]);
+      fresh->records.push_back(rows[k]);
+      continue;
+    }
+    ++hits;
+    (*codes)[rows[k]] = found[k];
+    if (dim != nullptr && found[k] >= dim->cardinality) {
+      rejects->Add(rows[k], ExceedsCardinality(*dim, found[k]));
+    }
+  }
+  std::vector<std::string_view>& sorted = fresh->values;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  for (size_t i : fresh->records) {
+    const uint64_t rank =
+        std::lower_bound(sorted.begin(), sorted.end(),
+                         std::string_view(records[i].values[c].as_string())) -
+        sorted.begin();
+    (*codes)[i] = rank;
+    if (dim != nullptr && next_id + rank >= dim->cardinality) {
+      rejects->Add(i, ExceedsCardinality(*dim, next_id + rank));
+    }
+  }
+  return hits;
+}
+
+/// Phase two for string column `c`: one sorted InsertSorted of the misses
+/// that kept records bring, so rejected records' strings stay out, then
+/// each such record's rank becomes its id. Sorted assignment makes the ids
+/// depend only on the dictionary's prior state and the set of new strings.
+/// Under a concurrent load the returned ids decide, and a dimension rejects
+/// a record whose id reaches its cardinality. Returns the strings added.
+uint64_t InsertColumn(const CubeSchema& schema, size_t c,
+                      const NewStrings& fresh, Rejections* rejects,
+                      std::vector<uint64_t>* codes) {
+  constexpr size_t kUnused = ~size_t{0};
+  // slot[rank]: the value's index in `inserted`, or kUnused.
+  std::vector<size_t> slot(fresh.values.size(), kUnused);
+  for (size_t i : fresh.records) {
+    if (!rejects->rejected(i)) slot[(*codes)[i]] = 0;
+  }
+  std::vector<std::string_view> inserted;
+  for (size_t rank = 0; rank < slot.size(); ++rank) {
+    if (slot[rank] == kUnused) continue;
+    slot[rank] = inserted.size();
+    inserted.push_back(fresh.values[rank]);
+  }
+  if (inserted.empty()) return 0;
+  size_t added = 0;
+  const std::vector<uint64_t> ids =
+      schema.dictionary(c)->InsertSorted(inserted, &added);
+  const DimensionDef* dim =
+      c < schema.num_dimensions() ? &schema.dimensions()[c] : nullptr;
+  for (size_t i : fresh.records) {
+    if (rejects->rejected(i)) continue;
+    const uint64_t id = ids[slot[(*codes)[i]]];
+    (*codes)[i] = id;
+    if (dim != nullptr && id >= dim->cardinality) {
+      rejects->Add(i, ExceedsCardinality(*dim, id));
+    }
+  }
+  return added;
+}
+
+/// Partitions the kept records by brick in one pass: sorting the (bid,
+/// record index) pairs puts each brick's rows together in record order, and
+/// one gather lays every column's rows out contiguously.
 EncodedBatch PartitionByBrick(const CubeSchema& schema,
-                              const Staging& staging) {
+                              const std::vector<Record>& records,
+                              const std::vector<std::vector<uint64_t>>& codes,
+                              const Rejections& rejects) {
+  const size_t num_dims = schema.num_dimensions();
+  const size_t num_metrics = schema.num_metrics();
   std::vector<std::pair<Bid, size_t>> keys;
-  keys.reserve(staging.accepted.size());
-  for (size_t i = 0; i < staging.accepted.size(); ++i) {
-    if (staging.accepted[i] != 0) keys.emplace_back(staging.bids[i], i);
+  keys.reserve(records.size());
+  std::vector<uint64_t> coords(num_dims);
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (rejects.rejected(i)) continue;
+    for (size_t d = 0; d < num_dims; ++d) coords[d] = codes[d][i];
+    keys.emplace_back(schema.BidFor(coords).value(), i);
   }
   std::sort(keys.begin(), keys.end());
 
   EncodedBatch out(schema);
   out.num_rows = keys.size();
-  const auto gather = [&keys](const auto& from, auto* to) {
-    to->resize(keys.size());
-    for (size_t k = 0; k < keys.size(); ++k) (*to)[k] = from[keys[k].second];
-  };
-  for (size_t d = 0; d < schema.num_dimensions(); ++d) {
-    gather(staging.dim_offsets[d], &out.dim_offsets[d]);
-  }
-  for (size_t m = 0; m < schema.num_metrics(); ++m) {
+  for (auto& column : out.dim_offsets) column.resize(keys.size());
+  for (size_t m = 0; m < num_metrics; ++m) {
     if (schema.metrics()[m].type == DataType::kDouble) {
-      gather(staging.metric_doubles[m], &out.metric_doubles[m]);
+      out.metric_doubles[m].resize(keys.size());
     } else {
-      gather(staging.metric_ints[m], &out.metric_ints[m]);
+      out.metric_ints[m].resize(keys.size());
     }
   }
   for (size_t k = 0; k < keys.size(); ++k) {
+    const size_t i = keys[k].second;
+    for (size_t d = 0; d < num_dims; ++d) {
+      uint64_t range_idx = 0;
+      schema.SplitCoord(d, codes[d][i], &range_idx, &out.dim_offsets[d][k]);
+    }
+    for (size_t m = 0; m < num_metrics; ++m) {
+      const size_t c = num_dims + m;
+      const Value& v = records[i].values[c];
+      switch (schema.metrics()[m].type) {
+        case DataType::kInt64:
+          out.metric_ints[m][k] = v.as_int64();
+          break;
+        case DataType::kDouble:
+          out.metric_doubles[m][k] = v.ToDouble().value();
+          break;
+        case DataType::kString:
+          out.metric_ints[m][k] = static_cast<int64_t>(codes[c][i]);
+          break;
+      }
+    }
     if (k + 1 == keys.size() || keys[k + 1].first != keys[k].first) {
       out.bids.push_back(keys[k].first);
       out.starts.push_back(k + 1);
@@ -277,44 +297,11 @@ EncodedBatch PartitionByBrick(const CubeSchema& schema,
   return out;
 }
 
-/// Splits [0, n) into at most `parallelism` contiguous morsels of at least
-/// kMinMorselRecords records, sized within one record of each other: the
-/// morsel count rounds n / kMinMorselRecords down, so a load under twice
-/// the floor is one morsel. Chunking never affects the output — each
-/// record's encoding depends only on the record — only load balance.
-std::vector<std::pair<size_t, size_t>> PlanIngestMorsels(size_t n,
-                                                         size_t parallelism) {
-  const size_t num_morsels =
-      std::max<size_t>(1, std::min(parallelism, n / kMinMorselRecords));
-  std::vector<std::pair<size_t, size_t>> morsels;
-  morsels.reserve(num_morsels);
-  for (size_t m = 0; m < num_morsels; ++m) {
-    morsels.push_back({n * m / num_morsels, n * (m + 1) / num_morsels});
-  }
-  return morsels;
-}
-
-/// Runs `fn(morsel_index)` for every morsel — on the shared pool when more
-/// than one morsel was planned, inline otherwise. The caller participates
-/// via TaskGroup::Wait, so nested fan-outs cannot deadlock the pool.
-void ForEachMorsel(size_t num_morsels, const std::function<void(size_t)>& fn) {
-  if (num_morsels <= 1) {
-    fn(0);
-    return;
-  }
-  TaskGroup group(&ThreadPool::Global());
-  for (size_t m = 0; m < num_morsels; ++m) {
-    group.Run([&fn, m] { fn(m); });
-  }
-  group.Wait();
-}
-
 }  // namespace
 
 Result<ParseOutput> ParseRecords(const CubeSchema& schema,
                                  const std::vector<Record>& records,
-                                 const ParseOptions& options,
-                                 size_t parallelism) {
+                                 const ParseOptions& options, size_t) {
   auto& reg = obs::MetricsRegistry::Global();
   static obs::Counter* accepted = reg.GetCounter("ingest.records_accepted");
   static obs::Counter* rejected = reg.GetCounter("ingest.records_rejected");
@@ -326,82 +313,48 @@ Result<ParseOutput> ParseRecords(const CubeSchema& schema,
   static obs::Histogram* parse_us = reg.GetHistogram("ingest.parse_us");
   obs::ObsSpan span(parse_us);
 
+  // codes[c][i]: record i's coordinate in dimension c, or its dictionary id
+  // in string metric c.
+  const size_t n = records.size();
   const std::vector<size_t> string_cols = StringColumns(schema);
-  const auto morsels = PlanIngestMorsels(records.size(), parallelism);
-  const size_t num_morsels = morsels.size();
+  std::vector<std::vector<uint64_t>> codes(schema.num_columns());
+  for (size_t d = 0; d < schema.num_dimensions(); ++d) codes[d].resize(n);
+  for (size_t c : string_cols) codes[c].resize(n);
 
-  // Phase 1: every morsel looks its strings up, one locked batch per
-  // string column, and keeps the ids found.
-  std::vector<ColumnIds> ids(schema.num_columns());
-  for (size_t c : string_cols) ids[c].found.resize(records.size());
-  std::vector<std::vector<std::vector<std::string_view>>> misses(
-      num_morsels,
-      std::vector<std::vector<std::string_view>>(schema.num_columns()));
-  std::vector<uint64_t> hits(num_morsels, 0);
-  if (!string_cols.empty()) {
-    ForEachMorsel(num_morsels, [&](size_t m) {
-      LookUpStrings(schema, records, morsels[m].first, morsels[m].second,
-                    string_cols, &ids, &misses[m], &hits[m]);
-    });
+  Rejections rejects(n, options.max_errors);
+  for (size_t i = 0; i < n; ++i) {
+    const Status checked = CheckRecord(schema, records[i], i, &codes);
+    if (!checked.ok()) rejects.Add(i, checked);
   }
 
-  // Phase 2: one deterministic batch insert per dictionary — the misses
-  // are deduped and sorted, so the assigned ids depend only on the
-  // dictionary's prior state and the *set* of new strings, never on record
-  // order or chunking (serial replay assigns identical ids).
-  uint64_t total_hits = 0;
-  uint64_t total_added = 0;
-  for (uint64_t h : hits) total_hits += h;
-  for (size_t c : string_cols) {
-    std::vector<std::string_view>& merged = ids[c].misses;
-    for (size_t m = 0; m < num_morsels; ++m) {
-      merged.insert(merged.end(), misses[m][c].begin(), misses[m][c].end());
-    }
-    if (merged.empty()) continue;
-    std::sort(merged.begin(), merged.end());
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    size_t added = 0;
-    ids[c].miss_ids = schema.dictionary(c)->InsertSorted(merged, &added);
-    total_added += added;
+  std::vector<NewStrings> fresh(string_cols.size());
+  uint64_t hits = 0;
+  for (size_t k = 0; k < string_cols.size(); ++k) {
+    const size_t c = string_cols[k];
+    hits += LookUpColumn(schema, records, c, &rejects, &codes[c], &fresh[k]);
   }
-  lookup_hits->Add(total_hits);
-  strings_added->Add(total_added);
+  lookup_hits->Add(hits);
 
-  // Phase 3: morsel-parallel validate + encode from the kept ids, each
-  // morsel into its own records' staging rows.
-  Staging staging(schema, records.size());
-  std::vector<MorselOutput> outputs(num_morsels);
-  ForEachMorsel(num_morsels, [&](size_t m) {
-    EncodeMorsel(schema, records, morsels[m].first, morsels[m].second,
-                 options, ids, &staging, &outputs[m]);
-  });
-
-  MorselOutput total;
-  for (MorselOutput& part : outputs) {
-    total.accepted += part.accepted;
-    total.rejected += part.rejected;
-    for (std::string& err : part.errors) {
-      if (total.errors.size() < options.max_errors) {
-        total.errors.push_back(std::move(err));
-      }
-    }
+  // A load already past max_rejected is discarded without inserting
+  // anything; a racing load can still push one past it during the inserts.
+  uint64_t added = 0;
+  for (size_t k = 0;
+       k < string_cols.size() && rejects.count() <= options.max_rejected;
+       ++k) {
+    const size_t c = string_cols[k];
+    added += InsertColumn(schema, c, fresh[k], &rejects, &codes[c]);
+  }
+  strings_added->Add(added);
+  rejected->Add(rejects.count());
+  if (rejects.count() > options.max_rejected) {
+    return rejects.Discard(options.max_rejected);
   }
 
-  rejected->Add(total.rejected);
-  if (total.rejected > options.max_rejected) {
-    // The whole batch is discarded, so its accepted rows never land.
-    std::string detail = total.errors.empty() ? "" : " (first: " +
-                                                         total.errors.front() +
-                                                         ")";
-    return Status::InvalidArgument(
-        "batch discarded: " + std::to_string(total.rejected) +
-        " records rejected, max_rejected=" +
-        std::to_string(options.max_rejected) + detail);
-  }
-  accepted->Add(total.accepted);
+  const uint64_t kept = n - rejects.count();
+  accepted->Add(kept);
   batches->Add();
-  return ParseOutput{PartitionByBrick(schema, staging), total.accepted,
-                     total.rejected, std::move(total.errors)};
+  return ParseOutput{PartitionByBrick(schema, records, codes, rejects), kept,
+                     rejects.count(), rejects.TakeErrors()};
 }
 
 Result<Record> ParseCsvLine(const CubeSchema& schema,

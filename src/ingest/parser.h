@@ -32,17 +32,6 @@ struct Record {
   /*implicit*/ Record(std::initializer_list<Value> init) : values(init) {}
 };
 
-/// The fewest records a parse morsel holds, so ParseRecords fans a load out
-/// only from 2 * kMinMorselRecords (1,024) records and parses anything
-/// smaller on the calling thread at any `parallelism`. Under three
-/// concurrent loaders a pool task cost 33-60 us of CPU, the serial parse of
-/// 70-150 records. For a lone load on idle cores (EXPERIMENTS.md, "Ingest
-/// parse fan-out"), four morsels of 250 records bought 1.12-1.21x for
-/// 1.5-1.6x the CPU of a serial parse, two or three morsels of 512 (1,024
-/// and 1,536 records) 0.98-1.26x for 1.29-1.51x, and four morsels of at
-/// least 512 (from 2,048 records) 1.23-1.92x for 0.96-1.42x.
-inline constexpr size_t kMinMorselRecords = 512;
-
 struct ParseOptions {
   /// Maximum records that may be rejected before the whole batch is
   /// discarded.
@@ -60,30 +49,29 @@ struct ParseOutput {
   std::vector<std::string> errors;
 };
 
-/// Validates and encodes `records` into one batch partitioned per brick.
-/// Returns InvalidArgument when rejected > options.max_rejected (batch
-/// discarded).
-/// String dimension/metric values are encoded through the schema's
-/// dictionaries via the two-phase scheme (DESIGN.md §4f): each morsel looks
-/// its values up in one locked batch per dictionary and keeps the ids
-/// found, then one deterministic sorted batch insert per dictionary gives
-/// the misses theirs. Ids therefore depend only on the dictionaries' prior
-/// state and the set of new strings — never on record order within the
-/// batch or on `parallelism`.
+/// Validates and encodes `records` into one batch partitioned per brick, in
+/// one pass on the calling thread. Returns InvalidArgument when rejected >
+/// options.max_rejected (batch discarded).
 ///
-/// `parallelism` > 1 chunks the record vector into at most `parallelism`
-/// morsels of at least kMinMorselRecords records each, fanned out on
-/// ThreadPool::Global() (the caller participates while waiting); serial,
-/// and any load under 2 * kMinMorselRecords records, is one morsel parsed
-/// on the caller. Each morsel validates and encodes its records into their
-/// own rows of one record-indexed staging batch, so nothing is merged; one
-/// sort of (bid, record index) pairs then partitions the accepted rows.
-/// Output is bit-identical to the serial walk: the batch, rejection counts
-/// and retained error strings (concatenated in morsel = record order).
+/// Each record's arity, value types and integer coordinates are checked
+/// first. The string values of the records that pass are then encoded
+/// through the schema's dictionaries in two phases (DESIGN.md §4f): one
+/// locked Lookup per string column, then one sorted InsertSorted per
+/// column with misses. A record whose new string would take an id at or
+/// past its dimension's cardinality is rejected, and the load discarded
+/// if too many were, before anything is inserted, and only kept records'
+/// strings are inserted. So a record that passes gets an id that depends
+/// only on the dictionary's prior state and the set of new strings, never
+/// on record order. Under concurrent loads InsertSorted's ids decide: a
+/// racing load can push a new string past the cardinality after the
+/// insert, which rejects its records then. Retained errors are in record
+/// order.
+///
+/// Ignored size_t: bench/ledger/traced.cc passes it until ROADMAP direction 1.
 Result<ParseOutput> ParseRecords(const CubeSchema& schema,
                                  const std::vector<Record>& records,
                                  const ParseOptions& options = {},
-                                 size_t parallelism = 1);
+                                 size_t = 1);
 
 /// Parses one comma-separated line into a Record using the schema's column
 /// types (no quoting/escaping: this is the test/example loader, not an RFC

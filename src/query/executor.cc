@@ -752,7 +752,7 @@ GroupTable ScanBricks(const std::vector<const Brick*>& candidates,
     GroupTable* out = w == 0 ? &groups : &partials[w - 1];
     while (true) {
       // The brick data itself was published to the pool threads by the
-      // task-handoff mutexes in ThreadPool::Submit/PopTask.
+      // pool's queue mutex, which Submit and every pop take.
       // relaxed: the ticket only partitions disjoint bricks; no data rides on it
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= bricks.size()) break;

@@ -11,10 +11,8 @@
 // (DESIGN.md §4f): Lookup finds the ids of the values a load brings and
 // marks the rest missing; InsertSorted then gives the load's sorted,
 // deduplicated misses their ids. Sorted assignment makes the ids a pure
-// function of (dictionary state, set of new strings): independent of
-// record order within the load and of how the load was chunked across
-// threads, which is what keeps parallel ingest bit-identical to serial
-// replay.
+// function of (dictionary state, set of new strings), independent of
+// record order within the load.
 
 #pragma once
 

@@ -167,6 +167,23 @@ TEST(DatabaseTest, MaxRejectedPropagates) {
   EXPECT_TRUE(db.txns().PendingTxs().empty());
 }
 
+TEST(DatabaseTest, DiscardedLoadTakesNoDictionaryIds) {
+  // Ids of a string dimension must stay below its cardinality, so a load
+  // that leaves ids behind would shrink the cube for good.
+  Database db;
+  ASSERT_TRUE(
+      db.ExecuteDdl("CREATE CUBE c (s string CARDINALITY 4, m int)").ok());
+  ParseOptions opts;
+  opts.max_rejected = 0;
+  EXPECT_EQ(db.Load("c", {{"junk", "not-an-int"}}, opts).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.FindSchema("c")->dictionary(0)->size(), 0u);
+  const Status loaded =
+      db.Load("c", {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}}, opts);
+  EXPECT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(db.TotalRecords(), 4u);
+}
+
 TEST(DatabaseTest, LoadIntoMissingCubeFails) {
   Database db;
   EXPECT_EQ(db.Load("nope", {{"x", 1}}).code(), StatusCode::kNotFound);

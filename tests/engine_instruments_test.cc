@@ -68,11 +68,11 @@ const std::vector<std::string> kUndrivenCounters = {
     "check.online.violations",
 };
 
-// Counters the workload below must move. Timing-dependent ones
-// (ingest.group_appends, pool.steals_total) only have to exist, and so do
-// three the ledger reads that never move: aosi.purge.conflicts (purge plans
-// and installs in one shard op, so nothing refuses an install) and
-// query.vis_cache_{hits,misses} (no scan consults a cache).
+// Counters the workload below must move. A timing-dependent one
+// (ingest.group_appends) only has to exist, and so do four the ledger reads
+// that never move: aosi.purge.conflicts (purge plans and installs in one
+// shard op, so nothing refuses an install), query.vis_cache_{hits,misses}
+// (no scan consults a cache) and pool.steals_total (one queue, no steals).
 const std::vector<std::string> kDrivenCounters = {
     "ingest.records_accepted",
     "ingest.batches_total",
@@ -177,7 +177,6 @@ TEST(EngineInstrumentsTest, WorkloadDrivesEveryListedInstrument) {
     DatabaseOptions options;
     options.online_check = true;
     options.query_parallelism = 4;
-    options.ingest_parallelism = 4;
     options.threaded_shards = true;
     Database db(options);
     ASSERT_TRUE(MakeCube(&db).ok());

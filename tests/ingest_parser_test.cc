@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/dictionary.h"
+
 #include "ingest_random_load.h"
 
 namespace cubrick {
@@ -77,6 +79,13 @@ TEST(ParserTest, RejectsCardinalityOverflow) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->accepted, 4u);
   EXPECT_EQ(out->rejected, 1u);
+  ASSERT_EQ(out->errors.size(), 1u);
+  EXPECT_NE(out->errors[0].find("value 4 exceeds declared cardinality 4"),
+            std::string::npos)
+      << out->errors[0];
+  // The rejected record's string takes no id.
+  EXPECT_EQ(schema->dictionary(0)->size(), 4u);
+  EXPECT_FALSE(schema->dictionary(0)->Encode("r4").ok());
 }
 
 TEST(ParserTest, RejectsBadMetricType) {
@@ -86,6 +95,8 @@ TEST(ParserTest, RejectsBadMetricType) {
   auto out = ParseRecords(*schema, {{"a", "x", "oops", 2}}, opts);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->rejected, 1u);
+  EXPECT_EQ(schema->dictionary(0)->size(), 0u);
+  EXPECT_EQ(schema->dictionary(1)->size(), 0u);
 }
 
 TEST(ParserTest, MaxRejectedDiscardsWholeBatch) {
@@ -98,6 +109,45 @@ TEST(ParserTest, MaxRejectedDiscardsWholeBatch) {
                            {"a", "x", "bad", 1}},
                           opts);
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  // A discarded load leaves the dictionaries as they were.
+  EXPECT_EQ(schema->dictionary(0)->size(), 0u);
+  EXPECT_EQ(schema->dictionary(1)->size(), 0u);
+}
+
+TEST(ParserTest, StringRejectionsTakeNoIdsAndKeepRecordOrder) {
+  // Record 1's metric is bad, so its region r1 is never looked up: the
+  // kept records' four new regions fit the cardinality of 4, and "zzz",
+  // which sorts last, would take id 4. Its rejection is found after the
+  // type checks', yet the retained errors stay in record order.
+  auto schema = MakeSchema();
+  ParseOptions opts;
+  opts.max_rejected = 10;
+  opts.max_errors = 2;
+  auto out = ParseRecords(*schema,
+                          {{"r0", "x", 1, 1},
+                           {"r1", "x", "bad", 1},
+                           {"zz", "x", 1, 1},
+                           {"r2", "x", 1, 1},
+                           {"r3", "x", 1, 1},
+                           {"zzz", "x", 1, 1},
+                           {"r0", "x", "bad", 1},
+                           {"r0", "x", "bad", 1}},
+                          opts);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->accepted, 4u);
+  EXPECT_EQ(out->rejected, 4u);
+  ASSERT_EQ(out->errors.size(), 2u);
+  EXPECT_NE(out->errors[0].find("metric 'likes' expects int64"),
+            std::string::npos)
+      << out->errors[0];
+  EXPECT_NE(out->errors[1].find("region' value 4 exceeds"), std::string::npos)
+      << out->errors[1];
+  const StringDictionary* regions = schema->dictionary(0);
+  EXPECT_EQ(regions->size(), 4u);
+  EXPECT_FALSE(regions->Encode("r1").ok());
+  EXPECT_FALSE(regions->Encode("zzz").ok());
+  EXPECT_EQ(regions->Encode("zz").value(), 3u);
+  EXPECT_EQ(schema->dictionary(1)->size(), 1u);
 }
 
 TEST(ParserTest, IntDimensionValidation) {

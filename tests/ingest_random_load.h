@@ -1,6 +1,6 @@
-// Random loads for the ingest partition tests (ingest_parser_test.cc,
-// ingest_parallel_test.cc): records over two cubes with rejects at random
-// positions, and the partition contract every parse must meet.
+// Random loads for the ingest partition test (ingest_parser_test.cc):
+// records over two cubes with rejects at random positions, and the
+// partition contract every parse must meet.
 
 #pragma once
 

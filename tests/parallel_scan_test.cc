@@ -171,23 +171,41 @@ TEST_P(ParallelScanTest, GroupedFullyDenseBrickMatchesSerial) {
 }
 
 TEST_P(ParallelScanTest, FilteredMatchesSerial) {
+  // Regions [2, 9] cover or prune whole bricks (range size 2). Regions
+  // [3, 8] cut the bricks of regions [2, 3] and [8, 9] row by row, and at
+  // snapshots 3 and 5 later epochs' runs are pending, so every brick builds
+  // its bitmap and the filter narrows it. Each case sees every region of
+  // its range.
+  struct Case {
+    uint64_t lo;
+    uint64_t hi;
+    aosi::Epoch snapshot;
+    size_t groups;
+  };
   auto schema = MakeSchema();
   Table table(schema, 4, threaded());
   FillTable(table, *schema);
-  Query q;
-  FilterClause f;
-  f.dim = 0;
-  f.op = FilterClause::Op::kRange;
-  f.range_lo = 2;
-  f.range_hi = 9;
-  q.filters = {f};
-  q.group_by = {0};
-  q.aggs = {{AggSpec::Fn::kSum, 0}, {AggSpec::Fn::kCount, 0}};
-  auto serial = table.Scan(Snap(6), ScanMode::kSnapshotIsolation, q);
-  for (size_t par : kBudgets) {
-    auto parallel =
-        table.Scan(Snap(6), ScanMode::kSnapshotIsolation, q, nullptr, par);
-    ExpectSameResult(serial, parallel);
+  for (const Case& c : {Case{2, 9, 6, 8}, Case{3, 8, 3, 6}, Case{3, 8, 5, 6}}) {
+    SCOPED_TRACE("regions [" + std::to_string(c.lo) + ", " +
+                 std::to_string(c.hi) + "] at snapshot " +
+                 std::to_string(c.snapshot));
+    Query q;
+    FilterClause f;
+    f.dim = 0;
+    f.op = FilterClause::Op::kRange;
+    f.range_lo = c.lo;
+    f.range_hi = c.hi;
+    q.filters = {f};
+    q.group_by = {0};
+    q.aggs = {{AggSpec::Fn::kSum, 0}, {AggSpec::Fn::kCount, 0}};
+    auto serial =
+        table.Scan(Snap(c.snapshot), ScanMode::kSnapshotIsolation, q);
+    EXPECT_EQ(serial.num_groups(), c.groups);
+    for (size_t par : kBudgets) {
+      auto parallel = table.Scan(Snap(c.snapshot),
+                                 ScanMode::kSnapshotIsolation, q, nullptr, par);
+      ExpectSameResult(serial, parallel);
+    }
   }
 }
 

@@ -22,23 +22,11 @@ bool Any(const check::StressOptions&) { return true; }
 bool Parallel(const check::StressOptions& o) {
   return o.engine.query_parallelism > 1;
 }
-bool IngestParallel(const check::StressOptions& o) {
-  return o.engine.ingest_parallelism > 1;
-}
 bool Online(const check::StressOptions& o) { return o.online_check; }
 bool ScalarKernels(const check::StressOptions& o) { return o.scalar_kernels; }
 bool DenseLoads(const check::StressOptions& o) { return o.dense_loads; }
-/// The parse fans a load out only from 2 * kMinMorselRecords records, and
-/// the only check_si loads that large are the dense loads of a seed that
-/// draws ingest_parallelism > 1.
-bool ParseFanOut(const check::StressOptions& o) {
-  return IngestParallel(o) && DenseLoads(o);
-}
 bool ParallelOnline(const check::StressOptions& o) {
   return Parallel(o) && o.online_check;
-}
-bool ParallelParseFanOut(const check::StressOptions& o) {
-  return Parallel(o) && ParseFanOut(o);
 }
 bool PurgeParallelOnline(const check::StressOptions& o) {
   return o.purge_stress && ParallelOnline(o);
@@ -55,6 +43,8 @@ struct SeedRange {
   Predicate draws;
 };
 
+/// check_si_single_ingest_parallel{,_short} are plain seed ranges: the
+/// parse fan-out they were named for is gone.
 const std::vector<SeedRange>& Targets() {
   static const std::vector<SeedRange> kTargets = {
       {"check_si_single", false, 1, 200, false, Any},
@@ -65,8 +55,7 @@ const std::vector<SeedRange>& Targets() {
       {"check_si_single_online", false, 326, 50, false, Online},
       {"check_si_single_purge_concurrent", false, 376, 20, false,
        PurgeParallelOnline},
-      {"check_si_single_ingest_parallel", false, 396, 50, false,
-       ParseFanOut},
+      {"check_si_single_ingest_parallel", false, 396, 50, false, Any},
       {"check_si_single_simd_scalar", false, 446, 50, false, ScalarKernels},
       {"check_si_cluster_online", true, 201, 50, false, Online},
       {"check_si_seed_sweep", false, 496, 16, false, Online},
@@ -74,11 +63,10 @@ const std::vector<SeedRange>& Targets() {
       {"check_si_single_short", false, 1, 6, true, Any},
       {"check_si_single_parallel_short", false, 7, 4, true, Parallel},
       {"check_si_single_cache_short", false, 11, 4, true, Parallel},
-      {"check_si_single_online_short", false, 15, 4, true, ParallelOnline},
+      {"check_si_single_online_short", false, 31, 4, true, ParallelOnline},
       {"check_si_single_purge_concurrent_short", false, 19, 4, true,
        PurgeParallelOnline},
-      {"check_si_single_ingest_parallel_short", false, 23, 4, true,
-       ParallelParseFanOut},
+      {"check_si_single_ingest_parallel_short", false, 23, 4, true, Any},
       {"check_si_single_simd_scalar_short", false, 27, 4, true,
        ScalarKernels},
       {"check_si_cluster_short", true, 1, 4, true, Any},
@@ -151,8 +139,6 @@ TEST(SeedConfigTest, EverySweepReachesBothValuesOfEveryDimension) {
     for (bool cluster : {false, true}) {
       ExpectBothValues(cluster, sanitizer_sized, "query_parallelism > 1",
                        Parallel);
-      ExpectBothValues(cluster, sanitizer_sized, "ingest_parallelism > 1",
-                       IngestParallel);
       ExpectBothValues(cluster, sanitizer_sized, "online_check", Online);
       ExpectBothValues(cluster, sanitizer_sized, "rollback_index",
                        [](const auto& o) { return o.engine.rollback_index; });
@@ -163,8 +149,6 @@ TEST(SeedConfigTest, EverySweepReachesBothValuesOfEveryDimension) {
       ExpectBothValues(cluster, sanitizer_sized, "scalar_kernels",
                        ScalarKernels);
       ExpectBothValues(cluster, sanitizer_sized, "dense_loads", DenseLoads);
-      ExpectBothValues(cluster, sanitizer_sized, "a parse fan-out",
-                       ParseFanOut);
     }
     ExpectBothValues(/*cluster=*/false, sanitizer_sized, "purge_stress",
                      [](const auto& o) { return o.purge_stress; });
@@ -196,9 +180,6 @@ TEST(SeedConfigTest, ShortSweepsHitTheRacingCombinations) {
         Sweep(cluster, /*sanitizer_sized=*/true);
     EXPECT_GT(Count(seeds, cluster, ParallelOnline), 0u)
         << "parallel scans under the online checker, cluster=" << cluster;
-    // Single seed 23 and cluster seed 9.
-    EXPECT_GT(Count(seeds, cluster, ParallelParseFanOut), 0u)
-        << "parallel scans beside a parse fan-out, cluster=" << cluster;
   }
   const std::vector<uint64_t> single =
       Sweep(/*cluster=*/false, /*sanitizer_sized=*/true);

@@ -1,6 +1,6 @@
-// ThreadPool / TaskGroup tests: submission, work stealing, caller
-// participation in Wait(), and nested fan-out (the shard-blocks-in-op
-// pattern the morsel-parallel executor relies on).
+// ThreadPool / TaskGroup tests: submission, caller participation in
+// Wait(), and nested fan-out (the shard-blocks-in-op pattern the
+// morsel-parallel executor relies on).
 
 #include "common/thread_pool.h"
 
